@@ -4,8 +4,9 @@ Class predicates for IO/SIO/sIO/PIO test the *given* Kraus representation
 (those classes are defined by the existence of a representation, and deciding
 existence in general is a search problem); MIO and DIO are properties of the
 channel itself and are tested at the level of its action on matrix units.
-``qubit_mio_to_io`` is the one constructive existence procedure offered, for
-qubit channels.
+``qubit_mio_to_io`` is the one existence procedure offered, for qubit
+channels: a closed-form PSD test that returns either an incoherent
+representation or an eigenvector certifying that none exists.
 """
 
 from __future__ import annotations
@@ -18,10 +19,19 @@ from .states import DensityMatrix
 CPTP_TOL = 1e-9
 PREDICATE_TOL = 1e-9
 CHOI_ROUNDTRIP_TOL = 1e-8
+IO_PSD_TOL = 1e-10
 
 
 class NoIncoherentRepresentationError(ValueError):
-    """The channel admits no Kraus representation made of incoherent operators."""
+    """The channel admits no Kraus representation made of incoherent operators.
+
+    ``certificate``, when set, is a real vector v with v^T M v < 0 for the
+    matrix M that every incoherent representation would make PSD.
+    """
+
+    def __init__(self, message: str, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 class KrausChannel:
@@ -116,7 +126,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.dim != ch.din:
         raise ValueError(f"state dim {rho.dim} does not match channel input dim {ch.din}")
     s = ch._stack
-    out = np.einsum("jyx,xz,jwz->yw", s, rho.mat, s.conj())
+    out = np.sum(s @ rho.mat @ s.conj().transpose(0, 2, 1), axis=0)
     out = (out + out.conj().T) / 2.0
     return DensityMatrix(out / np.trace(out).real)
 
@@ -443,209 +453,86 @@ def fit_g_covariant(ch: KrausChannel, tol: float = PREDICATE_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _mix_pair(ops, i, j, x):
-    """Unitary 2x2 mix making <0|ops[i]|x> exactly zero."""
-    a, b = -ops[j][0, x], ops[i][0, x]
-    norm = np.hypot(abs(a), abs(b))
-    a, b = a / norm, b / norm
-    new_i = a * ops[i] + b * ops[j]
-    new_j = -b.conjugate() * ops[i] + a.conjugate() * ops[j]
-    new_i[0, x] = 0.0
-    ops[i], ops[j] = new_i, new_j
-
-
-def _pairwise_io_pass(ops, eps: float = 1e-11):
-    """Pairwise unitary mixing toward column-wise single-entried operators.
-
-    Column 0 first, then column 1 restricted to pairs whose column-0 patterns
-    are compatible (mixing incompatible ones would repopulate column 0).
-    Returns True if no incompatible deadlock was left behind.
-    """
-
-    def bad(k, x):
-        return abs(ops[k][0, x]) > eps and abs(ops[k][1, x]) > eps
-
-    guard = 0
-    while True:
-        cand = [k for k in range(len(ops)) if bad(k, 0)]
-        if len(cand) < 2:
-            break
-        _mix_pair(ops, cand[0], cand[1], 0)
-        guard += 1
-        if guard > 4 * len(ops) + 16:
-            return False
-
-    for group_of in (lambda k: abs(ops[k][1, 0]) <= eps, lambda k: abs(ops[k][1, 0]) > eps):
-        guard = 0
+def _bipartite_blocks(support: np.ndarray):
+    """Connected components (rows, cols) of the bipartite graph of a boolean matrix."""
+    blocks = []
+    left = support.any(axis=1)
+    while left.any():
+        rows = np.zeros_like(left)
+        rows[np.argmax(left)] = True
         while True:
-            cand = [k for k in range(len(ops)) if bad(k, 1) and group_of(k)]
-            if len(cand) < 2:
+            cols = support[rows].any(axis=0)
+            grown = rows | support[:, cols].any(axis=1)
+            if np.array_equal(grown, rows):
                 break
-            _mix_pair(ops, cand[0], cand[1], 1)
-            guard += 1
-            if guard > 4 * len(ops) + 16:
-                return False
-
-    leftovers = [k for k in range(len(ops)) if bad(k, 1)]
-    return len(leftovers) == 0 and not any(bad(k, 0) for k in range(len(ops)))
+            rows = grown
+        left &= ~rows
+        blocks.append((np.nonzero(rows)[0], np.nonzero(cols)[0]))
+    return blocks
 
 
-_MASS_EPS = 1e-22
-_FEAS_TOL = 1e-10
+def _qubit_io_rep_from_channel(ch: KrausChannel) -> list:
+    """Incoherent Kraus operators reproducing a qubit MIO channel.
 
-
-def _qubit_io_feasible_loads(a, b, m):
-    """Solve the 2-D convex feasibility problem behind a qubit IO split.
-
-    Looks for X >= 0 with row sums <= a and column loads
-    sum_i m[i][j]/X[i][j] <= b[j]; returns the per-pattern X or None.
-    Saturating rows and taking the minimal column masses m/X is lossless, so
-    this reduces to minimizing the convex max-violation over (u, v) =
-    (X[0,0], X[1,0]); the inner v-optimum is a monotone crossing (bisected),
-    the outer u-optimum is found by ternary search.
-    """
-    a = [float(a[0]), float(a[1])]
-    b = [float(b[0]), float(b[1])]
-    m = [[float(m[0, 0]), float(m[0, 1])], [float(m[1, 0]), float(m[1, 1])]]
-    # quick Cauchy-Schwarz screen: an IO split forces sum_ij |C_ij| <= sqrt(sum a * sum b)
-    if sum(np.sqrt(v) for row in m for v in row) > np.sqrt(sum(a) * sum(b)) + 1e-12:
-        return None
-    present = [[v > _MASS_EPS for v in row] for row in m]
-    row0 = present[0][0] and present[0][1]
-    row1 = present[1][0] and present[1][1]
-
-    def x_row(i, t):
-        if present[i][0] and present[i][1]:
-            return t, a[i] - t
-        if present[i][0]:
-            return a[i], 0.0
-        if present[i][1]:
-            return 0.0, a[i]
-        return 0.0, 0.0
-
-    def load(mass, x):
-        if mass <= _MASS_EPS:
-            return 0.0
-        if x <= 1e-300:
-            return np.inf
-        return mass / x
-
-    def col_loads(u, v):
-        x00, x01 = x_row(0, u)
-        x10, x11 = x_row(1, v)
-        g0 = load(m[0][0], x00) + load(m[1][0], x10) - b[0]
-        g1 = load(m[0][1], x01) + load(m[1][1], x11) - b[1]
-        return g0, g1
-
-    def inner(u):
-        """min over v of max(col loads), plus the arg v."""
-        if not row1:
-            g0, g1 = col_loads(u, 0.0)
-            return max(g0, g1), 0.0
-        lo, hi = 0.0, a[1]
-        # g0 decreases in v, g1 increases; the minimax sits at their crossing.
-        for _ in range(70):
-            mid = (lo + hi) / 2.0
-            g0, g1 = col_loads(u, mid)
-            if g0 > g1:
-                lo = mid
-            else:
-                hi = mid
-        v = (lo + hi) / 2.0
-        return max(col_loads(u, v)), v
-
-    if not row0:
-        best, v = inner(0.0)
-        u = 0.0
-    else:
-        lo, hi = 0.0, a[0]
-        for _ in range(80):
-            u1 = lo + (hi - lo) / 3.0
-            u2 = hi - (hi - lo) / 3.0
-            if inner(u1)[0] <= inner(u2)[0]:
-                hi = u2
-            else:
-                lo = u1
-        u = (lo + hi) / 2.0
-        best, v = inner(u)
-
-    if not best <= _FEAS_TOL:
-        return None
-    x = np.zeros((2, 2))
-    x[0, 0], x[0, 1] = x_row(0, u)
-    x[1, 0], x[1, 1] = x_row(1, v)
-    return x
-
-
-def _qubit_io_rep_from_channel(ch: KrausChannel):
-    """Exact IO Kraus list reproducing a qubit MIO channel, or None.
-
-    The channel is determined by a = diag E(|0><0|), b = diag E(|1><1|) and
-    the cross block C = E(|0><1|); an IO representation exists iff the masses
-    |C_ij|^2 can be supported by a feasible split of a and b.
+    With a = diag E(|0><0|), b = diag E(|1><1|) and C = E(|0><1|), an
+    incoherent representation exists iff M = [[diag a, |C|], [|C|^T, diag b]]
+    is PSD; otherwise NoIncoherentRepresentationError carries M's lowest
+    eigenvector. On each connected block of the support of |C|, the Perron
+    singular pair (p, q) of K = diag(a)^-1/2 |C| diag(b)^-1/2 sets the loads
+    X_ij = a_i K_ij q_j / p_i: row i then uses s a_i and column j uses s b_j,
+    where s = ||K|| <= 1, and diagonal operators take up what is left.
     """
     g = ch.unit_actions()
-    a = np.clip(np.real(np.diag(g[:, :, 0, 0])), 0.0, None)
-    b = np.clip(np.real(np.diag(g[:, :, 1, 1])), 0.0, None)
+    a = np.clip(np.diag(g[:, :, 0, 0]).real, 0.0, None)
+    b = np.clip(np.diag(g[:, :, 1, 1]).real, 0.0, None)
     cross = g[:, :, 0, 1]
-    masses = np.abs(cross) ** 2
-    x = _qubit_io_feasible_loads(a, b, masses)
-    if x is None:
-        return None
+    modulus = np.abs(cross)
+    vals, vecs = np.linalg.eigh(np.block([[np.diag(a), modulus], [modulus.T, np.diag(b)]]))
+    if vals[0] < -IO_PSD_TOL:
+        raise NoIncoherentRepresentationError(
+            "this qubit MIO channel has no incoherent Kraus representation",
+            certificate=vecs[:, 0],
+        )
+    support = modulus > 1e-11
     ops = []
-    col1_used = np.zeros(2)
-    for i in range(2):
-        for j in range(2):
-            if masses[i, j] <= 1e-22:
-                continue
-            op = np.zeros((2, 2), dtype=complex)
-            op[i, 0] = np.sqrt(x[i, j])
-            op[j, 1] = cross[i, j].conjugate() / np.sqrt(x[i, j])
-            col1_used[j] += masses[i, j] / x[i, j]
-            ops.append(op)
-    row_used = np.array([sum(x[i, j] for j in range(2) if masses[i, j] > 1e-22) for i in range(2)])
-    for i in range(2):
-        slack = a[i] - row_used[i]
-        if slack > 1e-15:
-            op = np.zeros((2, 2), dtype=complex)
-            op[i, 0] = np.sqrt(slack)
-            ops.append(op)
-    for j in range(2):
-        slack = b[j] - col1_used[j]
-        if slack > 1e-15:
-            op = np.zeros((2, 2), dtype=complex)
-            op[j, 1] = np.sqrt(slack)
-            ops.append(op)
+    slack = np.stack([a, b], axis=1)
+    for rows, cols in _bipartite_blocks(support):
+        k = modulus[np.ix_(rows, cols)] / np.sqrt(np.outer(a[rows], b[cols]))
+        u, _, vh = np.linalg.svd(k)
+        p, q = np.abs(u[:, 0]), np.abs(vh[0])
+        for bi, i in enumerate(rows):
+            for bj, j in enumerate(cols):
+                if not support[i, j]:
+                    continue
+                load = a[i] * k[bi, bj] * q[bj] / p[bi]
+                op = np.zeros((ch.dout, 2), dtype=complex)
+                op[i, 0] = np.sqrt(load)
+                op[j, 1] = cross[i, j].conjugate() / np.sqrt(load)
+                ops.append(op)
+                slack[i, 0] -= load
+                slack[j, 1] -= modulus[i, j] ** 2 / load
+    for i, x in zip(*np.nonzero(slack > 1e-15)):
+        op = np.zeros((ch.dout, 2), dtype=complex)
+        op[i, x] = np.sqrt(slack[i, x])
+        ops.append(op)
     return ops
 
 
 def qubit_mio_to_io(ch: KrausChannel) -> KrausChannel:
     """Re-represent a qubit MIO channel with incoherent Kraus operators.
 
-    First runs the iterative pairwise 2x2 unitary mixing over operator pairs
-    whose columns still violate the incoherent form; when that stalls (some
-    MIO channels defeat it), falls back to rebuilding an incoherent operator
-    list directly from the channel's action. Raises
-    NoIncoherentRepresentationError for channels where no incoherent
-    representation exists at all.
+    Decides existence in closed form: a representation exists iff
+    M = [[diag a, |C|], [|C|^T, diag b]] has lambda_min >= -1e-10, where
+    a = diag E(|0><0|), b = diag E(|1><1|) and C = E(|0><1|). When it does,
+    the operators are built from Perron singular pairs and the rebuilt
+    channel is checked against the original. When it does not, raises
+    NoIncoherentRepresentationError whose ``certificate`` v has v^T M v < 0.
     """
     if ch.din != 2 or ch.dout != 2:
         raise ValueError("canonicalization is defined for qubit channels only")
     if not is_mio(ch):
         raise ValueError("channel is not MIO")
-
-    ops = [k.copy() for k in ch.kraus]
-    if _pairwise_io_pass(ops):
-        candidate = KrausChannel(ops)
-        if is_io_rep(candidate) and choi_distance(ch, candidate) <= CHOI_ROUNDTRIP_TOL:
-            return candidate
-
-    rebuilt = _qubit_io_rep_from_channel(ch)
-    if rebuilt is None:
-        raise NoIncoherentRepresentationError(
-            "this qubit MIO channel has no incoherent Kraus representation"
-        )
-    candidate = KrausChannel(rebuilt)
+    candidate = KrausChannel(_qubit_io_rep_from_channel(ch))
     if not is_io_rep(candidate) or choi_distance(ch, candidate) > CHOI_ROUNDTRIP_TOL:
         raise ArithmeticError("incoherent rebuild failed to reproduce the channel")
     return candidate

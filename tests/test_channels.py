@@ -393,8 +393,27 @@ class TestQubitMioToIo:
         m_b = np.array([[0.0, 0.5], [1 / math.sqrt(2), -0.5]], dtype=complex)
         c = ch.KrausChannel([m_a, m_b])
         assert ch.is_mio(c)
-        with pytest.raises(ch.NoIncoherentRepresentationError):
+        with pytest.raises(ch.NoIncoherentRepresentationError) as exc:
             ch.qubit_mio_to_io(c)
+        g = c.unit_actions()
+        a = np.diag(np.diag(g[:, :, 0, 0]).real)
+        b = np.diag(np.diag(g[:, :, 1, 1]).real)
+        cross = np.abs(g[:, :, 0, 1])
+        m = np.block([[a, cross], [cross.T, b]])
+        v = exc.value.certificate
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert v @ m @ v == pytest.approx((1.0 - math.sqrt(2.0)) / 2.0, abs=1e-9)
+
+    def test_reducible_cross_block_canonicalizes_exactly(self):
+        # C = E(|0><1|) = diag(.433, -.433): |C| splits into two blocks, so a
+        # single Perron pair of the whole matrix has zero entries
+        k1 = np.array([[math.sqrt(0.5), math.sqrt(0.375)], [0.0, 0.0]])
+        k2 = np.array([[0.0, 0.0], [math.sqrt(0.3), -math.sqrt(0.625)]])
+        k3 = np.array([[0.0, 0.0], [math.sqrt(0.2), 0.0]])
+        c = ch.KrausChannel([k1, k2, k3])
+        out = ch.qubit_mio_to_io(c)
+        assert ch.is_io_rep(out)
+        assert ch.choi_distance(c, out) <= 1e-8
 
     def test_rejects_non_mio(self):
         with pytest.raises(ValueError):

@@ -220,7 +220,7 @@ class TestCR:
             assert closed == pytest.approx(2.0 * abs(rho.mat[0, 1]), abs=1e-12)
 
     def test_uniform_pure_reaches_dimension_bound(self):
-        for n in (2, 3, 5):
+        for n in (2, 3, 5, 16, 64):
             rho = uniform_pure(n).to_density()
             assert mo.c_r(rho).value == pytest.approx(n - 1.0, abs=1e-9)
             assert mo.c_r(rho, method="cutting_plane").value == pytest.approx(
@@ -239,10 +239,40 @@ class TestCR:
             assert solver == pytest.approx(mo.c_l1(rho).value, abs=1e-6)
 
     def test_solver_witness_is_feasible(self):
-        rho = random_density(4, 17)
-        report = mo.c_r(rho, method="cutting_plane")
-        gap = np.diag(report.witness).astype(complex) - rho.mat
-        assert np.linalg.eigvalsh(gap)[0] >= -2e-9
+        for d in (4, 12, 32, 64):
+            rho = random_density(d, 17)
+            report = mo.c_r(rho, method="cutting_plane")
+            assert report.value == pytest.approx(np.sum(report.witness) - 1.0, abs=1e-12)
+            gap = np.diag(report.witness).astype(complex) - rho.mat
+            assert np.linalg.eigvalsh(gap)[0] >= -1e-9
+
+    @staticmethod
+    def mixing_dual_bound(rho):
+        """max Tr(rho Y) - 1 over Y = V^H V with unit columns, by coordinate
+        ascent v_i <- g/|g|, g = sum_{j != i} rho_ji v_j (Wang, Chang & Kolter,
+        arXiv:1706.00476); every iterate is dual feasible, so this is a lower
+        bound on C_R whether or not it has converged."""
+        d = rho.shape[0]
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        v /= np.linalg.norm(v, axis=0)
+        previous = -math.inf
+        for _ in range(5000):
+            for i in range(d):
+                g = v @ rho[:, i] - rho[i, i] * v[:, i]
+                v[:, i] = g / np.linalg.norm(g)
+            value = float(np.vdot(v.conj().T @ v, rho).real)
+            if value - previous <= 1e-13:
+                break
+            previous = value
+        return value - 1.0
+
+    def test_solver_matches_mixing_dual_bound(self):
+        for d in (12, 32):
+            rho = random_density(d, d)
+            value = mo.c_r(rho).value
+            bound = self.mixing_dual_bound(rho.mat)
+            assert bound - 1e-12 <= value <= bound + 1e-7
 
 
 class TestCDeltaR:
