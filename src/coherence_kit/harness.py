@@ -1,15 +1,17 @@
 """Sampled property suites: monotonicity, class inclusions, and roundtrips.
 
-Each suite evaluates independent seeded samples (optionally across a thread
-pool capped by COHERENCE_KIT_THREADS) and reduces results in sample-index
-order, so a run is a pure function of (suite, samples, seed).
+Each suite evaluates independent seeded samples one after another and
+reduces results in sample-index order, so a run is a pure function of
+(suite, samples, seed). Runs are serial: the samples are small numpy calls
+that the GIL serializes, so a thread pool gave no speed-up.
+COHERENCE_KIT_THREADS and ``threads=`` remain a cap on parallelism
+(default 1), which a serial run always meets.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,19 +28,13 @@ SUITES = ("monotonicity", "inclusions", "roundtrips")
 
 
 def thread_count(requested: int | None = None) -> int:
+    """The parallelism cap: ``requested``, else COHERENCE_KIT_THREADS, else 1."""
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get("COHERENCE_KIT_THREADS")
     if env:
         return max(1, int(env))
     return 1
-
-
-def _map_indexed(fn, n: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 def _sub_seed(seed: int, index: int, salt: int = 0) -> int:
@@ -225,15 +221,18 @@ def run_suite(
     threads: int | None = None,
     corrupt_hook=None,
 ) -> dict:
-    """Run one suite; returns a summary dict with per-sample failures."""
+    """Run one suite; returns a summary dict with per-sample failures.
+
+    ``threads`` is validated as a cap (see ``thread_count``); samples run
+    serially whatever its value.
+    """
     if suite not in _SAMPLERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     sampler = _SAMPLERS[suite]
-    results = _map_indexed(
-        lambda i: sampler(i, seed, corrupt_hook), samples, thread_count(threads)
-    )
+    thread_count(threads)
+    results = [sampler(i, seed, corrupt_hook) for i in range(samples)]
     failures = [f for per_sample in results for f in per_sample]
     worst = max((f["magnitude"] for f in failures), default=0.0)
     return {

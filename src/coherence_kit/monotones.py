@@ -1,8 +1,13 @@
 """Coherence measures: Renyi families, robustness measures, and rate calculators.
 
 All values are in bits (log base 2). Each measure returns a MonotoneReport
-carrying the value, the evaluation method, and an optional witness
-(an optimal diagonal majorant, an optimal ratio vector, or similar).
+carrying the value, the evaluation method, an optional witness (an optimal
+diagonal majorant, an optimal ratio vector, or similar) and, for the C_R
+solver, the certified dual bound.
+
+The spectral measures read the eigendecomposition cached on the state
+(``DensityMatrix.spectrum``) instead of factorizing it again, and raise the
+dephased state to a power elementwise on its diagonal.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import eig_hermitian, mat_power_psd, trace_norm
+from .numerics import eig_hermitian, psd_power_values, spectral_power, trace_norm
 from .states import DensityMatrix, PureStateVector, SchmidtVector
 
 _LOG2 = math.log(2.0)
@@ -24,9 +29,12 @@ class MonotoneReport:
     value: float
     method: str  # closed_form | barrier (certified C_R solver) | eigenvalue
     witness: object = None
+    bound: float | None = None  # certified lower bound on value; None when exact
 
     def to_json_dict(self, include_witness: bool = False) -> dict:
         payload = {"name": self.name, "value": self.value, "method": self.method}
+        if include_witness and self.bound is not None:
+            payload["bound"] = self.bound
         if include_witness and self.witness is not None:
             w = np.asarray(self.witness)
             if np.iscomplexobj(w):
@@ -63,18 +71,15 @@ def renyi(p, alpha: float) -> float:
     return float(np.log2(np.sum(vec**alpha)) / (1.0 - alpha))
 
 
-def _entropy_of_spectrum(mat: np.ndarray) -> float:
-    vals = eig_hermitian(mat).eigenvalues
-    vals = vals[vals > 1e-15]
-    return float(-np.sum(vals * np.log2(vals)))
-
-
 def c_rel(rho: DensityMatrix) -> MonotoneReport:
     """Relative entropy of coherence S(dephased) - S(rho)."""
     diag = np.diag(rho.mat).real
     diag = diag[diag > 1e-15]
     s_deph = float(-np.sum(diag * np.log2(diag)))
-    return MonotoneReport("c_rel", s_deph - _entropy_of_spectrum(rho.mat), "closed_form")
+    vals = rho.spectrum.eigenvalues
+    vals = vals[vals > 1e-15]
+    s_rho = float(-np.sum(vals * np.log2(vals)))
+    return MonotoneReport("c_rel", s_deph - s_rho, "closed_form")
 
 
 def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
@@ -90,10 +95,10 @@ def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
     if alpha == 1.0:
         return MonotoneReport(name, c_rel(rho).value, "closed_form")
     if alpha == 0.0:
-        proj = mat_power_psd(rho.mat, 0.0)
+        proj = spectral_power(rho.spectrum, 0.0)
         top = float(np.max(np.diag(proj).real))
         return MonotoneReport(name, -math.log2(top), "closed_form")
-    powered = mat_power_psd(rho.mat, alpha)
+    powered = spectral_power(rho.spectrum, alpha)
     diag = np.clip(np.diag(powered).real, 0.0, None)
     total = float(np.sum(diag ** (1.0 / alpha)))
     value = (alpha / (alpha - 1.0)) * math.log2(total)
@@ -132,33 +137,34 @@ def c_delta_alpha(rho: DensityMatrix, alpha: float, side: str = "right") -> Mono
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     name = f"c_delta_alpha[{alpha:g},{side}]"
-    delta = np.diag(np.diag(rho.mat))
+    diag = np.diag(rho.mat)
     if alpha == 1.0:
         if side == "right":
             return MonotoneReport(name, c_rel(rho).value, "closed_form")
-        dec = eig_hermitian(rho.mat)
+        dec = rho.spectrum
         rank = int(np.sum(dec.eigenvalues > 1e-12))
-        if int(np.sum(np.diag(delta).real > 1e-12)) > rank:
+        if int(np.sum(diag.real > 1e-12)) > rank:
             return MonotoneReport(name, math.inf, "closed_form")
         log_rho = (
             dec.eigenvectors * np.log2(np.clip(dec.eigenvalues, 1e-300, None))
         ) @ dec.eigenvectors.conj().T
-        diag_p = np.clip(np.diag(delta).real, 0.0, None)
+        diag_p = np.clip(diag.real, 0.0, None)
         mask = diag_p > 1e-15
         value = float(
-            np.sum(diag_p[mask] * np.log2(diag_p[mask])) - np.trace(delta @ log_rho).real
+            np.sum(diag_p[mask] * np.log2(diag_p[mask]))
+            - np.trace(np.diag(diag) @ log_rho).real
         )
         return MonotoneReport(name, value, "closed_form")
-    if side == "right":
-        first, second = rho.mat, delta
-    else:
-        first, second = delta, rho.mat
     if alpha > 1.0 and side == "left":
-        rank = int(np.sum(eig_hermitian(rho.mat).eigenvalues > 1e-12))
-        if int(np.sum(np.abs(np.diag(rho.mat)) > 1e-12)) > rank:
+        rank = int(np.sum(rho.spectrum.eigenvalues > 1e-12))
+        if int(np.sum(np.abs(diag) > 1e-12)) > rank:
             return MonotoneReport(name, math.inf, "closed_form")
-    a_pow = mat_power_psd(first, alpha)
-    b_pow = mat_power_psd(second, 1.0 - alpha)
+    if side == "right":
+        a_pow = spectral_power(rho.spectrum, alpha)
+        b_pow = np.diag(psd_power_values(diag.real, 1.0 - alpha))
+    else:
+        a_pow = np.diag(psd_power_values(diag.real, alpha))
+        b_pow = spectral_power(rho.spectrum, 1.0 - alpha)
     val = np.trace(a_pow @ b_pow).real
     value = math.log2(max(val, 1e-300)) / (alpha - 1.0)
     return MonotoneReport(name, value, "closed_form")
@@ -202,11 +208,16 @@ def _c_r_barrier(rho: DensityMatrix):
     solver stops once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1,
     Hessian |S^-1|^2 entrywise; each step starts at the self-concordant damped
     length 1/(1 + lambda), which keeps S positive definite, and backtracks.
+    The -log det S of an accepted trial is carried into the next step.
+    Returns (1.d - 1, d, Tr(rho Y) - 1).
     """
     mat = rho.mat
     n = rho.dim
+    # eigvalsh, not rho.spectrum: its lambda_max can differ in the last bit,
+    # which would move the certified value in about the 15th digit.
     d_vec = np.full(n, float(np.linalg.eigvalsh(mat)[-1]) + 1.0 / n)
     t = float(np.mean(np.linalg.inv(np.diag(d_vec) - mat).diagonal().real))
+    log_det = _log_det_barrier(np.diag(d_vec) - mat)
     for _ in range(40):
         for _ in range(60):
             s = np.diag(d_vec) - mat
@@ -215,23 +226,24 @@ def _c_r_barrier(rho: DensityMatrix):
             scale = 1.0 / np.sqrt(diag)
             dual = float(np.vdot(s_inv * np.outer(scale, scale), mat).real)
             if np.sum(d_vec) - dual <= C_R_GAP:
-                return float(np.sum(d_vec) - 1.0), d_vec
+                return float(np.sum(d_vec) - 1.0), d_vec, dual - 1.0
             grad = t - diag
             step = -np.linalg.solve(np.abs(s_inv) ** 2, grad)
             decrement = float(-grad @ step)
             if decrement <= 1e-8:
                 break
-            base = t * np.sum(d_vec) + _log_det_barrier(s)
+            base = t * np.sum(d_vec) + log_det
             alpha = 1.0 / (1.0 + math.sqrt(decrement))
             while alpha > 1e-12:
                 trial = d_vec + alpha * step
-                value = t * np.sum(trial) + _log_det_barrier(np.diag(trial) - mat)
+                trial_log_det = _log_det_barrier(np.diag(trial) - mat)
+                value = t * np.sum(trial) + trial_log_det
                 if value <= base - 0.25 * alpha * decrement:
                     break
                 alpha *= 0.5
             else:
                 break
-            d_vec = trial
+            d_vec, log_det = trial, trial_log_det
         t *= 8.0
     raise ArithmeticError("barrier solver did not close the duality gap")
 
@@ -243,7 +255,8 @@ def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
     entrywise-nonnegative real states give the l1 value. Anything else, or
     method='cutting_plane' (kept as the name that forces the solver), runs the
     log-det barrier solver, whose answer is within 1e-9 of a dual lower bound.
-    The witness is then the optimal diagonal majorant's diagonal.
+    The witness is then the optimal diagonal majorant's diagonal, and the
+    report's bound is the dual value Tr(rho Y) - 1 that certifies it.
     """
     if method not in ("auto", "cutting_plane"):
         raise ValueError("method must be 'auto' or 'cutting_plane'")
@@ -255,8 +268,8 @@ def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
             return MonotoneReport("c_r", 2.0 * abs(rho.mat[0, 1]), "closed_form")
         if _is_real_nonneg(rho):
             return MonotoneReport("c_r", c_l1(rho).value, "closed_form")
-    value, d_vec = _c_r_barrier(rho)
-    return MonotoneReport("c_r", value, "barrier", witness=d_vec)
+    value, d_vec, bound = _c_r_barrier(rho)
+    return MonotoneReport("c_r", value, "barrier", witness=d_vec, bound=bound)
 
 
 def c_delta_r(rho: DensityMatrix) -> MonotoneReport:

@@ -64,22 +64,37 @@ def is_psd(mat, tol: float = 1e-10) -> bool:
     return bool(dec.eigenvalues[0] >= -tol)
 
 
+def psd_power_values(vals, alpha: float) -> np.ndarray:
+    """Elementwise support-restricted power of the values of a PSD operator.
+
+    ``vals`` are eigenvalues or the diagonal of a diagonal matrix. Values below
+    1e-12 are treated as exact zeros and mapped to 0 for every alpha (so
+    negative powers act as pseudo-inverse powers on the support); values below
+    -1e-10 (scaled) are rejected.
+    """
+    vals = np.asarray(vals, dtype=float)
+    low = float(np.min(vals))
+    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    if low < -1e-10 * scale:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {low:.3e}")
+    vals = np.clip(vals, 0.0, None)
+    return np.where(vals < 1e-12, 0.0, np.power(np.where(vals < 1e-12, 1.0, vals), alpha))
+
+
+def spectral_power(dec: EigenDecomposition, alpha: float) -> np.ndarray:
+    """M^alpha from an eigendecomposition of the PSD matrix M (see psd_power_values)."""
+    powered = psd_power_values(dec.eigenvalues, alpha)
+    out = (dec.eigenvectors * powered) @ dec.eigenvectors.conj().T
+    return (out + out.conj().T) / 2.0
+
+
 def mat_power_psd(mat, alpha: float) -> np.ndarray:
     """Support-restricted power M^alpha of a PSD matrix.
 
-    Eigenvalues below 1e-12 are treated as exact zeros and mapped to 0 for
-    every alpha (so negative powers act as pseudo-inverse powers on the
-    support). Eigenvalues below -1e-10 (scaled) are rejected.
+    Factorizes ``mat`` and applies ``spectral_power``; callers holding a
+    decomposition already (``DensityMatrix.spectrum``) call that directly.
     """
-    dec = eig_hermitian(mat)
-    vals = dec.eigenvalues.copy()
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    if vals[0] < -1e-10 * scale:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")
-    np.clip(vals, 0.0, None, out=vals)
-    powered = np.where(vals < 1e-12, 0.0, np.power(np.where(vals < 1e-12, 1.0, vals), alpha))
-    out = (dec.eigenvectors * powered) @ dec.eigenvectors.conj().T
-    return (out + out.conj().T) / 2.0
+    return spectral_power(eig_hermitian(mat), alpha)
 
 
 def trace_norm(mat) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import eig_hermitian
+from .numerics import EigenDecomposition, eig_hermitian
 
 STATE_TOL = 1e-10
 INCOHERENT_TOL = 1e-9
@@ -24,9 +24,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A d x d Hermitian, unit-trace, PSD operator."""
+    """A d x d Hermitian, unit-trace, PSD operator.
+
+    ``spectrum`` is the eigendecomposition that validated PSD-ness, kept so
+    that measures need not factorize the state again. ``mat`` is stored
+    exactly Hermitian, so ``eig_hermitian(mat)`` returns the same bits.
+    ``spectrum`` takes no part in equality or the repr.
+    """
 
     mat: np.ndarray
+    spectrum: EigenDecomposition = field(compare=False, repr=False)
 
     def __init__(self, mat):
         m = np.asarray(mat, dtype=complex)
@@ -39,9 +46,12 @@ class DensityMatrix:
         m = (m + m.conj().T) / 2.0
         if abs(np.trace(m).real - 1.0) > STATE_TOL:
             raise ValueError(f"trace must be 1, got {np.trace(m).real!r}")
-        if eig_hermitian(m).eigenvalues[0] < -STATE_TOL:
+        dec = eig_hermitian(m)
+        if dec.eigenvalues[0] < -STATE_TOL:
             raise ValueError("density matrix is not positive semidefinite")
         object.__setattr__(self, "mat", _freeze(m))
+        spectrum = EigenDecomposition(_freeze(dec.eigenvalues), _freeze(dec.eigenvectors))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:

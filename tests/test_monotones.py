@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from coherence_kit import channels as ch
+from coherence_kit import harness, numerics, states
 from coherence_kit import monotones as mo
-from coherence_kit.numerics import is_psd
+from coherence_kit.numerics import eig_hermitian, is_psd, mat_power_psd
 from coherence_kit.states import (
     DensityMatrix,
     PureStateVector,
@@ -274,6 +275,23 @@ class TestCR:
             bound = self.mixing_dual_bound(rho.mat)
             assert bound - 1e-12 <= value <= bound + 1e-7
 
+    def test_report_carries_its_dual_bound(self):
+        for d in (3, 12, 32):
+            rho = random_density(d, d)
+            report = mo.c_r(rho)
+            mixing = self.mixing_dual_bound(rho.mat)
+            assert report.method == "barrier"
+            assert mixing - 1e-9 <= report.bound <= report.value <= report.bound + 1e-9
+            assert "bound" not in report.to_json_dict()
+            assert report.to_json_dict(include_witness=True)["bound"] == report.bound
+
+    def test_closed_forms_carry_no_bound(self):
+        for rho in (plus_density(), random_density(2, 1), uniform_pure(3).to_density()):
+            report = mo.c_r(rho)
+            assert report.method == "closed_form"
+            assert report.bound is None
+            assert "bound" not in report.to_json_dict(include_witness=True)
+
 
 class TestCDeltaR:
     def test_qubit_closed_form(self):
@@ -427,3 +445,89 @@ class TestFaithfulness:
             rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
             rotated_vals = [measure(rotated) for measure in self.MEASURES]
             assert np.allclose(base, rotated_vals, atol=1e-9)
+
+
+def _full_matrix_c_rel(rho):
+    diag = np.diag(rho.mat).real
+    diag = diag[diag > 1e-15]
+    vals = eig_hermitian(rho.mat).eigenvalues
+    vals = vals[vals > 1e-15]
+    return float(-np.sum(diag * np.log2(diag))) - float(-np.sum(vals * np.log2(vals)))
+
+
+def _full_matrix_c_alpha(rho, alpha):
+    if alpha == 1.0:
+        return _full_matrix_c_rel(rho)
+    if alpha == 0.0:
+        return -math.log2(float(np.max(np.diag(mat_power_psd(rho.mat, 0.0)).real)))
+    diag = np.clip(np.diag(mat_power_psd(rho.mat, alpha)).real, 0.0, None)
+    return (alpha / (alpha - 1.0)) * math.log2(float(np.sum(diag ** (1.0 / alpha))))
+
+
+def _full_matrix_c_delta_alpha(rho, alpha, side):
+    delta = np.diag(np.diag(rho.mat))
+    rank = int(np.sum(eig_hermitian(rho.mat).eigenvalues > 1e-12))
+    support = int(np.sum(np.abs(np.diag(rho.mat)) > 1e-12))
+    if alpha == 1.0:
+        if side == "right":
+            return _full_matrix_c_rel(rho)
+        if support > rank:
+            return math.inf
+        dec = eig_hermitian(rho.mat)
+        log_rho = (
+            dec.eigenvectors * np.log2(np.clip(dec.eigenvalues, 1e-300, None))
+        ) @ dec.eigenvectors.conj().T
+        p = np.clip(np.diag(delta).real, 0.0, None)
+        mask = p > 1e-15
+        return float(np.sum(p[mask] * np.log2(p[mask])) - np.trace(delta @ log_rho).real)
+    if alpha > 1.0 and side == "left" and support > rank:
+        return math.inf
+    first, second = (rho.mat, delta) if side == "right" else (delta, rho.mat)
+    val = np.trace(mat_power_psd(first, alpha) @ mat_power_psd(second, 1.0 - alpha)).real
+    return math.log2(max(val, 1e-300)) / (alpha - 1.0)
+
+
+def _rank3_zero_diagonal_state():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m = np.zeros((4, 4), dtype=complex)
+    m[np.ix_([0, 1, 3], [0, 1, 3])] = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+class TestCachedSpectrum:
+    """The Renyi panel read from rho.spectrum equals, bit for bit, the panel
+    computed by factorizing the full matrices (rho and its dephased state)."""
+
+    def test_panel_is_bit_identical_to_full_matrix_powers(self):
+        rhos = [random_density(d, 70 + d) for d in (2, 3, 5, 8, 16, 64)]
+        rhos += [random_pure(5, 8).to_density(), _rank3_zero_diagonal_state()]
+        assert np.linalg.matrix_rank(rhos[-1].mat) == 3
+        infinite = 0
+        for rho in rhos:
+            assert mo.c_rel(rho).value == _full_matrix_c_rel(rho)
+            for alpha in harness.ALPHA_GRID:
+                assert mo.c_alpha(rho, alpha).value == _full_matrix_c_alpha(rho, alpha)
+                for side in ("right", "left"):
+                    value = mo.c_delta_alpha(rho, alpha, side).value
+                    assert value == _full_matrix_c_delta_alpha(rho, alpha, side)
+                    infinite += math.isinf(value)
+        assert infinite > 0
+
+    def test_harness_measures_factorize_once_more(self, monkeypatch):
+        mat = random_density(3, 5).mat
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return eig_hermitian(m)
+
+        for module in (numerics, states, mo):
+            monkeypatch.setattr(module, "eig_hermitian", counted)
+        rho = DensityMatrix(mat)
+        assert len(calls) == 1
+        harness._mio_measures(rho)
+        harness._dio_measures(rho)
+        # the second call is c_delta_r's rescaled core D^-1/2 rho D^-1/2
+        assert len(calls) == 2
+        assert mo.c_r(rho).method == "barrier"

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from coherence_kit.numerics import eig_hermitian
 from coherence_kit.states import (
     DensityMatrix,
     PureStateVector,
@@ -41,6 +44,21 @@ class TestValidation:
     def test_schmidt_vector_must_be_sorted(self):
         with pytest.raises(ValueError):
             SchmidtVector([0.3, 0.7])
+
+
+class TestSpectrum:
+    def test_is_the_validating_decomposition(self):
+        rho = random_density(5, 2)
+        dec = eig_hermitian(rho.mat)
+        assert np.array_equal(rho.spectrum.eigenvalues, dec.eigenvalues)
+        assert np.array_equal(rho.spectrum.eigenvectors, dec.eigenvectors)
+        assert not rho.spectrum.eigenvalues.flags.writeable
+        assert not rho.spectrum.eigenvectors.flags.writeable
+
+    def test_left_out_of_equality_and_repr(self):
+        field = {f.name: f for f in dataclasses.fields(DensityMatrix)}["spectrum"]
+        assert not field.compare
+        assert "spectrum" not in repr(random_density(3, 4))
 
 
 class TestDephase:
