@@ -7,7 +7,7 @@ immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,14 +22,31 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class _ExactArrayEquality:
+    """Equality as exact comparison of the one stored array.
+
+    Instances compare equal only to instances of the same class with the same
+    shape and the same entries. Like numpy arrays they are unhashable.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        name = fields(self)[0].name
+        return bool(np.array_equal(getattr(self, name), getattr(other, name)))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(_ExactArrayEquality):
     """A d x d Hermitian, unit-trace, PSD operator.
 
     ``spectrum`` is the eigendecomposition that validated PSD-ness, kept so
     that measures need not factorize the state again. ``mat`` is stored
     exactly Hermitian, so ``eig_hermitian(mat)`` returns the same bits.
-    ``spectrum`` takes no part in equality or the repr.
+    ``spectrum`` takes no part in equality, which compares ``mat`` exactly,
+    or in the repr.
     """
 
     mat: np.ndarray
@@ -79,8 +96,8 @@ class DensityMatrix:
         return cls(mat)
 
 
-@dataclass(frozen=True)
-class PureStateVector:
+@dataclass(frozen=True, eq=False)
+class PureStateVector(_ExactArrayEquality):
     """A complex unit vector of amplitudes in the incoherent basis."""
 
     amps: np.ndarray
@@ -118,8 +135,8 @@ class PureStateVector:
         return cls(amps)
 
 
-@dataclass(frozen=True)
-class SchmidtVector:
+@dataclass(frozen=True, eq=False)
+class SchmidtVector(_ExactArrayEquality):
     """Descending vector of squared amplitudes in the incoherent basis."""
 
     probs: np.ndarray

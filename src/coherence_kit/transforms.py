@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel, apply, is_io_rep, is_mio, is_pio_rep, is_sio_rep
 from .monotones import c_delta_r, c_r
-from .numerics import birkhoff_decompose, trace_norm
+from .numerics import trace_norm
 from .states import (
     DensityMatrix,
     PureStateVector,
@@ -102,13 +102,14 @@ def _sorting_gauge(psi: PureStateVector) -> tuple:
 
 
 def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChannel:
-    """Strictly incoherent Kraus set mapping psi to phi.
+    """Strictly incoherent Kraus set mapping psi to phi, with at most d operators.
 
-    Works in the sorted-amplitude frame: find a doubly stochastic D with
-    tau(psi) = D tau(phi) via a chain of 2x2 averaging steps, split D into
-    permutations, and Hadamard each permutation against the amplitude-ratio
-    matrix. Zero-amplitude input columns keep an identity block per operator
-    so the sum rule closes exactly. Sorting gauges are composed back in.
+    Works in the sorted-amplitude frame: a vertex walk on the permutohedron of
+    tau(phi) writes tau(psi) as a convex mix of at most d permutations of
+    tau(phi), and each permutation is Hadamarded against the amplitude-ratio
+    matrix. Input columns the mix leaves at zero keep an identity block per
+    operator so the sum rule closes exactly. Sorting gauges are composed
+    back in.
     """
     if psi.dim != phi.dim:
         raise ValueError("construction expects equal input and output dimensions")
@@ -118,24 +119,22 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     d = psi.dim
     g_in, amps_in = _sorting_gauge(psi)
     g_out, amps_out = _sorting_gauge(phi)
-    x = amps_in**2
+
     y = amps_out**2
-
-    dmat = _tee_transform_chain(x, y)
-    decomposition = birkhoff_decompose(dmat, tol=1e-8)
-
-    support = amps_in > 1e-12
+    weights, perms = _permutohedron_walk(amps_in**2, y)
+    # Columns are normalized by the mix actually reached, not by |psi_x|^2,
+    # so the sum rule closes to rounding even for tiny amplitudes.
+    reached = weights @ y[perms]
+    support = reached > 0.0
     ratio = np.zeros((d, d))
-    cols = np.where(support)[0]
-    ratio[:, cols] = amps_out[:, None] / amps_in[cols][None, :]
-    zero_block = np.diag((~support).astype(float))
-
-    ops = []
-    for weight, perm in decomposition.terms:
-        perm_t = np.zeros((d, d))
-        perm_t[perm, np.arange(d)] = 1.0  # transpose of the permutation matrix
-        op = np.sqrt(weight) * (perm_t * ratio + zero_block)
-        ops.append(g_out.conj().T @ op @ g_in)
+    ratio[:, support] = amps_out[:, None] / np.sqrt(reached[support])
+    # operator a sends column x to row perms[a, x]
+    cols = np.arange(d)
+    ops = np.zeros((weights.size, d, d))
+    ops[np.arange(weights.size)[:, None], perms, cols] = ratio[perms, cols]
+    ops += np.diag((~support).astype(float))
+    ops *= np.sqrt(weights)[:, None, None]
+    ops = g_out.conj().T @ ops @ g_in
     channel = KrausChannel(ops, atol=WITNESS_TOL)
     if not is_sio_rep(channel):
         raise ArithmeticError("constructed operators lost strict incoherence")
@@ -143,35 +142,60 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     return channel
 
 
-def _tee_transform_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Doubly stochastic D with x = D y from 2x2 averaging steps.
+def _permutohedron_walk(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Weights w > 0 summing to 1 and m <= d permutations with x = w @ y[perms].
 
-    x and y are descending with equal sums and x majorized by y; each step
-    moves mass between the last over-supplied coordinate and the next
-    under-supplied one, pinning at least one coordinate per step.
+    y is descending and majorizes x, so x lies in the permutohedron of y,
+    whose facets are the cuts sum_S z <= Y_|S| (Y the prefix sums of y).
+    From the vertex v with v[order] = y, ``order`` sorting z descending, the
+    walk steps through z to the first free cut hit, z + lam (z - v); lam is
+    found exactly by Dinkelbach's method from above, over the top-k sets of
+    z + lam (z - v). Each step tightens one more cut, so at most d - 1 steps
+    reach a vertex (Yasutake, Hatano, Kijima, Takimoto and Takeda, ISAAC
+    2011). Ties in z need no tie-break: a tie across a tight cut forces equal
+    entries of y there, so every descending order gives the same v on them.
+    A step writes z = (z' + lam v) / (1 + lam), so the weights are carried as
+    products; rounding amplified by a far extrapolation is damped by the same
+    factor 1 / (1 + lam).
     """
     d = x.size
-    dmat = np.eye(d)
-    cur = y.astype(float).copy()
-    for _ in range(d):
-        diff = cur - x
-        over = np.where(diff > 1e-13)[0]
-        if over.size == 0:
+    y_cum = np.cumsum(y)
+    tight = np.zeros(d, dtype=bool)
+    tight[-1] = True  # sum z = sum y throughout
+    z = x.astype(float)
+    order = np.argsort(-z, kind="stable")
+    weights, perms, carry = [], [], 1.0
+    while not tight.all():
+        v = np.empty(d)
+        v[order] = y
+        u = z - v
+        lam, cut = np.inf, None
+        while True:
+            idx = np.argsort(-u if lam == np.inf else -(z + lam * u), kind="stable")
+            u_cum = np.cumsum(u[idx])
+            free = np.flatnonzero(~tight & (u_cum > 0.0))
+            if free.size == 0:
+                break
+            with np.errstate(over="ignore"):  # a vanishing u-sum never binds
+                ratios = (y_cum[free] - np.cumsum(z[idx])[free]) / u_cum[free]
+            best = int(np.argmin(ratios))
+            if ratios[best] >= lam:
+                break
+            lam, cut = float(ratios[best]), int(free[best])
+        if cut is None:  # u vanishes up to rounding: z is the vertex v
             break
-        j = int(over[-1])
-        under = np.where(diff < -1e-13)[0]
-        under = under[under > j]
-        k = int(under[0])
-        delta = min(cur[j] - x[j], x[k] - cur[k])
-        t = delta / (cur[j] - cur[k])
-        step = np.eye(d)
-        step[j, j] = step[k, k] = 1.0 - t
-        step[j, k] = step[k, j] = t
-        cur = step @ cur
-        dmat = step @ dmat
-    if np.max(np.abs(dmat @ y - x)) > 1e-10:
-        raise ArithmeticError("averaging chain failed to reach the target vector")
-    return dmat
+        step = max(lam, 0.0)
+        if step > 0.0:
+            weights.append(carry * step / (1.0 + step))
+            perms.append(np.argsort(order))
+            carry /= 1.0 + step
+        z = z + step * u
+        tight[cut] = True
+        order = np.argsort(-z, kind="stable")
+    weights.append(carry)
+    perms.append(np.argsort(order))
+    keep = np.array(weights) > 0.0
+    return np.array(weights)[keep], np.array(perms)[keep]
 
 
 def sio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDecision:
@@ -358,9 +382,10 @@ def qubit_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
 
     Two stages on standard forms: first a {diagonal, antidiagonal} pair
     reaching the target populations at the largest compatible off-diagonal,
-    then a dephasing pair diag(cos t, sin t) / diag(sin t, cos t) whose angle
-    is bisected until the composed off-diagonal matches the target. The
-    standard-form gauges of both states are folded into the operators.
+    then a dephasing pair diag(cos t, sin t) / diag(sin t, cos t), which keeps
+    the populations and scales the off-diagonal by sin 2t, so
+    t = asin(target / peak) / 2. The standard-form gauges of both states are
+    folded into the operators.
     """
     if rho.dim != 2 or sigma.dim != 2:
         raise ValueError("both states must be qubits")
@@ -376,22 +401,7 @@ def qubit_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
     if t >= t_peak - 1e-12:
         ops = stage_one
     else:
-        lo, hi = 0.0, math.pi / 4.0
-
-        def off_diagonal(theta: float) -> float:
-            d1 = np.diag([math.cos(theta), math.sin(theta)]).astype(complex)
-            d2 = np.diag([math.sin(theta), math.cos(theta)]).astype(complex)
-            composed = [dd @ op for dd in (d1, d2) for op in stage_one]
-            state = sum(k @ np.array([[p, r], [r, 1 - p]]) @ k.conj().T for k in composed)
-            return float(state[0, 1].real)
-
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            if off_diagonal(mid) < t:
-                lo = mid
-            else:
-                hi = mid
-        theta = (lo + hi) / 2.0
+        theta = 0.5 * math.asin(t / t_peak)
         d1 = np.diag([math.cos(theta), math.sin(theta)]).astype(complex)
         d2 = np.diag([math.sin(theta), math.cos(theta)]).astype(complex)
         ops = [dd @ op for dd in (d1, d2) for op in stage_one]

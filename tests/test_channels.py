@@ -187,6 +187,76 @@ class TestSioRep:
             ch.is_sio_rep(ch.qubit_to_qutrit_mio_example())
 
 
+def loop_io_rep(c, tol):
+    """Per-operator, per-column loop form of the IO representation test."""
+    return all(
+        np.count_nonzero(np.abs(k[:, x]) > tol) <= 1 for k in c.kraus for x in range(c.din)
+    )
+
+
+def loop_sio_rep(c, tol):
+    """Loop form of the SIO representation test: columns, then rows."""
+    return loop_io_rep(c, tol) and all(
+        np.count_nonzero(np.abs(k[y, :]) > tol) <= 1 for k in c.kraus for y in range(c.dout)
+    )
+
+
+class TestVectorizedRepPredicates:
+    """The stacked-array predicates agree with the per-operator loop form."""
+
+    def random_sparse_stack(self, rng, n_ops, dout, din, tol):
+        stack = rng.standard_normal((n_ops, dout, din)) + 1j * rng.standard_normal(
+            (n_ops, dout, din)
+        )
+        stack[rng.random(stack.shape) < 0.7] = 0.0
+        edge = rng.random(stack.shape) < 0.15
+        signs = rng.choice([1.0, -1.0, 1j, -1j], size=stack.shape)
+        stack[edge] = tol * signs[edge]
+        nudged = rng.random(stack.shape) < 0.05
+        stack[nudged] = np.nextafter(tol, 1.0) * signs[nudged]
+        return ch.KrausChannel(list(stack), require_tp=False)
+
+    def test_random_channels(self):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            d = 2 + trial % 5
+            c = ch.random_channel(d, d, 1 + trial % 3, rng)
+            for tol in (ch.PREDICATE_TOL, 0.3):
+                assert ch.is_io_rep(c, tol) == loop_io_rep(c, tol)
+                assert ch.is_sio_rep(c, tol) == loop_sio_rep(c, tol)
+
+    def test_entries_at_the_tolerance(self):
+        rng = np.random.default_rng(32)
+        tol = ch.PREDICATE_TOL
+        seen = set()
+        for trial in range(300):
+            d = 2 + trial % 4
+            c = self.random_sparse_stack(rng, 1 + trial % 3, d, d, tol)
+            io, sio = ch.is_io_rep(c, tol), ch.is_sio_rep(c, tol)
+            assert io == loop_io_rep(c, tol)
+            assert sio == loop_sio_rep(c, tol)
+            seen.add((io, sio))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_exactly_at_tolerance_is_not_above(self):
+        tol = ch.PREDICATE_TOL
+        op = np.array([[1.0, tol], [-1j * tol, 0.0]], dtype=complex)
+        c = ch.KrausChannel([op], require_tp=False)
+        assert ch.is_io_rep(c, tol) and ch.is_sio_rep(c, tol)
+        op[0, 1] = np.nextafter(tol, 1.0)
+        c = ch.KrausChannel([op], require_tp=False)
+        assert ch.is_io_rep(c, tol) and not ch.is_sio_rep(c, tol)
+
+    def test_non_square_io(self):
+        rng = np.random.default_rng(33)
+        tol = ch.PREDICATE_TOL
+        for trial in range(100):
+            din, dout = 2 + trial % 3, 3 + trial % 4
+            c = self.random_sparse_stack(rng, 1 + trial % 3, dout, din, tol)
+            assert ch.is_io_rep(c, tol) == loop_io_rep(c, tol)
+        assert not ch.is_io_rep(ch.qubit_to_qutrit_mio_example())
+
+
 class TestSioSpecialRep:
     def test_sio_is_special(self):
         rng = np.random.default_rng(10)

@@ -174,6 +174,30 @@ class TestTransform:
             assert code == 0
             assert json.loads(out)["verdict"] is True
 
+    def test_sio_witness_at_d16(self, capsys, tmp_path):
+        rng = np.random.default_rng(16)
+        target = np.sort(rng.dirichlet(np.ones(16)))[::-1]
+        source = sum(w * target[rng.permutation(16)] for w in rng.dirichlet(np.ones(5)))
+        phases = np.exp(2j * np.pi * rng.random((2, 16)))
+        paths = []
+        for name, probs, phase in (("src", source, phases[0]), ("dst", target, phases[1])):
+            path = tmp_path / f"{name}.json"
+            state = PureStateVector(np.sqrt(probs / probs.sum()) * phase)
+            path.write_text(json.dumps(state.to_json_dict()))
+            paths.append(str(path))
+        outputs = []
+        for run in range(2):
+            witness_path = tmp_path / f"witness{run}.json"
+            argv = ["transform", *paths, "--class", "sio", "--witness-out", str(witness_path)]
+            code, out = run_cli(capsys, argv)
+            assert code == 0
+            assert json.loads(out)["verdict"] is True
+            stored = json.loads(witness_path.read_text())
+            assert len(stored["kraus"]) <= 16
+            assert ch.is_sio_rep(ch.KrausChannel.from_json_dict(stored))
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_class_input_mismatch(self, files, capsys):
         code, _ = run_cli(
             capsys,

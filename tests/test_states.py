@@ -58,7 +58,63 @@ class TestSpectrum:
     def test_left_out_of_equality_and_repr(self):
         field = {f.name: f for f in dataclasses.fields(DensityMatrix)}["spectrum"]
         assert not field.compare
-        assert "spectrum" not in repr(random_density(3, 4))
+        rho = random_density(3, 4)
+        other = DensityMatrix(rho.mat)
+        object.__setattr__(other, "spectrum", eig_hermitian(np.eye(3) / 3))
+        assert other == rho
+        assert "spectrum" not in repr(rho)
+
+
+class TestEquality:
+    """States compare their stored array exactly; they are unhashable."""
+
+    KINDS = ["density", "pure", "schmidt"]
+    CASES = [
+        (lambda: random_density(3, 1), lambda: random_density(3, 2), lambda: random_density(4, 1)),
+        (lambda: random_pure(3, 1), lambda: random_pure(3, 2), lambda: random_pure(4, 1)),
+        (
+            lambda: schmidt_vector(random_pure(3, 1)),
+            lambda: schmidt_vector(random_pure(3, 2)),
+            lambda: schmidt_vector(random_pure(4, 1)),
+        ),
+    ]
+
+    @staticmethod
+    def copy(state):
+        if isinstance(state, DensityMatrix):
+            return DensityMatrix(state.mat.copy())
+        if isinstance(state, PureStateVector):
+            return PureStateVector(state.amps.copy())
+        return SchmidtVector(state.probs.copy())
+
+    @pytest.mark.parametrize("make, make_other, make_bigger", CASES, ids=KINDS)
+    def test_equal_distinct_objects(self, make, make_other, make_bigger):
+        state = make()
+        twin = self.copy(state)
+        assert twin is not state
+        assert twin == state and not (twin != state)
+
+    @pytest.mark.parametrize("make, make_other, make_bigger", CASES, ids=KINDS)
+    def test_unequal_objects(self, make, make_other, make_bigger):
+        assert make() != make_other()
+        assert not (make() == make_other())
+
+    @pytest.mark.parametrize("make, make_other, make_bigger", CASES, ids=KINDS)
+    def test_different_dimension(self, make, make_other, make_bigger):
+        assert make() != make_bigger()
+
+    @pytest.mark.parametrize("make, make_other, make_bigger", CASES, ids=KINDS)
+    def test_non_state(self, make, make_other, make_bigger):
+        state = make()
+        assert state.__eq__(object()) is NotImplemented
+        assert state != "state" and state != 1.0
+        with pytest.raises(TypeError):
+            hash(state)
+
+    def test_kinds_never_equal(self):
+        psi = PureStateVector([1.0, 0.0])
+        assert psi != SchmidtVector([1.0, 0.0])
+        assert psi != psi.to_density()
 
 
 class TestDephase:

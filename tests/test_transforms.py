@@ -116,6 +116,122 @@ class TestSioPure:
             tr.sio_pure_construct(pure([0.7, 0.3]), pure([0.5, 0.5]))
 
 
+def mixed_down(y, rng, n_perms=None):
+    """Descending x majorized by y: a random convex mix of permutations of y."""
+    n = n_perms or int(rng.integers(1, 6))
+    x = sum(w * y[rng.permutation(y.size)] for w in rng.dirichlet(np.ones(n)))
+    return np.sort(x / x.sum())[::-1]
+
+
+def walk_target(d, rng, kind):
+    """Descending target squared amplitudes with ties or zeros, by kind."""
+    if kind == "ties":
+        y = rng.integers(1, 4, d).astype(float)
+    elif kind == "zeros":
+        y = rng.dirichlet(np.ones(d))
+        y[rng.random(d) < 0.4] = 0.0
+        y[0] += 0.1
+    else:
+        y = rng.dirichlet(np.ones(d) * rng.choice([0.1, 1.0, 10.0]))
+    return np.sort(y / y.sum())[::-1]
+
+
+def walk_cases():
+    """(x, y) descending with x majorized by y, including the edge cases."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for d in list(range(2, 17)) + [24, 32, 48, 64]:
+        for kind in ("generic", "ties", "zeros"):
+            y = walk_target(d, rng, kind)
+            cases.append((mixed_down(y, rng), y))
+        basis = np.zeros(d)
+        basis[0] = 1.0
+        uniform = np.full(d, 1.0 / d)
+        cases.append((uniform, walk_target(d, rng, "generic")))  # psi uniform
+        cases.append((mixed_down(walk_target(d, rng, "ties"), rng), basis))  # phi basis
+        y = walk_target(d, rng, "generic")
+        cases.append((y, y))  # psi = phi
+        pairs = y[: d - d % 2].reshape(-1, 2).mean(axis=1)
+        tied = np.r_[np.repeat(pairs, 2), y[d - d % 2 :]]  # ties in psi
+        cases.append((np.sort(tied)[::-1], y))
+    # zero tails: X_k = Y_k holds for every k past the support from the start
+    cases.append((np.array([0.5, 0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])))
+    cases.append((np.array([0.4, 0.3, 0.3, 0.0, 0.0]), np.array([0.5, 0.3, 0.2, 0.0, 0.0])))
+    # prefixes tight from the start: k = 1 and 3, then k = 2 alone, with a
+    # free block on either side of it
+    cases.append((np.array([0.5, 0.2, 0.2, 0.1]), np.array([0.5, 0.3, 0.1, 0.1])))
+    cases.append((np.array([0.45, 0.25, 0.15, 0.15]), np.array([0.5, 0.2, 0.2, 0.1])))
+    return cases
+
+
+class TestPermutohedronWalk:
+    def test_cases_are_majorized(self):
+        assert all(tr.majorizes(sv(y), sv(x)) for x, y in walk_cases())
+
+    def test_decomposition_is_exact_convex_and_small(self):
+        for x, y in walk_cases():
+            weights, perms = tr._permutohedron_walk(x, y)
+            assert 1 <= weights.size <= x.size
+            assert perms.shape == (weights.size, x.size)
+            assert np.all(weights > 0.0)
+            assert abs(weights.sum() - 1.0) < 1e-12
+            assert np.all(np.sort(perms, axis=1) == np.arange(x.size))
+            assert np.max(np.abs(weights @ y[perms] - x)) < 1e-12
+
+    def test_identity_is_one_term(self):
+        y = np.array([0.4, 0.3, 0.2, 0.1])
+        weights, perms = tr._permutohedron_walk(y, y)
+        assert list(weights) == [1.0] and list(perms[0]) == [0, 1, 2, 3]
+
+    def test_uniform_from_basis_uses_d_permutations(self):
+        d = 6
+        weights, perms = tr._permutohedron_walk(np.full(d, 1.0 / d), np.eye(d)[0])
+        assert weights.size == d
+        assert np.max(np.abs(weights - 1.0 / d)) < 1e-15
+        assert sorted(np.argmin(perms, axis=1)) == list(range(d))
+
+
+class TestSioWitness:
+    """Every SIO witness has at most d operators and is re-verified."""
+
+    def check(self, psi, phi):
+        witness = tr.sio_pure_construct(psi, phi)
+        assert len(witness) <= psi.dim
+        assert ch.is_sio_rep(witness)
+        out = ch.apply(witness, psi.to_density())
+        assert 0.5 * np.abs(np.linalg.eigvalsh(out.mat - phi.to_density().mat)).sum() < 1e-8
+        return witness
+
+    def test_walk_cases_with_random_phases(self):
+        rng = np.random.default_rng(42)
+        for x, y in walk_cases():
+            self.check(pure(x, rng), pure(y, rng))
+
+    def test_random_pairs_up_to_d64(self):
+        rng = np.random.default_rng(43)
+        for d in (2, 3, 5, 8, 16, 32, 64):
+            for _ in range(3):
+                psi, phi = random_majorized_pair(d, rng)
+                self.check(psi, phi)
+
+    def test_unsorted_amplitudes_with_zeros(self):
+        rng = np.random.default_rng(44)
+        psi = pure([0.0, 0.25, 0.25, 0.0, 0.5], rng)
+        phi = pure([0.0, 0.0, 0.75, 0.25, 0.0], rng)
+        self.check(psi, phi)
+
+    def test_tiny_amplitudes(self):
+        x = np.array([0.66, 0.34 - 7e-10, 6.8e-10, 2e-14])
+        y = np.array([1.0 - 6.9e-10, 6.8e-10, 1e-11, 0.0])
+        self.check(pure(x / x.sum()), pure(y / y.sum()))
+
+    def test_sixteen_operators_at_d16(self):
+        rng = np.random.default_rng(45)
+        y = walk_target(16, rng, "generic")
+        witness = self.check(pure(np.full(16, 1 / 16), rng), pure(y, rng))
+        assert len(witness) == 16
+
+
 class TestMultiOutcome:
     def test_single_outcome_reduces_to_decide(self):
         psi, phi = pure([0.6, 0.4]), pure([0.8, 0.2])
