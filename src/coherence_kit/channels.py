@@ -2,8 +2,10 @@
 
 Class predicates for IO/SIO/sIO/PIO test the *given* Kraus representation
 (those classes are defined by the existence of a representation, and deciding
-existence in general is a search problem); MIO and DIO are properties of the
-channel itself and are tested at the level of its action on matrix units.
+existence in general is a search problem): each is an array reduction over
+the stacked operators, built on one support pass that finds the row of each
+column's single entry. MIO and DIO are properties of the channel itself and
+read only the d^3 slices of its action on matrix units that they constrain.
 ``qubit_mio_to_io`` is the one existence procedure offered, for qubit
 channels: a closed-form PSD test that returns either an incoherent
 representation or an eigenvector certifying that none exists.
@@ -172,37 +174,33 @@ def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
     return float(np.linalg.norm(_choi_array(a) - _choi_array(b)))
 
 
-def _offdiag(m: np.ndarray) -> np.ndarray:
-    return m - np.diag(np.diag(m))
-
-
 # ---------------------------------------------------------------------------
-# Class membership predicates.
+# Class membership predicates: array reductions over the stacked operators.
 # ---------------------------------------------------------------------------
 
 
 def is_mio(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
-    """True iff every incoherent basis state maps to a diagonal state."""
-    g = ch.unit_actions()
-    for x in range(ch.din):
-        if np.max(np.abs(_offdiag(g[:, :, x, x]))) > tol:
-            return False
-    return True
+    """True iff every incoherent basis state maps to a diagonal state.
+
+    Reads only the d^3 entries <y|E(|x><x|)|w>, not the full unit_actions.
+    """
+    s = ch._stack
+    images = np.einsum("jyx,jwx->ywx", s, s.conj())
+    images[np.arange(ch.dout), np.arange(ch.dout)] = 0.0
+    return bool(np.all(np.abs(images) <= tol))
 
 
 def is_dio(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
-    """True iff E(|x><x|) is diagonal and diag(E(|x><x'|)) = 0 for x != x'."""
-    g = ch.unit_actions()
-    diag_idx = np.arange(ch.dout)
-    for x in range(ch.din):
-        for z in range(ch.din):
-            block = g[:, :, x, z]
-            if x == z:
-                if np.max(np.abs(_offdiag(block))) > tol:
-                    return False
-            elif np.max(np.abs(block[diag_idx, diag_idx])) > tol:
-                return False
-    return True
+    """True iff E(|x><x|) is diagonal and diag(E(|x><x'|)) = 0 for x != x'.
+
+    Besides the MIO slice, reads only the d^3 entries <y|E(|x><x'|)|y>.
+    """
+    if not is_mio(ch, tol):
+        return False
+    s = ch._stack
+    diagonals = np.einsum("jyx,jyz->yxz", s, s.conj())
+    diagonals[:, np.arange(ch.din), np.arange(ch.din)] = 0.0
+    return bool(np.all(np.abs(diagonals) <= tol))
 
 
 def is_covariant_under_dephasing(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
@@ -220,15 +218,21 @@ def is_covariant_under_dephasing(ch: KrausChannel, tol: float = PREDICATE_TOL) -
     return True
 
 
-def _column_rows(op: np.ndarray, tol: float):
-    """Per column: the list of rows whose modulus exceeds tol."""
-    return [list(np.nonzero(np.abs(op[:, x]) > tol)[0]) for x in range(op.shape[1])]
+def _entry_rows(ch: KrausChannel, tol: float):
+    """The support pass: row of the one entry above tol in each column.
+
+    Returns an (operators, din) array with -1 for columns with no entry above
+    tol, or None if some column of some operator has two.
+    """
+    big = np.abs(ch._stack) > tol
+    if np.any(big.sum(axis=1) > 1):
+        return None
+    return np.where(big.any(axis=1), big.argmax(axis=1), -1)
 
 
 def is_io_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
     """True iff every operator has at most one entry above tol per column."""
-    big = np.abs(ch._stack) > tol
-    return bool(np.all(big.sum(axis=1) <= 1))
+    return _entry_rows(ch, tol) is not None
 
 
 def is_sio_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
@@ -247,53 +251,51 @@ def is_sio_special_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
 
     Looks for one f and per-operator permutations Pi_a with every operator of
     the form sum_x c_ax Pi_a |f(x)><x|. Columns sharing an output row inside
-    any operator must share f; columns split by any operator must not.
+    any operator must share f, and so must columns linked through a chain of
+    such pairs; an operator sending two linked columns to different rows
+    clashes.
     """
-    maps = []
-    for k in ch.kraus:
-        rows = _column_rows(k, tol)
-        if any(len(r) > 1 for r in rows):
-            return False
-        maps.append({x: r[0] for x, r in enumerate(rows) if r})
-
-    parent = list(range(ch.din))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in maps:
-        by_row = {}
-        for x, row in g.items():
-            by_row.setdefault(row, []).append(x)
-        for xs in by_row.values():
-            for other in xs[1:]:
-                parent[find(other)] = find(xs[0])
-
-    for g in maps:
-        for x in g:
-            for z in g:
-                if find(x) == find(z) and g[x] != g[z]:
-                    return False
-    return True
+    rows = _entry_rows(ch, tol)
+    if rows is None:
+        return False
+    hit = rows >= 0
+    both = hit[:, :, None] & hit[:, None, :]
+    same_row = rows[:, :, None] == rows[:, None, :]
+    linked = (both & same_row).any(axis=0)
+    while True:  # transitive closure by repeated squaring
+        grown = linked @ linked
+        if np.array_equal(grown, linked):
+            break
+        linked = grown
+    return not (linked & both & ~same_row).any()
 
 
-def _partial_permutation_weight(op: np.ndarray, tol: float):
-    """(weight, column support) if op = sqrt(w) * phase-permutation on support."""
-    rows = _column_rows(op, tol)
-    if any(len(r) > 1 for r in rows):
+def _phase_permutation_weights(ch: KrausChannel, tol: float):
+    """Weight and column support of every operator with an entry above tol.
+
+    Each such operator must be sqrt(w) times a phase partial permutation: one
+    entry above tol per column and per row, all of one modulus within 1e-8.
+    Returns (w, support) with support an (operators, din) boolean array, or
+    None if some operator is not of that form.
+    """
+    rows = _entry_rows(ch, tol)
+    if rows is None:
         return None
-    if any(len(c) > 1 for c in _column_rows(op.T, tol)):
+    live = (rows >= 0).any(axis=1)
+    rows = rows[live]
+    hit = rows >= 0
+    if np.any((rows[:, :, None] == np.arange(ch.dout)).sum(axis=1) > 1):
         return None
-    support = [x for x, r in enumerate(rows) if r]
-    if not support:
+    picked = np.take_along_axis(ch._stack[live], np.maximum(rows, 0)[:, None, :], axis=1)[:, 0]
+    # Rounded like abs() of one entry and np.mean over the support (np.abs on
+    # arrays and masked sums can differ in the last bit), so weights compared
+    # at 1e-8 agree with the per-operator form.
+    moduli = np.hypot(picked.real, picked.imag)
+    spread = np.where(hit, moduli, -np.inf).max(axis=1) - np.where(hit, moduli, np.inf).min(axis=1)
+    if np.any(spread > 1e-8):
         return None
-    moduli = np.array([abs(op[rows[x][0], x]) for x in support])
-    if np.max(moduli) - np.min(moduli) > 1e-8:
-        return None
-    return float(np.mean(moduli) ** 2), frozenset(support)
+    weights = np.array([np.mean(m[h]) for m, h in zip(moduli, hit)]) ** 2
+    return weights, hit
 
 
 def is_pio_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
@@ -301,22 +303,20 @@ def is_pio_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
 
     Within a group all operators share the modulus sqrt(w), each is a
     phase-permutation on its column support, and the supports partition the
-    whole basis. Search is exhaustive over operator partitions and is capped
-    at 12 operators and d <= 8.
+    whole basis. The grouping is an exact-cover search over operator
+    partitions, capped at 12 operators and d <= 8.
     """
     if ch.din != ch.dout:
         raise ValueError("PIO representation test needs a square channel")
     if ch.din > 8 or len(ch.kraus) > 12:
         raise ValueError("PIO grouping search capped at d <= 8 and 12 operators")
     d = ch.din
-    infos = []
-    for k in ch.kraus:
-        if np.max(np.abs(k)) <= tol:
-            continue
-        info = _partial_permutation_weight(k, tol)
-        if info is None:
-            return False
-        infos.append(info)
+    shaped = _phase_permutation_weights(ch, tol)
+    if shaped is None:
+        return False
+    infos = [
+        (float(w), frozenset(np.flatnonzero(sup).tolist())) for w, sup in zip(*shaped)
+    ]
 
     full = frozenset(range(d))
 
@@ -379,33 +379,24 @@ class GCovariantParams:
         return (self.q1, self.q2, self.q3)
 
 
-def _rank_raising_dephasing_choi(d: int) -> np.ndarray:
-    """Choi of rho -> (d*Delta(rho) - rho)/(d-1)."""
-    diag_idx = np.arange(d) * d + np.arange(d)
-    omega = np.zeros(d * d, dtype=complex)
-    omega[diag_idx] = 1.0
-    j = -np.outer(omega, omega.conj())
-    j[diag_idx, diag_idx] += d
-    return j / (d - 1)
-
-
 def g_covariant_channel(params: GCovariantParams) -> KrausChannel:
-    """Assemble a Kraus representation of the covariant mixture."""
+    """Assemble a Kraus representation of the covariant mixture.
+
+    The (d Delta - id)/(d-1) piece is the phase-flip mixture
+    sum_{k=1}^{d-1} Z^k rho Z^-k / (d-1) with Z = diag(exp(2 pi i x / d)).
+    """
     d, (q1, q2, q3) = params.d, params.as_tuple()
     ops = []
     if q1 > 0:
         ops.append(np.sqrt(q1) * np.eye(d, dtype=complex))
     if q2 > 0:
-        scale = np.sqrt(q2 / (d - 1))
-        for x in range(d):
-            for y in range(d):
-                if x != y:
-                    op = np.zeros((d, d), dtype=complex)
-                    op[y, x] = scale
-                    ops.append(op)
+        x, y = np.nonzero(~np.eye(d, dtype=bool))  # hops |y><x|, x outer
+        hops = np.zeros((x.size, d, d), dtype=complex)
+        hops[np.arange(x.size), y, x] = np.sqrt(q2 / (d - 1))
+        ops.extend(hops)
     if q3 > 0:
-        piece = channel_from_choi(ChoiMatrix(_rank_raising_dephasing_choi(d), d, d))
-        ops.extend(np.sqrt(q3) * k for k in piece.kraus)
+        phases = np.exp(2j * np.pi * np.outer(np.arange(1, d), np.arange(d)) / d)
+        ops.extend(np.sqrt(q3 / (d - 1)) * np.diag(p) for p in phases)
     return KrausChannel(ops)
 
 

@@ -4,14 +4,11 @@ Each suite evaluates independent seeded samples one after another and
 reduces results in sample-index order, so a run is a pure function of
 (suite, samples, seed). Runs are serial: the samples are small numpy calls
 that the GIL serializes, so a thread pool gave no speed-up.
-COHERENCE_KIT_THREADS and ``threads=`` remain a cap on parallelism
-(default 1), which a serial run always meets.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -25,16 +22,6 @@ MONOTONE_SLACK = 1e-7
 ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 1.0, 1.3, 1.7, 2.0)
 
 SUITES = ("monotonicity", "inclusions", "roundtrips")
-
-
-def thread_count(requested: int | None = None) -> int:
-    """The parallelism cap: ``requested``, else COHERENCE_KIT_THREADS, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("COHERENCE_KIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _sub_seed(seed: int, index: int, salt: int = 0) -> int:
@@ -218,20 +205,14 @@ def run_suite(
     suite: str,
     samples: int,
     seed: int = 0,
-    threads: int | None = None,
     corrupt_hook=None,
 ) -> dict:
-    """Run one suite; returns a summary dict with per-sample failures.
-
-    ``threads`` is validated as a cap (see ``thread_count``); samples run
-    serially whatever its value.
-    """
+    """Run one suite; returns a summary dict with per-sample failures."""
     if suite not in _SAMPLERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     sampler = _SAMPLERS[suite]
-    thread_count(threads)
     results = [sampler(i, seed, corrupt_hook) for i in range(samples)]
     failures = [f for per_sample in results for f in per_sample]
     worst = max((f["magnitude"] for f in failures), default=0.0)

@@ -27,7 +27,7 @@ _LOG2 = math.log(2.0)
 class MonotoneReport:
     name: str
     value: float
-    method: str  # closed_form | barrier (certified C_R solver) | eigenvalue
+    method: str  # closed_form | barrier (certified C_R solver) | eigenvalue | coordinate_descent
     witness: object = None
     bound: float | None = None  # certified lower bound on value; None when exact
 
@@ -367,7 +367,7 @@ def monotone_from_divergence(
         if improved < 1e-7:
             break
     return MonotoneReport(
-        "div[trace_distance,incoherent_set]", best, "closed_form", witness=q
+        "div[trace_distance,incoherent_set]", best, "coordinate_descent", witness=q
     )
 
 

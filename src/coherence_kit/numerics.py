@@ -281,41 +281,14 @@ def _bottleneck_matching(mat: np.ndarray):
     return best
 
 
-def _caratheodory_compress(weights: list, perms: list, d: int):
-    """Reduce a permutation mixture to at most (d-1)^2 + 1 terms."""
-    limit = (d - 1) ** 2 + 1
-    rows = np.arange(d)
-    while len(weights) > limit:
-        cols = []
-        for perm in perms:
-            p = np.zeros(d * d + 1)
-            flat = np.zeros((d, d))
-            flat[rows, perm] = 1.0
-            p[: d * d] = flat.ravel()
-            p[-1] = 1.0
-            cols.append(p)
-        mat = np.column_stack(cols)
-        _, sing, vt = np.linalg.svd(mat)
-        lam = vt[-1]
-        if sing[-1] > 1e-9:
-            break
-        if np.max(lam) < np.max(-lam):
-            lam = -lam
-        ratios = [w / l for w, l in zip(weights, lam) if l > 1e-12]
-        step = min(ratios)
-        weights = [w - step * l for w, l in zip(weights, lam)]
-        kept = [(w, p) for w, p in zip(weights, perms) if w > 1e-13]
-        weights = [w for w, _ in kept]
-        perms = [p for _, p in kept]
-    return weights, perms
-
-
 def birkhoff_decompose(mat, tol: float = 1e-9) -> BirkhoffDecomposition:
     """Decompose a doubly stochastic matrix into a permutation mixture.
 
     Extraction removes, at every step, the permutation found by greedy
     maximum-bottleneck matching with weight equal to the minimum selected
-    entry; a Caratheodory pass then compresses to at most (d-1)^2 + 1 terms.
+    entry. Each step zeroes at least one entry, so the remainder drops to a
+    lower-dimensional face of the Birkhoff polytope and the extraction stops
+    after at most (d-1)^2 + 1 terms.
     """
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -339,5 +312,4 @@ def birkhoff_decompose(mat, tol: float = 1e-9) -> BirkhoffDecomposition:
         work[rows, perm] -= w
         np.clip(work, 0.0, None, out=work)
 
-    weights, perms = _caratheodory_compress(weights, perms, d)
     return BirkhoffDecomposition(d, tuple((float(w), np.array(p)) for w, p in zip(weights, perms)))

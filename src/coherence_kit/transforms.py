@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, apply, is_io_rep, is_mio, is_pio_rep, is_sio_rep
+from .channels import (
+    PREDICATE_TOL,
+    KrausChannel,
+    _phase_permutation_weights,
+    apply,
+    is_mio,
+    is_sio_rep,
+)
 from .monotones import c_delta_r, c_r
 from .numerics import trace_norm
 from .states import (
@@ -449,7 +456,9 @@ def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDeci
 
     Requires the support of psi to split into equal-size blocks, each with
     modulus pattern proportional to that of phi; a positive verdict carries
-    the block partition and a projective Kraus witness.
+    the block partition and a projective Kraus witness, checked at every d to
+    be one PIO group: unit-modulus phase partial permutations whose supports
+    partition the basis.
     """
     if psi.dim != phi.dim:
         raise ValueError("decision expects equal dimensions")
@@ -487,7 +496,10 @@ def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDeci
             op[x, x] = 1.0
         ops.append(op)
     channel = KrausChannel(ops, atol=WITNESS_TOL)
-    if d <= 8 and len(ops) <= 12 and not is_pio_rep(channel):
+    # One PIO group: unit-modulus phase partial permutations. KrausChannel's
+    # trace check then makes their supports partition the basis.
+    group = _phase_permutation_weights(channel, PREDICATE_TOL)
+    if group is None or np.max(np.abs(group[0] - 1.0)) > 1e-8:
         raise ArithmeticError("constructed witness lost the projective form")
     _verify_witness(channel, psi.to_density(), phi.to_density())
     return TransformDecision(

@@ -201,20 +201,28 @@ def loop_sio_rep(c, tol):
     )
 
 
+def random_sparse_stack(rng, n_ops, dout, din, tol, units=0.0):
+    """Sparse random operators with entries at exactly +-tol, +-i*tol and the next float.
+
+    A fraction ``units`` of the entries is set to exactly 1 first, so that
+    products of two entries can land on tol exactly.
+    """
+    stack = rng.standard_normal((n_ops, dout, din)) + 1j * rng.standard_normal(
+        (n_ops, dout, din)
+    )
+    if units:
+        stack[rng.random(stack.shape) < units] = 1.0
+    stack[rng.random(stack.shape) < 0.7] = 0.0
+    edge = rng.random(stack.shape) < 0.15
+    signs = rng.choice([1.0, -1.0, 1j, -1j], size=stack.shape)
+    stack[edge] = tol * signs[edge]
+    nudged = rng.random(stack.shape) < 0.05
+    stack[nudged] = np.nextafter(tol, 1.0) * signs[nudged]
+    return ch.KrausChannel(list(stack), require_tp=False)
+
+
 class TestVectorizedRepPredicates:
     """The stacked-array predicates agree with the per-operator loop form."""
-
-    def random_sparse_stack(self, rng, n_ops, dout, din, tol):
-        stack = rng.standard_normal((n_ops, dout, din)) + 1j * rng.standard_normal(
-            (n_ops, dout, din)
-        )
-        stack[rng.random(stack.shape) < 0.7] = 0.0
-        edge = rng.random(stack.shape) < 0.15
-        signs = rng.choice([1.0, -1.0, 1j, -1j], size=stack.shape)
-        stack[edge] = tol * signs[edge]
-        nudged = rng.random(stack.shape) < 0.05
-        stack[nudged] = np.nextafter(tol, 1.0) * signs[nudged]
-        return ch.KrausChannel(list(stack), require_tp=False)
 
     def test_random_channels(self):
         rng = np.random.default_rng(31)
@@ -231,7 +239,7 @@ class TestVectorizedRepPredicates:
         seen = set()
         for trial in range(300):
             d = 2 + trial % 4
-            c = self.random_sparse_stack(rng, 1 + trial % 3, d, d, tol)
+            c = random_sparse_stack(rng, 1 + trial % 3, d, d, tol)
             io, sio = ch.is_io_rep(c, tol), ch.is_sio_rep(c, tol)
             assert io == loop_io_rep(c, tol)
             assert sio == loop_sio_rep(c, tol)
@@ -252,9 +260,207 @@ class TestVectorizedRepPredicates:
         tol = ch.PREDICATE_TOL
         for trial in range(100):
             din, dout = 2 + trial % 3, 3 + trial % 4
-            c = self.random_sparse_stack(rng, 1 + trial % 3, dout, din, tol)
+            c = random_sparse_stack(rng, 1 + trial % 3, dout, din, tol)
             assert ch.is_io_rep(c, tol) == loop_io_rep(c, tol)
         assert not ch.is_io_rep(ch.qubit_to_qutrit_mio_example())
+
+
+def loop_offdiag(m):
+    return m - np.diag(np.diag(m))
+
+
+def loop_mio(c, tol):
+    """Block-by-block loop form of the MIO test over the full unit_actions."""
+    g = c.unit_actions()
+    return all(np.max(np.abs(loop_offdiag(g[:, :, x, x]))) <= tol for x in range(c.din))
+
+
+def loop_dio(c, tol):
+    """Block-by-block loop form of the DIO test over the full unit_actions."""
+    g = c.unit_actions()
+    idx = np.arange(c.dout)
+    for x in range(c.din):
+        for z in range(c.din):
+            block = g[:, :, x, z]
+            off = loop_offdiag(block) if x == z else block[idx, idx]
+            if np.max(np.abs(off)) > tol:
+                return False
+    return True
+
+
+def loop_column_rows(op, tol):
+    return [list(np.nonzero(np.abs(op[:, x]) > tol)[0]) for x in range(op.shape[1])]
+
+
+def loop_sio_special_rep(c, tol):
+    """Per-operator loop form of the sIO test, linking columns by union-find."""
+    maps = []
+    for k in c.kraus:
+        rows = loop_column_rows(k, tol)
+        if any(len(r) > 1 for r in rows):
+            return False
+        maps.append({x: r[0] for x, r in enumerate(rows) if r})
+    parent = list(range(c.din))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in maps:
+        by_row = {}
+        for x, row in g.items():
+            by_row.setdefault(row, []).append(x)
+        for xs in by_row.values():
+            for other in xs[1:]:
+                parent[find(other)] = find(xs[0])
+    return all(
+        not (find(x) == find(z) and g[x] != g[z]) for g in maps for x in g for z in g
+    )
+
+
+def loop_partial_permutation_weight(op, tol):
+    """(weight, column support) if op = sqrt(w) * phase-permutation on support."""
+    rows = loop_column_rows(op, tol)
+    if any(len(r) > 1 for r in rows) or any(len(r) > 1 for r in loop_column_rows(op.T, tol)):
+        return None
+    support = [x for x, r in enumerate(rows) if r]
+    if not support:
+        return None
+    moduli = np.array([abs(op[rows[x][0], x]) for x in support])
+    if np.max(moduli) - np.min(moduli) > 1e-8:
+        return None
+    return float(np.mean(moduli) ** 2), frozenset(support)
+
+
+def loop_pio_rep(c, tol):
+    """Per-operator loop form of the PIO test, with the same exact-cover search."""
+    infos = []
+    for k in c.kraus:
+        if np.max(np.abs(k)) <= tol:
+            continue
+        info = loop_partial_permutation_weight(k, tol)
+        if info is None:
+            return False
+        infos.append(info)
+    full = frozenset(range(c.din))
+
+    def assign(unused):
+        if not unused:
+            return []
+        seed = min(unused)
+        w_seed, sup_seed = infos[seed]
+
+        def extend(covered, pool, chosen):
+            if covered == full:
+                rest = assign(unused - frozenset(chosen) - {seed})
+                return None if rest is None else [w_seed] + rest
+            missing = min(full - covered)
+            for idx in sorted(pool):
+                w, sup = infos[idx]
+                if missing in sup and sup.isdisjoint(covered) and abs(w - w_seed) <= 1e-8:
+                    found = extend(covered | sup, pool - {idx}, chosen + [idx])
+                    if found is not None:
+                        return found
+            return None
+
+        return extend(sup_seed, unused - {seed}, [])
+
+    weights = assign(frozenset(range(len(infos))))
+    return weights is not None and abs(sum(weights) - 1.0) <= 1e-7
+
+
+def family_channels(d, rng):
+    """One channel from every generator family at dimension d."""
+    params = ch.GCovariantParams(*rng.dirichlet(np.ones(3)), d)
+    return [
+        ch.random_channel(d, d, 1 + d % 3, rng),
+        ch.random_sio_channel(d, rng),
+        ch.random_sio_special_channel(d, rng),
+        ch.random_io_channel(d, rng),
+        ch.random_pio_channel(d, rng),
+        ch.incoherent_unitary_channel(ch.random_incoherent_unitary(d, rng)),
+        ch.g_covariant_channel(params),
+    ]
+
+
+def split_or_nudge(c, rng):
+    """A PIO stack with one operator split in two, nudged in modulus, or padded."""
+    stack = np.array(c._stack)
+    a = rng.integers(len(stack))
+    mode = rng.integers(3)
+    if mode == 0:
+        half = stack[a] / math.sqrt(2.0)
+        stack = np.concatenate([stack[:a], [half, half], stack[a + 1 :]])
+    elif mode == 1:
+        y, x = np.argwhere(np.abs(stack[a]) > 0)[0]
+        stack[a, y, x] *= 1.0 + rng.choice([-2e-8, 1e-9, 5e-9, 2e-8])
+    else:
+        stack = np.concatenate([stack, np.zeros_like(stack[:1])])
+    return ch.KrausChannel(list(stack), require_tp=False)
+
+
+class TestArrayPredicatesMatchLoops:
+    """The array-reduction predicates return the loop forms' booleans."""
+
+    TOLS = (ch.PREDICATE_TOL, 1e-3)
+
+    def assert_agree(self, c, seen):
+        for tol in self.TOLS:
+            pairs = [
+                ("mio", ch.is_mio(c, tol), loop_mio(c, tol)),
+                ("dio", ch.is_dio(c, tol), loop_dio(c, tol)),
+                ("sio_special", ch.is_sio_special_rep(c, tol), loop_sio_special_rep(c, tol)),
+            ]
+            if c.din == c.dout and c.din <= 8 and len(c) <= 12:
+                pairs.append(("pio", ch.is_pio_rep(c, tol), loop_pio_rep(c, tol)))
+            for name, fast, loop in pairs:
+                assert fast == loop, (name, tol, c.din, len(c))
+                seen.add((name, fast))
+
+    def test_generator_families(self):
+        rng = np.random.default_rng(41)
+        seen = set()
+        for d in range(2, 9):
+            for c in family_channels(d, rng):
+                self.assert_agree(c, seen)
+                self.assert_agree(ch.compose(dephasing_channel(d), c), seen)
+        assert {(name, v) for name in ("mio", "dio", "sio_special", "pio") for v in (0, 1)} <= seen
+
+    def test_sampled_qubit_mio_channels(self):
+        seen = set()
+        for seed in range(12):
+            self.assert_agree(ch.sample_mio_qubit_channel(seed), seen)
+        assert ("mio", True) in seen and ("sio_special", False) in seen
+
+    def test_sparse_stacks_at_the_tolerance(self):
+        rng = np.random.default_rng(42)
+        seen = set()
+        for trial in range(240):
+            d, n_ops = 2 + trial % 4, 1 + trial % 3
+            tol = self.TOLS[trial % 2]
+            c = random_sparse_stack(rng, n_ops, d, d, tol, units=0.5)
+            self.assert_agree(c, seen)
+        assert len(seen) == 8  # both verdicts of all four predicates
+
+    def test_split_and_nudged_pio_stacks(self):
+        rng = np.random.default_rng(43)
+        seen = set()
+        for trial in range(150):
+            d = 2 + trial % 5
+            c = split_or_nudge(ch.random_pio_channel(d, rng, n_groups=1 + trial % 3), rng)
+            self.assert_agree(c, seen)
+        assert {("pio", True), ("pio", False)} <= seen
+
+    def test_non_square_channels(self):
+        rng = np.random.default_rng(44)
+        seen = set()
+        for trial in range(30):
+            c = ch.random_channel(2 + trial % 2, 3 + trial % 3, 2, rng)
+            self.assert_agree(c, seen)
+        self.assert_agree(ch.qubit_to_qutrit_mio_example(), seen)
+        assert ("mio", True) in seen
 
 
 class TestSioSpecialRep:
@@ -279,6 +485,21 @@ class TestSioSpecialRep:
         assert ch.is_io_rep(c)
         assert not ch.is_sio_special_rep(c)
 
+    def test_links_chain_through_operators(self):
+        # op 0 merges columns {0, 1}, op 1 merges {1, 2}, so 0 and 2 must share
+        # f; op 2 sends them to different rows
+        ops = np.zeros((3, 3, 3), dtype=complex)
+        ops[0, 0, [0, 1]] = 1.0
+        ops[1, 1, [1, 2]] = 1.0
+        ops[2, [0, 1], [0, 2]] = 1.0
+        c = ch.KrausChannel(list(ops), require_tp=False)
+        assert ch.is_io_rep(c)
+        assert not ch.is_sio_special_rep(c)
+        assert not loop_sio_special_rep(c, ch.PREDICATE_TOL)
+        ops[2, 1, 2], ops[2, 0, 2] = 0.0, 1.0
+        c = ch.KrausChannel(list(ops), require_tp=False)
+        assert ch.is_sio_special_rep(c) and loop_sio_special_rep(c, ch.PREDICATE_TOL)
+
     def test_generated_special_channels(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
@@ -302,6 +523,12 @@ class TestPioRep:
         c = ch.KrausChannel([m1, m2])
         assert ch.is_sio_rep(c)
         assert not ch.is_pio_rep(c)
+
+    def test_collapsing_operator_is_not_a_permutation(self):
+        # one unit-modulus operator covering the basis, but two columns share a row
+        c = ch.KrausChannel([np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)], require_tp=False)
+        assert not ch.is_pio_rep(c)
+        assert not loop_pio_rep(c, ch.PREDICATE_TOL)
 
     def test_random_pio_channels(self):
         rng = np.random.default_rng(14)
@@ -425,6 +652,23 @@ class TestGCovariant:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             ch.GCovariantParams(0.5, -0.1, 0.6, 3)
+
+    def test_rank_raising_piece_in_closed_form(self):
+        # Choi of (d Delta - id)/(d-1): (d sum |xx><xx| - |Omega><Omega|)/(d-1)
+        for d in (2, 3, 5, 8, 16):
+            c = ch.g_covariant_channel(ch.GCovariantParams(0.0, 0.0, 1.0, d))
+            assert len(c) == d - 1
+            diag_idx = np.arange(d) * (d + 1)
+            omega = np.zeros(d * d)
+            omega[diag_idx] = 1.0
+            expected = -np.outer(omega, omega)
+            expected[diag_idx, diag_idx] += d
+            assert np.max(np.abs(ch._choi_array(c) - expected / (d - 1))) < 1e-13
+
+    def test_phase_flip_piece_is_pio(self):
+        # equal-modulus diagonal operators: a mixture of diagonal unitaries
+        c = ch.g_covariant_channel(ch.GCovariantParams(0.2, 0.0, 0.8, 3))
+        assert ch.is_pio_rep(c)
 
 
 class TestQubitMioToIo:

@@ -16,6 +16,39 @@ def dense_state(d, seed):
     return rho
 
 
+def commutes_with_diagonal_unitaries(c, samples=20, seed=0, tol=1e-8):
+    """Monte-Carlo cross-check of diagonal-unitary covariance."""
+    rng = np.random.default_rng(seed)
+    d = c.din
+    g = c.unit_actions()
+    for _ in range(samples):
+        phases = np.exp(2j * np.pi * rng.random(d))
+        u = np.diag(phases)
+        for x in range(d):
+            for z in range(d):
+                lhs = phases[x] * np.conj(phases[z]) * g[:, :, x, z]
+                lhs = u.conj().T @ lhs @ u
+                if np.max(np.abs(lhs - g[:, :, x, z])) > tol:
+                    return False
+    return True
+
+
+def loop_n_covariant(c, tol):
+    """Block-by-block loop form of the structural covariance test."""
+    g = c.unit_actions()
+    d = c.din
+    for x in range(d):
+        for z in range(d):
+            block = g[:, :, x, z].copy()
+            if x == z:
+                block[np.arange(d), np.arange(d)] = 0.0
+            else:
+                block[x, z] = 0.0
+            if np.max(np.abs(block)) > tol:
+                return False
+    return True
+
+
 class TestQMatrix:
     def test_identity_transformation(self):
         rho = dense_state(3, 1)
@@ -129,7 +162,7 @@ class TestIsNCovariant:
         for _ in range(10):
             channel = cov.random_n_covariant_channel(4, rng)
             assert cov.is_n_covariant(channel)
-            assert cov.commutes_with_diagonal_unitaries(channel)
+            assert commutes_with_diagonal_unitaries(channel)
 
     def test_structural_and_sampled_checks_agree(self):
         rng = np.random.default_rng(4)
@@ -140,7 +173,60 @@ class TestIsNCovariant:
             ch.incoherent_unitary_channel(ch.random_incoherent_unitary(3, rng)),
         ]
         for c in channels:
-            assert cov.is_n_covariant(c) == cov.commutes_with_diagonal_unitaries(c)
+            assert cov.is_n_covariant(c) == commutes_with_diagonal_unitaries(c)
+
+    def test_masked_reduction_matches_loop_form(self):
+        rng = np.random.default_rng(5)
+        seen = set()
+        for d in range(2, 9):
+            dephasing = ch.KrausChannel([np.diag(np.eye(d)[x]).astype(complex) for x in range(d)])
+            params = ch.GCovariantParams(*rng.dirichlet(np.ones(3)), d)
+            channels = [
+                cov.random_n_covariant_channel(d, rng),
+                ch.random_channel(d, d, 2, rng),
+                ch.random_sio_channel(d, rng),
+                ch.random_sio_special_channel(d, rng),
+                ch.random_io_channel(d, rng),
+                ch.random_pio_channel(d, rng),
+                ch.incoherent_unitary_channel(ch.random_incoherent_unitary(d, rng)),
+                ch.g_covariant_channel(params),
+            ]
+            channels += [ch.compose(dephasing, c) for c in channels]
+            for c in channels:
+                for tol in (cov.PSD_TOL, 1e-3):
+                    verdict = cov.is_n_covariant(c, tol)
+                    assert verdict == loop_n_covariant(c, tol), (d, tol)
+                    seen.add(verdict)
+        for seed in range(6):
+            c = ch.sample_mio_qubit_channel(seed)
+            for tol in (cov.PSD_TOL, 1e-3):
+                assert cov.is_n_covariant(c, tol) == loop_n_covariant(c, tol)
+        assert seen == {True, False}
+
+    def test_sparse_stacks_at_the_tolerance(self):
+        rng = np.random.default_rng(6)
+        seen = set()
+        for trial in range(300):
+            d, tol = 2 + trial % 3, (cov.PSD_TOL, 1e-3)[trial % 2]
+            stack = np.zeros((1 + trial % 3, d, d), dtype=complex)
+            # diagonal operators and single hops with unit or random entries,
+            # then some entries moved to +-tol, so products land on tol exactly
+            for op in stack:
+                values = np.where(rng.random(d) < 0.5, 1.0, rng.standard_normal(d))
+                if rng.random() < 0.5:
+                    op[np.arange(d), np.arange(d)] = values
+                else:
+                    op[rng.integers(d), rng.integers(d)] = values[0]
+            signs = rng.choice([1.0, -1.0, 1j, -1j], size=stack.shape)
+            edge = rng.random(stack.shape) < 0.1
+            stack[edge] = tol * signs[edge]
+            nudged = rng.random(stack.shape) < 0.05
+            stack[nudged] = np.nextafter(tol, 1.0) * signs[nudged]
+            c = ch.KrausChannel(list(stack), require_tp=False)
+            verdict = cov.is_n_covariant(c, tol)
+            assert verdict == loop_n_covariant(c, tol), trial
+            seen.add(verdict)
+        assert seen == {True, False}
 
 
 class TestPhiT:

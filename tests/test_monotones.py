@@ -381,7 +381,9 @@ class TestDivergenceMonotone:
 
     def test_plus_bounds_and_grid_oracle(self):
         rho = plus_density()
-        val = mo.monotone_from_divergence(rho, reference_set="incoherent_set").value
+        report = mo.monotone_from_divergence(rho, reference_set="incoherent_set")
+        assert report.method == "coordinate_descent"
+        val = report.value
         assert 0.5 - 1e-9 <= val <= 1.0 + 1e-9
         grid_best = min(
             mo.trace_norm(rho.mat - np.diag([q, 1.0 - q]))

@@ -197,6 +197,18 @@ class TestBirkhoff:
             assert len(dec.terms) <= (d - 1) ** 2 + 1
             assert abs(sum(w for w, _ in dec.terms) - 1.0) <= 1e-9
 
+    def test_dense_balanced_matrices_stay_within_the_term_bound(self):
+        # every extraction zeroes an entry, so no compression pass is needed
+        rng = np.random.default_rng(3)
+        for d in range(2, 9):
+            m = rng.random((d, d)) + 1e-3
+            for _ in range(500):
+                m = m / m.sum(axis=1, keepdims=True)
+                m = m / m.sum(axis=0, keepdims=True)
+            dec = birkhoff_decompose(m)
+            assert np.max(np.abs(dec.matrix() - m)) <= 1e-8, d
+            assert len(dec.terms) <= (d - 1) ** 2 + 1, d
+
     def test_rejects_bad_sums(self):
         with pytest.raises(ValueError):
             birkhoff_decompose(np.array([[0.6, 0.6], [0.4, 0.4]]))

@@ -457,3 +457,36 @@ class TestPioPure:
         dec = tr.pio_pure_decide(psi, phi)
         assert dec.verdict
         assert sorted(dec.detail["weights"], reverse=True) == pytest.approx([0.64, 0.36])
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_witness_structure_checked_at_every_d(self, d, monkeypatch):
+        # psi: d/4 - 1 blocks, each proportional to phi's 4 amplitudes; the
+        # last 4 basis states are the complement
+        rng = np.random.default_rng(d)
+        profile = rng.random(4) + 0.5
+        phi_amps = np.zeros(d, dtype=complex)
+        phi_amps[rng.choice(d, 4, replace=False)] = profile * np.exp(2j * np.pi * rng.random(4))
+        psi_amps = np.zeros(d, dtype=complex)
+        order = rng.permutation(d)
+        for b, w in enumerate(rng.dirichlet(np.ones(d // 4 - 1))):
+            block = order[4 * b : 4 * b + 4]
+            psi_amps[block] = math.sqrt(w) * profile * np.exp(2j * np.pi * rng.random(4))
+        psi = PureStateVector(psi_amps / np.linalg.norm(psi_amps))
+        phi = PureStateVector(phi_amps / np.linalg.norm(phi_amps))
+        dec = tr.pio_pure_decide(psi, phi)
+        assert dec.verdict
+        assert len(dec.witness) == d // 4
+
+        # one block operator split into two halves: the same channel, so the
+        # output check passes, but no longer one PIO group
+        make_channel = tr.KrausChannel
+
+        def split_first(ops, **kwargs):
+            half = np.asarray(ops[0]) / math.sqrt(2.0)
+            return make_channel([half, half, *ops[1:]], **kwargs)
+
+        split = split_first(list(dec.witness.kraus), atol=tr.WITNESS_TOL)
+        tr._verify_witness(split, psi.to_density(), phi.to_density())
+        monkeypatch.setattr(tr, "KrausChannel", split_first)
+        with pytest.raises(ArithmeticError, match="projective form"):
+            tr.pio_pure_decide(psi, phi)
