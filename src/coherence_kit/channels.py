@@ -45,22 +45,18 @@ class KrausChannel:
     """
 
     def __init__(self, kraus, require_tp: bool = True, atol: float = CPTP_TOL):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+        # numpy raises ValueError itself on operators of unequal shape
+        stack = np.array([*kraus], dtype=complex)
+        if stack.shape[0] == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if len(shape) != 2:
+        if stack.ndim != 3:
             raise ValueError("Kraus operators must be matrices")
-        for k in ops:
-            if k.shape != shape:
-                raise ValueError("all Kraus operators must share one shape")
-            if not np.all(np.isfinite(k)):
-                raise ValueError("Kraus operator has non-finite entries")
-        stack = np.stack(ops)
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("Kraus operator has non-finite entries")
         stack.setflags(write=False)
         self.kraus = tuple(stack)
         self._stack = stack
-        self.dout, self.din = shape
+        self.dout, self.din = stack.shape[1:]
         self.require_tp = bool(require_tp)
         if require_tp:
             flat = stack.reshape(-1, self.din)

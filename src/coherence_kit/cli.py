@@ -212,12 +212,10 @@ def _cmd_transform(args) -> int:
         if rho.dim != 2 or sigma.dim != 2:
             raise UsageError("qubit class expects two qubit states")
         decision = tr.qubit_decide(rho, sigma)
-    elif klass == "pio":
+    else:  # pio; argparse rejects any other class
         decision = tr.pio_pure_decide(
             _require_pure(source, "source"), _require_pure(target, "target")
         )
-    else:
-        raise UsageError(f"unknown class {klass!r}")
     if decision.witness is not None and args.witness_out:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             json.dump(decision.witness.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -307,16 +305,17 @@ def _artifact_qubit_formulas(seed: int) -> tuple:
     return payload, rows, header
 
 
+# artifact name -> builder of (payload, csv rows, csv header) from the seed
+_ARTIFACTS = {
+    "example": lambda seed: _artifact_example(),
+    "fig1": lambda seed: _artifact_fig1(),
+    "cp-threshold": lambda seed: _artifact_cp_threshold(),
+    "qubit-formulas": _artifact_qubit_formulas,
+}
+
+
 def _cmd_reproduce(args) -> int:
-    builders = {
-        "example": lambda: _artifact_example(),
-        "fig1": lambda: _artifact_fig1(),
-        "cp-threshold": lambda: _artifact_cp_threshold(),
-        "qubit-formulas": lambda: _artifact_qubit_formulas(args.seed),
-    }
-    if args.artifact not in builders:
-        raise UsageError(f"unknown artifact {args.artifact!r}")
-    payload, rows, header = builders[args.artifact]()
+    payload, rows, header = _ARTIFACTS[args.artifact](args.seed)
     _emit(args, payload, rows, header)
     return EXIT_OK
 
@@ -395,7 +394,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("reproduce", help="emit a reproducible artifact")
-    p.add_argument("--artifact", required=True, choices=("example", "fig1", "cp-threshold", "qubit-formulas"))
+    p.add_argument("--artifact", required=True, choices=tuple(_ARTIFACTS))
     common(p)
     p.set_defaults(run=_cmd_reproduce)
 

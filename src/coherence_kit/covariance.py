@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply
+from .channels import KrausChannel
 from .numerics import eig_hermitian
 from .states import DensityMatrix
-from .transforms import TransformDecision, _trace_distance
+from .transforms import InfeasibleTransformError, TransformDecision, _decide, _verify_witness
 
 PSD_TOL = 1e-9
 
@@ -86,18 +86,7 @@ def is_n_covariant(ch: KrausChannel, tol: float = PSD_TOL) -> bool:
 
 def n_feasible(rho: DensityMatrix, sigma: DensityMatrix) -> TransformDecision:
     """Is sigma reachable from rho by a diagonal-unitary-covariant channel?"""
-    q = n_q_matrix(rho, sigma).q
-    dec = eig_hermitian(q)
-    if dec.eigenvalues[0] < -PSD_TOL:
-        return TransformDecision(
-            False,
-            violation={
-                "monotone": "ratio_matrix_psd",
-                "lhs": float(dec.eigenvalues[0]),
-                "rhs": 0.0,
-            },
-        )
-    return TransformDecision(True, witness=n_construct(rho, sigma))
+    return _decide(n_construct, rho, sigma)
 
 
 def _northwest_corner(supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
@@ -128,12 +117,17 @@ def n_covariant_spec(rho: DensityMatrix, sigma: DensityMatrix) -> NCovariantSpec
 
     Takes the ratio matrix itself as the Gram matrix of the diagonal
     operators, and routes the leftover population flow with a greedy
-    transportation plan.
+    transportation plan. Feasible exactly when the ratio matrix is PSD
+    (lambda_min >= -PSD_TOL).
     """
     d = rho.dim
     q = n_q_matrix(rho, sigma).q
-    if eig_hermitian(q).eigenvalues[0] < -PSD_TOL:
-        raise ValueError("ratio matrix is not PSD: transformation infeasible")
+    lam_min = float(eig_hermitian(q).eigenvalues[0])
+    if lam_min < -PSD_TOL:
+        raise InfeasibleTransformError(
+            "ratio matrix is not PSD: transformation infeasible",
+            {"monotone": "ratio_matrix_psd", "lhs": lam_min, "rhs": 0.0},
+        )
 
     rho_d = np.diag(rho.mat).real
     sig_d = np.diag(sigma.mat).real
@@ -176,9 +170,7 @@ def n_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
     channel = channel_from_n_spec(n_covariant_spec(rho, sigma))
     if not is_n_covariant(channel, tol=1e-7):
         raise ArithmeticError("constructed channel lost diagonal-unitary covariance")
-    out = apply(channel, rho)
-    if _trace_distance(out, sigma) > 1e-8:
-        raise ArithmeticError("constructed channel misses the target state")
+    _verify_witness(channel, rho, sigma)
     return channel
 
 
@@ -195,23 +187,10 @@ def random_n_covariant_channel(d: int, rng: np.random.Generator) -> KrausChannel
     gram = gram * np.outer(lift, lift)  # unit diagonal
     shrink = 0.15 + 0.8 * rng.random(d)
     gram = gram * np.outer(np.sqrt(shrink), np.sqrt(shrink))
-    dec = eig_hermitian(gram)
-    vals = np.clip(dec.eigenvalues, 0.0, None)
-    factor = (np.sqrt(vals)[:, None]) * dec.eigenvectors.T
-    ops = [np.diag(factor[j]).astype(complex) for j in range(d) if vals[j] > 1e-14]
+    r_mat = np.diag(shrink)
     for col in range(d):
-        leftover = 1.0 - shrink[col]
-        split = rng.dirichlet(np.ones(d - 1)) * leftover
-        k = 0
-        for row in range(d):
-            if row == col:
-                continue
-            if split[k] > 1e-14:
-                hop = np.zeros((d, d), dtype=complex)
-                hop[row, col] = np.sqrt(split[k])
-                ops.append(hop)
-            k += 1
-    return KrausChannel(ops)
+        r_mat[np.arange(d) != col, col] = rng.dirichlet(np.ones(d - 1)) * (1.0 - shrink[col])
+    return channel_from_n_spec(NCovariantSpec(h=gram, r=r_mat))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ higher-rank pure qudit by maximally incoherent operations exactly on the
 `sum sqrt(q) <= sqrt(2)` region. Every positive verdict carries a Kraus
 witness which is re-verified (CPTP, class membership, output match) before it
 is returned.
+
+Each class's feasibility inequality is tested in one place, its construction,
+which raises ``InfeasibleTransformError`` carrying the violation record; the
+matching decider turns that exception into the negative verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .channels import (
     is_mio,
     is_sio_rep,
 )
-from .monotones import c_delta_r, c_r
 from .numerics import trace_norm
 from .states import (
     DensityMatrix,
@@ -62,6 +65,25 @@ class TransformDecision:
         return payload
 
 
+class InfeasibleTransformError(ValueError):
+    """The transformation fails its class's feasibility inequality.
+
+    ``violation`` is the record the decider returns with its negative verdict.
+    """
+
+    def __init__(self, message: str, violation: dict):
+        super().__init__(message)
+        self.violation = violation
+
+
+def _decide(construct, *args) -> TransformDecision:
+    """The verdict of one construction: its witness, or its violation record."""
+    try:
+        return TransformDecision(True, witness=construct(*args))
+    except InfeasibleTransformError as exc:
+        return TransformDecision(False, violation=exc.violation)
+
+
 def _padded_desc(*vectors) -> list:
     size = max(v.size for v in vectors)
     return [np.sort(np.pad(v, (0, size - v.size)))[::-1] for v in vectors]
@@ -82,13 +104,8 @@ def majorizes(target: SchmidtVector, source: SchmidtVector) -> MajorizationCheck
     return MajorizationCheck(True)
 
 
-def _trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    return 0.5 * trace_norm(a.mat - b.mat)
-
-
 def _verify_witness(channel: KrausChannel, source: DensityMatrix, target: DensityMatrix):
-    out = apply(channel, source)
-    dist = _trace_distance(out, target)
+    dist = 0.5 * trace_norm(apply(channel, source).mat - target.mat)
     if dist > WITNESS_TOL:
         raise ArithmeticError(f"witness output misses the target by {dist:.3e}")
 
@@ -116,13 +133,16 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     tau(phi), and each permutation is Hadamarded against the amplitude-ratio
     matrix. Input columns the mix leaves at zero keep an identity block per
     operator so the sum rule closes exactly. Sorting gauges are composed
-    back in.
+    back in. Majorization is tested before the dimensions, so states of
+    different dimension still get a violation when it fails.
     """
-    if psi.dim != phi.dim:
-        raise ValueError("construction expects equal input and output dimensions")
     check = majorizes(schmidt_vector(phi), schmidt_vector(psi))
     if not check:
-        raise ValueError(f"majorization fails at k={check.failing_k}")
+        raise InfeasibleTransformError(
+            f"majorization fails at k={check.failing_k}", {"failing_k": check.failing_k}
+        )
+    if psi.dim != phi.dim:
+        raise ValueError("construction expects equal input and output dimensions")
     d = psi.dim
     g_in, amps_in = _sorting_gauge(psi)
     g_out, amps_out = _sorting_gauge(phi)
@@ -207,10 +227,7 @@ def _permutohedron_walk(x: np.ndarray, y: np.ndarray) -> tuple:
 
 def sio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDecision:
     """Is psi -> phi possible by strictly incoherent operations?"""
-    check = majorizes(schmidt_vector(phi), schmidt_vector(psi))
-    if not check:
-        return TransformDecision(False, violation={"failing_k": check.failing_k})
-    return TransformDecision(True, witness=sio_pure_construct(psi, phi))
+    return _decide(sio_pure_construct, psi, phi)
 
 
 def multi_outcome_decide(psi: PureStateVector, ensemble) -> bool:
@@ -253,6 +270,18 @@ def max_conversion_probability(psi: PureStateVector, phi: PureStateVector) -> fl
 # ---------------------------------------------------------------------------
 
 
+def _mio_target(q) -> np.ndarray:
+    """Validated target probabilities: dimension above 2, all positive, sum 1."""
+    qv = np.asarray(q, dtype=float).ravel()
+    if qv.size <= 2:
+        raise ValueError("target dimension must exceed 2 (use qubit_decide instead)")
+    if np.min(qv) <= 1e-15:
+        raise ValueError("all target probabilities must be strictly positive")
+    if abs(qv.sum() - 1.0) > 1e-9:
+        raise ValueError("target probabilities must sum to 1")
+    return qv
+
+
 def mio_qubit_pure_construct(q) -> KrausChannel:
     """Maximally incoherent channel taking |+> to sum_y sqrt(q_y) |y>.
 
@@ -260,24 +289,20 @@ def mio_qubit_pure_construct(q) -> KrausChannel:
     column 0 of operator j holds sqrt(r_j) e_j, column 1 holds
     sqrt(2 q_y) c_j - sqrt(r_y) delta_{yj}, with c_j = sqrt(s/2) q_j^(1/4)
     and a completing coefficient c_{d'+1} = sqrt(1 - s^2/2). Feasible exactly
-    when s <= sqrt(2); at the boundary the completing operator vanishes.
+    when s <= sqrt(2), tested with a 1e-12 slack; at the boundary the
+    completing operator vanishes.
     """
-    qv = np.asarray(q, dtype=float).ravel()
-    if qv.size < 3:
-        raise ValueError("target needs dimension greater than 2")
-    if np.min(qv) <= 1e-15:
-        raise ValueError("all target probabilities must be strictly positive")
-    if abs(qv.sum() - 1.0) > 1e-9:
-        raise ValueError("target probabilities must sum to 1")
+    qv = _mio_target(q)
     s = float(np.sum(np.sqrt(qv)))
-    radicand = 1.0 - s * s / 2.0
-    if radicand < -1e-12:
-        raise ValueError(f"sum of square roots {s:.6f} exceeds sqrt(2)")
-    radicand = max(radicand, 0.0)
+    if s > math.sqrt(2.0) + 1e-12:
+        raise InfeasibleTransformError(
+            f"sum of square roots {s:.6f} exceeds sqrt(2)",
+            {"monotone": "sqrt_sum", "lhs": s, "rhs": math.sqrt(2.0)},
+        )
     d_out = qv.size
     r = np.sqrt(qv) / s
     c = np.sqrt(s / 2.0) * qv**0.25
-    c_last = math.sqrt(radicand)
+    c_last = math.sqrt(max(1.0 - s * s / 2.0, 0.0))
     ops = []
     for j in range(d_out + 1):
         cj = c[j] if j < d_out else c_last
@@ -302,30 +327,18 @@ def mio_qubit_pure_construct(q) -> KrausChannel:
 def mio_qubit_pure_decide(p, q) -> TransformDecision:
     """Can the pure qubit with probabilities p reach the pure qudit q by MIO?
 
-    Requires p uniform and sum sqrt(q) <= sqrt(2); both checks carry a
-    1e-12 slack. The witness channel is built on a positive verdict.
+    Requires p uniform (with a 1e-12 slack) and the construction's
+    sum sqrt(q) <= sqrt(2). Both vectors are validated before either test.
     """
     pv = np.asarray(p, dtype=float).ravel()
-    qv = np.asarray(q, dtype=float).ravel()
     if pv.size != 2 or np.min(pv) < -1e-12 or abs(pv.sum() - 1.0) > 1e-9:
         raise ValueError("source must be a qubit probability vector")
-    if qv.size <= 2:
-        raise ValueError("target dimension must exceed 2 (use qubit_decide instead)")
-    if np.min(qv) <= 1e-15:
-        raise ValueError("all target probabilities must be strictly positive")
-    if abs(qv.sum() - 1.0) > 1e-9:
-        raise ValueError("target probabilities must sum to 1")
-    s = float(np.sum(np.sqrt(qv)))
+    qv = _mio_target(q)
     if abs(pv[0] - 0.5) > 1e-12:
         return TransformDecision(
             False, violation={"monotone": "uniform_source", "lhs": float(pv[0]), "rhs": 0.5}
         )
-    if s > math.sqrt(2.0) + 1e-12:
-        return TransformDecision(
-            False,
-            violation={"monotone": "sqrt_sum", "lhs": s, "rhs": math.sqrt(2.0)},
-        )
-    return TransformDecision(True, witness=mio_qubit_pure_construct(qv))
+    return _decide(mio_qubit_pure_construct, qv)
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +354,7 @@ def _qubit_cdr(p: float, r: float) -> float:
 
 def qubit_decide(rho: DensityMatrix, sigma: DensityMatrix) -> TransformDecision:
     """Decide rho -> sigma for qubits via the two robustness inequalities."""
-    if rho.dim != 2 or sigma.dim != 2:
-        raise ValueError("both states must be qubits")
-    sf_in = qubit_standard_form(rho)
-    sf_out = qubit_standard_form(sigma)
-    cr_in, cr_out = 2.0 * sf_in.r, 2.0 * sf_out.r
-    cdr_in = _qubit_cdr(sf_in.p, sf_in.r)
-    cdr_out = _qubit_cdr(sf_out.p, sf_out.r)
-    if cr_in < cr_out - 1e-12:
-        return TransformDecision(
-            False, violation={"monotone": "c_r", "lhs": cr_in, "rhs": cr_out}
-        )
-    if cdr_in < cdr_out - 1e-12:
-        return TransformDecision(
-            False, violation={"monotone": "c_delta_r", "lhs": cdr_in, "rhs": cdr_out}
-        )
-    return TransformDecision(True, witness=qubit_construct(rho, sigma))
+    return _decide(qubit_construct, rho, sigma)
 
 
 def _qubit_peak_offdiagonal(p: float, q: float, r: float) -> float:
@@ -392,7 +390,9 @@ def qubit_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
     then a dephasing pair diag(cos t, sin t) / diag(sin t, cos t), which keeps
     the populations and scales the off-diagonal by sin 2t, so
     t = asin(target / peak) / 2. The standard-form gauges of both states are
-    folded into the operators.
+    folded into the operators. Feasible exactly when neither C_R nor C_dR
+    (robustness 2r and dephasing robustness r / sqrt(p(1-p))) grows, each
+    tested with a 1e-12 slack, C_R first.
     """
     if rho.dim != 2 or sigma.dim != 2:
         raise ValueError("both states must be qubits")
@@ -401,8 +401,15 @@ def qubit_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
     p, r = sf_in.p, sf_in.r
     q, t = sf_out.p, sf_out.r
     t_peak = _qubit_peak_offdiagonal(p, q, r)
-    if 2.0 * r < 2.0 * t - 1e-12 or _qubit_cdr(p, r) < _qubit_cdr(q, t) - 1e-12:
-        raise ValueError("transformation is not feasible for these qubits")
+    for monotone, lhs, rhs in (
+        ("c_r", 2.0 * r, 2.0 * t),
+        ("c_delta_r", _qubit_cdr(p, r), _qubit_cdr(q, t)),
+    ):
+        if lhs < rhs - 1e-12:
+            raise InfeasibleTransformError(
+                "transformation is not feasible for these qubits",
+                {"monotone": monotone, "lhs": lhs, "rhs": rhs},
+            )
 
     stage_one = _qubit_stage_one(p, q)
     if t >= t_peak - 1e-12:

@@ -52,6 +52,27 @@ class TestKrausChannel:
         again = ch.KrausChannel.from_json_dict(c.to_json_dict())
         assert ch.choi_distance(c, again) < 1e-12
 
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ([], "at least one"),
+            ([np.eye(2), np.eye(3)], None),  # ragged: numpy's own ValueError
+            ([np.ones(2), np.ones(2)], "matrices"),
+            ([np.diag([1.0, np.nan])], "non-finite"),
+            ([np.eye(2), np.diag([np.inf, 0.0])], "non-finite"),
+        ],
+    )
+    def test_rejects_malformed_stacks(self, ops, message):
+        with pytest.raises(ValueError, match=message):
+            ch.KrausChannel(ops, require_tp=False)
+
+    def test_accepts_any_sequence_of_matrices(self):
+        ops = [np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [0.0, 1.0j]])]
+        for kraus in (ops, tuple(ops), (k for k in ops), np.stack(ops), [k.tolist() for k in ops]):
+            c = ch.KrausChannel(kraus)
+            assert (len(c), c.dout, c.din) == (2, 2, 2)
+            assert np.array_equal(np.stack(c.kraus), np.stack(ops))
+
 
 class TestApply:
     def test_identity(self):

@@ -205,6 +205,28 @@ class TestTransform:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("offset, verdict", [(8.9e-13, True), (1.1e-12, False)])
+    def test_mio_pure_at_the_slack(self, files, capsys, tmp_path, offset, verdict):
+        # sum sqrt(q) - sqrt(2) = offset, on either side of the 1e-12 slack
+        slope = 1.0 / (2.0 * math.sqrt(1.0 / 18.0)) - 1.0 / (2.0 * math.sqrt(8.0 / 9.0))
+        q = np.array([8 / 9 - offset / slope, 1 / 18 + offset / slope, 1 / 18])
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(PureStateVector(np.sqrt(q)).to_json_dict()))
+        code, out = run_cli(capsys, ["transform", files["plus"], str(path), "--class", "mio-pure"])
+        assert code == 0
+        decision = json.loads(out)
+        assert decision["verdict"] is verdict
+        assert ("witness" in decision) is verdict
+        assert verdict or decision["violation"]["monotone"] == "sqrt_sum"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["transform", "a.json", "b.json", "--class", "io"], ["reproduce", "--artifact", "fig2"]],
+    )
+    def test_unknown_choice_is_usage_error(self, capsys, argv):
+        assert main(argv) == 4
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_example_artifact(self, files, capsys):

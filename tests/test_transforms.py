@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from coherence_kit import channels as ch
+from coherence_kit import covariance as cov
 from coherence_kit import monotones as mo
 from coherence_kit import transforms as tr
+from coherence_kit.numerics import eig_hermitian
 from coherence_kit.states import (
     DensityMatrix,
     PureStateVector,
@@ -39,6 +41,165 @@ def random_majorized_pair(d, rng):
         mix += w * mat
     psi_probs = mix @ phi_probs
     return pure(psi_probs, rng), pure(phi_probs, rng)
+
+
+def decides_once(decide, construct, *args, decide_args=None):
+    """The decider's verdict is true exactly when the construction raises no
+    InfeasibleTransformError, and a negative verdict carries its violation."""
+    dec = decide(*(args if decide_args is None else decide_args))
+    try:
+        construct(*args)
+    except tr.InfeasibleTransformError as exc:
+        assert not dec.verdict and dec.witness is None
+        assert dec.violation == exc.violation
+        return False
+    assert dec.verdict and dec.witness is not None and dec.violation is None
+    return True
+
+
+def mio_target(offset):
+    """Three-level target with sum sqrt(q) - sqrt(2) = offset (to ~1e-16),
+    moved off the Fig. 1 boundary point (8/9, 1/18, 1/18)."""
+    slope = 1.0 / (2.0 * math.sqrt(1.0 / 18.0)) - 1.0 / (2.0 * math.sqrt(8.0 / 9.0))
+    eps = offset / slope
+    q = np.array([8.0 / 9.0 - eps, 1.0 / 18.0 + eps, 1.0 / 18.0])
+    assert abs(np.sum(np.sqrt(q)) - math.sqrt(2.0) - offset) < 1e-15
+    return q
+
+
+class TestDecideOnce:
+    """Each decider is its construction's feasibility test and nothing more."""
+
+    NUDGES = (1e-12 - 0.5e-12, 1e-12 + 0.5e-12)  # around every 1e-12 slack
+
+    def test_sio_random_pairs(self):
+        rng = np.random.default_rng(81)
+        outcomes = set()
+        for trial in range(60):
+            d = 2 + trial % 7
+            if trial % 2:
+                psi, phi = random_majorized_pair(d, rng)
+            else:
+                psi, phi = pure(rng.dirichlet(np.ones(d)), rng), pure(rng.dirichlet(np.ones(d)), rng)
+            outcomes.add(decides_once(tr.sio_pure_decide, tr.sio_pure_construct, psi, phi))
+        assert outcomes == {True, False}
+
+    def test_sio_nudged_pairs(self):
+        phi = pure([0.7, 0.2, 0.1])
+        verdicts = []
+        for delta in self.NUDGES:
+            psi = pure([0.7 + delta, 0.2 - delta, 0.1])
+            verdicts.append(decides_once(tr.sio_pure_decide, tr.sio_pure_construct, psi, phi))
+        assert verdicts == [True, False]
+        assert tr.sio_pure_decide(psi, phi).violation == {"failing_k": 1}
+
+    @pytest.mark.parametrize(
+        "source, target, violation",
+        [
+            ([0.9, 0.1], [0.5, 0.3, 0.2], {"failing_k": 1}),
+            ([0.5, 0.5], [1.0, 0.0, 0.0], None),
+            ([0.8, 0.1, 0.1], [0.5, 0.5], {"failing_k": 1}),
+            ([0.4, 0.3, 0.3], [0.5, 0.5], None),
+        ],
+    )
+    def test_sio_unequal_dimensions(self, source, target, violation):
+        # majorization is decided on zero-padded vectors; a witness between
+        # different dimensions is not built, so a majorized pair raises
+        psi, phi = pure(source), pure(target)
+        if violation is None:
+            with pytest.raises(ValueError, match="equal input and output dimensions"):
+                tr.sio_pure_decide(psi, phi)
+        else:
+            dec = tr.sio_pure_decide(psi, phi)
+            assert not dec.verdict and dec.violation == violation
+
+    def test_qubit_random_pairs(self):
+        outcomes = set()
+        for seed in range(60):
+            rho, sigma = random_density(2, 700 + seed), random_density(2, 800 + seed)
+            if seed % 3 == 0:
+                sigma = partial_dephase(rho, 0.4)
+            outcomes.add(decides_once(tr.qubit_decide, tr.qubit_construct, rho, sigma))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("monotone", ["c_r", "c_delta_r"])
+    def test_qubit_nudged_pairs(self, monotone):
+        # C_R = 2r binds at equal populations; C_dR = r / sqrt(p(1-p)) binds
+        # when the target's populations are further from 1/2
+        p, r = 0.5, 0.3
+        rho = DensityMatrix([[p, r], [r, 1 - p]])
+        verdicts = []
+        for delta in self.NUDGES:
+            if monotone == "c_r":
+                q, t = p, r + delta / 2.0
+            else:
+                q = 0.8
+                t = math.sqrt(q * (1 - q)) * (r / math.sqrt(p * (1 - p)) + delta)
+            sigma = DensityMatrix([[q, t], [t, 1 - q]])
+            verdicts.append(decides_once(tr.qubit_decide, tr.qubit_construct, rho, sigma))
+        assert verdicts == [True, False]
+        assert tr.qubit_decide(rho, sigma).violation["monotone"] == monotone
+
+    def test_mio_random_targets(self):
+        rng = np.random.default_rng(83)
+        outcomes = set()
+        for trial in range(40):
+            d = 3 + trial % 4
+            q = rng.dirichlet([40.0] + [1.0] * (d - 1) if trial % 2 else np.ones(d))
+            outcomes.add(
+                decides_once(
+                    tr.mio_qubit_pure_decide,
+                    tr.mio_qubit_pure_construct,
+                    q,
+                    decide_args=([0.5, 0.5], q),
+                )
+            )
+        assert outcomes == {True, False}
+
+    def test_mio_nudged_targets(self):
+        verdicts = []
+        for offset in self.NUDGES:
+            q = mio_target(offset)
+            verdicts.append(
+                decides_once(
+                    tr.mio_qubit_pure_decide,
+                    tr.mio_qubit_pure_construct,
+                    q,
+                    decide_args=([0.5, 0.5], q),
+                )
+            )
+        assert verdicts == [True, False]
+
+    def test_n_covariant_random_pairs(self):
+        outcomes = set()
+        for trial in range(40):
+            d = 2 + trial % 4
+            rho = random_density(d, 600 + trial)
+            if trial % 2:
+                channel = cov.random_n_covariant_channel(d, np.random.default_rng(trial))
+                sigma = ch.apply(channel, rho)
+            else:
+                sigma = random_density(d, 700 + trial)
+            outcomes.add(decides_once(cov.n_feasible, cov.n_construct, rho, sigma))
+        assert outcomes == {True, False}
+
+    def test_n_covariant_nudged_pairs(self):
+        # Q = [[1, c], [c, 1]] has lambda_min = 1 - c, placed 0.5e-12 either
+        # side of -PSD_TOL
+        rho = DensityMatrix([[0.5, 0.25], [0.25, 0.5]])
+        verdicts = []
+        for delta in (-0.5e-12, 0.5e-12):
+            c = 1.0 + cov.PSD_TOL + delta
+            sigma = DensityMatrix([[0.5, 0.25 * c], [0.25 * c, 0.5]])
+            lam = eig_hermitian(cov.n_q_matrix(rho, sigma).q).eigenvalues[0]
+            assert abs(lam + cov.PSD_TOL + delta) < 1e-15
+            verdicts.append(decides_once(cov.n_feasible, cov.n_construct, rho, sigma))
+        assert verdicts == [True, False]
+        assert cov.n_feasible(rho, sigma).violation["monotone"] == "ratio_matrix_psd"
+
+    def test_invalid_target_raises_before_the_source_verdict(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            tr.mio_qubit_pure_decide([0.6, 0.4], [0.5, 0.3, 0.3])
 
 
 class TestMajorizes:
@@ -342,6 +503,22 @@ class TestMioQubitPure:
     def test_rejects_low_dimension_target(self):
         with pytest.raises(ValueError):
             tr.mio_qubit_pure_decide([0.5, 0.5], [0.5, 0.5])
+
+    def test_inside_the_slack_gets_a_witness(self):
+        # the radicand 1 - s^2/2 is -1.26e-12 here; it is clamped at 0
+        q = mio_target(8.9e-13)
+        dec = tr.mio_qubit_pure_decide([0.5, 0.5], q)
+        assert dec.verdict
+        out = ch.apply(dec.witness, pure([0.5, 0.5]).to_density())
+        assert np.max(np.abs(out.mat - pure(q).to_density().mat)) < 1e-8
+        assert len(tr.mio_qubit_pure_construct(q)) == 3
+
+    def test_past_the_slack_is_refused(self):
+        dec = tr.mio_qubit_pure_decide([0.5, 0.5], mio_target(1.1e-12))
+        assert not dec.verdict and dec.violation["monotone"] == "sqrt_sum"
+        assert dec.violation["lhs"] - dec.violation["rhs"] == pytest.approx(1.1e-12, abs=1e-15)
+        with pytest.raises(tr.InfeasibleTransformError, match="exceeds sqrt"):
+            tr.mio_qubit_pure_construct(mio_target(1.1e-12))
 
 
 class TestQubitDecide:
