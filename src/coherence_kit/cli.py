@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: classify, monotones, transform, reproduce, harness. Every
-command routes straight into the library with the given seed, so outputs are
+Subcommands: classify, monotones, transform, reproduce, harness. Each accepts
+only the options it reads; any other option is a usage error. Every command
+routes straight into the library with the given seed, so outputs are
 byte-identical to direct calls. Exit codes: 0 ok, 1 property violation,
 2 parse failure, 3 invalid object, 4 usage error.
 """
@@ -79,14 +80,11 @@ def _format_csv(rows: list, header: list) -> str:
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
     if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise UsageError("this command has no CSV form")
         text = _format_csv(csv_rows, csv_header)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -113,7 +111,7 @@ def _cmd_classify(args) -> int:
             report[name] = predicate(channel, tol)
         except ValueError:
             report[name] = None
-    fit = ch.fit_g_covariant(channel) if channel.din == channel.dout else None
+    fit = ch.fit_g_covariant(channel)
     report["g_covariant_fit"] = (
         None
         if fit is None
@@ -139,33 +137,35 @@ _DEFAULT_MEASURES = (
 )
 
 
+def _c_q_alpha(state, params) -> mo.MonotoneReport:
+    if not isinstance(state, PureStateVector):
+        raise UsageError("c_q_alpha needs a pure-state input")
+    return mo.c_q_alpha_pure(state, float(params[0]))
+
+
+# measure name -> report from the state and the ":"-separated parameters after
+# the name; parameters past the ones a measure reads are ignored
+_MEASURES = {
+    "c_rel": lambda state, p: mo.c_rel(_as_density(state)),
+    "c_l1": lambda state, p: mo.c_l1(_as_density(state)),
+    "c_r": lambda state, p: mo.c_r(_as_density(state)),
+    "c_delta_r": lambda state, p: mo.c_delta_r(_as_density(state)),
+    "r_d": lambda state, p: mo.log_robustness_dephasing(_as_density(state)),
+    "trace_norm": lambda state, p: mo.trace_norm_coherence(_as_density(state)),
+    "c_alpha": lambda state, p: mo.c_alpha(_as_density(state), float(p[0])),
+    "c_delta_alpha": lambda state, p: mo.c_delta_alpha(_as_density(state), float(p[0]), *p[1:2]),
+    "c_q_alpha": _c_q_alpha,
+}
+_TAKES_ALPHA = ("c_alpha", "c_delta_alpha", "c_q_alpha")
+
+
 def _measure_report(token: str, state) -> mo.MonotoneReport:
-    rho = _as_density(state)
-    parts = token.split(":")
-    name = parts[0]
-    if name == "c_rel":
-        return mo.c_rel(rho)
-    if name == "c_l1":
-        return mo.c_l1(rho)
-    if name == "c_r":
-        return mo.c_r(rho)
-    if name == "c_delta_r":
-        return mo.c_delta_r(rho)
-    if name == "r_d":
-        return mo.log_robustness_dephasing(rho)
-    if name == "trace_norm":
-        return mo.trace_norm_coherence(rho)
-    if name == "c_alpha":
-        return mo.c_alpha(rho, float(parts[1]))
-    if name == "c_delta_alpha":
-        side = parts[2] if len(parts) > 2 else "right"
-        return mo.c_delta_alpha(rho, float(parts[1]), side)
-    if name == "c_q_alpha":
-        if not isinstance(state, PureStateVector):
-            raise UsageError("c_q_alpha needs a pure-state input")
-        alpha = math.inf if parts[1] in ("inf", "infinity") else float(parts[1])
-        return mo.c_q_alpha_pure(state, alpha)
-    raise UsageError(f"unknown measure {token!r}")
+    name, *params = token.split(":")
+    if name not in _MEASURES:
+        raise UsageError(f"unknown measure {token!r}")
+    if name in _TAKES_ALPHA and not params:
+        raise UsageError(f"measure {name} needs a parameter, as in {name}:2")
+    return _MEASURES[name](state, params)
 
 
 def _cmd_monotones(args) -> int:
@@ -248,7 +248,7 @@ def _artifact_example() -> tuple:
         "dio": ch.is_dio(channel),
         "max_residual": max([completeness_residual] + proportionality),
     }
-    return payload, None, None
+    return payload
 
 
 def _artifact_fig1() -> tuple:
@@ -259,10 +259,7 @@ def _artifact_fig1() -> tuple:
     for i in range(steps + 1):
         alpha = i * 0.02
         rows.append((alpha, mo.renyi(p, alpha), mo.renyi(q, alpha)))
-    payload = [
-        {"alpha": a, "s_alpha_uniform": s1, "s_alpha_target": s2} for a, s1, s2 in rows
-    ]
-    return payload, rows, ["alpha", "s_alpha_uniform", "s_alpha_target"]
+    return rows, ["alpha", "s_alpha_uniform", "s_alpha_target"]
 
 
 def _artifact_cp_threshold() -> tuple:
@@ -276,8 +273,7 @@ def _artifact_cp_threshold() -> tuple:
             else:
                 lo = mid
         rows.append((d, hi, float(d - 1)))
-    payload = [{"d": d, "threshold": t, "expected": e} for d, t, e in rows]
-    return payload, rows, ["d", "threshold", "expected"]
+    return rows, ["d", "threshold", "expected"]
 
 
 def _artifact_qubit_formulas(seed: int) -> tuple:
@@ -290,24 +286,11 @@ def _artifact_qubit_formulas(seed: int) -> tuple:
         eigen = mo.c_delta_r(std).value
         closed_dr = 0.0 if sf.p >= 1.0 - 1e-12 else sf.r / math.sqrt(sf.p * (1.0 - sf.p))
         rows.append((sf.p, sf.r, solver, 2.0 * sf.r, eigen, closed_dr))
-    payload = [
-        {
-            "p": p,
-            "r": r,
-            "c_r_solver": s,
-            "c_r_closed": c,
-            "c_delta_r_eigen": e,
-            "c_delta_r_closed": cd,
-        }
-        for p, r, s, c, e, cd in rows
-    ]
-    header = ["p", "r", "c_r_solver", "c_r_closed", "c_delta_r_eigen", "c_delta_r_closed"]
-    return payload, rows, header
+    return rows, ["p", "r", "c_r_solver", "c_r_closed", "c_delta_r_eigen", "c_delta_r_closed"]
 
 
-# artifact name -> builder of (payload, csv rows, csv header) from the seed
-_ARTIFACTS = {
-    "example": lambda seed: _artifact_example(),
+# table artifact name -> builder of (rows, header) from the seed
+_TABLES = {
     "fig1": lambda seed: _artifact_fig1(),
     "cp-threshold": lambda seed: _artifact_cp_threshold(),
     "qubit-formulas": _artifact_qubit_formulas,
@@ -315,8 +298,13 @@ _ARTIFACTS = {
 
 
 def _cmd_reproduce(args) -> int:
-    payload, rows, header = _ARTIFACTS[args.artifact](args.seed)
-    _emit(args, payload, rows, header)
+    if args.artifact == "example":
+        if args.format == "csv":
+            raise UsageError("this command has no CSV form")
+        _emit(args, _artifact_example())
+    else:
+        rows, header = _TABLES[args.artifact](args.seed)
+        _emit(args, [dict(zip(header, row)) for row in rows], rows, header)
     return EXIT_OK
 
 
@@ -368,40 +356,39 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="coherence-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p = sub.add_parser("classify", help="class membership report for a channel file")
     p.add_argument("channel")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--out")
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("monotones", help="coherence-measure panel for a state file")
     p.add_argument("state")
     p.add_argument("--measures", default="all")
-    common(p)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(run=_cmd_monotones)
 
     p = sub.add_parser("transform", help="decide a state transformation")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--class", dest="klass", required=True, choices=("sio", "mio-pure", "qubit", "pio"))
-    p.add_argument("--witness-out", default=None)
-    common(p)
+    p.add_argument("--witness-out")
+    p.add_argument("--out")
     p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("reproduce", help="emit a reproducible artifact")
-    p.add_argument("--artifact", required=True, choices=tuple(_ARTIFACTS))
-    common(p)
+    p.add_argument("--artifact", required=True, choices=("example", *_TABLES))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(run=_cmd_reproduce)
 
     p = sub.add_parser("harness", help="run a sampled property suite")
     p.add_argument("--suite", required=True, choices=hrn.SUITES)
     p.add_argument("--samples", type=int, default=100)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
     p.set_defaults(run=_cmd_harness)
     return parser
 

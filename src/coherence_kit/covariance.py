@@ -118,15 +118,22 @@ def n_covariant_spec(rho: DensityMatrix, sigma: DensityMatrix) -> NCovariantSpec
     Takes the ratio matrix itself as the Gram matrix of the diagonal
     operators, and routes the leftover population flow with a greedy
     transportation plan. Feasible exactly when the ratio matrix is PSD
-    (lambda_min >= -PSD_TOL).
+    (lambda_min >= -PSD_TOL); otherwise the violation's ``certificate`` is the
+    unit eigenvector v of lambda_min as [[re, im], ...], with v^H Q v = lhs < 0.
     """
     d = rho.dim
     q = n_q_matrix(rho, sigma).q
-    lam_min = float(eig_hermitian(q).eigenvalues[0])
+    dec = eig_hermitian(q)
+    lam_min = float(dec.eigenvalues[0])
     if lam_min < -PSD_TOL:
         raise InfeasibleTransformError(
             "ratio matrix is not PSD: transformation infeasible",
-            {"monotone": "ratio_matrix_psd", "lhs": lam_min, "rhs": 0.0},
+            {
+                "monotone": "ratio_matrix_psd",
+                "lhs": lam_min,
+                "rhs": 0.0,
+                "certificate": [[float(z.real), float(z.imag)] for z in dec.eigenvectors[:, 0]],
+            },
         )
 
     rho_d = np.diag(rho.mat).real

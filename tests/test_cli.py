@@ -1,11 +1,15 @@
+import argparse
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from coherence_kit import channels as ch
 from coherence_kit import monotones as mo
+from coherence_kit import cli
 from coherence_kit.cli import main
 from coherence_kit.harness import run_suite
 from coherence_kit.states import DensityMatrix, PureStateVector
@@ -124,6 +128,11 @@ class TestMonotones:
         lines = out.strip().splitlines()
         assert lines[0] == "measure,value,method"
         assert lines[1].startswith("c_rel,1,")
+
+    @pytest.mark.parametrize("measure", ["c_alpha", "c_delta_alpha", "c_q_alpha"])
+    def test_measure_without_its_parameter_is_usage_error(self, files, capsys, measure):
+        assert main(["monotones", files["plus"], "--measures", measure]) == 4
+        assert f"measure {measure} needs a parameter" in capsys.readouterr().err
 
     def test_matches_direct_library_call(self, files, capsys):
         code, out = run_cli(capsys, ["monotones", files["mixed_qubit"]])
@@ -261,6 +270,23 @@ class TestReproduce:
             assert row["c_r_solver"] == pytest.approx(row["c_r_closed"], abs=1e-8)
             assert row["c_delta_r_eigen"] == pytest.approx(row["c_delta_r_closed"], abs=1e-8)
 
+    @pytest.mark.parametrize("artifact", ["fig1", "cp-threshold", "qubit-formulas"])
+    def test_json_and_csv_carry_the_same_table(self, capsys, artifact):
+        _, as_json = run_cli(capsys, ["reproduce", "--artifact", artifact])
+        _, as_csv = run_cli(capsys, ["reproduce", "--artifact", artifact, "--format", "csv"])
+        header, *lines = as_csv.strip().splitlines()
+        header = header.split(",")
+        rows = json.loads(as_json)
+        assert len(rows) == len(lines)
+        for row, line in zip(rows, lines):
+            assert sorted(row) == sorted(header)
+            for key, cell in zip(header, line.split(",")):
+                assert float(cell) == pytest.approx(row[key], rel=1e-8, abs=1e-12)
+
+    def test_example_has_no_csv_form(self, capsys):
+        assert main(["reproduce", "--artifact", "example", "--format", "csv"]) == 4
+        assert "no CSV form" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, files, capsys):
         _, first = run_cli(capsys, ["reproduce", "--artifact", "qubit-formulas", "--seed", "5"])
         _, second = run_cli(capsys, ["reproduce", "--artifact", "qubit-formulas", "--seed", "5"])
@@ -289,3 +315,50 @@ class TestHarnessCommand:
     def test_repeat_runs_are_identical(self):
         first = run_suite("roundtrips", 8, seed=9)
         assert run_suite("roundtrips", 8, seed=9) == first
+
+
+# each subcommand's required arguments; "example" and "plus" name fixture files
+REQUIRED = {
+    "classify": ["example"],
+    "monotones": ["plus"],
+    "transform": ["plus", "plus", "--class", "sio"],
+    "reproduce": ["--artifact", "cp-threshold"],
+    "harness": ["--suite", "roundtrips", "--samples", "1"],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("classify", "--seed"),
+            ("classify", "--format"),
+            ("monotones", "--seed"),
+            ("monotones", "--tol"),
+            ("transform", "--seed"),
+            ("transform", "--tol"),
+            ("transform", "--format"),
+            ("reproduce", "--tol"),
+            ("harness", "--tol"),
+            ("harness", "--format"),
+        ],
+    )
+    def test_unread_option_is_usage_error(self, files, capsys, command, option):
+        value = {"--seed": "1", "--tol": "1e-3", "--format": "json"}[option]
+        argv = [command, *(files.get(a, a) for a in REQUIRED[command]), option, value]
+        assert main(argv) == 4
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+    def test_every_option_is_read_by_its_handler(self):
+        # --out and --format are read by _emit, which every handler calls
+        parser = cli._build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        unread = []
+        for name, sub in subparsers.choices.items():
+            source = inspect.getsource(sub.get_default("run"))
+            for action in sub._actions:
+                if isinstance(action, argparse._HelpAction) or action.dest in ("out", "format"):
+                    continue
+                if not re.search(rf"\bargs\.{action.dest}\b", source):
+                    unread.append((name, action.dest))
+        assert unread == []

@@ -93,6 +93,28 @@ class TestFeasibility:
         q = cov.n_q_matrix(rho, sigma).q
         assert np.allclose(sorted(np.linalg.eigvalsh(q)), [-0.125, 2.125])
 
+    def test_violation_certificate_is_a_negative_direction_of_q(self):
+        # Q = [[1, c], [c, 1]] has lambda_min = 1 - c, here 0.5e-12 past -PSD_TOL
+        c = 0.25 * (1.0 + cov.PSD_TOL + 0.5e-12)
+        pairs = [
+            (DensityMatrix([[0.5, 0.4], [0.4, 0.5]]), DensityMatrix([[0.5, 0.45], [0.45, 0.5]])),
+            (DensityMatrix([[0.5, 0.25], [0.25, 0.5]]), DensityMatrix([[0.5, c], [c, 0.5]])),
+        ]
+        for t in range(30):
+            d = 2 + t % 5
+            pairs.append((dense_state(d, 800 + t), random_density(d, 900 + t)))
+        infeasible = 0
+        for rho, sigma in pairs:
+            dec = cov.n_feasible(rho, sigma)
+            if dec.verdict:
+                continue
+            infeasible += 1
+            v = np.array([complex(re, im) for re, im in dec.violation["certificate"]])
+            quad = float(np.real(v.conj() @ cov.n_q_matrix(rho, sigma).q @ v))
+            assert abs(quad - dec.violation["lhs"]) <= 1e-12
+            assert quad < -1e-9
+        assert infeasible >= 20
+
     def test_feasible_pairs_yield_verified_witnesses(self):
         for trial in range(30):
             d = 3
