@@ -137,35 +137,36 @@ _DEFAULT_MEASURES = (
 )
 
 
-def _c_q_alpha(state, params) -> mo.MonotoneReport:
+def _c_q_alpha(state, rho, params) -> mo.MonotoneReport:
     if not isinstance(state, PureStateVector):
         raise UsageError("c_q_alpha needs a pure-state input")
     return mo.c_q_alpha_pure(state, float(params[0]))
 
 
-# measure name -> report from the state and the ":"-separated parameters after
-# the name; parameters past the ones a measure reads are ignored
+# measure name -> report from the loaded state, its density matrix (built once
+# per call, so the panel shares one cached spectrum) and the ":"-separated
+# parameters after the name; parameters past the ones a measure reads are ignored
 _MEASURES = {
-    "c_rel": lambda state, p: mo.c_rel(_as_density(state)),
-    "c_l1": lambda state, p: mo.c_l1(_as_density(state)),
-    "c_r": lambda state, p: mo.c_r(_as_density(state)),
-    "c_delta_r": lambda state, p: mo.c_delta_r(_as_density(state)),
-    "r_d": lambda state, p: mo.log_robustness_dephasing(_as_density(state)),
-    "trace_norm": lambda state, p: mo.trace_norm_coherence(_as_density(state)),
-    "c_alpha": lambda state, p: mo.c_alpha(_as_density(state), float(p[0])),
-    "c_delta_alpha": lambda state, p: mo.c_delta_alpha(_as_density(state), float(p[0]), *p[1:2]),
+    "c_rel": lambda state, rho, p: mo.c_rel(rho),
+    "c_l1": lambda state, rho, p: mo.c_l1(rho),
+    "c_r": lambda state, rho, p: mo.c_r(rho),
+    "c_delta_r": lambda state, rho, p: mo.c_delta_r(rho),
+    "r_d": lambda state, rho, p: mo.log_robustness_dephasing(rho),
+    "trace_norm": lambda state, rho, p: mo.trace_norm_coherence(rho),
+    "c_alpha": lambda state, rho, p: mo.c_alpha(rho, float(p[0])),
+    "c_delta_alpha": lambda state, rho, p: mo.c_delta_alpha(rho, float(p[0]), *p[1:2]),
     "c_q_alpha": _c_q_alpha,
 }
 _TAKES_ALPHA = ("c_alpha", "c_delta_alpha", "c_q_alpha")
 
 
-def _measure_report(token: str, state) -> mo.MonotoneReport:
+def _measure_report(token: str, state, rho: DensityMatrix) -> mo.MonotoneReport:
     name, *params = token.split(":")
     if name not in _MEASURES:
         raise UsageError(f"unknown measure {token!r}")
     if name in _TAKES_ALPHA and not params:
         raise UsageError(f"measure {name} needs a parameter, as in {name}:2")
-    return _MEASURES[name](state, params)
+    return _MEASURES[name](state, rho, params)
 
 
 def _cmd_monotones(args) -> int:
@@ -175,7 +176,8 @@ def _cmd_monotones(args) -> int:
         if args.measures == "all"
         else [t.strip() for t in args.measures.split(",") if t.strip()]
     )
-    reports = [_measure_report(token, state) for token in tokens]
+    rho = _as_density(state)
+    reports = [_measure_report(token, state, rho) for token in tokens]
     payload = [r.to_json_dict() for r in reports]
     rows = [(r.name, r.value, r.method) for r in reports]
     _emit(args, payload, rows, ["measure", "value", "method"])

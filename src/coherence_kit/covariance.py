@@ -10,12 +10,12 @@ masked reduction (``is_n_covariant``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import KrausChannel
-from .numerics import eig_hermitian
+from .numerics import EigenDecomposition, eig_hermitian
 from .states import DensityMatrix
 from .transforms import InfeasibleTransformError, TransformDecision, _decide, _verify_witness
 
@@ -34,16 +34,21 @@ class NCovariantSpec:
     """Gram matrix H of diagonal-operator columns plus a column-stochastic R.
 
     R's diagonal equals H's; off-diagonal entries of R are the squared hop
-    amplitudes.
+    amplitudes. ``spectrum`` is the eigendecomposition of H that checked it
+    PSD, kept for the factorization in ``channel_from_n_spec``; it takes no
+    part in equality or the repr.
     """
 
     h: np.ndarray
     r: np.ndarray
+    spectrum: EigenDecomposition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         h, r = np.asarray(self.h), np.asarray(self.r)
-        if eig_hermitian(h).eigenvalues[0] < -PSD_TOL:
+        dec = eig_hermitian(h)
+        if dec.eigenvalues[0] < -PSD_TOL:
             raise ValueError("Gram matrix must be PSD")
+        object.__setattr__(self, "spectrum", dec)
         if np.min(r) < -1e-12 or np.max(np.abs(r.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("transfer matrix must be column stochastic")
         if np.max(np.abs(np.diag(r) - np.diag(h).real)) > 1e-10:
@@ -158,7 +163,7 @@ def n_covariant_spec(rho: DensityMatrix, sigma: DensityMatrix) -> NCovariantSpec
 def channel_from_n_spec(spec: NCovariantSpec) -> KrausChannel:
     """Kraus operators (diagonals plus hops) realizing a Gram/transfer pair."""
     d = spec.h.shape[0]
-    dec = eig_hermitian(spec.h)
+    dec = spec.spectrum
     vals = np.clip(dec.eigenvalues, 0.0, None)
     # F[k, x] = sqrt(lam_k) V[x, k] makes sum_k F[k,x] conj(F[k,z]) = H[x,z]
     factor = (np.sqrt(vals)[:, None]) * dec.eigenvectors.T

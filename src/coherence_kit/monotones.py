@@ -5,9 +5,11 @@ carrying the value, the evaluation method, an optional witness (an optimal
 diagonal majorant, an optimal ratio vector, or similar) and, for the C_R
 solver, the certified dual bound.
 
-The spectral measures read the eigendecomposition cached on the state
-(``DensityMatrix.spectrum``) instead of factorizing it again, and raise the
-dephased state to a power elementwise on its diagonal.
+The spectral measures read the eigendecomposition rho = V diag(lambda) V^H
+cached on the state (``DensityMatrix.spectrum``) instead of factorizing it
+again. Each is a trace against a diagonal state, so it needs only the diagonal
+of a function of rho, diag f(rho) = |V|^2 f(lambda) (``_diag_of``); no d x d
+power of rho is formed. The dephased state is raised to a power elementwise.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import eig_hermitian, psd_power_values, spectral_power, trace_norm
+from .numerics import eig_hermitian, psd_power_values, trace_norm
 from .states import DensityMatrix, PureStateVector, SchmidtVector
-
-_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,16 @@ def renyi(p, alpha: float) -> float:
     return float(np.log2(np.sum(vec**alpha)) / (1.0 - alpha))
 
 
+def _diag_of(rho: DensityMatrix, values: np.ndarray) -> np.ndarray:
+    """Diagonal of V diag(values) V^H for the cached spectrum rho = V diag(lambda) V^H."""
+    vecs = rho.spectrum.eigenvectors
+    return (vecs.real**2 + vecs.imag**2) @ values
+
+
 def c_rel(rho: DensityMatrix) -> MonotoneReport:
     """Relative entropy of coherence S(dephased) - S(rho)."""
-    diag = np.diag(rho.mat).real
-    diag = diag[diag > 1e-15]
-    s_deph = float(-np.sum(diag * np.log2(diag)))
-    vals = rho.spectrum.eigenvalues
-    vals = vals[vals > 1e-15]
-    s_rho = float(-np.sum(vals * np.log2(vals)))
-    return MonotoneReport("c_rel", s_deph - s_rho, "closed_form")
+    value = renyi(np.diag(rho.mat).real, 1.0) - renyi(rho.spectrum.eigenvalues, 1.0)
+    return MonotoneReport("c_rel", value, "closed_form")
 
 
 def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
@@ -94,12 +95,10 @@ def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
     name = f"c_alpha[{alpha:g}]"
     if alpha == 1.0:
         return MonotoneReport(name, c_rel(rho).value, "closed_form")
+    powers = psd_power_values(rho.spectrum.eigenvalues, alpha)
+    diag = np.clip(_diag_of(rho, powers), 0.0, None)
     if alpha == 0.0:
-        proj = spectral_power(rho.spectrum, 0.0)
-        top = float(np.max(np.diag(proj).real))
-        return MonotoneReport(name, -math.log2(top), "closed_form")
-    powered = spectral_power(rho.spectrum, alpha)
-    diag = np.clip(np.diag(powered).real, 0.0, None)
+        return MonotoneReport(name, -math.log2(float(np.max(diag))), "closed_form")
     total = float(np.sum(diag ** (1.0 / alpha)))
     value = (alpha / (alpha - 1.0)) * math.log2(total)
     return MonotoneReport(name, value, "closed_form")
@@ -129,43 +128,27 @@ def c_delta_alpha(rho: DensityMatrix, alpha: float, side: str = "right") -> Mono
 
     right: (1/(alpha-1)) log2 Tr[rho^alpha (dephased)^{1-alpha}]
     left:  same with the arguments swapped. At alpha = 1 these become the
-    corresponding relative entropies; the left variant is +inf when rho is
-    rank deficient (support of the dephased state exceeds support of rho).
+    corresponding relative entropies. For alpha >= 1 the left variant is +inf
+    when the support of the dephased state exceeds the rank of rho. Both sides
+    are diag(rho^a) . dephased^b with (a, b) = (alpha, 1-alpha) on the right
+    and (1-alpha, alpha) on the left.
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError("alpha must lie in [0, 2]")
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     name = f"c_delta_alpha[{alpha:g},{side}]"
-    diag = np.diag(rho.mat)
+    if alpha == 1.0 and side == "right":
+        return MonotoneReport(name, c_rel(rho).value, "closed_form")
+    delta = np.diag(rho.mat).real
+    vals = rho.spectrum.eigenvalues
+    if side == "left" and alpha >= 1.0 and np.sum(delta > 1e-12) > np.sum(vals > 1e-12):
+        return MonotoneReport(name, math.inf, "closed_form")
     if alpha == 1.0:
-        if side == "right":
-            return MonotoneReport(name, c_rel(rho).value, "closed_form")
-        dec = rho.spectrum
-        rank = int(np.sum(dec.eigenvalues > 1e-12))
-        if int(np.sum(diag.real > 1e-12)) > rank:
-            return MonotoneReport(name, math.inf, "closed_form")
-        log_rho = (
-            dec.eigenvectors * np.log2(np.clip(dec.eigenvalues, 1e-300, None))
-        ) @ dec.eigenvectors.conj().T
-        diag_p = np.clip(diag.real, 0.0, None)
-        mask = diag_p > 1e-15
-        value = float(
-            np.sum(diag_p[mask] * np.log2(diag_p[mask]))
-            - np.trace(np.diag(diag) @ log_rho).real
-        )
-        return MonotoneReport(name, value, "closed_form")
-    if alpha > 1.0 and side == "left":
-        rank = int(np.sum(rho.spectrum.eigenvalues > 1e-12))
-        if int(np.sum(np.abs(diag) > 1e-12)) > rank:
-            return MonotoneReport(name, math.inf, "closed_form")
-    if side == "right":
-        a_pow = spectral_power(rho.spectrum, alpha)
-        b_pow = np.diag(psd_power_values(diag.real, 1.0 - alpha))
-    else:
-        a_pow = np.diag(psd_power_values(diag.real, alpha))
-        b_pow = spectral_power(rho.spectrum, 1.0 - alpha)
-    val = np.trace(a_pow @ b_pow).real
+        log_rho = _diag_of(rho, np.log2(np.clip(vals, 1e-300, None)))
+        return MonotoneReport(name, -renyi(delta, 1.0) - float(delta @ log_rho), "closed_form")
+    a, b = (alpha, 1.0 - alpha) if side == "right" else (1.0 - alpha, alpha)
+    val = float(_diag_of(rho, psd_power_values(vals, a)) @ psd_power_values(delta, b))
     value = math.log2(max(val, 1e-300)) / (alpha - 1.0)
     return MonotoneReport(name, value, "closed_form")
 
@@ -213,9 +196,7 @@ def _c_r_barrier(rho: DensityMatrix):
     """
     mat = rho.mat
     n = rho.dim
-    # eigvalsh, not rho.spectrum: its lambda_max can differ in the last bit,
-    # which would move the certified value in about the 15th digit.
-    d_vec = np.full(n, float(np.linalg.eigvalsh(mat)[-1]) + 1.0 / n)
+    d_vec = np.full(n, float(rho.spectrum.eigenvalues[-1]) + 1.0 / n)
     t = float(np.mean(np.linalg.inv(np.diag(d_vec) - mat).diagonal().real))
     log_det = _log_det_barrier(np.diag(d_vec) - mat)
     for _ in range(40):

@@ -81,20 +81,12 @@ def psd_power_values(vals, alpha: float) -> np.ndarray:
     return np.where(vals < 1e-12, 0.0, np.power(np.where(vals < 1e-12, 1.0, vals), alpha))
 
 
-def spectral_power(dec: EigenDecomposition, alpha: float) -> np.ndarray:
-    """M^alpha from an eigendecomposition of the PSD matrix M (see psd_power_values)."""
+def mat_power_psd(mat, alpha: float) -> np.ndarray:
+    """Support-restricted power M^alpha of a PSD matrix (see psd_power_values)."""
+    dec = eig_hermitian(mat)
     powered = psd_power_values(dec.eigenvalues, alpha)
     out = (dec.eigenvectors * powered) @ dec.eigenvectors.conj().T
     return (out + out.conj().T) / 2.0
-
-
-def mat_power_psd(mat, alpha: float) -> np.ndarray:
-    """Support-restricted power M^alpha of a PSD matrix.
-
-    Factorizes ``mat`` and applies ``spectral_power``; callers holding a
-    decomposition already (``DensityMatrix.spectrum``) call that directly.
-    """
-    return spectral_power(eig_hermitian(mat), alpha)
 
 
 def trace_norm(mat) -> float:

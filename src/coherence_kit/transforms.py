@@ -98,9 +98,9 @@ def majorizes(target: SchmidtVector, source: SchmidtVector) -> MajorizationCheck
     t, s = _padded_desc(target.probs, source.probs)
     src_sums = np.cumsum(s)
     tgt_sums = np.cumsum(t)
-    for k in range(t.size):
-        if src_sums[k] > tgt_sums[k] + 1e-12:
-            return MajorizationCheck(False, failing_k=k + 1)
+    violated = np.flatnonzero(src_sums > tgt_sums + 1e-12)
+    if violated.size:
+        return MajorizationCheck(False, failing_k=int(violated[0]) + 1)
     return MajorizationCheck(True)
 
 
@@ -258,10 +258,8 @@ def max_conversion_probability(psi: PureStateVector, phi: PureStateVector) -> fl
     s, t = _padded_desc(psi.probs, phi.probs)
     src_tail = np.cumsum(s[::-1])[::-1]
     tgt_tail = np.cumsum(t[::-1])[::-1]
-    best = 1.0
-    for k in range(s.size):
-        if tgt_tail[k] > 1e-15:
-            best = min(best, src_tail[k] / tgt_tail[k])
+    kept = tgt_tail > 1e-15
+    best = np.min(src_tail / np.where(kept, tgt_tail, 1.0), where=kept, initial=1.0)
     return float(max(best, 0.0))
 
 

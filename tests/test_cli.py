@@ -12,7 +12,7 @@ from coherence_kit import monotones as mo
 from coherence_kit import cli
 from coherence_kit.cli import main
 from coherence_kit.harness import run_suite
-from coherence_kit.states import DensityMatrix, PureStateVector
+from coherence_kit.states import DensityMatrix, PureStateVector, random_pure
 
 
 @pytest.fixture()
@@ -133,6 +133,22 @@ class TestMonotones:
     def test_measure_without_its_parameter_is_usage_error(self, files, capsys, measure):
         assert main(["monotones", files["plus"], "--measures", measure]) == 4
         assert f"measure {measure} needs a parameter" in capsys.readouterr().err
+
+    def test_pure_state_is_converted_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "pure16.json"
+        path.write_text(json.dumps(random_pure(16, 3).to_json_dict()))
+        built = []
+        init = DensityMatrix.__init__
+
+        def counted(self, mat):
+            built.append(mat)
+            init(self, mat)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", counted)
+        code, out = run_cli(capsys, ["monotones", str(path)])
+        assert code == 0
+        assert len(json.loads(out)) == 8
+        assert len(built) == 1
 
     def test_matches_direct_library_call(self, files, capsys):
         code, out = run_cli(capsys, ["monotones", files["mixed_qubit"]])

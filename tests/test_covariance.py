@@ -5,6 +5,7 @@ import pytest
 
 from coherence_kit import channels as ch
 from coherence_kit import covariance as cov
+from coherence_kit import numerics, states
 from coherence_kit.numerics import eig_hermitian, is_psd
 from coherence_kit.states import DensityMatrix, PureStateVector, dephase, random_density
 
@@ -161,6 +162,25 @@ class TestSpecPair:
         channel = cov.channel_from_n_spec(spec)
         out = ch.apply(channel, rho)
         assert np.max(np.abs(out.mat - sigma.mat)) < 1e-8
+
+    def test_gram_matrix_is_factorized_once(self, monkeypatch):
+        rho = random_density(3, 1)
+        sigma = ch.apply(cov.random_n_covariant_channel(3, np.random.default_rng(2)), rho)
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return eig_hermitian(m)
+
+        for module in (numerics, states, ch, cov):
+            monkeypatch.setattr(module, "eig_hermitian", counted)
+        assert cov.n_feasible(rho, sigma).verdict
+        # lambda_min of Q in n_covariant_spec, the spec's PSD check (whose
+        # factorization channel_from_n_spec reuses), and the output state
+        assert len(calls) == 3
+        calls.clear()
+        cov.random_n_covariant_channel(3, np.random.default_rng(2))
+        assert len(calls) == 1
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):

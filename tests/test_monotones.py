@@ -497,11 +497,20 @@ def _rank3_zero_diagonal_state():
     return DensityMatrix(m / np.trace(m).real)
 
 
-class TestCachedSpectrum:
-    """The Renyi panel read from rho.spectrum equals, bit for bit, the panel
-    computed by factorizing the full matrices (rho and its dephased state)."""
+def _same_panel_value(value, reference):
+    """Infinities match exactly; finite values to 1e-13, since the diagonal
+    |V|^2 f(lambda) rounds differently from the full matrix power."""
+    if math.isinf(reference):
+        return value == reference
+    return value == pytest.approx(reference, rel=0, abs=1e-13)
 
-    def test_panel_is_bit_identical_to_full_matrix_powers(self):
+
+class TestCachedSpectrum:
+    """The Renyi panel read as diagonals of the cached rho.spectrum matches the
+    panel computed from full matrix powers of rho and its dephased state; c_rel
+    matches bit for bit."""
+
+    def test_panel_matches_full_matrix_powers(self):
         rhos = [random_density(d, 70 + d) for d in (2, 3, 5, 8, 16, 64)]
         rhos += [random_pure(5, 8).to_density(), _rank3_zero_diagonal_state()]
         assert np.linalg.matrix_rank(rhos[-1].mat) == 3
@@ -509,10 +518,11 @@ class TestCachedSpectrum:
         for rho in rhos:
             assert mo.c_rel(rho).value == _full_matrix_c_rel(rho)
             for alpha in harness.ALPHA_GRID:
-                assert mo.c_alpha(rho, alpha).value == _full_matrix_c_alpha(rho, alpha)
+                value = mo.c_alpha(rho, alpha).value
+                assert _same_panel_value(value, _full_matrix_c_alpha(rho, alpha))
                 for side in ("right", "left"):
                     value = mo.c_delta_alpha(rho, alpha, side).value
-                    assert value == _full_matrix_c_delta_alpha(rho, alpha, side)
+                    assert _same_panel_value(value, _full_matrix_c_delta_alpha(rho, alpha, side))
                     infinite += math.isinf(value)
         assert infinite > 0
 
