@@ -238,7 +238,13 @@ def is_sio_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
     """
     if ch.din != ch.dout:
         raise ValueError("SIO representation test needs a square channel")
-    big = np.abs(ch._stack) > tol
+    return _single_entried(ch._stack, tol)
+
+
+def _single_entried(stack: np.ndarray, tol: float) -> bool:
+    """True iff every operator of the stack has at most one entry above tol
+    in each row and in each column."""
+    big = np.abs(stack) > tol
     return bool(np.all(big.sum(axis=1) <= 1) and np.all(big.sum(axis=2) <= 1))
 
 

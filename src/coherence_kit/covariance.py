@@ -44,8 +44,19 @@ class NCovariantSpec:
     spectrum: EigenDecomposition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self._validate(eig_hermitian(self.h))
+
+    @classmethod
+    def _from_factorized(cls, h: np.ndarray, r: np.ndarray, dec: EigenDecomposition):
+        """The spec for an H the caller has just factorized into ``dec``."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "h", h)
+        object.__setattr__(spec, "r", r)
+        spec._validate(dec)
+        return spec
+
+    def _validate(self, dec: EigenDecomposition):
         h, r = np.asarray(self.h), np.asarray(self.r)
-        dec = eig_hermitian(h)
         if dec.eigenvalues[0] < -PSD_TOL:
             raise ValueError("Gram matrix must be PSD")
         object.__setattr__(self, "spectrum", dec)
@@ -157,7 +168,7 @@ def n_covariant_spec(rho: DensityMatrix, sigma: DensityMatrix) -> NCovariantSpec
             r_mat[x_col, x_col] = ratio
             for ii, x_row in enumerate(up):
                 r_mat[x_row, x_col] = c[ii, jj] * (1.0 - ratio)
-    return NCovariantSpec(h=q, r=r_mat)
+    return NCovariantSpec._from_factorized(q, r_mat, dec)
 
 
 def channel_from_n_spec(spec: NCovariantSpec) -> KrausChannel:

@@ -2,8 +2,10 @@
 
 All values are in bits (log base 2). Each measure returns a MonotoneReport
 carrying the value, the evaluation method, an optional witness (an optimal
-diagonal majorant, an optimal ratio vector, or similar) and, for the C_R
-solver, the certified dual bound.
+diagonal majorant, an optimal ratio vector, or similar) and, for the two
+optimizations, the certified dual bound. C_R and the trace distance to the
+incoherent states are both solved by ``numerics.log_det_barrier``; each passes
+its own slack, Newton system and dual repair.
 
 The spectral measures read the eigendecomposition rho = V diag(lambda) V^H
 cached on the state (``DensityMatrix.spectrum``) instead of factorizing it
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import eig_hermitian, psd_power_values, trace_norm
+from .numerics import eig_hermitian, log_det_barrier, psd_power_values, trace_norm
 from .states import DensityMatrix, PureStateVector, SchmidtVector
 
 
@@ -27,7 +29,7 @@ from .states import DensityMatrix, PureStateVector, SchmidtVector
 class MonotoneReport:
     name: str
     value: float
-    method: str  # closed_form | barrier (certified C_R solver) | eigenvalue | coordinate_descent
+    method: str  # closed_form | eigenvalue | barrier (log-det barrier kernel, with a bound)
     witness: object = None
     bound: float | None = None  # certified lower bound on value; None when exact
 
@@ -173,60 +175,38 @@ def _is_real_nonneg(rho: DensityMatrix) -> bool:
 C_R_GAP = 1e-9
 
 
-def _log_det_barrier(s: np.ndarray) -> float:
-    """-log det S, or +inf when S is not positive definite."""
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return math.inf
-    return -2.0 * float(np.sum(np.log(chol.diagonal().real)))
-
-
 def _c_r_barrier(rho: DensityMatrix):
-    """min{ 1.d : Diag(d) >= rho } by damped Newton on t 1.d - log det S.
+    """min{ 1.d : Diag(d) >= rho } on the log-det barrier kernel.
 
     S = Diag(d) - rho stays positive definite, so every iterate d is primal
     feasible. Y = S^-1 rescaled to unit diagonal is a correlation matrix, so
     Tr(rho Y) is a dual lower bound (Napoli et al., PRL 116, 150502); the
     solver stops once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1,
-    Hessian |S^-1|^2 entrywise; each step starts at the self-concordant damped
-    length 1/(1 + lambda), which keeps S positive definite, and backtracks.
-    The -log det S of an accepted trial is carried into the next step.
-    Returns (1.d - 1, d, Tr(rho Y) - 1).
+    Hessian |S^-1|^2 entrywise. Returns (1.d - 1, d, Tr(rho Y) - 1). Raises
+    ArithmeticError when the kernel stops above C_R_GAP: S^-1 turned singular,
+    a round of t took Newton steps without lowering the gap, or 40 rounds ran.
     """
     mat = rho.mat
     n = rho.dim
     d_vec = np.full(n, float(rho.spectrum.eigenvalues[-1]) + 1.0 / n)
     t = float(np.mean(np.linalg.inv(np.diag(d_vec) - mat).diagonal().real))
-    log_det = _log_det_barrier(np.diag(d_vec) - mat)
-    for _ in range(40):
-        for _ in range(60):
-            s = np.diag(d_vec) - mat
-            s_inv = np.linalg.inv(s)
-            diag = s_inv.diagonal().real
-            scale = 1.0 / np.sqrt(diag)
-            dual = float(np.vdot(s_inv * np.outer(scale, scale), mat).real)
-            if np.sum(d_vec) - dual <= C_R_GAP:
-                return float(np.sum(d_vec) - 1.0), d_vec, dual - 1.0
-            grad = t - diag
-            step = -np.linalg.solve(np.abs(s_inv) ** 2, grad)
-            decrement = float(-grad @ step)
-            if decrement <= 1e-8:
-                break
-            base = t * np.sum(d_vec) + log_det
-            alpha = 1.0 / (1.0 + math.sqrt(decrement))
-            while alpha > 1e-12:
-                trial = d_vec + alpha * step
-                trial_log_det = _log_det_barrier(np.diag(trial) - mat)
-                value = t * np.sum(trial) + trial_log_det
-                if value <= base - 0.25 * alpha * decrement:
-                    break
-                alpha *= 0.5
-            else:
-                break
-            d_vec, log_det = trial, trial_log_det
-        t *= 8.0
-    raise ArithmeticError("barrier solver did not close the duality gap")
+
+    def slack(y):
+        return (np.diag(y) - mat,)
+
+    def newton(s_inv, t):
+        (s_inv,) = s_inv
+        return t - s_inv.diagonal().real, np.abs(s_inv) ** 2
+
+    def bound(y, s_inv, t):
+        (s_inv,) = s_inv
+        scale = 1.0 / np.sqrt(s_inv.diagonal().real)
+        return float(np.vdot(s_inv * np.outer(scale, scale), mat).real)
+
+    d_vec, dual = log_det_barrier(d_vec, t, np.ones(n), slack, newton, bound, C_R_GAP)
+    if np.sum(d_vec) - dual > C_R_GAP:
+        raise ArithmeticError("barrier solver did not close the duality gap")
+    return float(np.sum(d_vec) - 1.0), d_vec, dual - 1.0
 
 
 def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
@@ -282,8 +262,107 @@ def log_robustness_dephasing(rho: DensityMatrix) -> MonotoneReport:
     return MonotoneReport("r_d", math.log2(1.0 + base.value), "eigenvalue", witness=base.witness)
 
 
-def _trace_distance_to_diag(rho: DensityMatrix, q: np.ndarray) -> float:
-    return trace_norm(rho.mat - np.diag(q.astype(complex)))
+TRACE_DISTANCE_GAP = 1e-6
+
+
+def _incoherent_bound(rho: DensityMatrix, h: np.ndarray, shape):
+    """(Tr(rho W) - max_i W_ii, eigenvalues of h) for W = shape(h) on the
+    eigenvalues of Hermitian h.
+
+    For any ||W|| <= 1 the first entry is a lower bound on ||rho - sigma||_1
+    over every incoherent state sigma (Rana, Parashar & Lewenstein, PRA 93,
+    012110). With shape = sign, W attains ||h||_1 = sum |eigenvalues|.
+    """
+    vals, vecs = np.linalg.eigh(h)
+    w = (vecs * shape(vals)) @ vecs.conj().T
+    return float(np.vdot(w, rho.mat).real) - float(np.max(w.diagonal().real)), vals
+
+
+def _hermitian_basis(d: int):
+    """An orthonormal basis of d x d Hermitian matrices in index form,
+    B_k = c_k E(p_k, q_k) + conj(c_k) E(q_k, p_k): the d diagonal units
+    (c = 1/2, p = q) first, then the real (c = 1/sqrt2) and the imaginary
+    (c = i/sqrt2) pair of every entry i < j. Returns (p, q, c)."""
+    i, j = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    p = np.concatenate([diag, i, i])
+    q = np.concatenate([diag, j, j])
+    half = 1.0 / math.sqrt(2.0)
+    c = np.concatenate([np.full(d, 0.5), np.full(i.size, half), np.full(i.size, 1j * half)])
+    return p, q, c
+
+
+def _basis_gram(a: np.ndarray, p, q, c) -> np.ndarray:
+    """Tr(A B_k A B_l) for Hermitian A over the basis (p, q, c): the Hessian of
+    -log det S at S^-1 = A. Each B_k has two entries, so the four terms of the
+    trace are gathers of A; those pairing both second entries conjugate those
+    pairing both first ones, which leaves twice the real part of two."""
+    same = a[q[:, None], p]
+    same *= a[q, p[:, None]]
+    same *= c[:, None]
+    same *= c
+    cross = a[q[:, None], q]
+    cross *= a[p, p[:, None]]
+    cross *= c[:, None]
+    cross *= c.conj()
+    same += cross
+    return 2.0 * same.real
+
+
+def _incoherent_trace_distance(rho: DensityMatrix):
+    """min_q ||rho - Diag q||_1 over the simplex, on the log-det barrier kernel.
+
+    Solves min 2 Tr P s.t. P >= 0, P - rho + Diag q >= 0, Diag q >= 0 with
+    q = 1/d + E u, E an orthonormal basis of the vectors summing to zero, and
+    P in an orthonormal Hermitian basis, whose Hessian blocks are gathered
+    from the entries of S^-1 (``_basis_gram``). A Newton step solves a dense
+    system of order d^2 + d - 1, so it costs O(d^6) time and O(d^4) memory.
+    The dual point is the larger bound of two contractions: W = (Z2 - Z1)/2
+    from Z = S^-1/t with its eigenvalues clipped to [-1, 1], and
+    W = sign(rho - Diag q). Returns (||rho - Diag q||_1, bound, q) with q
+    clipped to q >= 0 and renormalized.
+    """
+    mat = rho.mat
+    d = rho.dim
+    p, q, c = _hermitian_basis(d)
+    e = np.linalg.svd(np.ones((1, d)))[2][1:].T
+    n_p = d * d
+    cost = np.zeros(n_p + d - 1)
+    cost[:d] = 2.0
+
+    def split(y):
+        half = np.zeros((d, d), dtype=complex)
+        np.add.at(half, (p, q), c * y[:n_p])
+        return half + half.conj().T, 1.0 / d + e @ y[n_p:]
+
+    def slack(y):
+        p_mat, pops = split(y)
+        return p_mat, p_mat - mat + np.diag(pops), np.diag(pops)
+
+    def newton(s_inv, t):
+        a1, a2, a3 = s_inv
+        g2 = _basis_gram(a2, p, q, c)
+        h_pp = _basis_gram(a1, p, q, c) + g2
+        h_pu = g2[:, :d] @ e
+        h_uu = e.T @ (np.abs(a2) ** 2 + np.abs(a3) ** 2) @ e
+        hess = np.block([[h_pp, h_pu], [h_pu.T, h_uu]])
+        g_p = t * cost[:n_p] - 2.0 * (c * (a1 + a2)[q, p]).real
+        g_u = -e.T @ (a2.diagonal() + a3.diagonal()).real
+        return np.concatenate([g_p, g_u]), hess
+
+    def bound(y, s_inv, t):
+        a1, a2, _ = s_inv
+        clipped, _ = _incoherent_bound(rho, (a2 - a1) / (2.0 * t), lambda v: np.clip(v, -1.0, 1.0))
+        signed, _ = _incoherent_bound(rho, mat - np.diag(split(y)[1]), np.sign)
+        return max(clipped, signed)
+
+    shift = float(np.max(np.abs(rho.spectrum.eigenvalues - 1.0 / d))) + 1.0
+    y = np.zeros(n_p + d - 1)
+    y[:d] = shift
+    y, low = log_det_barrier(y, 1.0, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
+    pops = np.clip(split(y)[1], 0.0, None)
+    pops = pops / pops.sum()
+    return trace_norm(mat - np.diag(pops)), low, pops
 
 
 def monotone_from_divergence(
@@ -294,8 +373,14 @@ def monotone_from_divergence(
     """Distance-based monotone for a supported (divergence, reference set) pair.
 
     dephased_singleton: the exact trace-norm distance to the dephased state.
-    incoherent_set: minimized over diagonal states by pairwise coordinate
-    descent on the diagonal weights (convergence threshold 1e-7).
+    incoherent_set: min over diagonal states sigma of ||rho - sigma||_1. The
+    dephased state is taken in closed form, with bound = value, when
+    W = sign(rho - dephased) certifies it within 1e-12 (every qubit and every
+    incoherent state). Otherwise the log-det barrier kernel solves the
+    semidefinite program; the report's bound is the certified lower bound
+    Tr(rho W) - max_i W_ii, within 1e-6 of the value when the solver closes its
+    gap (it may stall above that from d = 8). The witness is the diagonal q of
+    the nearest incoherent state found.
     """
     if divergence != "trace_distance":
         raise ValueError(f"unsupported divergence {divergence!r}")
@@ -307,49 +392,14 @@ def monotone_from_divergence(
         )
     if reference_set != "incoherent_set":
         raise ValueError(f"unsupported reference set {reference_set!r}")
-    q = np.clip(np.diag(rho.mat).real, 0.0, None)
-    q = q / q.sum()
-    best = _trace_distance_to_diag(rho, q)
-    d_dim = rho.dim
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(200):
-        improved = 0.0
-        for i in range(d_dim):
-            for j in range(i + 1, d_dim):
-                lo, hi = -q[j], q[i]
-                if hi - lo < 1e-14:
-                    continue
-                x1 = hi - golden * (hi - lo)
-                x2 = lo + golden * (hi - lo)
-
-                def shifted(t):
-                    trial = q.copy()
-                    trial[i] -= t
-                    trial[j] += t
-                    return _trace_distance_to_diag(rho, trial)
-
-                f1, f2 = shifted(x1), shifted(x2)
-                for _ in range(60):
-                    if f1 <= f2:
-                        hi, x2, f2 = x2, x1, f1
-                        x1 = hi - golden * (hi - lo)
-                        f1 = shifted(x1)
-                    else:
-                        lo, x1, f1 = x1, x2, f2
-                        x2 = lo + golden * (hi - lo)
-                        f2 = shifted(x2)
-                t_best = (lo + hi) / 2.0
-                val = shifted(t_best)
-                if val < best - 1e-15:
-                    improved += best - val
-                    best = val
-                    q[i] -= t_best
-                    q[j] += t_best
-        if improved < 1e-7:
-            break
-    return MonotoneReport(
-        "div[trace_distance,incoherent_set]", best, "coordinate_descent", witness=q
-    )
+    name = "div[trace_distance,incoherent_set]"
+    q = np.diag(rho.mat).real.copy()
+    low, vals = _incoherent_bound(rho, rho.mat - np.diag(q), np.sign)
+    value = float(np.sum(np.abs(vals)))
+    if value - low <= 1e-12:
+        return MonotoneReport(name, value, "closed_form", witness=q, bound=value)
+    value, low, q = _incoherent_trace_distance(rho)
+    return MonotoneReport(name, value, "barrier", witness=q, bound=low)
 
 
 def distillation_rate_pure(psi: PureStateVector) -> float:

@@ -24,6 +24,7 @@ from .channels import (
     PREDICATE_TOL,
     KrausChannel,
     _phase_permutation_weights,
+    _single_entried,
     apply,
     is_mio,
     is_sio_rep,
@@ -110,14 +111,14 @@ def _verify_witness(channel: KrausChannel, source: DensityMatrix, target: Densit
         raise ArithmeticError(f"witness output misses the target by {dist:.3e}")
 
 
-def _sorting_gauge(psi: PureStateVector) -> tuple:
-    """Incoherent unitary g with (g @ psi) real, nonnegative, descending."""
-    order = np.argsort(-np.abs(psi.amps), kind="stable")
-    d = psi.dim
+def _sorting_gauge(amps: np.ndarray) -> tuple:
+    """Incoherent unitary g with (g @ amps) real, nonnegative, descending."""
+    order = np.argsort(-np.abs(amps), kind="stable")
+    d = amps.size
     perm = np.zeros((d, d), dtype=complex)
     perm[np.arange(d), order] = 1.0
     phases = np.ones(d, dtype=complex)
-    moved = psi.amps[order]
+    moved = amps[order]
     nonzero = np.abs(moved) > 1e-15
     phases[nonzero] = np.exp(-1j * np.angle(moved[nonzero]))
     gauge = np.diag(phases) @ perm
@@ -126,26 +127,28 @@ def _sorting_gauge(psi: PureStateVector) -> tuple:
 
 
 def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChannel:
-    """Strictly incoherent Kraus set mapping psi to phi, with at most d operators.
+    """Strictly incoherent Kraus set mapping psi to phi.
 
     Works in the sorted-amplitude frame: a vertex walk on the permutohedron of
     tau(phi) writes tau(psi) as a convex mix of at most d permutations of
     tau(phi), and each permutation is Hadamarded against the amplitude-ratio
     matrix. Input columns the mix leaves at zero keep an identity block per
     operator so the sum rule closes exactly. Sorting gauges are composed
-    back in. Majorization is tested before the dimensions, so states of
-    different dimension still get a violation when it fails.
+    back in. States of unequal dimension d, d' are zero-padded to the larger
+    one and the square witness is composed with the embedding sum_x |x><x|
+    (d < d', still at most d operators) or with the fold operators
+    sum_{y<d'} |y><y| and |0><y| for y >= d' (d > d'; zero composites are
+    dropped). Majorization is tested first, on the padded vectors.
     """
     check = majorizes(schmidt_vector(phi), schmidt_vector(psi))
     if not check:
         raise InfeasibleTransformError(
             f"majorization fails at k={check.failing_k}", {"failing_k": check.failing_k}
         )
-    if psi.dim != phi.dim:
-        raise ValueError("construction expects equal input and output dimensions")
-    d = psi.dim
-    g_in, amps_in = _sorting_gauge(psi)
-    g_out, amps_out = _sorting_gauge(phi)
+    d_in, d_out = psi.dim, phi.dim
+    d = max(d_in, d_out)
+    g_in, amps_in = _sorting_gauge(np.pad(psi.amps, (0, d - d_in)))
+    g_out, amps_out = _sorting_gauge(np.pad(phi.amps, (0, d - d_out)))
 
     y = amps_out**2
     weights, perms = _permutohedron_walk(amps_in**2, y)
@@ -162,8 +165,16 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     ops += np.diag((~support).astype(float))
     ops *= np.sqrt(weights)[:, None, None]
     ops = g_out.conj().T @ ops @ g_in
+    if d_in < d_out:
+        ops = ops[:, :, :d_in]
+    elif d_in > d_out:
+        fold = np.zeros((1 + d_in - d_out, d_out, d_in))
+        fold[0, :, :d_out] = np.eye(d_out)
+        fold[np.arange(1, fold.shape[0]), 0, np.arange(d_out, d_in)] = 1.0
+        ops = (fold[:, None] @ ops[None]).reshape(-1, d_out, d_in)
+        ops = ops[np.any(ops != 0.0, axis=(1, 2))]
     channel = KrausChannel(ops, atol=WITNESS_TOL)
-    if not is_sio_rep(channel):
+    if not _single_entried(ops, PREDICATE_TOL):
         raise ArithmeticError("constructed operators lost strict incoherence")
     _verify_witness(channel, psi.to_density(), phi.to_density())
     return channel

@@ -175,9 +175,9 @@ class TestSpecPair:
         for module in (numerics, states, ch, cov):
             monkeypatch.setattr(module, "eig_hermitian", counted)
         assert cov.n_feasible(rho, sigma).verdict
-        # lambda_min of Q in n_covariant_spec, the spec's PSD check (whose
-        # factorization channel_from_n_spec reuses), and the output state
-        assert len(calls) == 3
+        # Q once (its lambda_min, the spec's PSD check and the factorization
+        # in channel_from_n_spec all read it), and the output state
+        assert len(calls) == 2
         calls.clear()
         cov.random_n_covariant_channel(3, np.random.default_rng(2))
         assert len(calls) == 1

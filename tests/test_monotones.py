@@ -382,14 +382,54 @@ class TestDivergenceMonotone:
     def test_plus_bounds_and_grid_oracle(self):
         rho = plus_density()
         report = mo.monotone_from_divergence(rho, reference_set="incoherent_set")
-        assert report.method == "coordinate_descent"
-        val = report.value
-        assert 0.5 - 1e-9 <= val <= 1.0 + 1e-9
+        assert report.method == "closed_form"
+        assert report.bound == report.value
+        assert 0.5 - 1e-9 <= report.value <= 1.0 + 1e-9
+        assert report.value == pytest.approx(1.0, abs=1e-12)
         grid_best = min(
             mo.trace_norm(rho.mat - np.diag([q, 1.0 - q]))
             for q in np.linspace(0.0, 1.0, 201)
         )
-        assert val <= grid_best + 1e-6
+        assert report.value <= grid_best + 1e-12
+
+    @staticmethod
+    def check_certified(rho, gap=1e-6):
+        report = mo.monotone_from_divergence(rho, reference_set="incoherent_set")
+        q = np.asarray(report.witness)
+        assert report.method == "barrier"
+        assert report.bound <= report.value <= report.bound + gap
+        assert report.value == mo.trace_norm(rho.mat - np.diag(q))
+        assert np.min(q) >= 0.0 and abs(q.sum() - 1.0) <= 1e-12
+        return report
+
+    @staticmethod
+    def simplex_grid_minimum(rho, steps=120):
+        """min ||rho - Diag q||_1 over the q in the simplex with entries in multiples of 1/steps."""
+        i, j = np.triu_indices(steps + 1)
+        q = np.stack([i, j - i, steps - j], axis=1) / steps
+        diffs = rho.mat[None, :, :] - q[:, :, None] * np.eye(3)[None, :, :]
+        return float(np.min(np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1)))
+
+    def test_qutrits_against_a_simplex_grid(self):
+        for seed in range(40):
+            rho = random_density(3, seed)
+            report = self.check_certified(rho)
+            grid_best = self.simplex_grid_minimum(rho)
+            assert report.value <= grid_best + 1e-6
+            assert report.bound <= grid_best
+
+    def test_gap_closes_at_d5(self):
+        for seed in range(10):
+            self.check_certified(random_density(5, seed))
+
+    def test_d8_reports_a_valid_bound(self):
+        for seed in range(2):
+            self.check_certified(random_density(8, seed), gap=1e-4)
+
+    def test_dephased_state_is_not_optimal_above_qubits(self):
+        rho = random_density(3, 2)
+        report = mo.monotone_from_divergence(rho, reference_set="incoherent_set")
+        assert report.value < mo.trace_norm_coherence(rho).value - 1e-3
 
     def test_unsupported_pair(self):
         with pytest.raises(ValueError):

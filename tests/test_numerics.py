@@ -11,6 +11,7 @@ from coherence_kit.numerics import (
     birkhoff_decompose,
     eig_hermitian,
     is_psd,
+    log_det_barrier,
     mat_power_psd,
     solve_lp,
     trace_norm,
@@ -229,3 +230,81 @@ class TestTraceNorm:
         m = random_hermitian(5, 9)
         expected = np.sum(np.abs(eig_hermitian(m).eigenvalues))
         assert abs(trace_norm(m) - expected) < 1e-9
+
+
+def lambda_max_hooks(a):
+    """min s s.t. s I - A > 0, whose optimum is lambda_max(A); the dual point
+    Z = S^-1 / Tr S^-1 is a density matrix, so Tr(A Z) bounds it from below."""
+    eye = np.eye(a.shape[0])
+
+    def slack(y):
+        return (y[0] * eye - a,)
+
+    def newton(s_inv, t):
+        (z,) = s_inv
+        return np.array([t - np.trace(z).real]), np.array([[np.vdot(z, z).real]])
+
+    def bound(y, s_inv, t):
+        (z,) = s_inv
+        return float(np.vdot(z / np.trace(z).real, a).real)
+
+    return slack, newton, bound
+
+
+class TestLogDetBarrier:
+    def test_lambda_max_is_bracketed(self):
+        for seed in range(12):
+            a = random_hermitian(2 + seed % 5, 40 + seed)
+            start = np.array([np.linalg.norm(a) + 1.0])
+            y, low = log_det_barrier(start, 1.0, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
+            top = np.linalg.eigvalsh(a)[-1]
+            assert low <= top + 1e-12 and top <= y[0] + 1e-12
+            assert y[0] - low <= 1e-9
+
+    def test_singular_newton_system_returns_the_best_pair(self):
+        a = random_hermitian(3, 5)
+        slack, _, bound = lambda_max_hooks(a)
+
+        def singular(s_inv, t):
+            return np.zeros(1), np.zeros((1, 1))
+
+        start = np.array([np.linalg.norm(a) + 1.0])
+        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, singular, bound, gap=1e-9)
+        assert y is start
+        assert low == bound(start, (np.linalg.inv(slack(start)[0]),), 1.0)
+        assert low <= np.linalg.eigvalsh(a)[-1] <= y[0]
+
+    def test_stalled_bound_returns_the_best_pair(self):
+        a = random_hermitian(4, 6)
+        top = np.linalg.eigvalsh(a)[-1]
+        slack, newton, _ = lambda_max_hooks(a)
+        rounds = []
+
+        def first_only(y, s_inv, t):
+            rounds.append(t)
+            return top - 1.0 if len(rounds) == 1 else -np.inf
+
+        start = np.array([np.linalg.norm(a) + 1.0])
+        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, newton, first_only, gap=1e-9)
+        assert y is start and low == top - 1.0
+        # the second round of t found no smaller gap, so the solve stopped there
+        assert sorted(set(rounds)) == [1.0, 8.0]
+
+    def test_round_without_a_step_moves_on_to_the_next_t(self):
+        # a direction the line search rejects at t = 8 leaves that round
+        # without a step; the solve goes on to t = 64 and closes the gap there
+        a = random_hermitian(4, 7)
+        slack, newton, bound = lambda_max_hooks(a)
+        seen = []
+
+        def uphill_at_8(s_inv, t):
+            seen.append(t)
+            grad, hess = newton(s_inv, t)
+            return (-grad if t == 8.0 else grad), hess
+
+        start = np.array([np.linalg.norm(a) + 1.0])
+        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, uphill_at_8, bound, gap=1e-9)
+        assert 8.0 in seen and max(seen) > 8.0
+        top = np.linalg.eigvalsh(a)[-1]
+        assert low <= top + 1e-12 and top <= y[0] + 1e-12
+        assert y[0] - low <= 1e-9

@@ -103,15 +103,31 @@ class TestDecideOnce:
         ],
     )
     def test_sio_unequal_dimensions(self, source, target, violation):
-        # majorization is decided on zero-padded vectors; a witness between
-        # different dimensions is not built, so a majorized pair raises
-        psi, phi = pure(source), pure(target)
-        if violation is None:
-            with pytest.raises(ValueError, match="equal input and output dimensions"):
-                tr.sio_pure_decide(psi, phi)
-        else:
-            dec = tr.sio_pure_decide(psi, phi)
-            assert not dec.verdict and dec.violation == violation
+        # majorization is decided on zero-padded vectors; a majorized pair
+        # gets a dout x din witness, built at the larger dimension and
+        # composed with an embedding or with fold operators
+        psi, phi = pure(source, np.random.default_rng(3)), pure(target, np.random.default_rng(4))
+        assert decides_once(tr.sio_pure_decide, tr.sio_pure_construct, psi, phi) is (
+            violation is None
+        )
+        dec = tr.sio_pure_decide(psi, phi)
+        if violation is not None:
+            assert dec.violation == violation
+            return
+        w = dec.witness
+        assert (w.dout, w.din) == (phi.dim, psi.dim)
+        big = np.abs(np.stack(w.kraus)) > 1e-9
+        assert np.all(big.sum(axis=1) <= 1) and np.all(big.sum(axis=2) <= 1)
+        out = ch.apply(w, psi.to_density())
+        assert np.max(np.abs(out.mat - phi.to_density().mat)) <= 1e-10
+        with pytest.raises(ValueError, match="square channel"):
+            ch.is_sio_rep(w)
+
+    def test_sio_witness_across_dimensions_from_the_cli_example(self):
+        psi, phi = pure([0.5, 0.3, 0.2]), pure([0.8, 0.2])
+        dec = tr.sio_pure_decide(psi, phi)
+        assert dec.verdict and (dec.witness.dout, dec.witness.din) == (2, 3)
+        assert not tr.sio_pure_decide(phi, psi).verdict
 
     def test_qubit_random_pairs(self):
         outcomes = set()
