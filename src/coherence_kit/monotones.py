@@ -183,8 +183,9 @@ def _c_r_barrier(rho: DensityMatrix):
     Tr(rho Y) is a dual lower bound (Napoli et al., PRL 116, 150502); the
     solver stops once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1,
     Hessian |S^-1|^2 entrywise. Returns (1.d - 1, d, Tr(rho Y) - 1). Raises
-    ArithmeticError when the kernel stops above C_R_GAP: S^-1 turned singular,
-    a round of t took Newton steps without lowering the gap, or 40 rounds ran.
+    ArithmeticError when the kernel stops above C_R_GAP: S lost numerical
+    positive definiteness, a round of t took Newton steps without lowering
+    the gap, or 40 rounds ran.
     """
     mat = rho.mat
     n = rho.dim

@@ -418,9 +418,14 @@ class TestDivergenceMonotone:
             assert report.value <= grid_best + 1e-6
             assert report.bound <= grid_best
 
-    def test_gap_closes_at_d5(self):
-        for seed in range(10):
-            self.check_certified(random_density(5, seed))
+    # the three d = 4 states stopped at gaps of 5.9e-6 to 1.5e-5 while the
+    # kernel had an Armijo line search, which rejected steps once t c.y
+    # rounded, at t ~ 1e9
+    @pytest.mark.parametrize(
+        "d, seed", [(5, seed) for seed in range(10)] + [(4, 1037), (4, 1042), (4, 1044)]
+    )
+    def test_gap_closes(self, d, seed):
+        self.check_certified(random_density(d, seed))
 
     def test_d8_reports_a_valid_bound(self):
         for seed in range(2):

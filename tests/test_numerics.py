@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from coherence_kit import monotones as mo
 from coherence_kit.numerics import (
     BirkhoffDecomposition,
     InfeasibleError,
@@ -16,6 +17,7 @@ from coherence_kit.numerics import (
     solve_lp,
     trace_norm,
 )
+from coherence_kit.states import random_density
 
 
 def random_hermitian(d, seed):
@@ -290,21 +292,113 @@ class TestLogDetBarrier:
         # the second round of t found no smaller gap, so the solve stopped there
         assert sorted(set(rounds)) == [1.0, 8.0]
 
-    def test_round_without_a_step_moves_on_to_the_next_t(self):
-        # a direction the line search rejects at t = 8 leaves that round
-        # without a step; the solve goes on to t = 64 and closes the gap there
+    def test_centered_round_takes_no_step_and_moves_on(self):
+        # a zero gradient at t = 8 makes that round centered, so it takes no
+        # step; the solve goes on to t = 64 and closes the gap there
         a = random_hermitian(4, 7)
         slack, newton, bound = lambda_max_hooks(a)
         seen = []
 
-        def uphill_at_8(s_inv, t):
+        def centered_at_8(s_inv, t):
             seen.append(t)
             grad, hess = newton(s_inv, t)
-            return (-grad if t == 8.0 else grad), hess
+            return (0.0 * grad if t == 8.0 else grad), hess
 
         start = np.array([np.linalg.norm(a) + 1.0])
-        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, uphill_at_8, bound, gap=1e-9)
-        assert 8.0 in seen and max(seen) > 8.0
+        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, centered_at_8, bound, gap=1e-9)
+        assert seen.count(8.0) == 1 and max(seen) > 8.0
         top = np.linalg.eigvalsh(a)[-1]
         assert low <= top + 1e-12 and top <= y[0] + 1e-12
         assert y[0] - low <= 1e-9
+
+    def test_step_out_of_the_domain_returns_the_best_pair(self):
+        # a Hessian 1e6 times too small makes the damped step overshoot
+        # lambda_max, so the next Cholesky factorization fails
+        a = random_hermitian(4, 8)
+        slack, newton, bound = lambda_max_hooks(a)
+
+        def flat(s_inv, t):
+            grad, hess = newton(s_inv, t)
+            return grad, 1e-6 * hess
+
+        start = np.array([np.linalg.norm(a) + 1.0])
+        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, flat, bound, gap=1e-9)
+        assert y is start
+        assert low == bound(start, (np.linalg.inv(slack(start)[0]),), 1.0)
+        assert low <= np.linalg.eigvalsh(a)[-1] <= y[0]
+
+    def test_infeasible_start_returns_it_unbounded(self):
+        a = random_hermitian(3, 9)
+        start = np.array([np.linalg.eigvalsh(a)[-1] - 0.5])
+        y, low = log_det_barrier(start, 1.0, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
+        assert y is start and low == -np.inf
+
+
+def _log_det_barrier(blocks) -> float:
+    """-log det S summed over the blocks, or +inf when one is not positive definite."""
+    total = 0.0
+    for block in blocks:
+        try:
+            chol = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return np.inf
+        total += -2.0 * float(np.sum(np.log(chol.diagonal().real)))
+    return total
+
+
+class TestDampedNewtonDecrease:
+    """Every damped step lowers f = t c.y - log det S by at least
+    omega(lambda) = lambda - ln(1 + lambda) (Nesterov, Thm 4.1.12), which is
+    why the kernel needs no line search. Checked on the steps of both
+    clients' solves, with -log det S evaluated apart from the kernel."""
+
+    @staticmethod
+    def recorded_steps(monkeypatch, solve, rho):
+        """(t, cost, slack, y, grad, hess, next y) for every step the solve takes."""
+        calls, problem = [], {}
+
+        def recording(y, t, cost, slack, newton, bound, gap):
+            def bound_hook(y, s_inv, t):
+                calls.append({"t": t, "y": y})
+                return bound(y, s_inv, t)
+
+            def newton_hook(s_inv, t):
+                grad, hess = newton(s_inv, t)
+                calls[-1].update(grad=grad, hess=hess)
+                return grad, hess
+
+            problem.update(cost=cost, slack=slack)
+            return log_det_barrier(y, t, cost, slack, newton_hook, bound_hook, gap)
+
+        monkeypatch.setattr(mo, "log_det_barrier", recording)
+        solve(rho)
+        return [
+            (a["t"], problem["cost"], problem["slack"], a["y"], a["grad"], a["hess"], b["y"])
+            for a, b in zip(calls, calls[1:])
+            if "grad" in a and not np.array_equal(a["y"], b["y"])
+        ]
+
+    @pytest.mark.parametrize(
+        "solve, d, seed",
+        [
+            (mo.c_r, 3, 0),
+            (mo.c_r, 8, 1),
+            (mo.c_r, 16, 2),
+            (mo._incoherent_trace_distance, 3, 0),
+            (mo._incoherent_trace_distance, 4, 1042),
+        ],
+    )
+    def test_every_step_lowers_f_by_omega(self, monkeypatch, solve, d, seed):
+        checked = 0
+        for t, cost, slack, y, grad, hess, y_next in self.recorded_steps(
+            monkeypatch, solve, random_density(d, seed)
+        ):
+            if t > 1e8:
+                continue
+            lam = np.sqrt(float(grad @ np.linalg.solve(hess, grad)))
+            before = t * float(cost @ y) + _log_det_barrier(slack(y))
+            after = t * float(cost @ y_next) + _log_det_barrier(slack(y_next))
+            rounding = 1e-9 * max(1.0, abs(t * float(cost @ y)))
+            assert after <= before - (lam - np.log1p(lam)) + rounding
+            checked += 1
+        assert checked >= 10
