@@ -140,12 +140,13 @@ _DEFAULT_MEASURES = (
 def _c_q_alpha(state, rho, params) -> mo.MonotoneReport:
     if not isinstance(state, PureStateVector):
         raise UsageError("c_q_alpha needs a pure-state input")
-    return mo.c_q_alpha_pure(state, float(params[0]))
+    return mo.c_q_alpha_pure(state, params[0])
 
 
 # measure name -> report from the loaded state, its density matrix (built once
 # per call, so the panel shares one cached spectrum) and the ":"-separated
-# parameters after the name; parameters past the ones a measure reads are ignored
+# parameters after the name, alpha already parsed; parameters past the ones a
+# measure reads are ignored
 _MEASURES = {
     "c_rel": lambda state, rho, p: mo.c_rel(rho),
     "c_l1": lambda state, rho, p: mo.c_l1(rho),
@@ -153,19 +154,34 @@ _MEASURES = {
     "c_delta_r": lambda state, rho, p: mo.c_delta_r(rho),
     "r_d": lambda state, rho, p: mo.log_robustness_dephasing(rho),
     "trace_norm": lambda state, rho, p: mo.trace_norm_coherence(rho),
-    "c_alpha": lambda state, rho, p: mo.c_alpha(rho, float(p[0])),
-    "c_delta_alpha": lambda state, rho, p: mo.c_delta_alpha(rho, float(p[0]), *p[1:2]),
+    "c_alpha": lambda state, rho, p: mo.c_alpha(rho, p[0]),
+    "c_delta_alpha": lambda state, rho, p: mo.c_delta_alpha(rho, p[0], *p[1:2]),
     "c_q_alpha": _c_q_alpha,
 }
-_TAKES_ALPHA = ("c_alpha", "c_delta_alpha", "c_q_alpha")
+# measure name -> the closed range of its alpha; c_delta_alpha's optional
+# second parameter is its side
+_ALPHA_RANGE = {"c_alpha": (0.0, 2.0), "c_delta_alpha": (0.0, 2.0), "c_q_alpha": (0.5, math.inf)}
 
 
 def _measure_report(token: str, state, rho: DensityMatrix) -> mo.MonotoneReport:
+    """The report of the measure a token names; a missing or out-of-range
+    parameter is a usage error, raised before the measure runs."""
     name, *params = token.split(":")
     if name not in _MEASURES:
         raise UsageError(f"unknown measure {token!r}")
-    if name in _TAKES_ALPHA and not params:
-        raise UsageError(f"measure {name} needs a parameter, as in {name}:2")
+    if name in _ALPHA_RANGE:
+        if not params:
+            raise UsageError(f"measure {name} needs a parameter, as in {name}:2")
+        low, high = _ALPHA_RANGE[name]
+        try:
+            alpha = float(params[0])
+        except ValueError:
+            alpha = math.nan
+        if not low <= alpha <= high:
+            raise UsageError(f"measure {name} needs alpha in [{low:g}, {high:g}], got {params[0]!r}")
+        if name == "c_delta_alpha" and params[1:2] and params[1] not in ("right", "left"):
+            raise UsageError(f"measure {name} takes side right or left, got {params[1]!r}")
+        params[0] = alpha
     return _MEASURES[name](state, rho, params)
 
 
@@ -338,6 +354,12 @@ def _injection_hook():
     return hook
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _cmd_harness(args) -> int:
     summary = hrn.run_suite(
         args.suite,
@@ -388,7 +410,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("harness", help="run a sampled property suite")
     p.add_argument("--suite", required=True, choices=hrn.SUITES)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(run=_cmd_harness)

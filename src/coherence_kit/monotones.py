@@ -5,7 +5,9 @@ carrying the value, the evaluation method, an optional witness (an optimal
 diagonal majorant, an optimal ratio vector, or similar) and, for the two
 optimizations, the certified dual bound. C_R and the trace distance to the
 incoherent states are both solved by ``numerics.log_det_barrier``; each passes
-its own slack, Newton system and dual repair.
+its own slack, Newton system and bound. C_R repairs a dual point out of S^-1;
+the trace distance is solved in its dual form, so every iterate is a
+certificate as it stands, and the primal point q is read off its multipliers.
 
 The spectral measures read the eigendecomposition rho = V diag(lambda) V^H
 cached on the state (``DensityMatrix.spectrum``) instead of factorizing it
@@ -266,16 +268,15 @@ def log_robustness_dephasing(rho: DensityMatrix) -> MonotoneReport:
 TRACE_DISTANCE_GAP = 1e-6
 
 
-def _incoherent_bound(rho: DensityMatrix, h: np.ndarray, shape):
-    """(Tr(rho W) - max_i W_ii, eigenvalues of h) for W = shape(h) on the
-    eigenvalues of Hermitian h.
+def _incoherent_bound(rho: DensityMatrix, h: np.ndarray):
+    """(Tr(rho W) - max_i W_ii, eigenvalues of h) for W = sign(h), Hermitian h.
 
     For any ||W|| <= 1 the first entry is a lower bound on ||rho - sigma||_1
     over every incoherent state sigma (Rana, Parashar & Lewenstein, PRA 93,
-    012110). With shape = sign, W attains ||h||_1 = sum |eigenvalues|.
+    012110); this W attains ||h||_1 = sum |eigenvalues|.
     """
     vals, vecs = np.linalg.eigh(h)
-    w = (vecs * shape(vals)) @ vecs.conj().T
+    w = (vecs * np.sign(vals)) @ vecs.conj().T
     return float(np.vdot(w, rho.mat).real) - float(np.max(w.diagonal().real)), vals
 
 
@@ -311,58 +312,57 @@ def _basis_gram(a: np.ndarray, p, q, c) -> np.ndarray:
 
 
 def _incoherent_trace_distance(rho: DensityMatrix):
-    """min_q ||rho - Diag q||_1 over the simplex, on the log-det barrier kernel.
+    """min_q ||rho - Diag q||_1 over the simplex, on the log-det barrier kernel,
+    in its dual form: max Tr(rho W) - s s.t. I - W >= 0, I + W >= 0 and
+    s - W_ii >= 0 (Rana, Parashar & Lewenstein, PRA 93, 012110).
 
-    Solves min 2 Tr P s.t. P >= 0, P - rho + Diag q >= 0, Diag q >= 0 with
-    q = 1/d + E u, E an orthonormal basis of the vectors summing to zero, and
-    P in an orthonormal Hermitian basis, whose Hessian blocks are gathered
-    from the entries of S^-1 (``_basis_gram``). A Newton step solves a dense
-    system of order d^2 + d - 1, so it costs O(d^6) time and O(d^4) memory.
-    The dual point is the larger bound of two contractions: W = (Z2 - Z1)/2
-    from Z = S^-1/t with its eigenvalues clipped to [-1, 1], and
-    W = sign(rho - Diag q). Returns (||rho - Diag q||_1, bound, q) with q
-    clipped to q >= 0 and renormalized.
+    W is in an orthonormal Hermitian basis, whose Hessian blocks are gathered
+    from the entries of (I -+ W)^-1 (``_basis_gram``), and s comes last. The
+    start W = 0, s = 1 is strictly feasible, and t starts at the barrier
+    parameter 3d, where the central-path gap is 1. Every iterate is dual
+    feasible, so Tr(rho W) - max_i W_ii is a certified bound with no repair.
+    The multipliers q ~ 1/(s - W_ii), normalized, lie in the simplex, and
+    ||rho - Diag q||_1 is the value. A Newton step solves a dense system of
+    order d^2 + 1: O(d^6) time, O(d^4) memory. Returns (value, bound, q).
     """
     mat = rho.mat
     d = rho.dim
     p, q, c = _hermitian_basis(d)
-    e = np.linalg.svd(np.ones((1, d)))[2][1:].T
-    n_p = d * d
-    cost = np.zeros(n_p + d - 1)
-    cost[:d] = 2.0
+    n_w = d * d
+    cost = np.append(-2.0 * (c * mat[q, p]).real, 1.0)
 
-    def split(y):
+    def w_of(y):
         half = np.zeros((d, d), dtype=complex)
-        np.add.at(half, (p, q), c * y[:n_p])
-        return half + half.conj().T, 1.0 / d + e @ y[n_p:]
+        np.add.at(half, (p, q), c * y[:n_w])
+        return half + half.conj().T
 
     def slack(y):
-        p_mat, pops = split(y)
-        return p_mat, p_mat - mat + np.diag(pops), np.diag(pops)
+        w = w_of(y)
+        return np.eye(d) - w, np.eye(d) + w, np.diag(y[-1] - y[:d])
+
+    def simplex_point(y):
+        r = 1.0 / (y[-1] - y[:d])
+        return r / r.sum()
 
     def newton(s_inv, t):
         a1, a2, a3 = s_inv
-        g2 = _basis_gram(a2, p, q, c)
-        h_pp = _basis_gram(a1, p, q, c) + g2
-        h_pu = g2[:, :d] @ e
-        h_uu = e.T @ (np.abs(a2) ** 2 + np.abs(a3) ** 2) @ e
-        hess = np.block([[h_pp, h_pu], [h_pu.T, h_uu]])
-        g_p = t * cost[:n_p] - 2.0 * (c * (a1 + a2)[q, p]).real
-        g_u = -e.T @ (a2.diagonal() + a3.diagonal()).real
-        return np.concatenate([g_p, g_u]), hess
+        r = a3.diagonal().real
+        hess = np.zeros((n_w + 1, n_w + 1))
+        hess[:n_w, :n_w] = _basis_gram(a1, p, q, c) + _basis_gram(a2, p, q, c)
+        hess[:d, :d] += np.diag(r**2)
+        hess[:d, -1] = hess[-1, :d] = -(r**2)
+        hess[-1, -1] = np.sum(r**2)
+        grad = t * cost + np.append(2.0 * (c * (a1 - a2)[q, p]).real, -np.sum(r))
+        grad[:d] += r
+        return grad, hess
 
     def bound(y, s_inv, t):
-        a1, a2, _ = s_inv
-        clipped, _ = _incoherent_bound(rho, (a2 - a1) / (2.0 * t), lambda v: np.clip(v, -1.0, 1.0))
-        signed, _ = _incoherent_bound(rho, mat - np.diag(split(y)[1]), np.sign)
-        return max(clipped, signed)
+        return -trace_norm(mat - np.diag(simplex_point(y)))
 
-    shift = float(np.max(np.abs(rho.spectrum.eigenvalues - 1.0 / d))) + 1.0
-    y = np.zeros(n_p + d - 1)
-    y[:d] = shift
-    y, low = log_det_barrier(y, 1.0, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
-    pops = np.clip(split(y)[1], 0.0, None)
-    pops = pops / pops.sum()
+    y = np.append(np.zeros(n_w), 1.0)
+    y, _ = log_det_barrier(y, 3.0 * d, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
+    pops = simplex_point(y)
+    low = float(np.vdot(w_of(y), mat).real) - float(np.max(y[:d]))
     return trace_norm(mat - np.diag(pops)), low, pops
 
 
@@ -380,8 +380,7 @@ def monotone_from_divergence(
     incoherent state). Otherwise the log-det barrier kernel solves the
     semidefinite program; the report's bound is the certified lower bound
     Tr(rho W) - max_i W_ii, within 1e-6 of the value when the solver closes its
-    gap (it may stall above that from d = 8). The witness is the diagonal q of
-    the nearest incoherent state found.
+    gap. The witness is the diagonal q of the nearest incoherent state found.
     """
     if divergence != "trace_distance":
         raise ValueError(f"unsupported divergence {divergence!r}")
@@ -395,7 +394,7 @@ def monotone_from_divergence(
         raise ValueError(f"unsupported reference set {reference_set!r}")
     name = "div[trace_distance,incoherent_set]"
     q = np.diag(rho.mat).real.copy()
-    low, vals = _incoherent_bound(rho, rho.mat - np.diag(q), np.sign)
+    low, vals = _incoherent_bound(rho, rho.mat - np.diag(q))
     value = float(np.sum(np.abs(vals)))
     if value - low <= 1e-12:
         return MonotoneReport(name, value, "closed_form", witness=q, bound=value)

@@ -443,28 +443,28 @@ def qubit_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
 
 
 def _match_blocks(values_desc, profile, tol: float = 1e-9):
-    """Partition index-value pairs into blocks proportional to the profile."""
-    if not values_desc:
-        return []
-    idx, top = values_desc[0]
-    scale = top / profile[0]
-    needed = [scale * v for v in profile[1:]]
-    remaining = values_desc[1:]
-    block = [idx]
-    for want in needed:
-        pick = None
-        for pos, (cand_idx, cand_val) in enumerate(remaining):
-            if abs(cand_val - want) <= tol * max(1.0, want):
-                pick = pos
-                break
-        if pick is None:
-            return None
-        block.append(remaining[pick][0])
-        remaining = remaining[:pick] + remaining[pick + 1 :]
-    rest = _match_blocks(remaining, profile, tol)
-    if rest is None:
-        return None
-    return [block] + rest
+    """Partition index-value pairs, sorted by descending value, into blocks
+    proportional to the descending profile.
+
+    The largest remaining value must head its own block, so a value that block
+    needs and no remaining entry matches within tol proves that no partition
+    exists. Returns (blocks, None), or (None, (top, missing)) with that head
+    and needed value.
+    """
+    remaining = list(values_desc)
+    blocks = []
+    while remaining:
+        idx, top = remaining.pop(0)
+        scale = top / profile[0]
+        block = [idx]
+        for want in (scale * v for v in profile[1:]):
+            close = tol * max(1.0, want)
+            near = [pos for pos, (_, val) in enumerate(remaining) if abs(val - want) <= close]
+            if not near:
+                return None, (top, want)
+            block.append(remaining.pop(near[0])[0])
+        blocks.append(block)
+    return blocks, None
 
 
 def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDecision:
@@ -483,16 +483,26 @@ def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDeci
     supp_out = [y for y in range(d) if abs(phi.amps[y]) > 1e-12]
     n = len(supp_out)
     if n == 0 or len(supp_in) % n != 0:
-        return TransformDecision(False, violation={"reason": "support sizes incompatible"})
+        violation = {
+            "reason": "support sizes incompatible",
+            "source_support": supp_in,
+            "target_support": supp_out,
+        }
+        return TransformDecision(False, violation=violation)
     profile = sorted((abs(phi.amps[y]) for y in supp_out), reverse=True)
     values = sorted(
         ((x, abs(psi.amps[x])) for x in supp_in), key=lambda iv: -iv[1]
     )
-    blocks = _match_blocks(values, profile)
+    blocks, unmatched = _match_blocks(values, profile)
     if blocks is None:
-        return TransformDecision(
-            False, violation={"reason": "no proportional block partition"}
-        )
+        top, missing = unmatched
+        violation = {
+            "reason": "no proportional block partition",
+            "profile": profile,
+            "top": top,
+            "missing": missing,
+        }
+        return TransformDecision(False, violation=violation)
 
     out_sorted = sorted(supp_out, key=lambda y: -abs(phi.amps[y]))
     ops = []

@@ -134,6 +134,28 @@ class TestMonotones:
         assert main(["monotones", files["plus"], "--measures", measure]) == 4
         assert f"measure {measure} needs a parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["monotones", "plus", "--measures", "c_alpha:abc"], "needs alpha in [0, 2], got 'abc'"),
+            (["monotones", "plus", "--measures", "c_alpha:3"], "needs alpha in [0, 2], got '3'"),
+            (["monotones", "plus", "--measures", "c_delta_alpha:2:middle"], "got 'middle'"),
+            (["monotones", "plus", "--measures", "c_q_alpha:0.2"], "needs alpha in [0.5, inf]"),
+            (["harness", "--suite", "roundtrips", "--samples", "0"], "at least 1, got '0'"),
+            (["harness", "--suite", "roundtrips", "--samples", "abc"], "at least 1, got 'abc'"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, files, capsys, argv, message):
+        assert main([files.get(a, a) for a in argv]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_invalid_state_with_a_valid_parameter_is_object_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        mat = [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7, 0.0]]]
+        path.write_text(json.dumps({"dim": 2, "mat": mat}))
+        assert main(["monotones", str(path), "--measures", "c_alpha:2"]) == 3
+        assert "invalid object: trace must be 1" in capsys.readouterr().err
+
     def test_pure_state_is_converted_once(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "pure16.json"
         path.write_text(json.dumps(random_pure(16, 3).to_json_dict()))

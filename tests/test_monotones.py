@@ -393,11 +393,11 @@ class TestDivergenceMonotone:
         assert report.value <= grid_best + 1e-12
 
     @staticmethod
-    def check_certified(rho, gap=1e-6):
+    def check_certified(rho):
         report = mo.monotone_from_divergence(rho, reference_set="incoherent_set")
         q = np.asarray(report.witness)
         assert report.method == "barrier"
-        assert report.bound <= report.value <= report.bound + gap
+        assert report.bound <= report.value <= report.bound + 1e-6
         assert report.value == mo.trace_norm(rho.mat - np.diag(q))
         assert np.min(q) >= 0.0 and abs(q.sum() - 1.0) <= 1e-12
         return report
@@ -420,16 +420,17 @@ class TestDivergenceMonotone:
 
     # the three d = 4 states stopped at gaps of 5.9e-6 to 1.5e-5 while the
     # kernel had an Armijo line search, which rejected steps once t c.y
-    # rounded, at t ~ 1e9
+    # rounded, at t ~ 1e9; (8, 2) stopped at 7.95e-6 while the bound was
+    # repaired from a primal iterate, before the dual form
     @pytest.mark.parametrize(
-        "d, seed", [(5, seed) for seed in range(10)] + [(4, 1037), (4, 1042), (4, 1044)]
+        "d, seed",
+        [(5, seed) for seed in range(10)]
+        + [(4, 1037), (4, 1042), (4, 1044)]
+        + [(8, seed) for seed in range(8)]
+        + [(16, 0)],
     )
     def test_gap_closes(self, d, seed):
         self.check_certified(random_density(d, seed))
-
-    def test_d8_reports_a_valid_bound(self):
-        for seed in range(2):
-            self.check_certified(random_density(8, seed), gap=1e-4)
 
     def test_dephased_state_is_not_optimal_above_qubits(self):
         rho = random_density(3, 2)

@@ -386,6 +386,7 @@ class TestDampedNewtonDecrease:
             (mo.c_r, 16, 2),
             (mo._incoherent_trace_distance, 3, 0),
             (mo._incoherent_trace_distance, 4, 1042),
+            (mo._incoherent_trace_distance, 8, 2),
         ],
     )
     def test_every_step_lowers_f_by_omega(self, monkeypatch, solve, d, seed):

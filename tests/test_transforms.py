@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -642,6 +643,26 @@ class TestPioPure:
         dec = tr.pio_pure_decide(pure([0.5, 0.3, 0.2]), pure([0.5, 0.5, 0.0]))
         assert not dec.verdict
         assert dec.violation["reason"] == "support sizes incompatible"
+        assert dec.violation["source_support"] == [0, 1, 2]
+        assert dec.violation["target_support"] == [0, 1]
+
+    def test_failed_partition_names_the_missing_modulus(self):
+        # moduli 0.6, 0.6, 0.3, 0.3 against the profile 2:1 pair up, but 0.6,
+        # 0.5, 0.3, 0.2 do not: 0.6 heads a block that needs 0.3, then 0.5
+        # heads one that needs 0.25
+        psi = PureStateVector(np.array([0.6, 0.5, 0.3, 0.2]) / math.sqrt(0.74))
+        phi = PureStateVector(np.array([2.0, 1.0, 0.0, 0.0]) / math.sqrt(5.0))
+        dec = tr.pio_pure_decide(psi, phi)
+        assert not dec.verdict
+        record = dec.violation
+        assert record["reason"] == "no proportional block partition"
+        assert record["profile"] == sorted(np.abs(phi.amps[:2]), reverse=True)
+        assert record["top"] == pytest.approx(0.5 / math.sqrt(0.74), abs=1e-15)
+        expected = record["top"] * record["profile"][1] / record["profile"][0]
+        assert record["missing"] == pytest.approx(expected, rel=1e-15)
+        # the record checks against the state: no remaining modulus is the missing one
+        assert np.min(np.abs(np.abs(psi.amps) - record["missing"])) > 1e-9
+        assert json.loads(json.dumps(record)) == record
 
     def test_two_block_weighted_partition(self):
         # support splits as {0,1} and {2,3} with weights 0.64 and 0.36
