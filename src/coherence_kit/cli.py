@@ -205,35 +205,38 @@ def _cmd_monotones(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _require_pure(state, label: str) -> PureStateVector:
-    if not isinstance(state, PureStateVector):
-        raise UsageError(f"{label} must be a pure state (amps payload) for this class")
-    return state
+def _pure_pair(source, target) -> tuple:
+    for state, label in ((source, "source"), (target, "target")):
+        if not isinstance(state, PureStateVector):
+            raise UsageError(f"{label} must be a pure state (amps payload) for this class")
+    return source, target
+
+
+def _decide_mio_pure(source, target):
+    psi, phi = _pure_pair(source, target)
+    if psi.dim != 2:
+        raise UsageError("mio-pure expects a qubit source")
+    return tr.mio_qubit_pure_decide(psi.probs, phi.probs)
+
+
+def _decide_qubit(source, target):
+    rho, sigma = _as_density(source), _as_density(target)
+    if rho.dim != 2 or sigma.dim != 2:
+        raise UsageError("qubit class expects two qubit states")
+    return tr.qubit_decide(rho, sigma)
+
+
+# transform class -> decision for the loaded (source, target) states
+_TRANSFORMS = {
+    "sio": lambda source, target: tr.sio_pure_decide(*_pure_pair(source, target)),
+    "mio-pure": _decide_mio_pure,
+    "qubit": _decide_qubit,
+    "pio": lambda source, target: tr.pio_pure_decide(*_pure_pair(source, target)),
+}
 
 
 def _cmd_transform(args) -> int:
-    source = _load_state(args.source)
-    target = _load_state(args.target)
-    klass = args.klass
-    if klass == "sio":
-        decision = tr.sio_pure_decide(
-            _require_pure(source, "source"), _require_pure(target, "target")
-        )
-    elif klass == "mio-pure":
-        psi = _require_pure(source, "source")
-        phi = _require_pure(target, "target")
-        if psi.dim != 2:
-            raise UsageError("mio-pure expects a qubit source")
-        decision = tr.mio_qubit_pure_decide(psi.probs, phi.probs)
-    elif klass == "qubit":
-        rho, sigma = _as_density(source), _as_density(target)
-        if rho.dim != 2 or sigma.dim != 2:
-            raise UsageError("qubit class expects two qubit states")
-        decision = tr.qubit_decide(rho, sigma)
-    else:  # pio; argparse rejects any other class
-        decision = tr.pio_pure_decide(
-            _require_pure(source, "source"), _require_pure(target, "target")
-        )
+    decision = _TRANSFORMS[args.klass](_load_state(args.source), _load_state(args.target))
     if decision.witness is not None and args.witness_out:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             json.dump(decision.witness.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -396,7 +399,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("transform", help="decide a state transformation")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--class", dest="klass", required=True, choices=("sio", "mio-pure", "qubit", "pio"))
+    p.add_argument("--class", dest="klass", required=True, choices=tuple(_TRANSFORMS))
     p.add_argument("--witness-out")
     p.add_argument("--out")
     p.set_defaults(run=_cmd_transform)

@@ -8,6 +8,8 @@ incoherent states are both solved by ``numerics.log_det_barrier``; each passes
 its own slack, Newton system and bound. C_R repairs a dual point out of S^-1;
 the trace distance is solved in its dual form, so every iterate is a
 certificate as it stands, and the primal point q is read off its multipliers.
+Either report's bound is within its gap target (``C_R_GAP``,
+``TRACE_DISTANCE_GAP``) of its value, or the call raises ArithmeticError.
 
 The spectral measures read the eigendecomposition rho = V diag(lambda) V^H
 cached on the state (``DensityMatrix.spectrum``) instead of factorizing it
@@ -102,7 +104,7 @@ def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
     powers = psd_power_values(rho.spectrum.eigenvalues, alpha)
     diag = np.clip(_diag_of(rho, powers), 0.0, None)
     if alpha == 0.0:
-        return MonotoneReport(name, -math.log2(float(np.max(diag))), "closed_form")
+        return MonotoneReport(name, 0.0 - math.log2(float(np.max(diag))), "closed_form")
     total = float(np.sum(diag ** (1.0 / alpha)))
     value = (alpha / (alpha - 1.0)) * math.log2(total)
     return MonotoneReport(name, value, "closed_form")
@@ -184,10 +186,8 @@ def _c_r_barrier(rho: DensityMatrix):
     feasible. Y = S^-1 rescaled to unit diagonal is a correlation matrix, so
     Tr(rho Y) is a dual lower bound (Napoli et al., PRL 116, 150502); the
     solver stops once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1,
-    Hessian |S^-1|^2 entrywise. Returns (1.d - 1, d, Tr(rho Y) - 1). Raises
-    ArithmeticError when the kernel stops above C_R_GAP: S lost numerical
-    positive definiteness, a round of t took Newton steps without lowering
-    the gap, or 40 rounds ran.
+    Hessian |S^-1|^2 entrywise. Returns (1.d - 1, d, Tr(rho Y) - 1), with
+    1.d - Tr(rho Y) <= C_R_GAP, or raises ArithmeticError.
     """
     mat = rho.mat
     n = rho.dim
@@ -201,14 +201,12 @@ def _c_r_barrier(rho: DensityMatrix):
         (s_inv,) = s_inv
         return t - s_inv.diagonal().real, np.abs(s_inv) ** 2
 
-    def bound(y, s_inv, t):
+    def bound(y, s_inv):
         (s_inv,) = s_inv
         scale = 1.0 / np.sqrt(s_inv.diagonal().real)
         return float(np.vdot(s_inv * np.outer(scale, scale), mat).real)
 
     d_vec, dual = log_det_barrier(d_vec, t, np.ones(n), slack, newton, bound, C_R_GAP)
-    if np.sum(d_vec) - dual > C_R_GAP:
-        raise ArithmeticError("barrier solver did not close the duality gap")
     return float(np.sum(d_vec) - 1.0), d_vec, dual - 1.0
 
 
@@ -218,7 +216,8 @@ def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
     Closed forms: pure states give (sum sqrt p)^2 - 1, qubits give 2r, and
     entrywise-nonnegative real states give the l1 value. Anything else, or
     method='cutting_plane' (kept as the name that forces the solver), runs the
-    log-det barrier solver, whose answer is within 1e-9 of a dual lower bound.
+    log-det barrier solver, whose answer is within 1e-9 of a dual lower bound
+    (or the call raises ArithmeticError).
     The witness is then the optimal diagonal majorant's diagonal, and the
     report's bound is the dual value Tr(rho Y) - 1 that certifies it.
     """
@@ -323,7 +322,8 @@ def _incoherent_trace_distance(rho: DensityMatrix):
     feasible, so Tr(rho W) - max_i W_ii is a certified bound with no repair.
     The multipliers q ~ 1/(s - W_ii), normalized, lie in the simplex, and
     ||rho - Diag q||_1 is the value. A Newton step solves a dense system of
-    order d^2 + 1: O(d^6) time, O(d^4) memory. Returns (value, bound, q).
+    order d^2 + 1: O(d^6) time, O(d^4) memory. Returns (value, bound, q), with
+    value - bound <= TRACE_DISTANCE_GAP, or raises ArithmeticError.
     """
     mat = rho.mat
     d = rho.dim
@@ -356,14 +356,13 @@ def _incoherent_trace_distance(rho: DensityMatrix):
         grad[:d] += r
         return grad, hess
 
-    def bound(y, s_inv, t):
+    def bound(y, s_inv):
         return -trace_norm(mat - np.diag(simplex_point(y)))
 
     y = np.append(np.zeros(n_w), 1.0)
-    y, _ = log_det_barrier(y, 3.0 * d, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
-    pops = simplex_point(y)
+    y, value = log_det_barrier(y, 3.0 * d, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
     low = float(np.vdot(w_of(y), mat).real) - float(np.max(y[:d]))
-    return trace_norm(mat - np.diag(pops)), low, pops
+    return -value, low, simplex_point(y)
 
 
 def monotone_from_divergence(
@@ -379,8 +378,9 @@ def monotone_from_divergence(
     W = sign(rho - dephased) certifies it within 1e-12 (every qubit and every
     incoherent state). Otherwise the log-det barrier kernel solves the
     semidefinite program; the report's bound is the certified lower bound
-    Tr(rho W) - max_i W_ii, within 1e-6 of the value when the solver closes its
-    gap. The witness is the diagonal q of the nearest incoherent state found.
+    Tr(rho W) - max_i W_ii, within 1e-6 of the value, or the call raises
+    ArithmeticError. The witness is the diagonal q of the nearest incoherent
+    state found.
     """
     if divergence != "trace_distance":
         raise ValueError(f"unsupported divergence {divergence!r}")

@@ -107,56 +107,44 @@ def log_det_barrier(y, t: float, cost, slack, newton, bound, gap: float):
 
     ``slack(y)`` returns the Hermitian blocks of S(y), an affine function of
     y; ``newton(s_inv, t)`` returns the gradient and Hessian of
-    f = t cost.y - log det S at the blocks' inverses; ``bound(y, s_inv, t)`` is
-    a certified lower bound on the optimum, read from a dual point the problem
-    repairs out of S^-1 / t. t grows eightfold between rounds.
+    f = t cost.y - log det S at the blocks' inverses; ``bound(y, s_inv)`` is
+    the objective of the other problem at a feasible point built from the
+    iterate, so a certified lower bound on the optimum.
 
-    Each step is the damped Newton step y <- y + step / (1 + lambda), with
-    lambda = sqrt(-grad.step) the Newton decrement. f is self-concordant, so
-    this step stays in the domain and lowers f by lambda - ln(1 + lambda)
+    Each step factors every block of S(y) by Cholesky, which checks that the
+    start is strictly feasible and that rounding has not carried a step out
+    of the domain, and returns (y, bound) once cost.y - bound <= gap. Else,
+    with lambda = sqrt(-grad.step) the Newton decrement, a centered iterate
+    (lambda^2 <= 1e-8) makes t grow eightfold, and any other takes the damped
+    Newton step y <- y + step / (1 + lambda). f is self-concordant, so this
+    step stays in the domain and lowers f by lambda - ln(1 + lambda)
     (Nesterov, Introductory Lectures on Convex Optimization, Thm 4.1.12); it
-    needs no line search, and the dual bound certifies every answer anyway.
-    Each step starts with a Cholesky factorization of every block of S(y),
-    which checks that the start is strictly feasible and that rounding has
-    not carried a step out of the domain.
+    needs no line search.
 
-    Returns (y, bound) once cost.y - bound <= gap. A round of t ends when the
-    decrement falls to 1e-8 (at once if it starts centered) or after 60
-    steps, for at most 40 rounds. If a round takes steps yet leaves the best
-    certified gap no smaller, or a block of S is not numerically positive
-    definite, or S^-1 or the Newton system is numerically singular, returns
-    the pair with the best certified gap found instead, which is (y, -inf)
-    for an infeasible start; the caller decides whether that gap is good
-    enough.
+    Raises ArithmeticError when a block of S is not numerically positive
+    definite (as at an infeasible start), S^-1 or the Newton system is
+    numerically singular, or 2400 steps leave the gap open.
     """
-    best_gap, best = math.inf, (y, -math.inf)
-    for _ in range(40):
-        round_start, stepped = best_gap, False
-        try:
-            for _ in range(60):
-                blocks = slack(y)
-                for block in blocks:
-                    np.linalg.cholesky(block)
-                s_inv = tuple(np.linalg.inv(block) for block in blocks)
-                low = bound(y, s_inv, t)
-                objective = np.sum(cost * y)
-                if objective - low < best_gap:
-                    best_gap, best = objective - low, (y, low)
-                if objective - low <= gap:
-                    return y, low
-                grad, hess = newton(s_inv, t)
-                step = -np.linalg.solve(hess, grad)
-                decrement = float(-grad @ step)
-                if decrement <= 1e-8:
-                    break
+    try:
+        for _ in range(2400):
+            blocks = slack(y)
+            for block in blocks:
+                np.linalg.cholesky(block)
+            s_inv = tuple(np.linalg.inv(block) for block in blocks)
+            low = bound(y, s_inv)
+            if np.sum(cost * y) - low <= gap:
+                return y, low
+            grad, hess = newton(s_inv, t)
+            step = -np.linalg.solve(hess, grad)
+            decrement = float(-grad @ step)
+            if decrement <= 1e-8:
+                t *= 8.0
+            else:
                 alpha = 1.0 / (1.0 + math.sqrt(decrement))
-                y, stepped = y + alpha * step, True
-        except np.linalg.LinAlgError:
-            return best
-        if stepped and best_gap >= round_start:
-            return best
-        t *= 8.0
-    return best
+                y = y + alpha * step
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"barrier step failed: {exc}") from exc
+    raise ArithmeticError("barrier solver did not close the duality gap")
 
 
 # ---------------------------------------------------------------------------

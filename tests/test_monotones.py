@@ -94,6 +94,12 @@ class TestCAlpha:
         with pytest.raises(ValueError):
             mo.c_alpha(plus_density(), 2.5)
 
+    def test_alpha_zero_of_a_unit_support_diagonal_is_positive_zero(self):
+        # -log2(1) is -0.0, which the CLI would print as "-0.0"
+        for rho in (DensityMatrix(np.diag([0.5, 0.5, 0.0])), DensityMatrix(np.eye(3) / 3)):
+            value = mo.c_alpha(rho, 0.0).value
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
 
 class TestCRel:
     def test_plus(self):
@@ -285,6 +291,11 @@ class TestCR:
             assert "bound" not in report.to_json_dict()
             assert report.to_json_dict(include_witness=True)["bound"] == report.bound
 
+    def test_unreachable_gap_raises(self, monkeypatch):
+        monkeypatch.setattr(mo, "C_R_GAP", -1.0)
+        with pytest.raises(ArithmeticError):
+            mo.c_r(random_density(3, 0))
+
     def test_closed_forms_carry_no_bound(self):
         for rho in (plus_density(), random_density(2, 1), uniform_pure(3).to_density()):
             report = mo.c_r(rho)
@@ -431,6 +442,11 @@ class TestDivergenceMonotone:
     )
     def test_gap_closes(self, d, seed):
         self.check_certified(random_density(d, seed))
+
+    def test_unreachable_gap_raises(self, monkeypatch):
+        monkeypatch.setattr(mo, "TRACE_DISTANCE_GAP", -1.0)
+        with pytest.raises(ArithmeticError):
+            mo.monotone_from_divergence(random_density(3, 0), reference_set="incoherent_set")
 
     def test_dephased_state_is_not_optimal_above_qubits(self):
         rho = random_density(3, 2)

@@ -246,7 +246,7 @@ def lambda_max_hooks(a):
         (z,) = s_inv
         return np.array([t - np.trace(z).real]), np.array([[np.vdot(z, z).real]])
 
-    def bound(y, s_inv, t):
+    def bound(y, s_inv):
         (z,) = s_inv
         return float(np.vdot(z / np.trace(z).real, a).real)
 
@@ -263,7 +263,7 @@ class TestLogDetBarrier:
             assert low <= top + 1e-12 and top <= y[0] + 1e-12
             assert y[0] - low <= 1e-9
 
-    def test_singular_newton_system_returns_the_best_pair(self):
+    def test_singular_newton_system_raises(self):
         a = random_hermitian(3, 5)
         slack, _, bound = lambda_max_hooks(a)
 
@@ -271,26 +271,29 @@ class TestLogDetBarrier:
             return np.zeros(1), np.zeros((1, 1))
 
         start = np.array([np.linalg.norm(a) + 1.0])
-        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, singular, bound, gap=1e-9)
-        assert y is start
-        assert low == bound(start, (np.linalg.inv(slack(start)[0]),), 1.0)
-        assert low <= np.linalg.eigvalsh(a)[-1] <= y[0]
+        # not LinAlgError: that is a ValueError, which the CLI reports as an
+        # invalid input
+        with pytest.raises(ArithmeticError):
+            log_det_barrier(start, 1.0, np.ones(1), slack, singular, bound, gap=1e-9)
 
-    def test_stalled_bound_returns_the_best_pair(self):
+    def test_open_gap_raises_after_the_step_cap(self):
+        # a Newton system pinned at t = 1 keeps the iterate centered there, so
+        # t never effectively grows and the gap stays open until the cap
         a = random_hermitian(4, 6)
-        top = np.linalg.eigvalsh(a)[-1]
-        slack, newton, _ = lambda_max_hooks(a)
-        rounds = []
+        slack, newton, bound = lambda_max_hooks(a)
+        bounds = []
 
-        def first_only(y, s_inv, t):
-            rounds.append(t)
-            return top - 1.0 if len(rounds) == 1 else -np.inf
+        def pinned(s_inv, t):
+            return newton(s_inv, 1.0)
+
+        def counted(y, s_inv):
+            bounds.append(y)
+            return bound(y, s_inv)
 
         start = np.array([np.linalg.norm(a) + 1.0])
-        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, newton, first_only, gap=1e-9)
-        assert y is start and low == top - 1.0
-        # the second round of t found no smaller gap, so the solve stopped there
-        assert sorted(set(rounds)) == [1.0, 8.0]
+        with pytest.raises(ArithmeticError):
+            log_det_barrier(start, 1.0, np.ones(1), slack, pinned, counted, gap=1e-9)
+        assert len(bounds) == 2400
 
     def test_centered_round_takes_no_step_and_moves_on(self):
         # a zero gradient at t = 8 makes that round centered, so it takes no
@@ -311,7 +314,7 @@ class TestLogDetBarrier:
         assert low <= top + 1e-12 and top <= y[0] + 1e-12
         assert y[0] - low <= 1e-9
 
-    def test_step_out_of_the_domain_returns_the_best_pair(self):
+    def test_step_out_of_the_domain_raises(self):
         # a Hessian 1e6 times too small makes the damped step overshoot
         # lambda_max, so the next Cholesky factorization fails
         a = random_hermitian(4, 8)
@@ -322,16 +325,14 @@ class TestLogDetBarrier:
             return grad, 1e-6 * hess
 
         start = np.array([np.linalg.norm(a) + 1.0])
-        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, flat, bound, gap=1e-9)
-        assert y is start
-        assert low == bound(start, (np.linalg.inv(slack(start)[0]),), 1.0)
-        assert low <= np.linalg.eigvalsh(a)[-1] <= y[0]
+        with pytest.raises(ArithmeticError):
+            log_det_barrier(start, 1.0, np.ones(1), slack, flat, bound, gap=1e-9)
 
-    def test_infeasible_start_returns_it_unbounded(self):
+    def test_infeasible_start_raises(self):
         a = random_hermitian(3, 9)
         start = np.array([np.linalg.eigvalsh(a)[-1] - 0.5])
-        y, low = log_det_barrier(start, 1.0, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
-        assert y is start and low == -np.inf
+        with pytest.raises(ArithmeticError):
+            log_det_barrier(start, 1.0, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
 
 
 def _log_det_barrier(blocks) -> float:
@@ -358,13 +359,13 @@ class TestDampedNewtonDecrease:
         calls, problem = [], {}
 
         def recording(y, t, cost, slack, newton, bound, gap):
-            def bound_hook(y, s_inv, t):
-                calls.append({"t": t, "y": y})
-                return bound(y, s_inv, t)
+            def bound_hook(y, s_inv):
+                calls.append({"y": y})
+                return bound(y, s_inv)
 
             def newton_hook(s_inv, t):
                 grad, hess = newton(s_inv, t)
-                calls[-1].update(grad=grad, hess=hess)
+                calls[-1].update(t=t, grad=grad, hess=hess)
                 return grad, hess
 
             problem.update(cost=cost, slack=slack)
