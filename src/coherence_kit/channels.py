@@ -6,9 +6,10 @@ existence in general is a search problem): each is an array reduction over
 the stacked operators, built on one support pass that finds the row of each
 column's single entry. MIO and DIO are properties of the channel itself and
 read only the d^3 slices of its action on matrix units that they constrain.
-``qubit_mio_to_io`` is the one existence procedure offered, for qubit
-channels: a closed-form PSD test that returns either an incoherent
-representation or an eigenvector certifying that none exists.
+``qubit_mio_to_io`` is the one existence procedure offered, for channels
+with a qubit input and any output dimension: a closed-form PSD test that
+returns either an incoherent representation or an eigenvector certifying that
+none exists.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ class KrausChannel:
         return self._stack.shape[0]
 
     def unit_actions(self) -> np.ndarray:
-        """Tensor G with G[y, y', x, x'] = <y| E(|x><x'|) |y'>."""
-        return np.einsum("jyx,jwz->ywxz", self._stack, self._stack.conj())
+        """Tensor G with G[y, y', x, x'] = <y| E(|x><x'|) |y'>, a view of the
+        Choi matrix."""
+        blocks = _choi_array(self).reshape(self.din, self.dout, self.din, self.dout)
+        return blocks.transpose(1, 3, 0, 2)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return apply(self, rho)
@@ -131,10 +134,10 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _choi_array(ch: KrausChannel) -> np.ndarray:
-    g = ch.unit_actions()
-    return np.ascontiguousarray(g.transpose(2, 0, 3, 1)).reshape(
-        ch.din * ch.dout, ch.din * ch.dout
-    )
+    """J[(x, y), (x', y')] = <y| E(|x><x'|) |y'> as one product F^T conj(F),
+    with row j of F the operator K_j flattened column by column."""
+    f = ch._stack.transpose(0, 2, 1).reshape(len(ch), ch.din * ch.dout)
+    return f.T @ f.conj()
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
@@ -461,7 +464,7 @@ def _bipartite_blocks(support: np.ndarray):
 
 
 def _qubit_io_rep_from_channel(ch: KrausChannel) -> list:
-    """Incoherent Kraus operators reproducing a qubit MIO channel.
+    """Incoherent Kraus operators reproducing a MIO channel with qubit input.
 
     With a = diag E(|0><0|), b = diag E(|1><1|) and C = E(|0><1|), an
     incoherent representation exists iff M = [[diag a, |C|], [|C|^T, diag b]]
@@ -508,17 +511,19 @@ def _qubit_io_rep_from_channel(ch: KrausChannel) -> list:
 
 
 def qubit_mio_to_io(ch: KrausChannel) -> KrausChannel:
-    """Re-represent a qubit MIO channel with incoherent Kraus operators.
+    """Re-represent a MIO channel from a qubit to any d with incoherent Kraus
+    operators.
 
-    Decides existence in closed form: a representation exists iff
-    M = [[diag a, |C|], [|C|^T, diag b]] has lambda_min >= -1e-10, where
-    a = diag E(|0><0|), b = diag E(|1><1|) and C = E(|0><1|). When it does,
-    the operators are built from Perron singular pairs and the rebuilt
-    channel is checked against the original. When it does not, raises
+    Decides existence in closed form: a representation exists iff the
+    2d x 2d matrix M = [[diag a, |C|], [|C|^T, diag b]] has
+    lambda_min >= -1e-10, where a = diag E(|0><0|), b = diag E(|1><1|) and
+    C = E(|0><1|); neither the test nor the construction needs d = 2. When
+    it does, the operators are built from Perron singular pairs and the
+    rebuilt channel is checked against the original. When it does not, raises
     NoIncoherentRepresentationError whose ``certificate`` v has v^T M v < 0.
     """
-    if ch.din != 2 or ch.dout != 2:
-        raise ValueError("canonicalization is defined for qubit channels only")
+    if ch.din != 2:
+        raise ValueError("canonicalization is defined for qubit-input channels only")
     if not is_mio(ch):
         raise ValueError("channel is not MIO")
     candidate = KrausChannel(_qubit_io_rep_from_channel(ch))

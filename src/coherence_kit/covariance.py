@@ -136,8 +136,28 @@ def n_covariant_spec(rho: DensityMatrix, sigma: DensityMatrix) -> NCovariantSpec
     transportation plan. Feasible exactly when the ratio matrix is PSD
     (lambda_min >= -PSD_TOL); otherwise the violation's ``certificate`` is the
     unit eigenvector v of lambda_min as [[re, im], ...], with v^H Q v = lhs < 0.
+
+    Such a channel maps |x><x'| to a multiple of itself, so sigma_xx' is a
+    multiple of rho_xx'. A target entry |sigma_xx'| > 1e-12 where
+    |rho_xx'| <= 1e-12 is infeasible outright, and the violation names the
+    first such ``entry`` [x, x'] with lhs = |sigma_xx'|. Where both entries
+    are zero the ratio is free, and n_q_matrix raises ValueError.
     """
     d = rho.dim
+    if sigma.dim == d:  # else n_q_matrix raises the dimension mismatch
+        lost = (np.abs(rho.mat) <= 1e-12) & (np.abs(sigma.mat) > 1e-12)
+        np.fill_diagonal(lost, False)
+        if lost.any():
+            x, z = (int(i) for i in np.argwhere(lost)[0])
+            raise InfeasibleTransformError(
+                "target coherence on an entry where the source has none",
+                {
+                    "monotone": "zero_source_entry",
+                    "lhs": float(abs(sigma.mat[x, z])),
+                    "rhs": 0.0,
+                    "entry": [x, z],
+                },
+            )
     q = n_q_matrix(rho, sigma).q
     dec = eig_hermitian(q)
     lam_min = float(dec.eigenvalues[0])

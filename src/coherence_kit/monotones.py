@@ -5,8 +5,9 @@ carrying the value, the evaluation method, an optional witness (an optimal
 diagonal majorant, an optimal ratio vector, or similar) and, for the two
 optimizations, the certified dual bound. C_R and the trace distance to the
 incoherent states are both solved by ``numerics.log_det_barrier``; each passes
-its own slack, Newton system and bound. C_R repairs a dual point out of S^-1;
-the trace distance is solved in its dual form, so every iterate is a
+its own start, slack, Newton system and bound, and the kernel sets the barrier
+schedule from the certified gap at that start. C_R repairs a dual point out of
+S^-1; the trace distance is solved in its dual form, so every iterate is a
 certificate as it stands, and the primal point q is read off its multipliers.
 Either report's bound is within its gap target (``C_R_GAP``,
 ``TRACE_DISTANCE_GAP``) of its value, or the call raises ArithmeticError.
@@ -182,17 +183,18 @@ C_R_GAP = 1e-9
 def _c_r_barrier(rho: DensityMatrix):
     """min{ 1.d : Diag(d) >= rho } on the log-det barrier kernel.
 
-    S = Diag(d) - rho stays positive definite, so every iterate d is primal
-    feasible. Y = S^-1 rescaled to unit diagonal is a correlation matrix, so
-    Tr(rho Y) is a dual lower bound (Napoli et al., PRL 116, 150502); the
-    solver stops once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1,
-    Hessian |S^-1|^2 entrywise. Returns (1.d - 1, d, Tr(rho Y) - 1), with
-    1.d - Tr(rho Y) <= C_R_GAP, or raises ArithmeticError.
+    The start d = (lambda_max + 1/n) 1 makes S = Diag(d) - rho positive
+    definite, and the kernel keeps it so: every iterate d is primal feasible.
+    Y = S^-1 rescaled to unit diagonal is a correlation matrix, so Tr(rho Y)
+    is a dual lower bound (Napoli et al., PRL 116, 150502); the solver stops
+    once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1, Hessian
+    |S^-1|^2 entrywise; the kernel chooses t. Returns
+    (1.d - 1, d, Tr(rho Y) - 1), with 1.d - Tr(rho Y) <= C_R_GAP, or raises
+    ArithmeticError.
     """
     mat = rho.mat
     n = rho.dim
     d_vec = np.full(n, float(rho.spectrum.eigenvalues[-1]) + 1.0 / n)
-    t = float(np.mean(np.linalg.inv(np.diag(d_vec) - mat).diagonal().real))
 
     def slack(y):
         return (np.diag(y) - mat,)
@@ -206,7 +208,7 @@ def _c_r_barrier(rho: DensityMatrix):
         scale = 1.0 / np.sqrt(s_inv.diagonal().real)
         return float(np.vdot(s_inv * np.outer(scale, scale), mat).real)
 
-    d_vec, dual = log_det_barrier(d_vec, t, np.ones(n), slack, newton, bound, C_R_GAP)
+    d_vec, dual = log_det_barrier(d_vec, np.ones(n), slack, newton, bound, C_R_GAP)
     return float(np.sum(d_vec) - 1.0), d_vec, dual - 1.0
 
 
@@ -317,8 +319,7 @@ def _incoherent_trace_distance(rho: DensityMatrix):
 
     W is in an orthonormal Hermitian basis, whose Hessian blocks are gathered
     from the entries of (I -+ W)^-1 (``_basis_gram``), and s comes last. The
-    start W = 0, s = 1 is strictly feasible, and t starts at the barrier
-    parameter 3d, where the central-path gap is 1. Every iterate is dual
+    start W = 0, s = 1 is strictly feasible. Every iterate is dual
     feasible, so Tr(rho W) - max_i W_ii is a certified bound with no repair.
     The multipliers q ~ 1/(s - W_ii), normalized, lie in the simplex, and
     ||rho - Diag q||_1 is the value. A Newton step solves a dense system of
@@ -360,7 +361,7 @@ def _incoherent_trace_distance(rho: DensityMatrix):
         return -trace_norm(mat - np.diag(simplex_point(y)))
 
     y = np.append(np.zeros(n_w), 1.0)
-    y, value = log_det_barrier(y, 3.0 * d, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
+    y, value = log_det_barrier(y, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
     low = float(np.vdot(w_of(y), mat).real) - float(np.max(y[:d]))
     return -value, low, simplex_point(y)
 

@@ -102,7 +102,7 @@ def trace_norm(mat) -> float:
 # ---------------------------------------------------------------------------
 
 
-def log_det_barrier(y, t: float, cost, slack, newton, bound, gap: float):
+def log_det_barrier(y, cost, slack, newton, bound, gap: float):
     """Certified damped-Newton log-det barrier for min cost.y s.t. S(y) > 0.
 
     ``slack(y)`` returns the Hermitian blocks of S(y), an affine function of
@@ -111,37 +111,54 @@ def log_det_barrier(y, t: float, cost, slack, newton, bound, gap: float):
     the objective of the other problem at a feasible point built from the
     iterate, so a certified lower bound on the optimum.
 
-    Each step factors every block of S(y) by Cholesky, which checks that the
-    start is strictly feasible and that rounding has not carried a step out
-    of the domain, and returns (y, bound) once cost.y - bound <= gap. Else,
-    with lambda = sqrt(-grad.step) the Newton decrement, a centered iterate
-    (lambda^2 <= 1e-8) makes t grow eightfold, and any other takes the damped
-    Newton step y <- y + step / (1 + lambda). f is self-concordant, so this
-    step stays in the domain and lowers f by lambda - ln(1 + lambda)
-    (Nesterov, Introductory Lectures on Convex Optimization, Thm 4.1.12); it
-    needs no line search.
+    Each iterate is evaluated once: every block of S(y) is factored by
+    Cholesky, which checks that the start is strictly feasible and that
+    rounding has not carried a step out of the domain, then inverted and
+    bounded, and (y, bound) is returned once cost.y - bound <= gap. The
+    schedule of t is the kernel's own. It starts at nu / gap_0, where
+    nu = sum of the block sizes is the barrier parameter and gap_0 the
+    certified gap at the start, because on the central path the gap is nu / t
+    (Boyd & Vandenberghe, Convex Optimization, 11.6.2; this start is the one
+    11.3.1 proposes, and it is positive because the gap is certified). With
+    lambda = sqrt(-grad.step) the Newton decrement, a centered iterate
+    (lambda^2 <= 1e-8) makes t grow eightfold and solves the Newton system
+    again at the inverses it already has; any other takes the damped Newton
+    step y <- y + step / (1 + lambda). f is self-concordant, so this step
+    stays in the domain and lowers f by lambda - ln(1 + lambda) (Nesterov,
+    Introductory Lectures on Convex Optimization, Thm 4.1.12); it needs no
+    line search.
 
     Raises ArithmeticError when a block of S is not numerically positive
     definite (as at an infeasible start), S^-1 or the Newton system is
-    numerically singular, or 2400 steps leave the gap open.
+    numerically singular, or 2400 iterations (Newton systems solved, steps
+    and growths of t alike) leave the gap open.
     """
+
+    def evaluate(y):
+        blocks = slack(y)
+        for block in blocks:
+            np.linalg.cholesky(block)
+        s_inv = tuple(np.linalg.inv(block) for block in blocks)
+        low = bound(y, s_inv)
+        return s_inv, low, float(np.sum(cost * y) - low)
+
     try:
+        s_inv, low, open_gap = evaluate(y)
+        if open_gap <= gap:
+            return y, low
+        t = sum(len(block) for block in s_inv) / open_gap
         for _ in range(2400):
-            blocks = slack(y)
-            for block in blocks:
-                np.linalg.cholesky(block)
-            s_inv = tuple(np.linalg.inv(block) for block in blocks)
-            low = bound(y, s_inv)
-            if np.sum(cost * y) - low <= gap:
-                return y, low
             grad, hess = newton(s_inv, t)
             step = -np.linalg.solve(hess, grad)
             decrement = float(-grad @ step)
             if decrement <= 1e-8:
                 t *= 8.0
-            else:
-                alpha = 1.0 / (1.0 + math.sqrt(decrement))
-                y = y + alpha * step
+                continue
+            alpha = 1.0 / (1.0 + math.sqrt(decrement))
+            y = y + alpha * step
+            s_inv, low, open_gap = evaluate(y)
+            if open_gap <= gap:
+                return y, low
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"barrier step failed: {exc}") from exc
     raise ArithmeticError("barrier solver did not close the duality gap")

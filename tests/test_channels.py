@@ -750,6 +750,55 @@ class TestQubitMioToIo:
         assert ch.is_io_rep(out)
         assert ch.choi_distance(c, out) <= 1e-8
 
+    @staticmethod
+    def io_matrix(c):
+        """M = [[diag a, |C|], [|C|^T, diag b]] read off the Kraus operators:
+        a and b are the squared column norms, C = sum_j K_j|0><1|K_j^dag."""
+        s = c._stack
+        a = np.sum(np.abs(s[:, :, 0]) ** 2, axis=0)
+        b = np.sum(np.abs(s[:, :, 1]) ** 2, axis=0)
+        cross = np.abs(np.einsum("jy,jw->yw", s[:, :, 0], s[:, :, 1].conj()))
+        return np.block([[np.diag(a), cross], [cross.T, np.diag(b)]])
+
+    def test_qubit_to_d_channels_keep_the_qubit_verdict(self):
+        # composing with an incoherent isometry V into d = 3-6 keeps the
+        # verdict: V K is incoherent when K is, and V^dag undoes V on any
+        # incoherent representation of the composite
+        verdicts = []
+        for seed in range(40):
+            c = ch.sample_mio_qubit_channel(seed)
+            rng = np.random.default_rng(1000 + seed)
+            d = 3 + seed % 4
+            v = np.zeros((d, 2), dtype=complex)
+            v[rng.permutation(d)[:2], [0, 1]] = np.exp(2j * np.pi * rng.random(2))
+            wide = ch.KrausChannel([v @ k for k in c.kraus])
+            feasible = np.linalg.eigvalsh(self.io_matrix(c))[0] >= -1e-10
+            verdicts.append(feasible)
+            if feasible:
+                out = ch.qubit_mio_to_io(wide)
+                assert (out.din, out.dout) == (2, d)
+                assert ch.is_io_rep(out)
+                assert ch.choi_distance(wide, out) <= 1e-8
+            else:
+                with pytest.raises(ch.NoIncoherentRepresentationError) as exc:
+                    ch.qubit_mio_to_io(wide)
+                w = exc.value.certificate
+                assert w @ self.io_matrix(wide) @ w < -1e-10
+        assert any(verdicts) and not all(verdicts)
+
+    def test_qubit_to_qutrit_example_has_no_io_representation(self):
+        # no IO map takes |+> to the example's target (8/9, 1/18, 1/18):
+        # its partial sums do not dominate those of (1/2, 1/2, 0)
+        c = ch.qubit_to_qutrit_mio_example()
+        with pytest.raises(ch.NoIncoherentRepresentationError) as exc:
+            ch.qubit_mio_to_io(c)
+        m = self.io_matrix(c)
+        v = exc.value.certificate
+        assert v.shape == (6,)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert v @ m @ v == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-12)
+        assert v @ m @ v == pytest.approx(-0.16268, abs=1e-5)
+
     def test_rejects_non_mio(self):
         with pytest.raises(ValueError):
             ch.qubit_mio_to_io(ch.KrausChannel([HADAMARD]))

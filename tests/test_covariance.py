@@ -94,6 +94,24 @@ class TestFeasibility:
         q = cov.n_q_matrix(rho, sigma).q
         assert np.allclose(sorted(np.linalg.eigvalsh(q)), [-0.125, 2.125])
 
+    def test_target_coherence_on_a_zero_source_entry_is_infeasible(self):
+        # sigma_02 would have to be a multiple of rho_02 = 0; checked from the
+        # record alone, with no ratio matrix
+        rho = DensityMatrix([[0.5, 0.2, 0.0], [0.2, 0.3, 0.1], [0.0, 0.1, 0.2]])
+        sigma = random_density(3, 0)
+        dec = cov.n_feasible(rho, sigma)
+        assert not dec.verdict
+        v = dec.violation
+        assert v["monotone"] == "zero_source_entry" and v["entry"] == [0, 2]
+        x, z = v["entry"]
+        assert abs(rho.mat[x, z]) <= 1e-12 < abs(sigma.mat[x, z]) == v["lhs"]
+        assert v["rhs"] == 0.0
+        # where the target entry is zero too, the ratio is free: still unsupported
+        with pytest.raises(ValueError):
+            cov.n_feasible(rho, DensityMatrix(np.diag([0.2, 0.3, 0.5])))
+        with pytest.raises(ValueError):
+            cov.n_feasible(rho, dephase(rho))
+
     def test_violation_certificate_is_a_negative_direction_of_q(self):
         # Q = [[1, c], [c, 1]] has lambda_min = 1 - c, here 0.5e-12 past -PSD_TOL
         c = 0.25 * (1.0 + cov.PSD_TOL + 0.5e-12)

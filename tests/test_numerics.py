@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ class TestLogDetBarrier:
         for seed in range(12):
             a = random_hermitian(2 + seed % 5, 40 + seed)
             start = np.array([np.linalg.norm(a) + 1.0])
-            y, low = log_det_barrier(start, 1.0, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
+            y, low = log_det_barrier(start, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
             top = np.linalg.eigvalsh(a)[-1]
             assert low <= top + 1e-12 and top <= y[0] + 1e-12
             assert y[0] - low <= 1e-9
@@ -274,17 +275,19 @@ class TestLogDetBarrier:
         # not LinAlgError: that is a ValueError, which the CLI reports as an
         # invalid input
         with pytest.raises(ArithmeticError):
-            log_det_barrier(start, 1.0, np.ones(1), slack, singular, bound, gap=1e-9)
+            log_det_barrier(start, np.ones(1), slack, singular, bound, gap=1e-9)
 
     def test_open_gap_raises_after_the_step_cap(self):
         # a Newton system pinned at t = 1 keeps the iterate centered there, so
         # t never effectively grows and the gap stays open until the cap
         a = random_hermitian(4, 6)
         slack, newton, bound = lambda_max_hooks(a)
-        bounds = []
+        bounds, decrements = [], []
 
         def pinned(s_inv, t):
-            return newton(s_inv, 1.0)
+            grad, hess = newton(s_inv, 1.0)
+            decrements.append(float(grad @ np.linalg.solve(hess, grad)))
+            return grad, hess
 
         def counted(y, s_inv):
             bounds.append(y)
@@ -292,12 +295,88 @@ class TestLogDetBarrier:
 
         start = np.array([np.linalg.norm(a) + 1.0])
         with pytest.raises(ArithmeticError):
-            log_det_barrier(start, 1.0, np.ones(1), slack, pinned, counted, gap=1e-9)
-        assert len(bounds) == 2400
+            log_det_barrier(start, np.ones(1), slack, pinned, counted, gap=1e-9)
+        assert len(decrements) == 2400
+        steps = sum(dec > 1e-8 for dec in decrements)
+        assert 0 < steps < 2400 and len(bounds) == 1 + steps
+
+    def test_cap_counts_growths_of_t(self):
+        # a zero gradient centers every iterate, so each of the 2400 iterations
+        # grows t and none moves y; t overflows to inf as a Python float,
+        # without a numpy warning
+        a = random_hermitian(3, 10)
+        slack, _, bound = lambda_max_hooks(a)
+        bounds, ts = [], []
+
+        def flat(s_inv, t):
+            ts.append(t)
+            return np.zeros(1), np.eye(1)
+
+        def counted(y, s_inv):
+            bounds.append(y)
+            return bound(y, s_inv)
+
+        start = np.array([np.linalg.norm(a) + 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError):
+                log_det_barrier(start, np.ones(1), slack, flat, counted, gap=1e-9)
+        assert len(ts) == 2400 and len(bounds) == 1
+        assert ts[1] == 8.0 * ts[0] and ts[-1] == np.inf
+
+    def test_start_t_is_nu_over_the_start_gap(self):
+        # on the central path the gap is nu / t, with nu = d for one d x d
+        # block; gap_0 = y_0 - Tr(A Z_0), Z_0 = S_0^-1 / Tr S_0^-1, is read
+        # here off the eigenvalues of A
+        for seed in range(6):
+            d = 2 + seed
+            a = random_hermitian(d, 60 + seed)
+            slack, newton, bound = lambda_max_hooks(a)
+            seen = []
+
+            def recorded(s_inv, t):
+                seen.append(t)
+                return newton(s_inv, t)
+
+            y0 = float(np.linalg.norm(a) + 1.0)
+            lam = np.linalg.eigvalsh(a)
+            weights = 1.0 / (y0 - lam)
+            gap0 = y0 - float(lam @ weights / weights.sum())
+            log_det_barrier(np.array([y0]), np.ones(1), slack, recorded, bound, gap=1e-9)
+            assert type(seen[0]) is float
+            assert seen[0] == pytest.approx(d / gap0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "solve, d, seed", [(mo.c_r, 3, 0), (mo._incoherent_trace_distance, 4, 1042)]
+    )
+    def test_each_iterate_is_evaluated_once(self, monkeypatch, solve, d, seed):
+        # a growth of t solves the Newton system again at the same iterate, so
+        # there are more Newton systems than evaluations
+        slacks, bounds, ts = [], [], []
+
+        def recording(y, cost, slack, newton, bound, gap):
+            def slack_hook(y):
+                slacks.append(y.tobytes())
+                return slack(y)
+
+            def bound_hook(y, s_inv):
+                bounds.append(y.tobytes())
+                return bound(y, s_inv)
+
+            def newton_hook(s_inv, t):
+                ts.append(t)
+                return newton(s_inv, t)
+
+            return log_det_barrier(y, cost, slack_hook, newton_hook, bound_hook, gap)
+
+        monkeypatch.setattr(mo, "log_det_barrier", recording)
+        solve(random_density(d, seed))
+        assert slacks == bounds and len(set(bounds)) == len(bounds)
+        assert len(ts) > len(bounds) and len(set(ts)) > 2
 
     def test_centered_round_takes_no_step_and_moves_on(self):
-        # a zero gradient at t = 8 makes that round centered, so it takes no
-        # step; the solve goes on to t = 64 and closes the gap there
+        # a zero gradient at 8 t_0 makes that round centered, so it takes no
+        # step; the solve goes on to 64 t_0 and closes the gap there
         a = random_hermitian(4, 7)
         slack, newton, bound = lambda_max_hooks(a)
         seen = []
@@ -305,11 +384,11 @@ class TestLogDetBarrier:
         def centered_at_8(s_inv, t):
             seen.append(t)
             grad, hess = newton(s_inv, t)
-            return (0.0 * grad if t == 8.0 else grad), hess
+            return (0.0 * grad if t == 8.0 * seen[0] else grad), hess
 
         start = np.array([np.linalg.norm(a) + 1.0])
-        y, low = log_det_barrier(start, 1.0, np.ones(1), slack, centered_at_8, bound, gap=1e-9)
-        assert seen.count(8.0) == 1 and max(seen) > 8.0
+        y, low = log_det_barrier(start, np.ones(1), slack, centered_at_8, bound, gap=1e-9)
+        assert seen.count(8.0 * seen[0]) == 1 and max(seen) > 8.0 * seen[0]
         top = np.linalg.eigvalsh(a)[-1]
         assert low <= top + 1e-12 and top <= y[0] + 1e-12
         assert y[0] - low <= 1e-9
@@ -326,13 +405,13 @@ class TestLogDetBarrier:
 
         start = np.array([np.linalg.norm(a) + 1.0])
         with pytest.raises(ArithmeticError):
-            log_det_barrier(start, 1.0, np.ones(1), slack, flat, bound, gap=1e-9)
+            log_det_barrier(start, np.ones(1), slack, flat, bound, gap=1e-9)
 
     def test_infeasible_start_raises(self):
         a = random_hermitian(3, 9)
         start = np.array([np.linalg.eigvalsh(a)[-1] - 0.5])
         with pytest.raises(ArithmeticError):
-            log_det_barrier(start, 1.0, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
+            log_det_barrier(start, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
 
 
 def _log_det_barrier(blocks) -> float:
@@ -358,7 +437,7 @@ class TestDampedNewtonDecrease:
         """(t, cost, slack, y, grad, hess, next y) for every step the solve takes."""
         calls, problem = [], {}
 
-        def recording(y, t, cost, slack, newton, bound, gap):
+        def recording(y, cost, slack, newton, bound, gap):
             def bound_hook(y, s_inv):
                 calls.append({"y": y})
                 return bound(y, s_inv)
@@ -369,7 +448,7 @@ class TestDampedNewtonDecrease:
                 return grad, hess
 
             problem.update(cost=cost, slack=slack)
-            return log_det_barrier(y, t, cost, slack, newton_hook, bound_hook, gap)
+            return log_det_barrier(y, cost, slack, newton_hook, bound_hook, gap)
 
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         solve(rho)
