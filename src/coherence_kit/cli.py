@@ -96,9 +96,10 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
 
 
 def _cmd_classify(args) -> int:
-    payload = _load_json(args.channel)
-    channel = ch.KrausChannel.from_json_dict(payload)
     tol = args.tol
+    if not 0.0 <= tol < math.inf:
+        raise UsageError(f"--tol must be a finite number of at least 0, got {tol!r}")
+    channel = ch.KrausChannel.from_json_dict(_load_json(args.channel))
     report = {
         "cptp": True,
         "mio": ch.is_mio(channel, tol),

@@ -5,10 +5,12 @@ carrying the value, the evaluation method, an optional witness (an optimal
 diagonal majorant, an optimal ratio vector, or similar) and, for the two
 optimizations, the certified dual bound. C_R and the trace distance to the
 incoherent states are both solved by ``numerics.log_det_barrier``; each passes
-its own start, slack, Newton system and bound, and the kernel sets the barrier
-schedule from the certified gap at that start. C_R repairs a dual point out of
-S^-1; the trace distance is solved in its dual form, so every iterate is a
-certificate as it stands, and the primal point q is read off its multipliers.
+its own start, slack, Newton step and bound, and the kernel sets the barrier
+schedule from the certified gap at that start. C_R solves its d x d Newton
+system densely and repairs a dual point out of S^-1; the trace distance is
+solved in its dual form, so every iterate is a certificate as it stands, and
+the primal point q is read off its multipliers. Its Newton step uses the shared
+eigenbasis of (I -+ W)^-1 and costs O(d^4), so it reaches d = 64.
 Either report's bound is within its gap target (``C_R_GAP``,
 ``TRACE_DISTANCE_GAP``) of its value, or the call raises ArithmeticError.
 
@@ -65,7 +67,7 @@ def _prob_vector(p) -> np.ndarray:
 
 def renyi(p, alpha: float) -> float:
     """Renyi entropy S_alpha in bits; alpha=1 is Shannon, alpha=inf is min-entropy."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
     vec = _prob_vector(p)
     vec = vec[vec > 1e-15]
@@ -119,7 +121,7 @@ def c_l1(rho: DensityMatrix) -> MonotoneReport:
 
 def c_q_alpha_pure(psi: PureStateVector, alpha: float) -> MonotoneReport:
     """Sandwiched-Renyi coherence of a pure state: S_gamma(p), gamma = a/(2a-1)."""
-    if alpha < 0.5:
+    if not alpha >= 0.5:
         raise ValueError("alpha must be at least 1/2")
     if math.isinf(alpha):
         gamma = 0.5
@@ -188,9 +190,9 @@ def _c_r_barrier(rho: DensityMatrix):
     Y = S^-1 rescaled to unit diagonal is a correlation matrix, so Tr(rho Y)
     is a dual lower bound (Napoli et al., PRL 116, 150502); the solver stops
     once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1, Hessian
-    |S^-1|^2 entrywise; the kernel chooses t. Returns
-    (1.d - 1, d, Tr(rho Y) - 1), with 1.d - Tr(rho Y) <= C_R_GAP, or raises
-    ArithmeticError.
+    |S^-1|^2 entrywise, solved densely for the step; the kernel chooses t.
+    Returns (1.d - 1, d, Tr(rho Y) - 1), with 1.d - Tr(rho Y) <= C_R_GAP, or
+    raises ArithmeticError.
     """
     mat = rho.mat
     n = rho.dim
@@ -201,7 +203,8 @@ def _c_r_barrier(rho: DensityMatrix):
 
     def newton(s_inv, t):
         (s_inv,) = s_inv
-        return t - s_inv.diagonal().real, np.abs(s_inv) ** 2
+        grad = t - s_inv.diagonal().real
+        return grad, -np.linalg.solve(np.abs(s_inv) ** 2, grad)
 
     def bound(y, s_inv):
         (s_inv,) = s_inv
@@ -281,88 +284,77 @@ def _incoherent_bound(rho: DensityMatrix, h: np.ndarray):
     return float(np.vdot(w, rho.mat).real) - float(np.max(w.diagonal().real)), vals
 
 
-def _hermitian_basis(d: int):
-    """An orthonormal basis of d x d Hermitian matrices in index form,
-    B_k = c_k E(p_k, q_k) + conj(c_k) E(q_k, p_k): the d diagonal units
-    (c = 1/2, p = q) first, then the real (c = 1/sqrt2) and the imaginary
-    (c = i/sqrt2) pair of every entry i < j. Returns (p, q, c)."""
-    i, j = np.triu_indices(d, 1)
-    diag = np.arange(d)
-    p = np.concatenate([diag, i, i])
-    q = np.concatenate([diag, j, j])
-    half = 1.0 / math.sqrt(2.0)
-    c = np.concatenate([np.full(d, 0.5), np.full(i.size, half), np.full(i.size, 1j * half)])
-    return p, q, c
-
-
-def _basis_gram(a: np.ndarray, p, q, c) -> np.ndarray:
-    """Tr(A B_k A B_l) for Hermitian A over the basis (p, q, c): the Hessian of
-    -log det S at S^-1 = A. Each B_k has two entries, so the four terms of the
-    trace are gathers of A; those pairing both second entries conjugate those
-    pairing both first ones, which leaves twice the real part of two."""
-    same = a[q[:, None], p]
-    same *= a[q, p[:, None]]
-    same *= c[:, None]
-    same *= c
-    cross = a[q[:, None], q]
-    cross *= a[p, p[:, None]]
-    cross *= c[:, None]
-    cross *= c.conj()
-    same += cross
-    return 2.0 * same.real
-
-
 def _incoherent_trace_distance(rho: DensityMatrix):
     """min_q ||rho - Diag q||_1 over the simplex, on the log-det barrier kernel,
     in its dual form: max Tr(rho W) - s s.t. I - W >= 0, I + W >= 0 and
     s - W_ii >= 0 (Rana, Parashar & Lewenstein, PRA 93, 012110).
 
-    W is in an orthonormal Hermitian basis, whose Hessian blocks are gathered
-    from the entries of (I -+ W)^-1 (``_basis_gram``), and s comes last. The
-    start W = 0, s = 1 is strictly feasible. Every iterate is dual
-    feasible, so Tr(rho W) - max_i W_ii is a certified bound with no repair.
-    The multipliers q ~ 1/(s - W_ii), normalized, lie in the simplex, and
-    ||rho - Diag q||_1 is the value. A Newton step solves a dense system of
-    order d^2 + 1: O(d^6) time, O(d^4) memory. Returns (value, bound, q), with
-    value - bound <= TRACE_DISTANCE_GAP, or raises ArithmeticError.
+    y holds the real and imaginary parts of W's entries, then s; damped Newton
+    is affine invariant, so these redundant coordinates are fine while each
+    step, built as (X + X^H)/2, is exactly Hermitian. The start W = 0, s = 1 is
+    strictly feasible, and every iterate is dual feasible, so
+    Tr(rho W) - max_i W_ii is a certified bound. The multipliers
+    q ~ r = 1/(s - W_ii), normalized, lie in the simplex; ||rho - Diag q||_1 is
+    the value.
+
+    The Newton step costs O(d^4). A1, A2 = (I -+ W)^-1 share the eigenbasis U
+    of A1 - A2, in which the W-block X -> A1 X A1 + A2 X A2 of the Hessian is
+    the entrywise product with M = a a^T + b b^T (a, b the Rayleigh quotients
+    of A1, A2), so L^-1(Y) = U((U^H Y U) / M) U^H. With D = diag(r^2),
+    K = P diag(1/M) P^H and P[j, ab] = U_ja conj(U_jb), the couplings through
+    s - W_ii leave [[D^-1 + K, 1], [1^T, 0]] [w; ds] = [-diag L^-1(G); t - sum r],
+    and dW = -L^-1(G + Diag w) with its diagonal set to w / D + ds, its exact
+    value, as the rounded one leaves the domain near t ~ 1e9. Returns
+    (value, bound, q), with value - bound <= TRACE_DISTANCE_GAP, or raises
+    ArithmeticError.
     """
     mat = rho.mat
     d = rho.dim
-    p, q, c = _hermitian_basis(d)
-    n_w = d * d
-    cost = np.append(-2.0 * (c * mat[q, p]).real, 1.0)
+    cost = np.append(-mat.view(float).ravel(), 1.0)
 
     def w_of(y):
-        half = np.zeros((d, d), dtype=complex)
-        np.add.at(half, (p, q), c * y[:n_w])
-        return half + half.conj().T
+        return y[:-1].view(complex).reshape(d, d)
 
     def slack(y):
         w = w_of(y)
-        return np.eye(d) - w, np.eye(d) + w, np.diag(y[-1] - y[:d])
+        return np.eye(d) - w, np.eye(d) + w, np.diag(y[-1] - w.diagonal().real)
 
     def simplex_point(y):
-        r = 1.0 / (y[-1] - y[:d])
+        r = 1.0 / (y[-1] - w_of(y).diagonal().real)
         return r / r.sum()
 
     def newton(s_inv, t):
         a1, a2, a3 = s_inv
         r = a3.diagonal().real
-        hess = np.zeros((n_w + 1, n_w + 1))
-        hess[:n_w, :n_w] = _basis_gram(a1, p, q, c) + _basis_gram(a2, p, q, c)
-        hess[:d, :d] += np.diag(r**2)
-        hess[:d, -1] = hess[-1, :d] = -(r**2)
-        hess[-1, -1] = np.sum(r**2)
-        grad = t * cost + np.append(2.0 * (c * (a1 - a2)[q, p]).real, -np.sum(r))
-        grad[:d] += r
-        return grad, hess
+        grad_w = a1 - a2 - t * mat
+        grad_w.flat[:: d + 1] += r
+        u = np.linalg.eigh(a1 - a2)[1]
+        u_h = u.conj().T
+        a, b = (np.sum(u.conj() * (a_k @ u), axis=0).real for a_k in (a1, a2))
+        m = np.outer(a, a) + np.outer(b, b)
+
+        def l_inv(y):
+            return u @ ((u_h @ y @ u) / m) @ u_h
+
+        p = (u[:, :, None] * u.conj()[:, None, :]).reshape(d, d * d)
+        schur = np.ones((d + 1, d + 1))
+        schur[:d, :d] = ((p / m.ravel()) @ p.conj().T).real + np.diag(1.0 / r**2)
+        schur[d, d] = 0.0
+        l_grad, grad_s = l_inv(grad_w), t - np.sum(r)
+        sol = np.linalg.solve(schur, np.append(-l_grad.diagonal().real, grad_s))
+        x = -(l_grad + l_inv(np.diag(sol[:d])))
+        step_w = (x + x.conj().T) / 2.0
+        step_w.flat[:: d + 1] = sol[:d] / r**2 + sol[d]
+        grad = np.append(grad_w.view(float).ravel(), grad_s)
+        return grad, np.append(step_w.view(float).ravel(), sol[d])
 
     def bound(y, s_inv):
         return -trace_norm(mat - np.diag(simplex_point(y)))
 
-    y = np.append(np.zeros(n_w), 1.0)
+    y = np.append(np.zeros(2 * d * d), 1.0)
     y, value = log_det_barrier(y, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
-    low = float(np.vdot(w_of(y), mat).real) - float(np.max(y[:d]))
+    w = w_of(y)
+    low = float(np.vdot(w, mat).real) - float(np.max(w.diagonal().real))
     return -value, low, simplex_point(y)
 
 

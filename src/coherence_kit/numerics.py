@@ -106,9 +106,10 @@ def log_det_barrier(y, cost, slack, newton, bound, gap: float):
     """Certified damped-Newton log-det barrier for min cost.y s.t. S(y) > 0.
 
     ``slack(y)`` returns the Hermitian blocks of S(y), an affine function of
-    y; ``newton(s_inv, t)`` returns the gradient and Hessian of
-    f = t cost.y - log det S at the blocks' inverses; ``bound(y, s_inv)`` is
-    the objective of the other problem at a feasible point built from the
+    y; ``newton(s_inv, t)`` returns the gradient of f = t cost.y - log det S
+    at the blocks' inverses and the Newton step, -Hessian^-1 gradient, which
+    each client solves in its own structure; ``bound(y, s_inv)`` is the
+    objective of the other problem at a feasible point built from the
     iterate, so a certified lower bound on the optimum.
 
     Each iterate is evaluated once: every block of S(y) is factored by
@@ -121,17 +122,18 @@ def log_det_barrier(y, cost, slack, newton, bound, gap: float):
     (Boyd & Vandenberghe, Convex Optimization, 11.6.2; this start is the one
     11.3.1 proposes, and it is positive because the gap is certified). With
     lambda = sqrt(-grad.step) the Newton decrement, a centered iterate
-    (lambda^2 <= 1e-8) makes t grow eightfold and solves the Newton system
-    again at the inverses it already has; any other takes the damped Newton
+    (lambda^2 <= 1e-8) makes t grow eightfold and asks ``newton`` again at
+    the inverses it already has; any other takes the damped Newton
     step y <- y + step / (1 + lambda). f is self-concordant, so this step
     stays in the domain and lowers f by lambda - ln(1 + lambda) (Nesterov,
     Introductory Lectures on Convex Optimization, Thm 4.1.12); it needs no
     line search.
 
     Raises ArithmeticError when a block of S is not numerically positive
-    definite (as at an infeasible start), S^-1 or the Newton system is
-    numerically singular, or 2400 iterations (Newton systems solved, steps
-    and growths of t alike) leave the gap open.
+    definite (as at an infeasible start), S^-1 or a hook's Newton system is
+    numerically singular (a LinAlgError raised inside the hook), or 2400
+    iterations (Newton systems solved, steps and growths of t alike) leave
+    the gap open.
     """
 
     def evaluate(y):
@@ -148,8 +150,7 @@ def log_det_barrier(y, cost, slack, newton, bound, gap: float):
             return y, low
         t = sum(len(block) for block in s_inv) / open_gap
         for _ in range(2400):
-            grad, hess = newton(s_inv, t)
-            step = -np.linalg.solve(hess, grad)
+            grad, step = newton(s_inv, t)
             decrement = float(-grad @ step)
             if decrement <= 1e-8:
                 t *= 8.0

@@ -143,6 +143,10 @@ class TestMonotones:
             (["monotones", "plus", "--measures", "c_q_alpha:0.2"], "needs alpha in [0.5, inf]"),
             (["harness", "--suite", "roundtrips", "--samples", "0"], "at least 1, got '0'"),
             (["harness", "--suite", "roundtrips", "--samples", "abc"], "at least 1, got 'abc'"),
+            (["classify", "example", "--tol", "nan"], "at least 0, got nan"),
+            (["classify", "example", "--tol", "-1"], "at least 0, got -1.0"),
+            (["classify", "example", "--tol", "inf"], "at least 0, got inf"),
+            (["classify", "example", "--tol", "abc"], "invalid float value: 'abc'"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, files, capsys, argv, message):

@@ -53,6 +53,10 @@ class TestRenyi:
         with pytest.raises(ValueError):
             mo.renyi([0.5, 0.5], -0.1)
 
+    def test_rejects_nan_alpha(self):
+        with pytest.raises(ValueError):
+            mo.renyi([0.5, 0.5], math.nan)
+
     def test_non_monotone_witness_profile(self):
         for alpha in np.linspace(0.0, 4.0, 50):
             gap = mo.renyi(CROSSING_Q, alpha) - 1.0
@@ -162,6 +166,10 @@ class TestCQAlphaPure:
     def test_range_check(self):
         with pytest.raises(ValueError):
             mo.c_q_alpha_pure(random_pure(2, 0), 0.4)
+
+    def test_rejects_nan_alpha(self):
+        with pytest.raises(ValueError):
+            mo.c_q_alpha_pure(random_pure(2, 0), math.nan)
 
 
 class TestCDeltaAlpha:
@@ -432,13 +440,15 @@ class TestDivergenceMonotone:
     # the three d = 4 states stopped at gaps of 5.9e-6 to 1.5e-5 while the
     # kernel had an Armijo line search, which rejected steps once t c.y
     # rounded, at t ~ 1e9; (8, 2) stopped at 7.95e-6 while the bound was
-    # repaired from a primal iterate, before the dual form
+    # repaired from a primal iterate, before the dual form; (3, 92) and
+    # (4, 129) step out of the domain near t ~ 1e9 if the Newton step's
+    # diagonal is taken from L^-1 in place of its exact value w / D + ds
     @pytest.mark.parametrize(
         "d, seed",
         [(5, seed) for seed in range(10)]
-        + [(4, 1037), (4, 1042), (4, 1044)]
+        + [(3, 92), (4, 129), (4, 1037), (4, 1042), (4, 1044)]
         + [(8, seed) for seed in range(8)]
-        + [(16, 0)],
+        + [(16, 0), (32, 0)],
     )
     def test_gap_closes(self, d, seed):
         self.check_certified(random_density(d, seed))
