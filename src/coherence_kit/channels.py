@@ -603,15 +603,17 @@ def qubit_to_qutrit_mio_example() -> KrausChannel:
     return KrausChannel([m1, m2, m3])
 
 
-def random_channel(din: int, dout: int, n_ops: int, rng: np.random.Generator) -> KrausChannel:
+def random_channel(din: int, dout: int, n_ops: int, rng: np.random.Generator | int) -> KrausChannel:
     """Generic CPTP sample: Kraus blocks of a random Stinespring isometry."""
+    rng = np.random.default_rng(rng)
     g = rng.standard_normal((dout * n_ops, din)) + 1j * rng.standard_normal((dout * n_ops, din))
     q, _ = np.linalg.qr(g)
     return KrausChannel([q[i * dout : (i + 1) * dout, :] for i in range(n_ops)])
 
 
-def random_incoherent_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+def random_incoherent_unitary(d: int, rng: np.random.Generator | int) -> np.ndarray:
     """Permutation times diagonal phases."""
+    rng = np.random.default_rng(rng)
     perm = rng.permutation(d)
     phases = np.exp(2j * np.pi * rng.random(d))
     u = np.zeros((d, d), dtype=complex)
@@ -637,8 +639,9 @@ def _column_stochastic_amplitudes(d: int, n_ops: int, rng: np.random.Generator) 
     return np.sqrt(w) * np.exp(2j * np.pi * rng.random((n_ops, d)))
 
 
-def random_sio_channel(d: int, rng: np.random.Generator, n_ops: int = 3) -> KrausChannel:
+def random_sio_channel(d: int, rng: np.random.Generator | int, n_ops: int = 3) -> KrausChannel:
     """Random strictly incoherent representation: permutation-diagonal operators."""
+    rng = np.random.default_rng(rng)
     c = _column_stochastic_amplitudes(d, n_ops, rng)
     ops = []
     for jj in range(n_ops):
@@ -650,9 +653,10 @@ def random_sio_channel(d: int, rng: np.random.Generator, n_ops: int = 3) -> Krau
 
 
 def random_sio_special_channel(
-    d: int, rng: np.random.Generator, collapse=None
+    d: int, rng: np.random.Generator | int, collapse=None
 ) -> KrausChannel:
     """Random sIO representation: one shared collapse map f, per-operator permutations."""
+    rng = np.random.default_rng(rng)
     if collapse is None:
         collapse = rng.integers(0, d, size=d)
     f = np.asarray(collapse)
@@ -677,12 +681,13 @@ def random_sio_special_channel(
     return KrausChannel(ops)
 
 
-def random_io_channel(d: int, rng: np.random.Generator) -> KrausChannel:
+def random_io_channel(d: int, rng: np.random.Generator | int) -> KrausChannel:
     """Random incoherent representation built as a mixture of two sIO pieces.
 
     The two pieces use different collapse maps, so the result is generally
     not sIO (and not SIO) at the representation level while staying IO.
     """
+    rng = np.random.default_rng(rng)
     f1 = rng.integers(0, d, size=d)
     f2 = (f1 + 1 + rng.integers(0, d - 1, size=d)) % d
     lam = 0.2 + 0.6 * rng.random()
@@ -693,8 +698,9 @@ def random_io_channel(d: int, rng: np.random.Generator) -> KrausChannel:
     return KrausChannel(ops)
 
 
-def random_pio_channel(d: int, rng: np.random.Generator, n_groups: int = 2) -> KrausChannel:
+def random_pio_channel(d: int, rng: np.random.Generator | int, n_groups: int = 2) -> KrausChannel:
     """Random physically incoherent representation: weighted projective groups."""
+    rng = np.random.default_rng(rng)
     weights = rng.dirichlet(np.ones(n_groups))
     ops = []
     for g in range(n_groups):

@@ -217,12 +217,13 @@ def n_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
     return channel
 
 
-def random_n_covariant_channel(d: int, rng: np.random.Generator) -> KrausChannel:
+def random_n_covariant_channel(d: int, rng: np.random.Generator | int) -> KrausChannel:
     """Random channel in diagonal-plus-hop form.
 
     Draws a Gram matrix with diagonal entries in [0, 1] for the diagonal
     operators and fills each column's leftover weight with hop operators.
     """
+    rng = np.random.default_rng(rng)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     gram = g.conj().T @ g
     scale = np.diag(gram).real

@@ -29,9 +29,7 @@ def _sub_seed(seed: int, index: int, salt: int = 0) -> int:
 
 
 def _mio_measures(rho: DensityMatrix) -> dict:
-    vals = {}
-    for alpha in ALPHA_GRID:
-        vals[f"c_alpha[{alpha:g}]"] = mo.c_alpha(rho, alpha).value
+    vals = {report.name: report.value for report in mo.c_alpha_grid(rho, ALPHA_GRID)}
     cr = mo.c_r(rho).value
     vals["c_r"] = cr
     vals["log1p_c_r"] = math.log2(1.0 + cr)
@@ -39,9 +37,8 @@ def _mio_measures(rho: DensityMatrix) -> dict:
 
 
 def _dio_measures(rho: DensityMatrix) -> dict:
-    vals = {}
-    for alpha in ALPHA_GRID:
-        vals[f"c_delta_alpha[{alpha:g}]"] = mo.c_delta_alpha(rho, alpha, "right").value
+    reports = mo.c_delta_alpha_grid(rho, ALPHA_GRID, "right")
+    vals = {f"c_delta_alpha[{alpha:g}]": r.value for alpha, r in zip(ALPHA_GRID, reports)}
     vals["trace_norm_coherence"] = mo.trace_norm_coherence(rho).value
     vals["c_delta_r"] = mo.c_delta_r(rho).value
     return vals

@@ -66,21 +66,21 @@ def is_psd(mat, tol: float = 1e-10) -> bool:
     return bool(dec.eigenvalues[0] >= -tol)
 
 
-def psd_power_values(vals, alpha: float) -> np.ndarray:
+def psd_power_values(vals, alpha) -> np.ndarray:
     """Elementwise support-restricted power of the values of a PSD operator.
 
     ``vals`` are eigenvalues or the diagonal of a diagonal matrix. Values below
     1e-12 are treated as exact zeros and mapped to 0 for every alpha (so
     negative powers act as pseudo-inverse powers on the support); values below
-    -1e-10 (scaled) are rejected.
+    -1e-10 (scaled) are rejected. ``alpha`` broadcasts against ``vals``: a
+    column of values against a row of exponents gives one column per exponent.
     """
     vals = np.asarray(vals, dtype=float)
-    low = float(np.min(vals))
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    if low < -1e-10 * scale:
+    low = float(vals.min())
+    if low < -1e-10 * max(1.0, -low, float(vals.max())):
         raise ValueError(f"matrix is not PSD: min eigenvalue {low:.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return np.where(vals < 1e-12, 0.0, np.power(np.where(vals < 1e-12, 1.0, vals), alpha))
+    zero = vals < 1e-12
+    return np.where(zero, 0.0, np.power(np.where(zero, 1.0, vals), alpha))
 
 
 def mat_power_psd(mat, alpha: float) -> np.ndarray:
@@ -100,6 +100,12 @@ def trace_norm(mat) -> float:
 # ---------------------------------------------------------------------------
 # Log-det barrier: minimize cost.y subject to block-diagonal S(y) > 0.
 # ---------------------------------------------------------------------------
+
+# After a damped step at decrement^2 <= 1, t is raised to at least
+# BARRIER_MU * nu / gap, the t whose central point has 1 / BARRIER_MU of the
+# certified gap. Chosen by measurement: a d = 3 C_R solve took 25.0 / 23.0 /
+# 19.9 / 18.9 Newton systems on average at mu = 4 / 8 / 16 / 32.
+BARRIER_MU = 16.0
 
 
 def log_det_barrier(y, cost, slack, newton, bound, gap: float):
@@ -127,7 +133,13 @@ def log_det_barrier(y, cost, slack, newton, bound, gap: float):
     step y <- y + step / (1 + lambda). f is self-concordant, so this step
     stays in the domain and lowers f by lambda - ln(1 + lambda) (Nesterov,
     Introductory Lectures on Convex Optimization, Thm 4.1.12); it needs no
-    line search.
+    line search. After a step taken at lambda^2 <= 1, near enough the central
+    point for its gap to measure t, t follows the certified gap just
+    evaluated: t <- max(t, BARRIER_MU * nu / gap), the update t = mu m / eta
+    of the primal-dual method of 11.7 with the certified gap as eta. Without
+    the lambda^2 <= 1 guard the rule also fires far from the path, where the
+    gap says little about t, and rank-1 d = 16 C_R solves took 86.5 (mu = 4)
+    and 699 (mu = 8) Newton systems on average in place of 41.5.
 
     Raises ArithmeticError when a block of S is not numerically positive
     definite (as at an infeasible start), S^-1 or a hook's Newton system is
@@ -148,7 +160,8 @@ def log_det_barrier(y, cost, slack, newton, bound, gap: float):
         s_inv, low, open_gap = evaluate(y)
         if open_gap <= gap:
             return y, low
-        t = sum(len(block) for block in s_inv) / open_gap
+        nu = sum(len(block) for block in s_inv)
+        t = nu / open_gap
         for _ in range(2400):
             grad, step = newton(s_inv, t)
             decrement = float(-grad @ step)
@@ -160,6 +173,8 @@ def log_det_barrier(y, cost, slack, newton, bound, gap: float):
             s_inv, low, open_gap = evaluate(y)
             if open_gap <= gap:
                 return y, low
+            if decrement <= 1.0:
+                t = max(t, BARRIER_MU * nu / open_gap)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"barrier step failed: {exc}") from exc
     raise ArithmeticError("barrier solver did not close the duality gap")

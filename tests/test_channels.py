@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coherence_kit import channels as ch
+from coherence_kit import covariance as cov
 from coherence_kit.states import (
     DensityMatrix,
     PureStateVector,
@@ -582,6 +583,32 @@ class TestClassInclusions:
             io = ch.random_io_channel(d, rng)
             assert ch.is_io_rep(io)
             assert ch.is_mio(io)
+
+
+class TestSamplersTakeASeed:
+    """Every sampler that takes ``rng`` accepts an int seed and then draws
+    exactly what ``default_rng(seed)`` draws; a Generator is used as given."""
+
+    SAMPLERS = [
+        lambda rng: ch.random_channel(3, 2, 2, rng),
+        lambda rng: ch.KrausChannel([ch.random_incoherent_unitary(4, rng)]),
+        lambda rng: ch.random_sio_channel(3, rng),
+        lambda rng: ch.random_sio_special_channel(4, rng),
+        lambda rng: ch.random_io_channel(3, rng),
+        lambda rng: ch.random_pio_channel(4, rng),
+        lambda rng: cov.random_n_covariant_channel(3, rng),
+    ]
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_int_seed_equals_its_generator(self, sample):
+        for seed in (0, 7):
+            from_int = np.array(sample(seed).kraus)
+            assert np.array_equal(from_int, np.array(sample(np.random.default_rng(seed)).kraus))
+
+    def test_generator_is_used_as_given(self):
+        rng = np.random.default_rng(5)
+        first, second = ch.random_sio_channel(3, rng), ch.random_sio_channel(3, rng)
+        assert not np.array_equal(np.array(first.kraus), np.array(second.kraus))
 
 
 class TestDual:

@@ -587,14 +587,20 @@ class TestCachedSpectrum:
         rhos += [random_pure(5, 8).to_density(), _rank3_zero_diagonal_state()]
         assert np.linalg.matrix_rank(rhos[-1].mat) == 3
         infinite = 0
+        grid = harness.ALPHA_GRID
         for rho in rhos:
             assert mo.c_rel(rho).value == _full_matrix_c_rel(rho)
-            for alpha in harness.ALPHA_GRID:
-                value = mo.c_alpha(rho, alpha).value
-                assert _same_panel_value(value, _full_matrix_c_alpha(rho, alpha))
-                for side in ("right", "left"):
+            c_alphas = mo.c_alpha_grid(rho, grid)
+            for alpha, report in zip(grid, c_alphas):
+                reference = _full_matrix_c_alpha(rho, alpha)
+                assert _same_panel_value(mo.c_alpha(rho, alpha).value, reference)
+                assert _same_panel_value(report.value, reference)
+            for side in ("right", "left"):
+                for alpha, report in zip(grid, mo.c_delta_alpha_grid(rho, grid, side)):
+                    reference = _full_matrix_c_delta_alpha(rho, alpha, side)
                     value = mo.c_delta_alpha(rho, alpha, side).value
-                    assert _same_panel_value(value, _full_matrix_c_delta_alpha(rho, alpha, side))
+                    assert _same_panel_value(value, reference)
+                    assert _same_panel_value(report.value, reference)
                     infinite += math.isinf(value)
         assert infinite > 0
 
@@ -612,6 +618,102 @@ class TestCachedSpectrum:
         assert len(calls) == 1
         harness._mio_measures(rho)
         harness._dio_measures(rho)
-        # the second call is c_delta_r's rescaled core D^-1/2 rho D^-1/2
+        mo.c_delta_alpha_grid(rho, harness.ALPHA_GRID, "left")
+        # the second call is c_delta_r's rescaled core D^-1/2 rho D^-1/2; the
+        # alpha grids read the cached spectrum
         assert len(calls) == 2
         assert mo.c_r(rho).method == "barrier"
+
+
+def _scalar_c_alpha(rho, alpha):
+    """c_alpha by the per-alpha path the grid replaced: one |V|^2 product per alpha."""
+    if alpha == 1.0:
+        return mo.c_rel(rho).value
+    abs2 = np.abs(rho.spectrum.eigenvectors) ** 2
+    diag = np.clip(abs2 @ numerics.psd_power_values(rho.spectrum.eigenvalues, alpha), 0.0, None)
+    if alpha == 0.0:
+        return -math.log2(float(np.max(diag)))
+    return (alpha / (alpha - 1.0)) * math.log2(float(np.sum(diag ** (1.0 / alpha))))
+
+
+def _scalar_c_delta_alpha_right(rho, alpha):
+    """Right-hand c_delta_alpha by the per-alpha path the grid replaced."""
+    if alpha == 1.0:
+        return mo.c_rel(rho).value
+    abs2 = np.abs(rho.spectrum.eigenvectors) ** 2
+    powers = numerics.psd_power_values(rho.spectrum.eigenvalues, alpha)
+    delta = numerics.psd_power_values(np.diag(rho.mat).real, 1.0 - alpha)
+    return math.log2(max(float(abs2 @ powers @ delta), 1e-300)) / (alpha - 1.0)
+
+
+def _rank_k_state(d, k, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    return DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+
+
+def _zero_diagonal_state(d, seed):
+    """Full rank on every index but 1, whose row and column are zero."""
+    keep = [i for i in range(d) if i != 1]
+    m = np.zeros((d, d), dtype=complex)
+    m[np.ix_(keep, keep)] = _rank_k_state(d - 1, d - 1, seed).mat
+    return DensityMatrix(m)
+
+
+class TestRenyiGrid:
+    """The alpha grid from one d x n product agrees with the per-alpha path
+    within 1e-13 and with the one-column calls, on full-rank, rank-1 and
+    rank-2 states and on a zero diagonal entry (where dephased^(1 - alpha)
+    is a pseudo-inverse power for alpha > 1)."""
+
+    STATES = [
+        (kind, d)
+        for d in (2, 3, 8, 64)
+        for kind in ("full", "rank1", "rank2", "zero_diagonal")
+    ]
+
+    @staticmethod
+    def state(kind, d):
+        if kind == "full":
+            return random_density(d, 90 + d)
+        if kind == "rank1":
+            return random_pure(d, 90 + d).to_density()
+        if kind == "rank2":
+            return _rank_k_state(d, 2, 90 + d)
+        return _zero_diagonal_state(d, 90 + d)
+
+    @pytest.mark.parametrize("kind, d", STATES)
+    def test_grid_matches_the_per_alpha_path(self, kind, d):
+        rho = self.state(kind, d)
+        grid = harness.ALPHA_GRID
+        c_alphas = mo.c_alpha_grid(rho, grid)
+        c_deltas = mo.c_delta_alpha_grid(rho, grid, "right")
+        assert [r.name for r in c_alphas] == [f"c_alpha[{a:g}]" for a in grid]
+        assert [r.name for r in c_deltas] == [f"c_delta_alpha[{a:g},right]" for a in grid]
+        for alpha, c_a, c_d in zip(grid, c_alphas, c_deltas):
+            assert c_a.value == pytest.approx(_scalar_c_alpha(rho, alpha), rel=0, abs=1e-13)
+            assert c_d.value == pytest.approx(
+                _scalar_c_delta_alpha_right(rho, alpha), rel=0, abs=1e-13
+            )
+            assert _same_panel_value(c_a.value, mo.c_alpha(rho, alpha).value)
+            assert _same_panel_value(c_d.value, mo.c_delta_alpha(rho, alpha).value)
+
+    def test_zero_diagonal_entry_takes_the_pseudo_inverse_power(self):
+        rho = _zero_diagonal_state(3, 4)
+        assert rho.mat[1, 1] == 0.0
+        (report,) = mo.c_delta_alpha_grid(rho, (2.0,))
+        diag_rho2 = np.diag(rho.mat @ rho.mat).real
+        keep = np.diag(rho.mat).real > 0.0
+        expected = math.log2(float(np.sum(diag_rho2[keep] / np.diag(rho.mat).real[keep])))
+        assert report.value == pytest.approx(expected, rel=0, abs=1e-13)
+
+    def test_rejects_alpha_outside_0_2_and_a_bad_side(self):
+        rho = random_density(3, 1)
+        for alphas in ((0.5, 2.5), (-0.1,), (math.nan,)):
+            with pytest.raises(ValueError, match="alpha must lie"):
+                mo.c_alpha_grid(rho, alphas)
+            with pytest.raises(ValueError, match="alpha must lie"):
+                mo.c_delta_alpha_grid(rho, alphas)
+        with pytest.raises(ValueError, match="side"):
+            mo.c_delta_alpha_grid(rho, (0.5,), "middle")
+        assert mo.c_alpha_grid(rho, ()) == ()

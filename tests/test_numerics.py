@@ -6,6 +6,7 @@ import pytest
 
 from coherence_kit import monotones as mo
 from coherence_kit.numerics import (
+    BARRIER_MU,
     BirkhoffDecomposition,
     InfeasibleError,
     LinearProgram,
@@ -18,7 +19,7 @@ from coherence_kit.numerics import (
     solve_lp,
     trace_norm,
 )
-from coherence_kit.states import random_density
+from coherence_kit.states import random_density, random_pure
 
 
 def random_hermitian(d, seed):
@@ -351,9 +352,10 @@ class TestLogDetBarrier:
         "solve, d, seed", [(mo.c_r, 3, 0), (mo._incoherent_trace_distance, 4, 1042)]
     )
     def test_each_iterate_is_evaluated_once(self, monkeypatch, solve, d, seed):
-        # a growth of t solves the Newton system again at the same iterate, so
-        # there are more Newton systems than evaluations
-        slacks, bounds, ts = [], [], []
+        # every Newton system is either a step, which the next evaluation
+        # follows, or a growth of t by 8 at the same iterate, which another
+        # Newton system follows; the start is evaluated before either
+        slacks, bounds, events = [], [], []
 
         def recording(y, cost, slack, newton, bound, gap):
             def slack_hook(y):
@@ -362,10 +364,11 @@ class TestLogDetBarrier:
 
             def bound_hook(y, s_inv):
                 bounds.append(y.tobytes())
+                events.append(None)
                 return bound(y, s_inv)
 
             def newton_hook(s_inv, t):
-                ts.append(t)
+                events.append(t)
                 return newton(s_inv, t)
 
             return log_det_barrier(y, cost, slack_hook, newton_hook, bound_hook, gap)
@@ -373,7 +376,11 @@ class TestLogDetBarrier:
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         solve(random_density(d, seed))
         assert slacks == bounds and len(set(bounds)) == len(bounds)
-        assert len(ts) > len(bounds) and len(set(ts)) > 2
+        ts = [t for t in events if t is not None]
+        growths = [(a, b) for a, b in zip(events, events[1:]) if a is not None and b is not None]
+        assert all(b == 8.0 * a for a, b in growths)
+        assert len(ts) == len(bounds) - 1 + len(growths)
+        assert len(set(ts)) > 2
 
     def test_centered_round_takes_no_step_and_moves_on(self):
         # a zero gradient at 8 t_0 makes that round centered, so it takes no
@@ -414,6 +421,87 @@ class TestLogDetBarrier:
         start = np.array([np.linalg.eigvalsh(a)[-1] - 0.5])
         with pytest.raises(ArithmeticError):
             log_det_barrier(start, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
+
+
+def newton_systems(monkeypatch, rhos) -> list:
+    """Newton systems solved by each C_R barrier solve of ``rhos``, counted
+    through a recording ``newton`` hook; every gap must close."""
+    counts = []
+
+    def recording(y, cost, slack, newton, bound, gap):
+        counts.append(0)
+
+        def newton_hook(s_inv, t):
+            counts[-1] += 1
+            return newton(s_inv, t)
+
+        return log_det_barrier(y, cost, slack, newton_hook, bound, gap)
+
+    monkeypatch.setattr(mo, "log_det_barrier", recording)
+    for rho in rhos:
+        report = mo.c_r(rho, method="cutting_plane")
+        assert report.value - report.bound <= mo.C_R_GAP
+    return counts
+
+
+class TestGapDrivenSchedule:
+    """After a damped step taken at decrement^2 <= 1, t follows the certified
+    gap: t <- max(t, BARRIER_MU * nu / gap). The budgets are mean Newton
+    systems per C_R solve; the schedule without the rule took 31.6 and 41.5,
+    and the rule applied after every step, unguarded, took 86.5 (mu = 4) and
+    699 (mu = 8) on the rank-1 set."""
+
+    def test_budget_on_random_d3_states(self, monkeypatch):
+        counts = newton_systems(monkeypatch, [random_density(3, seed) for seed in range(60)])
+        assert np.mean(counts) <= 22.0
+
+    def test_budget_on_rank_one_d16_states(self, monkeypatch):
+        rhos = [random_pure(16, seed).to_density() for seed in range(15)]
+        assert np.mean(newton_systems(monkeypatch, rhos)) <= 41.5
+
+    def test_t_moves_only_by_the_two_rules(self, monkeypatch):
+        # events in order: ("t", t, decrement) per Newton system, ("gap", gap)
+        # per evaluation; C_R's cost is all ones, so gap = sum(y) - bound
+        events = []
+
+        def recording(y, cost, slack, newton, bound, gap):
+            def bound_hook(y, s_inv):
+                low = bound(y, s_inv)
+                events.append(("gap", float(np.sum(y)) - low))
+                return low
+
+            def newton_hook(s_inv, t):
+                grad, step = newton(s_inv, t)
+                events.append(("t", t, float(-grad @ step)))
+                return grad, step
+
+            return log_det_barrier(y, cost, slack, newton_hook, bound_hook, gap)
+
+        monkeypatch.setattr(mo, "log_det_barrier", recording)
+        d = 5
+        mo.c_r(random_density(d, 3), method="cutting_plane")
+        pulled = kept = 0
+        for i, event in enumerate(events[:-1]):
+            if event[0] != "t":
+                continue
+            _, t, decrement = event
+            following = events[i + 1]
+            if decrement <= 1e-8:
+                assert following == ("t", 8.0 * t, following[2])
+                continue
+            # a step: one evaluation, then the next Newton system unless the
+            # gap closed there
+            if i + 2 == len(events):
+                break
+            gap = following[1]
+            next_t = events[i + 2][1]
+            if decrement <= 1.0:
+                assert next_t == max(t, BARRIER_MU * d / gap)
+                pulled += next_t > t
+            else:
+                assert next_t == t
+                kept += 1
+        assert pulled > 2 and kept > 0
 
 
 def _log_det_barrier(blocks) -> float:
