@@ -4,12 +4,19 @@ Subcommands: classify, monotones, transform, reproduce, harness. Each accepts
 only the options it reads; any other option is a usage error. Every command
 routes straight into the library with the given seed, so outputs are
 byte-identical to direct calls. Exit codes: 0 ok, 1 property violation,
-2 parse failure, 3 invalid object, 4 usage error.
+2 parse failure (also an input file that is not UTF-8), 3 invalid object,
+4 usage error (also an --out or --witness-out file that cannot be written).
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused: parsing reads it and never changes it. A ``monotones`` call runs
+each measure it names once, and r_d reads the c_delta_r report of the same
+call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -50,7 +57,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _ParseFailure(str(exc)) from exc
 
 
@@ -78,14 +85,21 @@ def _format_csv(rows: list, header: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(args, payload, csv_rows=None, csv_header=None):
     if getattr(args, "format", "json") == "csv":
         text = _format_csv(csv_rows, csv_header)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -138,25 +152,42 @@ _DEFAULT_MEASURES = (
 )
 
 
-def _c_q_alpha(state, rho, params) -> mo.MonotoneReport:
-    if not isinstance(state, PureStateVector):
+class _Panel:
+    """The reports of one monotones call on one loaded state.
+
+    The density matrix is built once, so the measures share one cached
+    spectrum, and ``report`` runs each measure token once.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self.rho = _as_density(state)
+        self._reports = {}
+
+    def report(self, token: str) -> mo.MonotoneReport:
+        if token not in self._reports:
+            self._reports[token] = _measure_report(token, self)
+        return self._reports[token]
+
+
+def _c_q_alpha(panel, params) -> mo.MonotoneReport:
+    if not isinstance(panel.state, PureStateVector):
         raise UsageError("c_q_alpha needs a pure-state input")
-    return mo.c_q_alpha_pure(state, params[0])
+    return mo.c_q_alpha_pure(panel.state, params[0])
 
 
-# measure name -> report from the loaded state, its density matrix (built once
-# per call, so the panel shares one cached spectrum) and the ":"-separated
-# parameters after the name, alpha already parsed; parameters past the ones a
-# measure reads are ignored
+# measure name -> report from the panel and the ":"-separated parameters after
+# the name, alpha already parsed; parameters past the ones a measure reads are
+# ignored
 _MEASURES = {
-    "c_rel": lambda state, rho, p: mo.c_rel(rho),
-    "c_l1": lambda state, rho, p: mo.c_l1(rho),
-    "c_r": lambda state, rho, p: mo.c_r(rho),
-    "c_delta_r": lambda state, rho, p: mo.c_delta_r(rho),
-    "r_d": lambda state, rho, p: mo.log_robustness_dephasing(rho),
-    "trace_norm": lambda state, rho, p: mo.trace_norm_coherence(rho),
-    "c_alpha": lambda state, rho, p: mo.c_alpha(rho, p[0]),
-    "c_delta_alpha": lambda state, rho, p: mo.c_delta_alpha(rho, p[0], *p[1:2]),
+    "c_rel": lambda panel, p: mo.c_rel(panel.rho),
+    "c_l1": lambda panel, p: mo.c_l1(panel.rho),
+    "c_r": lambda panel, p: mo.c_r(panel.rho),
+    "c_delta_r": lambda panel, p: mo.c_delta_r(panel.rho),
+    "r_d": lambda panel, p: mo.log_robustness_of(panel.report("c_delta_r")),
+    "trace_norm": lambda panel, p: mo.trace_norm_coherence(panel.rho),
+    "c_alpha": lambda panel, p: mo.c_alpha(panel.rho, p[0]),
+    "c_delta_alpha": lambda panel, p: mo.c_delta_alpha(panel.rho, p[0], *p[1:2]),
     "c_q_alpha": _c_q_alpha,
 }
 # measure name -> the closed range of its alpha; c_delta_alpha's optional
@@ -164,7 +195,7 @@ _MEASURES = {
 _ALPHA_RANGE = {"c_alpha": (0.0, 2.0), "c_delta_alpha": (0.0, 2.0), "c_q_alpha": (0.5, math.inf)}
 
 
-def _measure_report(token: str, state, rho: DensityMatrix) -> mo.MonotoneReport:
+def _measure_report(token: str, panel: _Panel) -> mo.MonotoneReport:
     """The report of the measure a token names; a missing or out-of-range
     parameter is a usage error, raised before the measure runs."""
     name, *params = token.split(":")
@@ -183,18 +214,17 @@ def _measure_report(token: str, state, rho: DensityMatrix) -> mo.MonotoneReport:
         if name == "c_delta_alpha" and params[1:2] and params[1] not in ("right", "left"):
             raise UsageError(f"measure {name} takes side right or left, got {params[1]!r}")
         params[0] = alpha
-    return _MEASURES[name](state, rho, params)
+    return _MEASURES[name](panel, params)
 
 
 def _cmd_monotones(args) -> int:
-    state = _load_state(args.state)
+    panel = _Panel(_load_state(args.state))
     tokens = (
         list(_DEFAULT_MEASURES)
         if args.measures == "all"
         else [t.strip() for t in args.measures.split(",") if t.strip()]
     )
-    rho = _as_density(state)
-    reports = [_measure_report(token, state, rho) for token in tokens]
+    reports = [panel.report(token) for token in tokens]
     payload = [r.to_json_dict() for r in reports]
     rows = [(r.name, r.value, r.method) for r in reports]
     _emit(args, payload, rows, ["measure", "value", "method"])
@@ -239,8 +269,8 @@ _TRANSFORMS = {
 def _cmd_transform(args) -> int:
     decision = _TRANSFORMS[args.klass](_load_state(args.source), _load_state(args.target))
     if decision.witness is not None and args.witness_out:
-        with open(args.witness_out, "w", encoding="utf-8") as fh:
-            json.dump(decision.witness.to_json_dict(), fh, indent=2, sort_keys=True)
+        witness = json.dumps(decision.witness.to_json_dict(), indent=2, sort_keys=True)
+        _write(args.witness_out, witness)
     _emit(args, decision.to_json_dict())
     return EXIT_OK
 
@@ -380,6 +410,7 @@ def _cmd_harness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="coherence-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

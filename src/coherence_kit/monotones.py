@@ -310,10 +310,14 @@ def c_delta_r(rho: DensityMatrix) -> MonotoneReport:
     return MonotoneReport("c_delta_r", max(lam - 1.0, 0.0), "eigenvalue", witness=witness)
 
 
+def log_robustness_of(base: MonotoneReport) -> MonotoneReport:
+    """The r_d report of a c_delta_r report: log2(1 + its value), its witness."""
+    return MonotoneReport("r_d", math.log2(1.0 + base.value), "eigenvalue", witness=base.witness)
+
+
 def log_robustness_dephasing(rho: DensityMatrix) -> MonotoneReport:
     """log2(1 + dephasing robustness); between 0 and log2 d."""
-    base = c_delta_r(rho)
-    return MonotoneReport("r_d", math.log2(1.0 + base.value), "eigenvalue", witness=base.witness)
+    return log_robustness_of(c_delta_r(rho))
 
 
 TRACE_DISTANCE_GAP = 1e-6

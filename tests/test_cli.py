@@ -12,7 +12,7 @@ from coherence_kit import monotones as mo
 from coherence_kit import cli
 from coherence_kit.cli import main
 from coherence_kit.harness import run_suite
-from coherence_kit.states import DensityMatrix, PureStateVector, random_pure
+from coherence_kit.states import DensityMatrix, PureStateVector, random_density, random_pure
 
 
 @pytest.fixture()
@@ -93,6 +93,12 @@ class TestClassify:
 
     def test_bad_usage(self, files, capsys):
         assert main(["classify"]) == 4
+
+    def test_file_that_is_not_utf8_is_parse_error(self, files, capsys):
+        path = files["dir"] / "latin1.json"
+        path.write_bytes(b'{"din": "\xff"}')
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse failure: 'utf-8' codec can't decode")
 
 
 class TestMonotones:
@@ -176,6 +182,55 @@ class TestMonotones:
         assert len(json.loads(out)) == 8
         assert len(built) == 1
 
+    def test_default_panel_runs_c_delta_r_once(self, files, capsys, monkeypatch):
+        calls = []
+        c_delta_r = mo.c_delta_r
+
+        def counted(rho):
+            calls.append(rho)
+            return c_delta_r(rho)
+
+        monkeypatch.setattr(mo, "c_delta_r", counted)
+        code, out = run_cli(capsys, ["monotones", files["mixed_qubit"]])
+        assert code == 0
+        assert [e["name"] for e in json.loads(out)].count("r_d") == 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("state", [random_density(3, 4), random_pure(16, 5)])
+    def test_r_d_is_the_library_report(self, state):
+        rho = state.to_density() if isinstance(state, PureStateVector) else state
+        reported = cli._Panel(state).report("r_d")
+        direct = mo.log_robustness_dephasing(rho)
+        assert (reported.name, reported.value, reported.method, reported.bound) == (
+            direct.name,
+            direct.value,
+            direct.method,
+            direct.bound,
+        )
+        assert np.array_equal(reported.witness, direct.witness)
+
+    def test_repeated_measure_runs_once(self, files, capsys, monkeypatch):
+        calls = []
+        c_r = mo.c_r
+
+        def counted(rho):
+            calls.append(rho)
+            return c_r(rho)
+
+        monkeypatch.setattr(mo, "c_r", counted)
+        code, out = run_cli(capsys, ["monotones", files["mixed_qubit"], "--measures", "c_r,c_r"])
+        assert code == 0
+        first, second = json.loads(out)
+        assert first == second and first["name"] == "c_r"
+        assert len(calls) == 1
+
+    def test_unwritable_out_is_usage_error(self, files, capsys):
+        missing = files["dir"] / "missing" / "x.json"
+        assert main(["reproduce", "--artifact", "fig1", "--out", str(missing)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: cannot write {missing}: No such file or directory\n"
+
     def test_matches_direct_library_call(self, files, capsys):
         code, out = run_cli(capsys, ["monotones", files["mixed_qubit"]])
         assert code == 0
@@ -248,6 +303,14 @@ class TestTransform:
             assert ch.is_sio_rep(ch.KrausChannel.from_json_dict(stored))
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_unwritable_witness_out_is_usage_error(self, files, capsys):
+        missing = files["dir"] / "missing" / "witness.json"
+        argv = ["transform", files["plus"], files["psi"], "--class", "mio-pure"]
+        assert main([*argv, "--witness-out", str(missing)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: cannot write {missing}: No such file or directory\n"
 
     def test_class_input_mismatch(self, files, capsys):
         code, _ = run_cli(
@@ -404,3 +467,40 @@ class TestOptions:
                 if not re.search(rf"\bargs\.{action.dest}\b", source):
                     unread.append((name, action.dest))
         assert unread == []
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self, files, capsys, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        for _ in range(3):
+            assert main(["monotones", files["plus"], "--measures", "c_l1"]) == 0
+        # subcommand parsers are _Parser instances too; count the top-level ones
+        assert built.count("coherence-kit") <= 1
+
+    def test_failed_calls_leave_no_state(self, files, capsys, tmp_path):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(json.dumps({"dim": 2, "mat": [[[1.0, 0.0]]]}))
+        valid = ["monotones", files["mixed_qubit"], "--measures", "all", "--format", "csv"]
+        first = run_cli(capsys, valid)
+        for argv, code in (
+            (["monotones", files["mixed_qubit"], "--tol", "1"], 4),
+            (["monotones", str(broken)], 2),
+            (["monotones", str(invalid)], 3),
+        ):
+            assert main(argv) == code
+            assert capsys.readouterr().out == ""
+        second = run_cli(capsys, valid)
+        cli._build_parser.cache_clear()
+        fresh = run_cli(capsys, valid)
+        assert first[0] == 0
+        assert first == second == fresh
