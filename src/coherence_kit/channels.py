@@ -6,6 +6,8 @@ existence in general is a search problem): each is an array reduction over
 the stacked operators, built on one support pass that finds the row of each
 column's single entry. MIO and DIO are properties of the channel itself and
 read only the d^3 slices of its action on matrix units that they constrain.
+``CLASS_PARENTS`` states the inclusions between the classes once, for
+``classify`` and the harness's class suites (through ``class_chain``).
 ``qubit_mio_to_io`` is the one existence procedure offered, for channels
 with a qubit input and any output dimension: a closed-form PSD test that
 returns either an incoherent representation or an eigenvector certifying that
@@ -89,7 +91,7 @@ class KrausChannel:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict, require_tp: bool = True) -> "KrausChannel":
+    def from_json_dict(cls, payload: dict) -> "KrausChannel":
         din, dout = int(payload["din"]), int(payload["dout"])
         ops = []
         for entry in payload["kraus"]:
@@ -98,7 +100,7 @@ class KrausChannel:
                 raise ValueError(
                     f"Kraus operator shape {ops[-1].shape} does not match declared ({dout},{din})"
                 )
-        return cls(ops, require_tp=require_tp)
+        return cls(ops)
 
 
 class ChoiMatrix:
@@ -176,6 +178,31 @@ def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
 # ---------------------------------------------------------------------------
 # Class membership predicates: array reductions over the stacked operators.
 # ---------------------------------------------------------------------------
+
+# Incoherent classes, smallest first -> the classes directly containing them
+# (PIO in SIO in sIO in IO in MIO, SIO in DIO in MIO); is_<c> tests class c.
+CLASS_PARENTS = {
+    "pio_rep": ("sio_rep",),
+    "sio_rep": ("sio_special_rep", "dio"),
+    "sio_special_rep": ("io_rep",),
+    "io_rep": ("mio",),
+    "dio": ("mio",),
+    "mio": (),
+}
+
+
+def class_chain(klass: str) -> tuple:
+    """``klass`` and every class that contains it, smallest first."""
+    members = {klass}
+    for c, parents in CLASS_PARENTS.items():  # children come before parents
+        if c in members:
+            members.update(parents)
+    return tuple(c for c in CLASS_PARENTS if c in members)
+
+
+def in_class(ch: KrausChannel, klass: str, tol: float = PREDICATE_TOL) -> bool:
+    """``is_<klass>(ch, tol)``; ValueError where that test is not defined."""
+    return globals()[f"is_{klass}"](ch, tol)
 
 
 def is_mio(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:

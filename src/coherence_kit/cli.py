@@ -93,14 +93,18 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(args, payload, csv_rows=None, csv_header=None):
+def _emit(args, payload, csv_rows=None, csv_header=None, side_files=()):
+    """Write the output to --out, then each (path, text) of side_files, then
+    to stdout when there is no --out; a write that fails stops the rest."""
     if getattr(args, "format", "json") == "csv":
         text = _format_csv(csv_rows, csv_header)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         _write(args.out, text)
-    else:
+    for path, side_text in side_files:
+        _write(path, side_text)
+    if not args.out:
         sys.stdout.write(text)
 
 
@@ -114,18 +118,12 @@ def _cmd_classify(args) -> int:
     if not 0.0 <= tol < math.inf:
         raise UsageError(f"--tol must be a finite number of at least 0, got {tol!r}")
     channel = ch.KrausChannel.from_json_dict(_load_json(args.channel))
-    report = {
-        "cptp": True,
-        "mio": ch.is_mio(channel, tol),
-        "dio": ch.is_dio(channel, tol),
-        "io_rep": ch.is_io_rep(channel, tol),
-        "sio_special_rep": ch.is_sio_special_rep(channel, tol),
-    }
-    for name, predicate in (("sio_rep", ch.is_sio_rep), ("pio_rep", ch.is_pio_rep)):
+    report = {"cptp": True}
+    for klass in ch.CLASS_PARENTS:
         try:
-            report[name] = predicate(channel, tol)
-        except ValueError:
-            report[name] = None
+            report[klass] = ch.in_class(channel, klass, tol)
+        except ValueError:  # a test outside its domain, such as a non-square channel
+            report[klass] = None
     fit = ch.fit_g_covariant(channel)
     report["g_covariant_fit"] = (
         None
@@ -268,10 +266,11 @@ _TRANSFORMS = {
 
 def _cmd_transform(args) -> int:
     decision = _TRANSFORMS[args.klass](_load_state(args.source), _load_state(args.target))
+    side_files = []
     if decision.witness is not None and args.witness_out:
         witness = json.dumps(decision.witness.to_json_dict(), indent=2, sort_keys=True)
-        _write(args.witness_out, witness)
-    _emit(args, decision.to_json_dict())
+        side_files.append((args.witness_out, witness))
+    _emit(args, decision.to_json_dict(), side_files=side_files)
     return EXIT_OK
 
 
@@ -350,6 +349,8 @@ _TABLES = {
 
 
 def _cmd_reproduce(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     if args.artifact == "example":
         if args.format == "csv":
             raise UsageError("this command has no CSV form")
@@ -412,7 +413,7 @@ def _cmd_harness(args) -> int:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="coherence-kit", description=__doc__)
+    parser = _Parser(prog="coherence-kit", description="Coherence classes, monotones and deciders.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="class membership report for a channel file")

@@ -1,5 +1,9 @@
 """Sampled property suites: monotonicity, class inclusions, and roundtrips.
 
+The class suites list each sampled channel family once, with its smallest
+class: the inclusions suite tests every class ``channels.class_chain`` gives
+for it, and the monotonicity suite every monotone of those classes.
+
 Each suite evaluates independent seeded samples one after another and
 reduces results in sample-index order, so a run is a pure function of
 (suite, samples, seed). Runs are serial: the samples are small numpy calls
@@ -44,105 +48,79 @@ def _dio_measures(rho: DensityMatrix) -> dict:
     return vals
 
 
+# class -> the monotones of that class that the monotonicity suite checks
+_CLASS_MONOTONES = {
+    "mio": _mio_measures,
+    "dio": _dio_measures,
+    "io_rep": lambda rho: {"c_l1": mo.c_l1(rho).value},
+}
+
+
+def _class_measures(klass: str, rho: DensityMatrix) -> dict:
+    """The monotones of ``klass`` and of every class containing it, at rho."""
+    chain = ch.class_chain(klass)
+    vals = {}
+    for c, measures in _CLASS_MONOTONES.items():
+        if c in chain:
+            vals.update(measures(rho))
+    return vals
+
+
 def _monotonicity_sample(index: int, seed: int, corrupt_hook) -> list:
-    failures = []
     rng = np.random.default_rng(_sub_seed(seed, index))
 
-    def check(tag, channel, rho, measure_sets):
-        if corrupt_hook is not None:
-            channel = corrupt_hook(channel, index)
-        out = ch.apply(channel, rho)
-        for measures in measure_sets:
-            before = measures(rho)
-            after = measures(out)
-            for name, lhs in before.items():
-                drop = lhs - after[name]
-                if drop < -MONOTONE_SLACK:
-                    failures.append(
-                        {
-                            "index": index,
-                            "check": f"monotonicity/{tag}/{name}",
-                            "magnitude": float(-drop),
-                        }
-                    )
+    def state(d, salt):
+        return random_density(d, _sub_seed(seed, index, salt))
 
     params = ch.GCovariantParams(*rng.dirichlet(np.ones(3)), 3)
-    check(
-        "g_covariant",
-        ch.g_covariant_channel(params),
-        random_density(3, _sub_seed(seed, index, 1)),
-        [_mio_measures, _dio_measures],
+    # (tag, smallest class, channel, input) for each sampled family
+    families = (
+        ("g_covariant", "dio", ch.g_covariant_channel(params), state(3, 1)),
+        ("qubit_mio", "mio", ch.sample_mio_qubit_channel(_sub_seed(seed, index, 2)), state(2, 3)),
+        ("sio", "sio_rep", ch.random_sio_channel(3, rng), state(3, 4)),
     )
-    check(
-        "qubit_mio",
-        ch.sample_mio_qubit_channel(_sub_seed(seed, index, 2)),
-        random_density(2, _sub_seed(seed, index, 3)),
-        [_mio_measures],
-    )
-
-    def sio_measures(rho):
-        vals = _mio_measures(rho)
-        vals.update(_dio_measures(rho))
-        vals["c_l1"] = mo.c_l1(rho).value
-        return vals
-
-    check(
-        "sio",
-        ch.random_sio_channel(3, rng),
-        random_density(3, _sub_seed(seed, index, 4)),
-        [sio_measures],
-    )
+    failures = []
+    for tag, klass, channel, rho in families:
+        if corrupt_hook is not None:
+            channel = corrupt_hook(channel, index)
+        before = _class_measures(klass, rho)
+        after = _class_measures(klass, ch.apply(channel, rho))
+        for name, lhs in before.items():
+            drop = lhs - after[name]
+            if drop < -MONOTONE_SLACK:
+                check = f"monotonicity/{tag}/{name}"
+                failures.append({"index": index, "check": check, "magnitude": float(-drop)})
     return failures
 
 
 def _inclusion_sample(index: int, seed: int, corrupt_hook) -> list:
-    failures = []
     rng = np.random.default_rng(_sub_seed(seed, index))
     d = 3 + index % 2
-
-    def expect(tag, channel, predicates):
+    # (tag, smallest class, channel) for each sampled family, drawn in this order
+    families = (
+        ("pio", "pio_rep", ch.random_pio_channel(d, rng)),
+        ("sio", "sio_rep", ch.random_sio_channel(d, rng)),
+        ("sio_special", "sio_special_rep", ch.random_sio_special_channel(d, rng)),
+        ("io", "io_rep", ch.random_io_channel(d, rng)),
+        (
+            "g_covariant",
+            "dio",
+            ch.g_covariant_channel(ch.GCovariantParams(*rng.dirichlet(np.ones(3)), d)),
+        ),
+        (
+            "incoherent_unitary",
+            "sio_rep",
+            ch.incoherent_unitary_channel(ch.random_incoherent_unitary(d, rng)),
+        ),
+    )
+    failures = []
+    for tag, klass, channel in families:
         if corrupt_hook is not None:
             channel = corrupt_hook(channel, index)
-        for name, predicate in predicates:
-            if not predicate(channel):
-                failures.append(
-                    {"index": index, "check": f"inclusions/{tag}/{name}", "magnitude": 1.0}
-                )
-
-    chain = [
-        ("sio_rep", ch.is_sio_rep),
-        ("sio_special_rep", ch.is_sio_special_rep),
-        ("io_rep", ch.is_io_rep),
-        ("dio", ch.is_dio),
-        ("mio", ch.is_mio),
-    ]
-    expect("pio", ch.random_pio_channel(d, rng), [("pio_rep", ch.is_pio_rep)] + chain)
-    expect("sio", ch.random_sio_channel(d, rng), chain)
-    expect(
-        "sio_special",
-        ch.random_sio_special_channel(d, rng),
-        [
-            ("sio_special_rep", ch.is_sio_special_rep),
-            ("io_rep", ch.is_io_rep),
-            ("mio", ch.is_mio),
-        ],
-    )
-    expect(
-        "io",
-        ch.random_io_channel(d, rng),
-        [("io_rep", ch.is_io_rep), ("mio", ch.is_mio)],
-    )
-    params = ch.GCovariantParams(*rng.dirichlet(np.ones(3)), d)
-    expect(
-        "g_covariant",
-        ch.g_covariant_channel(params),
-        [("dio", ch.is_dio), ("mio", ch.is_mio)],
-    )
-    expect(
-        "incoherent_unitary",
-        ch.incoherent_unitary_channel(ch.random_incoherent_unitary(d, rng)),
-        chain,
-    )
+        for c in ch.class_chain(klass):
+            if not ch.in_class(channel, c):
+                check = f"inclusions/{tag}/{c}"
+                failures.append({"index": index, "check": check, "magnitude": 1.0})
     return failures
 
 

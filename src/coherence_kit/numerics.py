@@ -60,12 +60,6 @@ def eig_hermitian(mat) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs)
 
 
-def is_psd(mat, tol: float = 1e-10) -> bool:
-    """True iff the Hermitian matrix has minimum eigenvalue >= -tol."""
-    dec = eig_hermitian(mat)
-    return bool(dec.eigenvalues[0] >= -tol)
-
-
 def psd_power_values(vals, alpha) -> np.ndarray:
     """Elementwise support-restricted power of the values of a PSD operator.
 

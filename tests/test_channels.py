@@ -584,6 +584,35 @@ class TestClassInclusions:
             assert ch.is_io_rep(io)
             assert ch.is_mio(io)
 
+    @pytest.mark.parametrize(
+        "klass, chain",
+        [
+            ("pio_rep", ("pio_rep", "sio_rep", "sio_special_rep", "io_rep", "dio", "mio")),
+            ("sio_rep", ("sio_rep", "sio_special_rep", "io_rep", "dio", "mio")),
+            ("sio_special_rep", ("sio_special_rep", "io_rep", "mio")),
+            ("io_rep", ("io_rep", "mio")),
+            ("dio", ("dio", "mio")),
+            ("mio", ("mio",)),
+        ],
+    )
+    def test_class_chain(self, klass, chain):
+        assert ch.class_chain(klass) == chain
+
+    def test_table_lists_classes_smallest_first(self):
+        order = list(ch.CLASS_PARENTS)
+        for klass, parents in ch.CLASS_PARENTS.items():
+            assert all(order.index(p) > order.index(klass) for p in parents)
+
+    def test_in_class_calls_the_predicate_bound_at_call_time(self, monkeypatch):
+        c = ch.KrausChannel([np.eye(2)])
+        calls = []
+        monkeypatch.setattr(ch, "is_dio", lambda channel, tol: calls.append(tol) or False)
+        assert ch.in_class(c, "dio", 1e-3) is False
+        assert calls == [1e-3]
+        assert ch.in_class(c, "mio") is True
+        with pytest.raises(ValueError, match="square"):
+            ch.in_class(ch.qubit_to_qutrit_mio_example(), "sio_rep")
+
 
 class TestSamplersTakeASeed:
     """Every sampler that takes ``rng`` accepts an int seed and then draws

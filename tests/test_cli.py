@@ -153,6 +153,7 @@ class TestMonotones:
             (["classify", "example", "--tol", "-1"], "at least 0, got -1.0"),
             (["classify", "example", "--tol", "inf"], "at least 0, got inf"),
             (["classify", "example", "--tol", "abc"], "invalid float value: 'abc'"),
+            (["reproduce", "--artifact", "qubit-formulas", "--seed", "-5"], "--seed must be at least 0"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, files, capsys, argv, message):
@@ -312,6 +313,14 @@ class TestTransform:
         assert captured.out == ""
         assert captured.err == f"usage error: cannot write {missing}: No such file or directory\n"
 
+    def test_unwritable_out_leaves_no_witness(self, files, capsys):
+        witness = files["dir"] / "witness.json"
+        missing = files["dir"] / "missing" / "o.json"
+        argv = ["transform", files["plus"], files["psi"], "--class", "mio-pure"]
+        assert main([*argv, "--witness-out", str(witness), "--out", str(missing)]) == 4
+        assert capsys.readouterr().out == ""
+        assert not witness.exists()
+
     def test_class_input_mismatch(self, files, capsys):
         code, _ = run_cli(
             capsys,
@@ -417,6 +426,44 @@ class TestHarnessCommand:
         assert summary["passed"] is False
         assert all(f["index"] == 2 for f in summary["failures"])
 
+    # records of sample 0 at seed 2 with the injected rotation, in order: a
+    # family's failures follow its class chain, smallest class first, and its
+    # monotones go MIO, then DIO, then IO (the alpha = 0 members and the qubit
+    # family do not rise on this sample)
+    MIO_NAMES = [f"c_alpha[{a:g}]" for a in (0.3, 0.5, 0.7, 1, 1.3, 1.7, 2)] + [
+        "c_r",
+        "log1p_c_r",
+    ]
+    DIO_NAMES = [f"c_delta_alpha[{a:g}]" for a in (0.3, 0.5, 0.7, 1, 1.3, 1.7, 2)] + [
+        "trace_norm_coherence",
+        "c_delta_r",
+    ]
+    INJECTED = {
+        "monotonicity": [f"g_covariant/{n}" for n in MIO_NAMES + DIO_NAMES]
+        + [f"sio/{n}" for n in MIO_NAMES + DIO_NAMES + ["c_l1"]],
+        "inclusions": [
+            f"{family}/{klass}"
+            for family, classes in (
+                ("pio", "pio_rep sio_rep sio_special_rep io_rep dio mio"),
+                ("sio", "sio_rep sio_special_rep io_rep dio mio"),
+                ("sio_special", "sio_special_rep io_rep mio"),
+                ("io", "io_rep mio"),
+                ("g_covariant", "dio mio"),
+                ("incoherent_unitary", "sio_rep sio_special_rep io_rep dio mio"),
+            )
+            for klass in classes.split()
+        ],
+    }
+
+    @pytest.mark.parametrize("suite", sorted(INJECTED))
+    def test_injected_failure_records(self, capsys, monkeypatch, suite):
+        monkeypatch.setenv("COHERENCE_KIT_HARNESS_INJECT", "0")
+        argv = ["harness", "--suite", suite, "--samples", "1", "--seed", "2"]
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        checks = [f["check"] for f in json.loads(out)["failures"]]
+        assert checks == [f"{suite}/{name}" for name in self.INJECTED[suite]]
+
     def test_repeat_runs_are_identical(self):
         first = run_suite("roundtrips", 8, seed=9)
         assert run_suite("roundtrips", 8, seed=9) == first
@@ -467,6 +514,23 @@ class TestOptions:
                 if not re.search(rf"\bargs\.{action.dest}\b", source):
                     unread.append((name, action.dest))
         assert unread == []
+
+
+class TestHelp:
+    def test_help_does_not_print_the_module_docstring(self, capsys, monkeypatch):
+        def help_text():
+            cli._build_parser.cache_clear()
+            with pytest.raises(SystemExit):
+                main(["--help"])
+            return capsys.readouterr().out
+
+        try:
+            before = help_text()
+            monkeypatch.setattr(cli, "__doc__", "Edited notes.\n\nMore notes.")
+            assert help_text() == before
+        finally:
+            cli._build_parser.cache_clear()
+        assert before.startswith("usage: coherence-kit")
 
 
 class TestParserReuse:

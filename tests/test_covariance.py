@@ -6,8 +6,9 @@ import pytest
 from coherence_kit import channels as ch
 from coherence_kit import covariance as cov
 from coherence_kit import numerics, states
-from coherence_kit.numerics import eig_hermitian, is_psd
+from coherence_kit.numerics import eig_hermitian
 from coherence_kit.states import DensityMatrix, PureStateVector, dephase, random_density
+from linalg_checks import is_psd
 
 
 def dense_state(d, seed):

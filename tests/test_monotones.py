@@ -6,7 +6,7 @@ import pytest
 from coherence_kit import channels as ch
 from coherence_kit import harness, numerics, states
 from coherence_kit import monotones as mo
-from coherence_kit.numerics import eig_hermitian, is_psd, mat_power_psd
+from coherence_kit.numerics import eig_hermitian, mat_power_psd
 from coherence_kit.states import (
     DensityMatrix,
     PureStateVector,
@@ -17,6 +17,7 @@ from coherence_kit.states import (
     random_density,
     random_pure,
 )
+from linalg_checks import is_psd
 
 CROSSING_Q = np.array([8.0 / 9.0, 1.0 / 18.0, 1.0 / 18.0])
 

@@ -13,13 +13,13 @@ from coherence_kit.numerics import (
     UnboundedError,
     birkhoff_decompose,
     eig_hermitian,
-    is_psd,
     log_det_barrier,
     mat_power_psd,
     solve_lp,
     trace_norm,
 )
 from coherence_kit.states import random_density, random_pure
+from linalg_checks import is_psd
 
 
 def random_hermitian(d, seed):
