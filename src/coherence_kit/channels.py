@@ -78,9 +78,6 @@ class KrausChannel:
         blocks = _choi_array(self).reshape(self.din, self.dout, self.din, self.dout)
         return blocks.transpose(1, 3, 0, 2)
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return apply(self, rho)
-
     def to_json_dict(self) -> dict:
         return {
             "din": self.din,
@@ -666,15 +663,15 @@ def _column_stochastic_amplitudes(d: int, n_ops: int, rng: np.random.Generator) 
     return np.sqrt(w) * np.exp(2j * np.pi * rng.random((n_ops, d)))
 
 
-def random_sio_channel(d: int, rng: np.random.Generator | int, n_ops: int = 3) -> KrausChannel:
-    """Random strictly incoherent representation: permutation-diagonal operators."""
+def random_sio_channel(d: int, rng: np.random.Generator | int) -> KrausChannel:
+    """Random strictly incoherent representation: three permutation-diagonal operators."""
     rng = np.random.default_rng(rng)
-    c = _column_stochastic_amplitudes(d, n_ops, rng)
+    c = _column_stochastic_amplitudes(d, 3, rng)
     ops = []
-    for jj in range(n_ops):
+    for amps in c:
         perm = rng.permutation(d)
         op = np.zeros((d, d), dtype=complex)
-        op[perm, np.arange(d)] = c[jj]
+        op[perm, np.arange(d)] = amps
         ops.append(op)
     return KrausChannel(ops)
 

@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -85,25 +86,36 @@ def _format_csv(rows: list, header: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: str, text: str) -> None:
+def _write_all(files) -> None:
+    """Write every (path, text) of files, or none of them: all are opened,
+    untruncated, before any is written, and a failure removes the files this
+    call created. Each is written in place, so a FIFO or device stays one."""
+    opened = []  # (path, text, created by this call, handle)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        for path, text in files:
+            created = not os.path.lexists(path)
+            opened.append((path, text, created, open(path, "a", encoding="utf-8")))
+        for path, text, _, fh in opened:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
             fh.write(text)
+            fh.close()
     except OSError as exc:
+        for made, _, created, fh in opened:
+            fh.close()
+            if created:
+                os.remove(made)
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None, side_files=()):
-    """Write the output to --out, then each (path, text) of side_files, then
-    to stdout when there is no --out; a write that fails stops the rest."""
+    """Write the output to --out and each (path, text) of side_files, all or
+    none of them, then to stdout when there is no --out."""
     if getattr(args, "format", "json") == "csv":
         text = _format_csv(csv_rows, csv_header)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write(args.out, text)
-    for path, side_text in side_files:
-        _write(path, side_text)
+    _write_all(([(args.out, text)] if args.out else []) + list(side_files))
     if not args.out:
         sys.stdout.write(text)
 

@@ -249,14 +249,14 @@ def phi_t(rho: DensityMatrix, t: float) -> np.ndarray:
     return (1.0 + t) * np.diag(np.diag(rho.mat)) - rho.mat
 
 
-def is_phi_t_cp(d: int, t: float, tol: float = PSD_TOL) -> bool:
-    """PSD test of the map's Choi matrix (1+t) sum |jj><jj| - |Omega><Omega|."""
+def is_phi_t_cp(d: int, t: float) -> bool:
+    """PSD test (to PSD_TOL) of the map's Choi matrix (1+t) sum |jj><jj| - |Omega><Omega|."""
     diag_idx = np.arange(d) * d + np.arange(d)
     omega = np.zeros(d * d)
     omega[diag_idx] = 1.0
     j = -np.outer(omega, omega)
     j[diag_idx, diag_idx] += 1.0 + t
-    return bool(eig_hermitian(j).eigenvalues[0] >= -tol)
+    return bool(eig_hermitian(j).eigenvalues[0] >= -PSD_TOL)
 
 
 def phi_t_threshold(d: int) -> float:

@@ -17,9 +17,7 @@ import math
 import numpy as np
 
 from . import channels as ch
-from . import covariance as cov
 from . import monotones as mo
-from .numerics import birkhoff_decompose
 from .states import DensityMatrix, random_density
 
 MONOTONE_SLACK = 1e-7
@@ -156,16 +154,6 @@ def _roundtrip_sample(index: int, seed: int, corrupt_hook) -> list:
 
     parsed = ch.KrausChannel.from_json_dict(generic.to_json_dict())
     record("channel_json", ch.choi_distance(generic, parsed), 1e-12)
-
-    mix = np.zeros((4, 4))
-    for w in rng.dirichlet(np.ones(6)):
-        perm = rng.permutation(4)
-        p = np.zeros((4, 4))
-        p[np.arange(4), perm] = 1.0
-        mix += w * p
-    decomp = birkhoff_decompose(mix)
-    record("birkhoff", float(np.max(np.abs(decomp.matrix() - mix))), 1e-8)
-    record("birkhoff_terms", len(decomp.terms), (4 - 1) ** 2 + 1)
     return failures
 
 

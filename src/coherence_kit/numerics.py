@@ -24,12 +24,12 @@ class UnboundedError(ValueError):
     """The linear program objective is unbounded below."""
 
 
-def _as_square_matrix(mat, name: str = "matrix") -> np.ndarray:
+def _as_square_matrix(mat) -> np.ndarray:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     return m
 
 

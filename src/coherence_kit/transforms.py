@@ -2,21 +2,24 @@
 
 Pure-state convertibility under strictly incoherent operations is governed by
 majorization of the squared-amplitude vectors; the qubit mixed-state order is
-governed by the two robustness measures; and a qubit can be pumped into a
+governed by the two robustness measures; a qubit can be pumped into a
 higher-rank pure qudit by maximally incoherent operations exactly on the
-`sum sqrt(q) <= sqrt(2)` region. Every positive verdict carries a Kraus
-witness which is re-verified (CPTP, class membership, output match) before it
-is returned.
+`sum sqrt(q) <= sqrt(2)` region; and a pure state converts under physically
+incoherent operations exactly when its support splits into blocks whose
+moduli are proportional to the target's. Every positive verdict carries a
+Kraus witness which is re-verified (CPTP, class membership, output match)
+before it is returned.
 
 Each class's feasibility inequality is tested in one place, its construction,
-which raises ``InfeasibleTransformError`` carrying the violation record; the
-matching decider turns that exception into the negative verdict.
+which raises ``InfeasibleTransformError`` carrying the violation record. Every
+decider is ``_decide`` over its construction: it only turns that exception
+into the negative verdict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +58,6 @@ class TransformDecision:
     verdict: bool
     witness: KrausChannel | None = None
     violation: dict | None = None
-    detail: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         payload: dict = {"verdict": self.verdict}
@@ -291,17 +293,27 @@ def _mio_target(q) -> np.ndarray:
     return qv
 
 
-def mio_qubit_pure_construct(q) -> KrausChannel:
-    """Maximally incoherent channel taking |+> to sum_y sqrt(q_y) |y>.
+def mio_qubit_pure_construct(p, q) -> KrausChannel:
+    """Maximally incoherent channel taking the pure qubit with probabilities p
+    to the pure qudit sum_y sqrt(q_y) |y>.
 
-    Uses d'+1 operators built from r_y = sqrt(q_y)/s with s = sum sqrt(q):
-    column 0 of operator j holds sqrt(r_j) e_j, column 1 holds
-    sqrt(2 q_y) c_j - sqrt(r_y) delta_{yj}, with c_j = sqrt(s/2) q_j^(1/4)
-    and a completing coefficient c_{d'+1} = sqrt(1 - s^2/2). Feasible exactly
-    when s <= sqrt(2), tested with a 1e-12 slack; at the boundary the
-    completing operator vanishes.
+    The source must be |+>: p uniform, with a 1e-12 slack. Both vectors are
+    validated before either test. Uses d'+1 operators built from
+    r_y = sqrt(q_y)/s with s = sum sqrt(q): column 0 of operator j holds
+    sqrt(r_j) e_j, column 1 holds sqrt(2 q_y) c_j - sqrt(r_y) delta_{yj}, with
+    c_j = sqrt(s/2) q_j^(1/4) and a completing coefficient
+    c_{d'+1} = sqrt(1 - s^2/2). Feasible exactly when s <= sqrt(2), tested
+    with a 1e-12 slack; at the boundary the completing operator vanishes.
     """
+    pv = np.asarray(p, dtype=float).ravel()
+    if pv.size != 2 or np.min(pv) < -1e-12 or abs(pv.sum() - 1.0) > 1e-9:
+        raise ValueError("source must be a qubit probability vector")
     qv = _mio_target(q)
+    if abs(pv[0] - 0.5) > 1e-12:
+        raise InfeasibleTransformError(
+            f"source population {pv[0]:.6f} is not uniform",
+            {"monotone": "uniform_source", "lhs": float(pv[0]), "rhs": 0.5},
+        )
     s = float(np.sum(np.sqrt(qv)))
     if s > math.sqrt(2.0) + 1e-12:
         raise InfeasibleTransformError(
@@ -334,20 +346,8 @@ def mio_qubit_pure_construct(q) -> KrausChannel:
 
 
 def mio_qubit_pure_decide(p, q) -> TransformDecision:
-    """Can the pure qubit with probabilities p reach the pure qudit q by MIO?
-
-    Requires p uniform (with a 1e-12 slack) and the construction's
-    sum sqrt(q) <= sqrt(2). Both vectors are validated before either test.
-    """
-    pv = np.asarray(p, dtype=float).ravel()
-    if pv.size != 2 or np.min(pv) < -1e-12 or abs(pv.sum() - 1.0) > 1e-9:
-        raise ValueError("source must be a qubit probability vector")
-    qv = _mio_target(q)
-    if abs(pv[0] - 0.5) > 1e-12:
-        return TransformDecision(
-            False, violation={"monotone": "uniform_source", "lhs": float(pv[0]), "rhs": 0.5}
-        )
-    return _decide(mio_qubit_pure_construct, qv)
+    """Can the pure qubit with probabilities p reach the pure qudit q by MIO?"""
+    return _decide(mio_qubit_pure_construct, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +442,14 @@ def qubit_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def _match_blocks(values_desc, profile, tol: float = 1e-9):
+def _match_blocks(values_desc, profile):
     """Partition index-value pairs, sorted by descending value, into blocks
     proportional to the descending profile.
 
     The largest remaining value must head its own block, so a value that block
-    needs and no remaining entry matches within tol proves that no partition
-    exists. Returns (blocks, None), or (None, (top, missing)) with that head
-    and needed value.
+    needs and no remaining entry matches within 1e-9 (relative above 1) proves
+    that no partition exists. Returns (blocks, None), or (None, (top, missing))
+    with that head and needed value.
     """
     remaining = list(values_desc)
     blocks = []
@@ -458,7 +458,7 @@ def _match_blocks(values_desc, profile, tol: float = 1e-9):
         scale = top / profile[0]
         block = [idx]
         for want in (scale * v for v in profile[1:]):
-            close = tol * max(1.0, want)
+            close = 1e-9 * max(1.0, want)
             near = [pos for pos, (_, val) in enumerate(remaining) if abs(val - want) <= close]
             if not near:
                 return None, (top, want)
@@ -467,13 +467,15 @@ def _match_blocks(values_desc, profile, tol: float = 1e-9):
     return blocks, None
 
 
-def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDecision:
-    """Is psi -> phi possible by physically incoherent operations?
+def pio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChannel:
+    """Physically incoherent Kraus set mapping psi to phi.
 
-    Requires the support of psi to split into equal-size blocks, each with
-    modulus pattern proportional to that of phi; a positive verdict carries
-    the block partition and a projective Kraus witness, checked at every d to
-    be one PIO group: unit-modulus phase partial permutations whose supports
+    Feasible exactly when the support of psi splits into equal-size blocks,
+    each with modulus pattern proportional to that of phi. One operator per
+    block sends it onto the support of phi by unit-modulus phases, so each
+    operator's column support is one block; the identity on the complement of
+    psi's support closes the sum rule. The witness is checked at every d to be
+    one PIO group: unit-modulus phase partial permutations whose supports
     partition the basis.
     """
     if psi.dim != phi.dim:
@@ -483,12 +485,10 @@ def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDeci
     supp_out = [y for y in range(d) if abs(phi.amps[y]) > 1e-12]
     n = len(supp_out)
     if n == 0 or len(supp_in) % n != 0:
-        violation = {
-            "reason": "support sizes incompatible",
-            "source_support": supp_in,
-            "target_support": supp_out,
-        }
-        return TransformDecision(False, violation=violation)
+        reason = "support sizes incompatible"
+        raise InfeasibleTransformError(
+            reason, {"reason": reason, "source_support": supp_in, "target_support": supp_out}
+        )
     profile = sorted((abs(phi.amps[y]) for y in supp_out), reverse=True)
     values = sorted(
         ((x, abs(psi.amps[x])) for x in supp_in), key=lambda iv: -iv[1]
@@ -496,21 +496,16 @@ def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDeci
     blocks, unmatched = _match_blocks(values, profile)
     if blocks is None:
         top, missing = unmatched
-        violation = {
-            "reason": "no proportional block partition",
-            "profile": profile,
-            "top": top,
-            "missing": missing,
-        }
-        return TransformDecision(False, violation=violation)
+        reason = "no proportional block partition"
+        raise InfeasibleTransformError(
+            reason, {"reason": reason, "profile": profile, "top": top, "missing": missing}
+        )
 
     out_sorted = sorted(supp_out, key=lambda y: -abs(phi.amps[y]))
     ops = []
-    weights = []
     for block in blocks:
         op = np.zeros((d, d), dtype=complex)
         scale = abs(psi.amps[block[0]]) / abs(phi.amps[out_sorted[0]])
-        weights.append(scale**2)
         for y, x in zip(out_sorted, block):
             phase = (psi.amps[x] / (scale * phi.amps[y])).conjugate()
             op[y, x] = phase / abs(phase)
@@ -528,8 +523,9 @@ def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDeci
     if group is None or np.max(np.abs(group[0] - 1.0)) > 1e-8:
         raise ArithmeticError("constructed witness lost the projective form")
     _verify_witness(channel, psi.to_density(), phi.to_density())
-    return TransformDecision(
-        True,
-        witness=channel,
-        detail={"blocks": blocks, "weights": weights},
-    )
+    return channel
+
+
+def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDecision:
+    """Is psi -> phi possible by physically incoherent operations?"""
+    return _decide(pio_pure_construct, psi, phi)

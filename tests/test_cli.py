@@ -2,7 +2,10 @@ import argparse
 import inspect
 import json
 import math
+import os
 import re
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -232,6 +235,24 @@ class TestMonotones:
         assert captured.out == ""
         assert captured.err == f"usage error: cannot write {missing}: No such file or directory\n"
 
+    def test_out_through_a_symlink_writes_its_target(self, files, capsys):
+        target, link = files["dir"] / "real.json", files["dir"] / "link.json"
+        link.symlink_to(target)
+        assert main(["reproduce", "--artifact", "fig1", "--out", str(link)]) == 0
+        assert link.is_symlink() and json.loads(target.read_text())
+
+    def test_out_to_a_fifo_keeps_the_fifo(self, files, capsys):
+        # --out is opened and written in place, never replaced by a new file
+        fifo = files["dir"] / "pipe"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["reproduce", "--artifact", "fig1", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert json.loads(read[0])
+
     def test_matches_direct_library_call(self, files, capsys):
         code, out = run_cli(capsys, ["monotones", files["mixed_qubit"]])
         assert code == 0
@@ -320,6 +341,37 @@ class TestTransform:
         assert main([*argv, "--witness-out", str(witness), "--out", str(missing)]) == 4
         assert capsys.readouterr().out == ""
         assert not witness.exists()
+
+    @pytest.mark.parametrize("blocked", ["missing", "directory"])
+    def test_unwritable_witness_leaves_no_out(self, files, capsys, blocked):
+        # --out is opened first; a witness that cannot be opened must leave
+        # no --out behind, keep an existing one as it was, and leave no
+        # other file
+        (files["dir"] / "taken").mkdir()
+        witness = files["dir"] / ("missing/W.json" if blocked == "missing" else "taken")
+        reason = "No such file or directory" if blocked == "missing" else "Is a directory"
+        argv = ["transform", files["plus"], files["psi"], "--class", "mio-pure"]
+        out = files["dir"] / "o.json"
+        for existing in (None, "old"):
+            if existing is not None:
+                out.write_text(existing)
+            before = sorted(files["dir"].iterdir())
+            assert main([*argv, "--out", str(out), "--witness-out", str(witness)]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"usage error: cannot write {witness}: {reason}\n"
+            assert sorted(files["dir"].iterdir()) == before
+            assert (out.read_text() if out.exists() else None) == existing
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_witness_write_removes_the_new_out(self, files, capsys):
+        # the witness opens but its write fails: the --out this call created goes
+        out = files["dir"] / "o.json"
+        argv = ["transform", files["plus"], files["psi"], "--class", "mio-pure"]
+        assert main([*argv, "--out", str(out), "--witness-out", "/dev/full"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: cannot write /dev/full: No space left on device\n"
+        assert not out.exists()
 
     def test_class_input_mismatch(self, files, capsys):
         code, _ = run_cli(

@@ -44,10 +44,10 @@ def random_majorized_pair(d, rng):
     return pure(psi_probs, rng), pure(phi_probs, rng)
 
 
-def decides_once(decide, construct, *args, decide_args=None):
+def decides_once(decide, construct, *args):
     """The decider's verdict is true exactly when the construction raises no
     InfeasibleTransformError, and a negative verdict carries its violation."""
-    dec = decide(*(args if decide_args is None else decide_args))
+    dec = decide(*args)
     try:
         construct(*args)
     except tr.InfeasibleTransformError as exc:
@@ -66,6 +66,19 @@ def mio_target(offset):
     q = np.array([8.0 / 9.0 - eps, 1.0 / 18.0 + eps, 1.0 / 18.0])
     assert abs(np.sum(np.sqrt(q)) - math.sqrt(2.0) - offset) < 1e-15
     return q
+
+
+def phased(moduli, rng):
+    """Pure state with the given moduli (normalized) and random phases."""
+    moduli = np.asarray(moduli, dtype=float) / np.linalg.norm(moduli)
+    return PureStateVector(moduli * np.exp(2j * np.pi * rng.random(moduli.size)))
+
+
+def pio_blocks(witness, psi):
+    """The block partition a PIO witness realizes: each operator's column
+    support, leaving out the operator on the complement of psi's support."""
+    supports = [np.flatnonzero(np.any(np.abs(k) > 1e-12, axis=0)) for k in witness.kraus]
+    return [s.tolist() for s in supports if np.any(np.abs(psi.amps[s]) > 1e-12)]
 
 
 class TestDecideOnce:
@@ -164,12 +177,7 @@ class TestDecideOnce:
             d = 3 + trial % 4
             q = rng.dirichlet([40.0] + [1.0] * (d - 1) if trial % 2 else np.ones(d))
             outcomes.add(
-                decides_once(
-                    tr.mio_qubit_pure_decide,
-                    tr.mio_qubit_pure_construct,
-                    q,
-                    decide_args=([0.5, 0.5], q),
-                )
+                decides_once(tr.mio_qubit_pure_decide, tr.mio_qubit_pure_construct, [0.5, 0.5], q)
             )
         assert outcomes == {True, False}
 
@@ -178,14 +186,58 @@ class TestDecideOnce:
         for offset in self.NUDGES:
             q = mio_target(offset)
             verdicts.append(
-                decides_once(
-                    tr.mio_qubit_pure_decide,
-                    tr.mio_qubit_pure_construct,
-                    q,
-                    decide_args=([0.5, 0.5], q),
-                )
+                decides_once(tr.mio_qubit_pure_decide, tr.mio_qubit_pure_construct, [0.5, 0.5], q)
             )
         assert verdicts == [True, False]
+
+    def test_mio_nudged_sources(self):
+        # a target inside the sqrt(2) region; the source population sits
+        # 0.5e-12 either side of the uniform-source slack
+        q = [0.9, 0.05, 0.05]
+        verdicts = []
+        for delta in self.NUDGES:
+            p = [0.5 + delta, 0.5 - delta]
+            verdicts.append(
+                decides_once(tr.mio_qubit_pure_decide, tr.mio_qubit_pure_construct, p, q)
+            )
+        assert verdicts == [True, False]
+        assert tr.mio_qubit_pure_decide(p, q).violation["monotone"] == "uniform_source"
+
+    def test_mio_non_uniform_source_over_any_target(self):
+        # the source is tested before the target's sqrt(2) inequality
+        for q in ([0.9, 0.05, 0.05], [0.5, 0.25, 0.25]):
+            assert not decides_once(
+                tr.mio_qubit_pure_decide, tr.mio_qubit_pure_construct, [0.6, 0.4], q
+            )
+            violation = tr.mio_qubit_pure_decide([0.6, 0.4], q).violation
+            assert violation == {"monotone": "uniform_source", "lhs": 0.6, "rhs": 0.5}
+
+    def test_pio_random_pairs(self):
+        # by thirds: block-proportional pairs (feasible), random moduli on
+        # supports of sizes d and n (no partition), and a source support of
+        # d - 1 entries, which n >= 2 does not divide
+        rng = np.random.default_rng(87)
+        outcomes, reasons = set(), set()
+        for trial in range(60):
+            n, blocks = 2 + trial % 3, 1 + (trial // 3) % 4
+            d = n * blocks
+            profile = np.zeros(d)
+            profile[rng.choice(d, n, replace=False)] = rng.random(n) + 0.1
+            moduli = rng.random(d) + 0.1
+            if trial % 3 == 0:
+                weights = rng.dirichlet(np.ones(blocks))
+                moduli = np.concatenate([np.sqrt(w) * profile[profile > 0] for w in weights])
+                moduli = moduli[rng.permutation(d)]
+            elif trial % 3 == 2:
+                moduli[rng.integers(d)] = 0.0
+            psi, phi = phased(moduli, rng), phased(profile, rng)
+            outcome = decides_once(tr.pio_pure_decide, tr.pio_pure_construct, psi, phi)
+            assert outcome is (trial % 3 == 0)
+            outcomes.add(outcome)
+            if not outcome:
+                reasons.add(tr.pio_pure_decide(psi, phi).violation["reason"])
+        assert outcomes == {True, False}
+        assert reasons == {"support sizes incompatible", "no proportional block partition"}
 
     def test_n_covariant_random_pairs(self):
         outcomes = set()
@@ -499,12 +551,12 @@ class TestMioQubitPure:
 
     def test_construct_rejects_over_boundary(self):
         with pytest.raises(ValueError):
-            tr.mio_qubit_pure_construct(np.ones(3) / 3.0)
+            tr.mio_qubit_pure_construct([0.5, 0.5], np.ones(3) / 3.0)
 
     def test_small_epsilon_limit(self):
         eps = 1e-3
         q = np.array([1.0 - 2 * eps, eps, eps])
-        witness = tr.mio_qubit_pure_construct(q)
+        witness = tr.mio_qubit_pure_construct([0.5, 0.5], q)
         out = ch.apply(witness, pure([0.5, 0.5]).to_density())
         assert mo.c_l1(out).value < 0.2
 
@@ -528,14 +580,14 @@ class TestMioQubitPure:
         assert dec.verdict
         out = ch.apply(dec.witness, pure([0.5, 0.5]).to_density())
         assert np.max(np.abs(out.mat - pure(q).to_density().mat)) < 1e-8
-        assert len(tr.mio_qubit_pure_construct(q)) == 3
+        assert len(tr.mio_qubit_pure_construct([0.5, 0.5], q)) == 3
 
     def test_past_the_slack_is_refused(self):
         dec = tr.mio_qubit_pure_decide([0.5, 0.5], mio_target(1.1e-12))
         assert not dec.verdict and dec.violation["monotone"] == "sqrt_sum"
         assert dec.violation["lhs"] - dec.violation["rhs"] == pytest.approx(1.1e-12, abs=1e-15)
         with pytest.raises(tr.InfeasibleTransformError, match="exceeds sqrt"):
-            tr.mio_qubit_pure_construct(mio_target(1.1e-12))
+            tr.mio_qubit_pure_construct([0.5, 0.5], mio_target(1.1e-12))
 
 
 class TestQubitDecide:
@@ -623,7 +675,7 @@ class TestPioPure:
         psi = PureStateVector(u @ phi.amps)
         dec = tr.pio_pure_decide(psi, phi)
         assert dec.verdict
-        assert len(dec.detail["blocks"]) == 1
+        assert pio_blocks(dec.witness, psi) == [[0, 1, 2, 3]]
         assert ch.is_pio_rep(dec.witness)
 
     def test_uniform_four_to_uniform_two(self):
@@ -631,7 +683,7 @@ class TestPioPure:
         phi = PureStateVector(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0))
         dec = tr.pio_pure_decide(psi, phi)
         assert dec.verdict
-        assert sorted(map(sorted, dec.detail["blocks"])) == [[0, 1], [2, 3]]
+        assert sorted(pio_blocks(dec.witness, psi)) == [[0, 1], [2, 3]]
         out = ch.apply(dec.witness, psi.to_density())
         assert np.max(np.abs(out.mat - phi.to_density().mat)) < 1e-10
 
@@ -670,7 +722,10 @@ class TestPioPure:
         phi = pure([0.5, 0.5, 0.0, 0.0])
         dec = tr.pio_pure_decide(psi, phi)
         assert dec.verdict
-        assert sorted(dec.detail["weights"], reverse=True) == pytest.approx([0.64, 0.36])
+        blocks = pio_blocks(dec.witness, psi)
+        assert sorted(map(sorted, blocks)) == [[0, 1], [2, 3]]
+        weights = sorted((np.sum(psi.probs[b]) for b in blocks), reverse=True)
+        assert weights == pytest.approx([0.64, 0.36])
 
     @pytest.mark.parametrize("d", [16, 64])
     def test_witness_structure_checked_at_every_d(self, d, monkeypatch):
