@@ -4,10 +4,14 @@ The class suites list each sampled channel family once, with its smallest
 class: the inclusions suite tests every class ``channels.class_chain`` gives
 for it, and the monotonicity suite every monotone of those classes.
 
-Each suite evaluates independent seeded samples one after another and
-reduces results in sample-index order, so a run is a pure function of
-(suite, samples, seed). Runs are serial: the samples are small numpy calls
-that the GIL serializes, so a thread pool gave no speed-up.
+The monotonicity suite first builds every sample's channels and their input
+and output states, then measures all the states at once, so that C_R solves
+each dimension's states as one batch of the barrier kernel
+(``monotones.c_r_many``); the other suites evaluate one sample after another.
+Every suite reduces its results in sample-index order (then family, then
+check), and the samples draw from independent seeds, so a run is a pure
+function of (suite, samples, seed). Runs are serial: the samples are small
+numpy calls that the GIL serializes, so a thread pool gave no speed-up.
 """
 
 from __future__ import annotations
@@ -30,59 +34,79 @@ def _sub_seed(seed: int, index: int, salt: int = 0) -> int:
     return (seed * 1_000_003 + index * 97 + salt) % (2**31 - 1)
 
 
-def _mio_measures(rho: DensityMatrix) -> dict:
-    vals = {report.name: report.value for report in mo.c_alpha_grid(rho, ALPHA_GRID)}
-    cr = mo.c_r(rho).value
-    vals["c_r"] = cr
-    vals["log1p_c_r"] = math.log2(1.0 + cr)
+def _state_measures(chain: tuple, rho: DensityMatrix, c_r: mo.MonotoneReport) -> dict:
+    """The monotones of every class in ``chain`` at rho, given its C_R report:
+    MIO's (every class is an MIO class), then DIO's, then IO's. A chain that
+    holds DIO reads both Renyi grids from one product (``renyi_grids``)."""
+    if "dio" in chain:
+        c_alphas, c_deltas = mo.renyi_grids(rho, ALPHA_GRID)
+    else:
+        c_alphas = mo.c_alpha_grid(rho, ALPHA_GRID)
+    vals = {report.name: report.value for report in c_alphas}
+    vals["c_r"] = c_r.value
+    vals["log1p_c_r"] = math.log2(1.0 + c_r.value)
+    if "dio" in chain:
+        vals.update((f"c_delta_alpha[{a:g}]", r.value) for a, r in zip(ALPHA_GRID, c_deltas))
+        vals["trace_norm_coherence"] = mo.trace_norm_coherence(rho).value
+        vals["c_delta_r"] = mo.c_delta_r(rho).value
+    if "io_rep" in chain:
+        vals["c_l1"] = mo.c_l1(rho).value
     return vals
 
 
-def _dio_measures(rho: DensityMatrix) -> dict:
-    reports = mo.c_delta_alpha_grid(rho, ALPHA_GRID, "right")
-    vals = {f"c_delta_alpha[{alpha:g}]": r.value for alpha, r in zip(ALPHA_GRID, reports)}
-    vals["trace_norm_coherence"] = mo.trace_norm_coherence(rho).value
-    vals["c_delta_r"] = mo.c_delta_r(rho).value
-    return vals
-
-
-# class -> the monotones of that class that the monotonicity suite checks
-_CLASS_MONOTONES = {
-    "mio": _mio_measures,
-    "dio": _dio_measures,
-    "io_rep": lambda rho: {"c_l1": mo.c_l1(rho).value},
-}
+def _measure_states(cases) -> list:
+    """The monotones of each (class, state) case, for its class and every
+    class containing it. C_R is one ``c_r_many`` call over all the states,
+    which solves each dimension's barrier states as one batch."""
+    c_rs = mo.c_r_many([rho for _, rho in cases])
+    return [
+        _state_measures(ch.class_chain(klass), rho, c_r)
+        for (klass, rho), c_r in zip(cases, c_rs)
+    ]
 
 
 def _class_measures(klass: str, rho: DensityMatrix) -> dict:
     """The monotones of ``klass`` and of every class containing it, at rho."""
-    chain = ch.class_chain(klass)
-    vals = {}
-    for c, measures in _CLASS_MONOTONES.items():
-        if c in chain:
-            vals.update(measures(rho))
-    return vals
+    return _measure_states([(klass, rho)])[0]
 
 
-def _monotonicity_sample(index: int, seed: int, corrupt_hook) -> list:
+def _monotonicity_families(index: int, seed: int, corrupt_hook) -> list:
+    """(tag, smallest class, input, output) for each family sampled at index,
+    with the corrupt hook applied to its channel."""
     rng = np.random.default_rng(_sub_seed(seed, index))
 
     def state(d, salt):
         return random_density(d, _sub_seed(seed, index, salt))
 
     params = ch.GCovariantParams(*rng.dirichlet(np.ones(3)), 3)
-    # (tag, smallest class, channel, input) for each sampled family
     families = (
         ("g_covariant", "dio", ch.g_covariant_channel(params), state(3, 1)),
         ("qubit_mio", "mio", ch.sample_mio_qubit_channel(_sub_seed(seed, index, 2)), state(2, 3)),
         ("sio", "sio_rep", ch.random_sio_channel(3, rng), state(3, 4)),
     )
-    failures = []
+    built = []
     for tag, klass, channel, rho in families:
         if corrupt_hook is not None:
             channel = corrupt_hook(channel, index)
-        before = _class_measures(klass, rho)
-        after = _class_measures(klass, ch.apply(channel, rho))
+        built.append((tag, klass, rho, ch.apply(channel, rho)))
+    return built
+
+
+def _monotonicity_run(samples: int, seed: int, corrupt_hook) -> list:
+    """Build every sample's channels and states first, then measure them all
+    at once (``_measure_states``), and reduce by sample index, then family,
+    then measure."""
+    families = [
+        (index, family)
+        for index in range(samples)
+        for family in _monotonicity_families(index, seed, corrupt_hook)
+    ]
+    measured = _measure_states(
+        [(klass, rho) for _, (_, klass, before, after) in families for rho in (before, after)]
+    )
+    failures = []
+    for k, (index, (tag, _, _, _)) in enumerate(families):
+        before, after = measured[2 * k], measured[2 * k + 1]
         for name, lhs in before.items():
             drop = lhs - after[name]
             if drop < -MONOTONE_SLACK:
@@ -157,10 +181,19 @@ def _roundtrip_sample(index: int, seed: int, corrupt_hook) -> list:
     return failures
 
 
-_SAMPLERS = {
-    "monotonicity": _monotonicity_sample,
-    "inclusions": _inclusion_sample,
-    "roundtrips": _roundtrip_sample,
+def _sample_by_sample(sampler):
+    """A run that evaluates ``sampler`` on each sample index in turn."""
+
+    def run(samples: int, seed: int, corrupt_hook) -> list:
+        return [f for index in range(samples) for f in sampler(index, seed, corrupt_hook)]
+
+    return run
+
+
+_RUNS = {
+    "monotonicity": _monotonicity_run,
+    "inclusions": _sample_by_sample(_inclusion_sample),
+    "roundtrips": _sample_by_sample(_roundtrip_sample),
 }
 
 
@@ -171,13 +204,11 @@ def run_suite(
     corrupt_hook=None,
 ) -> dict:
     """Run one suite; returns a summary dict with per-sample failures."""
-    if suite not in _SAMPLERS:
+    if suite not in _RUNS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    sampler = _SAMPLERS[suite]
-    results = [sampler(i, seed, corrupt_hook) for i in range(samples)]
-    failures = [f for per_sample in results for f in per_sample]
+    failures = _RUNS[suite](samples, seed, corrupt_hook)
     worst = max((f["magnitude"] for f in failures), default=0.0)
     return {
         "suite": suite,

@@ -4,15 +4,19 @@ All values are in bits (log base 2). Each measure returns a MonotoneReport
 carrying the value, the evaluation method, an optional witness (an optimal
 diagonal majorant, an optimal ratio vector, or similar) and, for the two
 optimizations, the certified dual bound. C_R and the trace distance to the
-incoherent states are both solved by ``numerics.log_det_barrier``; each passes
-its own start, slack, Newton step and bound, and the kernel sets the barrier
-schedule from the certified gap: t starts at nu / gap and, after each step
-taken near the central path, rises to at least BARRIER_MU * nu / gap. C_R
-solves its d x d Newton system densely and repairs a dual point out of S^-1;
-the trace distance is solved in its dual form, so every iterate is a
-certificate as it stands, and the primal point q is read off its multipliers.
-Its Newton step uses the shared eigenbasis of (I -+ W)^-1 and costs O(d^4), so
-it reaches d = 64.
+incoherent states are both solved by ``numerics.log_det_barrier``, which
+solves a batch of independent problems in lockstep; each client passes its
+starts, its per-problem data, and its slack, Newton step and bound, and the
+kernel sets each problem's barrier schedule from that problem's certified
+gap: t starts at nu / gap and, after each step taken near the central path,
+rises to at least BARRIER_MU * nu / gap. ``c_r_many`` solves every state
+without a closed form as one batch per dimension, and ``c_r`` is its
+one-state case; a state's report is the same, bit for bit, in any batch. C_R
+solves its d x d Newton systems densely and repairs a dual point out of
+S^-1. The trace distance, one problem at a time, is solved in its dual form,
+so every iterate is a certificate as it stands, and the primal point q is
+read off its multipliers. Its Newton step uses the shared eigenbasis of
+(I -+ W)^-1 and costs O(d^4), so it reaches d = 64.
 Either report's bound is within its gap target (``C_R_GAP``,
 ``TRACE_DISTANCE_GAP``) of its value, or the call raises ArithmeticError.
 
@@ -25,7 +29,8 @@ The Renyi families take a whole alpha grid at once (``c_alpha_grid``,
 ``c_delta_alpha_grid``): diag(rho^alpha) for every alpha is one d x n product
 |V|^2 [lambda_i^alpha], dotted column by column with the dephased state's
 powers for c_delta_alpha. The scalar c_alpha and c_delta_alpha are the
-one-column case.
+one-column case, and ``renyi_grids`` gives c_alpha and the right-hand
+c_delta_alpha at one grid from a single product.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import eig_hermitian, log_det_barrier, psd_power_values, trace_norm
+from .numerics import eig_hermitian, log_det_barrier, psd_power_values, solve_stack, trace_norm
 from .states import DensityMatrix, PureStateVector, SchmidtVector
 
 
@@ -117,20 +122,16 @@ def _diag_powers(rho: DensityMatrix, exponents: np.ndarray) -> np.ndarray:
     return _diag_of(rho, psd_power_values(rho.spectrum.eigenvalues[:, None], exponents))
 
 
-def c_alpha_grid(rho: DensityMatrix, alphas) -> tuple:
-    """Renyi coherence monotones c_alpha at every alpha in [0, 2] of ``alphas``.
+def _c_rel_at_one(rho: DensityMatrix, grid: np.ndarray):
+    """c_rel's value, where both Renyi families land at alpha = 1, if 1 is on the grid."""
+    return c_rel(rho).value if 1.0 in grid else None
 
-    (alpha/(alpha-1)) * log2 sum_x <x|rho^alpha|x>^(1/alpha); alpha = 1
-    dispatches to the relative entropy of coherence, alpha = 0 is the
-    analytic limit -log2 max_x <x|P|x> with P the support projector. The
-    diagonals of every rho^alpha come from one product (``_diag_powers``).
-    Returns one closed-form report per alpha, in order.
-    """
-    grid = _alpha_grid(alphas)
-    diags = _diag_powers(rho, grid).clip(0.0, None)
+
+def _c_alpha_reports(grid: np.ndarray, diags: np.ndarray, rel) -> tuple:
+    """c_alpha at every alpha of grid from its columns diag(rho^alpha) and c_rel."""
+    diags = diags.clip(0.0, None)
     # alpha = 0 reads the column maximum, so its exponent here is a placeholder
     totals = (diags ** (1.0 / np.where(grid == 0.0, 1.0, grid))).sum(axis=0)
-    rel = c_rel(rho).value if 1.0 in grid else None
     reports = []
     for alpha, top, total in zip(grid.tolist(), diags.max(axis=0).tolist(), totals.tolist()):
         if alpha == 1.0:
@@ -141,6 +142,19 @@ def c_alpha_grid(rho: DensityMatrix, alphas) -> tuple:
             value = (alpha / (alpha - 1.0)) * math.log2(total)
         reports.append(MonotoneReport(f"c_alpha[{alpha:g}]", value, "closed_form"))
     return tuple(reports)
+
+
+def c_alpha_grid(rho: DensityMatrix, alphas) -> tuple:
+    """Renyi coherence monotones c_alpha at every alpha in [0, 2] of ``alphas``.
+
+    (alpha/(alpha-1)) * log2 sum_x <x|rho^alpha|x>^(1/alpha); alpha = 1
+    dispatches to the relative entropy of coherence, alpha = 0 is the
+    analytic limit -log2 max_x <x|P|x> with P the support projector. The
+    diagonals of every rho^alpha come from one product (``_diag_powers``).
+    Returns one closed-form report per alpha, in order.
+    """
+    grid = _alpha_grid(alphas)
+    return _c_alpha_reports(grid, _diag_powers(rho, grid), _c_rel_at_one(rho, grid))
 
 
 def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
@@ -167,6 +181,29 @@ def c_q_alpha_pure(psi: PureStateVector, alpha: float) -> MonotoneReport:
     return MonotoneReport(f"c_q_alpha[{alpha:g}]", renyi(psi.probs, gamma), "closed_form")
 
 
+def _c_delta_alpha_reports(rho, grid, side, powers, rel) -> tuple:
+    """c_delta_alpha on ``side`` at every alpha of grid, from the columns
+    diag(rho^a) (a = alpha on the right, 1 - alpha on the left) and c_rel."""
+    delta = np.diag(rho.mat).real
+    vals = rho.spectrum.eigenvalues
+    b = 1.0 - grid if side == "right" else grid
+    traces = (powers * psd_power_values(delta[:, None], b)).sum(axis=0)
+    infinite = side == "left" and np.sum(delta > 1e-12) > np.sum(vals > 1e-12)
+    reports = []
+    for alpha, trace in zip(grid.tolist(), traces.tolist()):
+        if alpha == 1.0 and side == "right":
+            value = rel
+        elif infinite and alpha >= 1.0:
+            value = math.inf
+        elif alpha == 1.0:
+            log_rho = _diag_of(rho, np.log2(np.clip(vals, 1e-300, None)))
+            value = -_shannon(delta) - float(delta @ log_rho)
+        else:
+            value = math.log2(max(trace, 1e-300)) / (alpha - 1.0)
+        reports.append(MonotoneReport(f"c_delta_alpha[{alpha:g},{side}]", value, "closed_form"))
+    return tuple(reports)
+
+
 def c_delta_alpha_grid(rho: DensityMatrix, alphas, side: str = "right") -> tuple:
     """Dephasing-relative Renyi monotones at every alpha in [0, 2] of ``alphas``.
 
@@ -182,24 +219,22 @@ def c_delta_alpha_grid(rho: DensityMatrix, alphas, side: str = "right") -> tuple
     grid = _alpha_grid(alphas)
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    delta = np.diag(rho.mat).real
-    vals = rho.spectrum.eigenvalues
-    a, b = (grid, 1.0 - grid) if side == "right" else (1.0 - grid, grid)
-    traces = (_diag_powers(rho, a) * psd_power_values(delta[:, None], b)).sum(axis=0)
-    infinite = side == "left" and np.sum(delta > 1e-12) > np.sum(vals > 1e-12)
-    reports = []
-    for alpha, trace in zip(grid.tolist(), traces.tolist()):
-        if alpha == 1.0 and side == "right":
-            value = c_rel(rho).value
-        elif infinite and alpha >= 1.0:
-            value = math.inf
-        elif alpha == 1.0:
-            log_rho = _diag_of(rho, np.log2(np.clip(vals, 1e-300, None)))
-            value = -_shannon(delta) - float(delta @ log_rho)
-        else:
-            value = math.log2(max(trace, 1e-300)) / (alpha - 1.0)
-        reports.append(MonotoneReport(f"c_delta_alpha[{alpha:g},{side}]", value, "closed_form"))
-    return tuple(reports)
+    if side == "left":
+        return _c_delta_alpha_reports(rho, grid, side, _diag_powers(rho, 1.0 - grid), None)
+    rel = _c_rel_at_one(rho, grid)
+    return _c_delta_alpha_reports(rho, grid, side, _diag_powers(rho, grid), rel)
+
+
+def renyi_grids(rho: DensityMatrix, alphas) -> tuple:
+    """(c_alpha_grid(rho, alphas), c_delta_alpha_grid(rho, alphas, "right")),
+    the same reports bit for bit, from one product diag(rho^alpha) and one
+    c_rel: the right side reads the powers c_alpha reads."""
+    grid = _alpha_grid(alphas)
+    diags, rel = _diag_powers(rho, grid), _c_rel_at_one(rho, grid)
+    return (
+        _c_alpha_reports(grid, diags, rel),
+        _c_delta_alpha_reports(rho, grid, "right", diags, rel),
+    )
 
 
 def c_delta_alpha(rho: DensityMatrix, alpha: float, side: str = "right") -> MonotoneReport:
@@ -227,39 +262,83 @@ def _is_real_nonneg(rho: DensityMatrix) -> bool:
 C_R_GAP = 1e-9
 
 
-def _c_r_barrier(rho: DensityMatrix):
-    """min{ 1.d : Diag(d) >= rho } on the log-det barrier kernel.
+def _c_r_closed_form(rho: DensityMatrix):
+    """C_R's closed form at rho, or None when none applies (see c_r)."""
+    if _is_pure(rho):
+        p = np.clip(np.diag(rho.mat).real, 0.0, None)
+        return MonotoneReport("c_r", float(np.sum(np.sqrt(p)) ** 2 - 1.0), "closed_form")
+    if rho.dim == 2:
+        return MonotoneReport("c_r", 2.0 * abs(rho.mat[0, 1]), "closed_form")
+    if _is_real_nonneg(rho):
+        return MonotoneReport("c_r", c_l1(rho).value, "closed_form")
+    return None
+
+
+def _c_r_batch(states) -> list:
+    """min{ 1.d : Diag(d) >= rho } for states of one dimension n, as one
+    batch of the log-det barrier kernel.
 
     The start d = (lambda_max + 1/n) 1 makes S = Diag(d) - rho positive
     definite, and the kernel keeps it so: every iterate d is primal feasible.
     Y = S^-1 rescaled to unit diagonal is a correlation matrix, so Tr(rho Y)
-    is a dual lower bound (Napoli et al., PRL 116, 150502); the solver stops
-    once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1, Hessian
-    |S^-1|^2 entrywise, solved densely for the step; the kernel chooses t and
-    lets it follow this certified gap, so a d = 3 solve takes about 20 Newton
-    systems (32 when t grew only eightfold at centered iterates).
-    Returns (1.d - 1, d, Tr(rho Y) - 1), with 1.d - Tr(rho Y) <= C_R_GAP, or
-    raises ArithmeticError.
+    is a dual lower bound (Napoli et al., PRL 116, 150502); a state's solve
+    stops once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1, Hessian
+    |S^-1|^2 entrywise, solved densely for the step, one (n, n) system per
+    active state; the kernel chooses each state's t and lets it follow that
+    state's certified gap, so a d = 3 solve takes about 20 Newton systems.
+    Returns one barrier report per state, value 1.d - 1 with the majorant's
+    diagonal d as witness and Tr(rho Y) - 1 as bound, or raises
+    ArithmeticError.
     """
-    mat = rho.mat
-    n = rho.dim
-    d_vec = np.full(n, float(rho.spectrum.eigenvalues[-1]) + 1.0 / n)
+    n = states[0].dim
+    start = [[float(rho.spectrum.eigenvalues[-1]) + 1.0 / n] * n for rho in states]
 
-    def slack(y):
-        return (np.diag(y) - mat,)
+    def slack(y, mats):
+        diag = np.zeros(mats.shape)
+        diag.reshape(len(y), n * n)[:, :: n + 1] = y
+        return (diag - mats,)
 
-    def newton(s_inv, t):
+    def newton(s_inv, t, mats):
         (s_inv,) = s_inv
-        grad = t - s_inv.diagonal().real
-        return grad, -np.linalg.solve(np.abs(s_inv) ** 2, grad)
+        grad = t[:, None] - s_inv.diagonal(0, 1, 2).real
+        return grad, -solve_stack(np.abs(s_inv) ** 2, grad)
 
-    def bound(y, s_inv):
+    def bound(y, s_inv, mats):
         (s_inv,) = s_inv
-        scale = 1.0 / np.sqrt(s_inv.diagonal().real)
-        return float(np.vdot(s_inv * np.outer(scale, scale), mat).real)
+        scale = 1.0 / np.sqrt(s_inv.diagonal(0, 1, 2).real)
+        dual = s_inv * (scale[:, :, None] * scale[:, None, :])
+        return np.vecdot(dual.reshape(len(y), n * n), mats.reshape(len(y), n * n)).real
 
-    d_vec, dual = log_det_barrier(d_vec, np.ones(n), slack, newton, bound, C_R_GAP)
-    return float(np.sum(d_vec) - 1.0), d_vec, dual - 1.0
+    mats = np.stack([rho.mat for rho in states])
+    d_vecs, duals = log_det_barrier(start, mats, np.ones(n), slack, newton, bound, C_R_GAP)
+    return [
+        MonotoneReport(
+            "c_r", float(np.sum(d_vec) - 1.0), "barrier", witness=d_vec, bound=dual - 1.0
+        )
+        for d_vec, dual in zip(d_vecs, duals.tolist())
+    ]
+
+
+def c_r_many(states, method: str = "auto") -> list:
+    """C_R of every state, one report per state, in order (see c_r).
+
+    Each state takes c_r's closed form where one applies; the rest are
+    grouped by dimension, and each group is one batch of the barrier kernel,
+    whose rows keep their own schedules, so a state's report does not depend
+    on the states it was solved with.
+    """
+    if method not in ("auto", "cutting_plane"):
+        raise ValueError("method must be 'auto' or 'cutting_plane'")
+    states = list(states)
+    reports = [_c_r_closed_form(rho) if method == "auto" else None for rho in states]
+    by_dim = {}
+    for k, (rho, report) in enumerate(zip(states, reports)):
+        if report is None:
+            by_dim.setdefault(rho.dim, []).append(k)
+    for rows in by_dim.values():
+        for k, report in zip(rows, _c_r_batch([states[k] for k in rows])):
+            reports[k] = report
+    return reports
 
 
 def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
@@ -271,20 +350,10 @@ def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
     log-det barrier solver, whose answer is within 1e-9 of a dual lower bound
     (or the call raises ArithmeticError).
     The witness is then the optimal diagonal majorant's diagonal, and the
-    report's bound is the dual value Tr(rho Y) - 1 that certifies it.
+    report's bound is the dual value Tr(rho Y) - 1 that certifies it. This is
+    the one-state case of c_r_many.
     """
-    if method not in ("auto", "cutting_plane"):
-        raise ValueError("method must be 'auto' or 'cutting_plane'")
-    if method == "auto":
-        if _is_pure(rho):
-            p = np.clip(np.diag(rho.mat).real, 0.0, None)
-            return MonotoneReport("c_r", float(np.sum(np.sqrt(p)) ** 2 - 1.0), "closed_form")
-        if rho.dim == 2:
-            return MonotoneReport("c_r", 2.0 * abs(rho.mat[0, 1]), "closed_form")
-        if _is_real_nonneg(rho):
-            return MonotoneReport("c_r", c_l1(rho).value, "closed_form")
-    value, d_vec, bound = _c_r_barrier(rho)
-    return MonotoneReport("c_r", value, "barrier", witness=d_vec, bound=bound)
+    return c_r_many((rho,), method)[0]
 
 
 def c_delta_r(rho: DensityMatrix) -> MonotoneReport:
@@ -366,16 +435,19 @@ def _incoherent_trace_distance(rho: DensityMatrix):
     def w_of(y):
         return y[:-1].view(complex).reshape(d, d)
 
-    def slack(y):
+    def slack(y, data):
+        (y,) = y
         w = w_of(y)
-        return np.eye(d) - w, np.eye(d) + w, np.diag(y[-1] - w.diagonal().real)
+        blocks = np.eye(d) - w, np.eye(d) + w, np.diag(y[-1] - w.diagonal().real)
+        return tuple(block[None] for block in blocks)
 
     def simplex_point(y):
         r = 1.0 / (y[-1] - w_of(y).diagonal().real)
         return r / r.sum()
 
-    def newton(s_inv, t):
-        a1, a2, a3 = s_inv
+    def newton(s_inv, t, data):
+        (a1,), (a2,), (a3,) = s_inv
+        (t,) = t.tolist()
         r = a3.diagonal().real
         grad_w = a1 - a2 - t * mat
         grad_w.flat[:: d + 1] += r
@@ -397,16 +469,17 @@ def _incoherent_trace_distance(rho: DensityMatrix):
         step_w = (x + x.conj().T) / 2.0
         step_w.flat[:: d + 1] = sol[:d] / r**2 + sol[d]
         grad = np.append(grad_w.view(float).ravel(), grad_s)
-        return grad, np.append(step_w.view(float).ravel(), sol[d])
+        return grad[None], np.append(step_w.view(float).ravel(), sol[d])[None]
 
-    def bound(y, s_inv):
-        return -trace_norm(mat - np.diag(simplex_point(y)))
+    def bound(y, s_inv, data):
+        return np.array([-trace_norm(mat - np.diag(simplex_point(y[0])))])
 
-    y = np.append(np.zeros(2 * d * d), 1.0)
-    y, value = log_det_barrier(y, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
+    y = np.append(np.zeros(2 * d * d), 1.0)[None]
+    (y,), (value,) = log_det_barrier(y, mat[None], cost, slack, newton, bound, TRACE_DISTANCE_GAP)
     w = w_of(y)
     low = float(np.vdot(w, mat).real) - float(np.max(w.diagonal().real))
-    return -value, low, simplex_point(y)
+    return -float(value), low, simplex_point(y)
+
 
 
 def monotone_from_divergence(

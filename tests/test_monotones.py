@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coherence_kit import channels as ch
-from coherence_kit import harness, numerics, states
+from coherence_kit import cli, harness, numerics, states
 from coherence_kit import monotones as mo
 from coherence_kit.numerics import eig_hermitian, mat_power_psd
 from coherence_kit.states import (
@@ -312,6 +312,63 @@ class TestCR:
             assert report.bound is None
             assert "bound" not in report.to_json_dict(include_witness=True)
 
+    @staticmethod
+    def mixed_states():
+        rng = np.random.default_rng(41)
+        g = rng.standard_normal((4, 6))
+        m = np.abs(g @ g.T)
+        return [
+            random_density(3, 0),
+            uniform_pure(3).to_density(),
+            random_density(5, 1),
+            random_density(2, 2),
+            DensityMatrix(m / np.trace(m)),
+            random_density(4, 3),
+            random_pure(5, 4).to_density(),
+            _rank_k_state(4, 1, 5),
+            random_density(3, 6),
+            _rank_k_state(5, 2, 7),
+            random_density(4, 8),
+            _rank_k_state(3, 2, 9),
+            random_density(3, 10),
+        ]
+
+    @pytest.mark.parametrize("method", ["auto", "cutting_plane"])
+    def test_c_r_many_matches_per_state_c_r(self, method):
+        # each dimension's barrier states are one batch, but a row's iterates
+        # do not depend on its batch, so every number agrees bit for bit
+        rhos = self.mixed_states()
+        many = mo.c_r_many(rhos, method)
+        assert len(many) == len(rhos)
+        barrier = 0
+        for rho, report in zip(rhos, many):
+            single = mo.c_r(rho, method)
+            assert (report.name, report.method) == (single.name, single.method)
+            assert report.value == single.value and report.bound == single.bound
+            if report.method == "barrier":
+                barrier += 1
+                assert np.array_equal(report.witness, single.witness)
+                assert report.witness.shape == (rho.dim,)
+                assert report.value - report.bound <= mo.C_R_GAP
+            else:
+                assert report.witness is None and single.witness is None
+        assert barrier == (8 if method == "auto" else len(rhos))
+
+    def test_c_r_many_makes_one_batch_per_dimension(self, monkeypatch):
+        batches = []
+
+        def recording(y, data, cost, slack, newton, bound, gap):
+            batches.append(data.shape)
+            return numerics.log_det_barrier(y, data, cost, slack, newton, bound, gap)
+
+        monkeypatch.setattr(mo, "log_det_barrier", recording)
+        mo.c_r_many(self.mixed_states())
+        # four d = 3 states, two d = 4 and two d = 5; the rest take closed forms
+        assert sorted(batches) == [(2, 4, 4), (2, 5, 5), (4, 3, 3)]
+        assert mo.c_r_many([]) == []
+        with pytest.raises(ValueError, match="method"):
+            mo.c_r_many([random_density(3, 0)], "simplex")
+
 
 class TestCDeltaR:
     def test_qubit_closed_form(self):
@@ -617,13 +674,51 @@ class TestCachedSpectrum:
             monkeypatch.setattr(module, "eig_hermitian", counted)
         rho = DensityMatrix(mat)
         assert len(calls) == 1
-        harness._mio_measures(rho)
-        harness._dio_measures(rho)
+        harness._class_measures("dio", rho)
         mo.c_delta_alpha_grid(rho, harness.ALPHA_GRID, "left")
         # the second call is c_delta_r's rescaled core D^-1/2 rho D^-1/2; the
         # alpha grids read the cached spectrum
         assert len(calls) == 2
         assert mo.c_r(rho).method == "barrier"
+
+
+class TestHarnessBatching:
+    """The monotonicity suite builds every sample before it measures any, so
+    C_R runs as one barrier batch per dimension, and its failure records
+    come out as a state-by-state loop over ``_class_measures`` gives them."""
+
+    def test_one_barrier_batch_per_dimension(self, monkeypatch):
+        batches = []
+
+        def recording(y, data, cost, slack, newton, bound, gap):
+            batches.append(data.shape)
+            return numerics.log_det_barrier(y, data, cost, slack, newton, bound, gap)
+
+        monkeypatch.setattr(mo, "log_det_barrier", recording)
+        summary = harness.run_suite("monotonicity", 5, seed=4)
+        assert summary["passed"]
+        # g-covariant and SIO inputs and outputs at d = 3, 4 states a sample;
+        # the qubit family takes C_R's closed form
+        assert batches == [(20, 3, 3)]
+
+    def test_failures_match_a_state_by_state_loop(self, monkeypatch):
+        monkeypatch.setenv("COHERENCE_KIT_HARNESS_INJECT", "2")
+        hook = cli._injection_hook()
+        seed, samples = 6, 4
+        reference = []
+        for index in range(samples):
+            for tag, klass, before, after in harness._monotonicity_families(index, seed, hook):
+                lhs = harness._class_measures(klass, before)
+                rhs = harness._class_measures(klass, after)
+                for name in lhs:
+                    if lhs[name] - rhs[name] < -harness.MONOTONE_SLACK:
+                        check = f"monotonicity/{tag}/{name}"
+                        reference.append((index, check, rhs[name] - lhs[name]))
+        failures = harness.run_suite("monotonicity", samples, seed, corrupt_hook=hook)["failures"]
+        assert [(f["index"], f["check"]) for f in failures] == [r[:2] for r in reference]
+        assert {f["index"] for f in failures} == {2} and len(failures) > 10
+        for f, (_, _, magnitude) in zip(failures, reference):
+            assert f["magnitude"] == pytest.approx(magnitude, rel=0, abs=1e-12)
 
 
 def _scalar_c_alpha(rho, alpha):
@@ -689,6 +784,8 @@ class TestRenyiGrid:
         grid = harness.ALPHA_GRID
         c_alphas = mo.c_alpha_grid(rho, grid)
         c_deltas = mo.c_delta_alpha_grid(rho, grid, "right")
+        # the harness reads both from one product; the same reports, bit for bit
+        assert mo.renyi_grids(rho, grid) == (c_alphas, c_deltas)
         assert [r.name for r in c_alphas] == [f"c_alpha[{a:g}]" for a in grid]
         assert [r.name for r in c_deltas] == [f"c_delta_alpha[{a:g},right]" for a in grid]
         for alpha, c_a, c_d in zip(grid, c_alphas, c_deltas):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coherence_kit import monotones as mo
+from coherence_kit import numerics
 from coherence_kit.numerics import (
     BARRIER_MU,
     BirkhoffDecomposition,
@@ -236,68 +237,121 @@ class TestTraceNorm:
         assert abs(trace_norm(m) - expected) < 1e-9
 
 
-def lambda_max_hooks(a):
-    """min s s.t. s I - A > 0, whose optimum is lambda_max(A); the dual point
-    Z = S^-1 / Tr S^-1 is a density matrix, so Tr(A Z) bounds it from below."""
-    eye = np.eye(a.shape[0])
+def lambda_max_hooks(d):
+    """min s s.t. s I - A > 0 for each row's d x d matrix A (its data), whose
+    optimum is lambda_max(A); the dual point Z = S^-1 / Tr S^-1 is a density
+    matrix, so Tr(A Z) bounds it from below."""
+    eye = np.eye(d)
 
-    def slack(y):
-        return (y[0] * eye - a,)
+    def slack(y, a):
+        return (y[:, :, None] * eye - a,)
 
-    def newton(s_inv, t):
+    def newton(s_inv, t, a):
         (z,) = s_inv
-        grad = np.array([t - np.trace(z).real])
-        return grad, -grad / np.vdot(z, z).real
+        grad = (t - np.trace(z, axis1=1, axis2=2).real)[:, None]
+        return grad, -grad / (np.abs(z) ** 2).sum(axis=(1, 2))[:, None]
 
-    def bound(y, s_inv):
+    def bound(y, s_inv, a):
         (z,) = s_inv
-        return float(np.vdot(z / np.trace(z).real, a).real)
+        return (z * a.transpose(0, 2, 1)).sum(axis=(1, 2)).real / np.trace(z, axis1=1, axis2=2).real
 
     return slack, newton, bound
+
+
+def lambda_max(a, start, slack, newton, bound):
+    """(s, bound) of the one-problem batch min s s.t. s I - a > 0 from ``start``."""
+    (y,), (low,) = log_det_barrier(
+        np.array([[start]]), a[None], np.ones(1), slack, newton, bound, gap=1e-9
+    )
+    return y[0], low
 
 
 class TestLogDetBarrier:
     def test_lambda_max_is_bracketed(self):
         for seed in range(12):
             a = random_hermitian(2 + seed % 5, 40 + seed)
-            start = np.array([np.linalg.norm(a) + 1.0])
-            y, low = log_det_barrier(start, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
+            start = np.linalg.norm(a) + 1.0
+            y, low = lambda_max(a, start, *lambda_max_hooks(len(a)))
             top = np.linalg.eigvalsh(a)[-1]
-            assert low <= top + 1e-12 and top <= y[0] + 1e-12
-            assert y[0] - low <= 1e-9
+            assert low <= top + 1e-12 and top <= y + 1e-12
+            assert y - low <= 1e-9
+
+    def test_rows_closing_at_different_rounds_match_their_single_solves(self):
+        # five problems of one size, started ever farther from the optimum so
+        # their gaps close in different rounds, solved as one batch and one
+        # at a time; every value is a Python float of its row and every hook
+        # acts row by row, so the bits agree
+        hooks = lambda_max_hooks(4)
+        a = np.array([random_hermitian(4, 70 + k) for k in range(5)])
+        starts = np.array([[np.linalg.norm(m) + 100.0**k] for k, m in enumerate(a)])
+        slack, newton, bound = hooks
+        events = []  # ("newton" | "bound", rows the hook saw)
+
+        def counted_newton(s_inv, t, data):
+            events.append(("newton", len(t)))
+            return newton(s_inv, t, data)
+
+        def counted_bound(y, s_inv, data):
+            events.append(("bound", len(y)))
+            return bound(y, s_inv, data)
+
+        y, low = log_det_barrier(
+            starts, a, np.ones(1), slack, counted_newton, counted_bound, gap=1e-9
+        )
+        assert y.shape == (5, 1) and low.shape == (5,)
+        # the active set only shrinks, through every size from 5 to 1, and in
+        # some round a row grew t while another stepped, so fewer rows were
+        # evaluated than asked for a Newton system
+        active = [n for kind, n in events if kind == "newton"]
+        assert active == sorted(active, reverse=True) and set(active) == {1, 2, 3, 4, 5}
+        stepped = [
+            (a[1], b[1]) for a, b in zip(events, events[1:]) if (a[0], b[0]) == ("newton", "bound")
+        ]
+        assert any(evaluated < asked for asked, evaluated in stepped)
+        for k in range(5):
+            single_y, single_low = lambda_max(a[k], starts[k, 0], *hooks)
+            assert y[k, 0] == single_y and low[k] == single_low
+            top = np.linalg.eigvalsh(a[k])[-1]
+            assert low[k] <= top + 1e-12 and top <= y[k, 0] + 1e-12
+            assert y[k, 0] - low[k] <= 1e-9
+
+    def test_one_infeasible_row_raises_for_the_batch(self):
+        a = np.array([random_hermitian(3, 80 + k) for k in range(3)])
+        starts = np.array([[np.linalg.norm(m) + 1.0] for m in a])
+        starts[1, 0] = np.linalg.eigvalsh(a[1])[-1] - 0.5
+        with pytest.raises(ArithmeticError):
+            log_det_barrier(starts, a, np.ones(1), *lambda_max_hooks(3), gap=1e-9)
 
     def test_singular_newton_system_raises(self):
         a = random_hermitian(3, 5)
-        slack, _, bound = lambda_max_hooks(a)
+        slack, _, bound = lambda_max_hooks(3)
 
-        def singular(s_inv, t):
-            return np.zeros(1), -np.linalg.solve(np.zeros((1, 1)), np.zeros(1))
+        def singular(s_inv, t, data):
+            return np.zeros((1, 1)), -np.linalg.solve(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))[0]
 
-        start = np.array([np.linalg.norm(a) + 1.0])
         # not LinAlgError: that is a ValueError, which the CLI reports as an
         # invalid input
         with pytest.raises(ArithmeticError):
-            log_det_barrier(start, np.ones(1), slack, singular, bound, gap=1e-9)
+            lambda_max(a, np.linalg.norm(a) + 1.0, slack, singular, bound)
 
     def test_open_gap_raises_after_the_step_cap(self):
         # a Newton system pinned at t = 1 keeps the iterate centered there, so
         # t never effectively grows and the gap stays open until the cap
         a = random_hermitian(4, 6)
-        slack, newton, bound = lambda_max_hooks(a)
+        slack, newton, bound = lambda_max_hooks(4)
         bounds, decrements = [], []
 
-        def pinned(s_inv, t):
-            grad, step = newton(s_inv, 1.0)
-            decrements.append(float(-grad @ step))
+        def pinned(s_inv, t, data):
+            grad, step = newton(s_inv, np.ones_like(t), data)
+            decrements.append(float(-grad[0] @ step[0]))
             return grad, step
 
-        def counted(y, s_inv):
+        def counted(y, s_inv, data):
             bounds.append(y)
-            return bound(y, s_inv)
+            return bound(y, s_inv, data)
 
-        start = np.array([np.linalg.norm(a) + 1.0])
         with pytest.raises(ArithmeticError):
-            log_det_barrier(start, np.ones(1), slack, pinned, counted, gap=1e-9)
+            lambda_max(a, np.linalg.norm(a) + 1.0, slack, pinned, counted)
         assert len(decrements) == 2400
         steps = sum(dec > 1e-8 for dec in decrements)
         assert 0 < steps < 2400 and len(bounds) == 1 + steps
@@ -307,22 +361,21 @@ class TestLogDetBarrier:
         # grows t and none moves y; t overflows to inf as a Python float,
         # without a numpy warning
         a = random_hermitian(3, 10)
-        slack, _, bound = lambda_max_hooks(a)
+        slack, _, bound = lambda_max_hooks(3)
         bounds, ts = [], []
 
-        def flat(s_inv, t):
-            ts.append(t)
-            return np.zeros(1), np.zeros(1)
+        def flat(s_inv, t, data):
+            ts.append(float(t[0]))
+            return np.zeros((1, 1)), np.zeros((1, 1))
 
-        def counted(y, s_inv):
+        def counted(y, s_inv, data):
             bounds.append(y)
-            return bound(y, s_inv)
+            return bound(y, s_inv, data)
 
-        start = np.array([np.linalg.norm(a) + 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError):
-                log_det_barrier(start, np.ones(1), slack, flat, counted, gap=1e-9)
+                lambda_max(a, np.linalg.norm(a) + 1.0, slack, flat, counted)
         assert len(ts) == 2400 and len(bounds) == 1
         assert ts[1] == 8.0 * ts[0] and ts[-1] == np.inf
 
@@ -333,20 +386,20 @@ class TestLogDetBarrier:
         for seed in range(6):
             d = 2 + seed
             a = random_hermitian(d, 60 + seed)
-            slack, newton, bound = lambda_max_hooks(a)
+            slack, newton, bound = lambda_max_hooks(d)
             seen = []
 
-            def recorded(s_inv, t):
+            def recorded(s_inv, t, data):
                 seen.append(t)
-                return newton(s_inv, t)
+                return newton(s_inv, t, data)
 
             y0 = float(np.linalg.norm(a) + 1.0)
             lam = np.linalg.eigvalsh(a)
             weights = 1.0 / (y0 - lam)
             gap0 = y0 - float(lam @ weights / weights.sum())
-            log_det_barrier(np.array([y0]), np.ones(1), slack, recorded, bound, gap=1e-9)
-            assert type(seen[0]) is float
-            assert seen[0] == pytest.approx(d / gap0, rel=1e-12)
+            lambda_max(a, y0, slack, recorded, bound)
+            assert seen[0].dtype == np.float64 and seen[0].shape == (1,)
+            assert seen[0][0] == pytest.approx(d / gap0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "solve, d, seed", [(mo.c_r, 3, 0), (mo._incoherent_trace_distance, 4, 1042)]
@@ -357,21 +410,21 @@ class TestLogDetBarrier:
         # Newton system follows; the start is evaluated before either
         slacks, bounds, events = [], [], []
 
-        def recording(y, cost, slack, newton, bound, gap):
-            def slack_hook(y):
+        def recording(y, data, cost, slack, newton, bound, gap):
+            def slack_hook(y, data):
                 slacks.append(y.tobytes())
-                return slack(y)
+                return slack(y, data)
 
-            def bound_hook(y, s_inv):
+            def bound_hook(y, s_inv, data):
                 bounds.append(y.tobytes())
                 events.append(None)
-                return bound(y, s_inv)
+                return bound(y, s_inv, data)
 
-            def newton_hook(s_inv, t):
-                events.append(t)
-                return newton(s_inv, t)
+            def newton_hook(s_inv, t, data):
+                events.append(float(t[0]))
+                return newton(s_inv, t, data)
 
-            return log_det_barrier(y, cost, slack_hook, newton_hook, bound_hook, gap)
+            return log_det_barrier(y, data, cost, slack_hook, newton_hook, bound_hook, gap)
 
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         solve(random_density(d, seed))
@@ -386,41 +439,61 @@ class TestLogDetBarrier:
         # a zero gradient at 8 t_0 makes that round centered, so it takes no
         # step; the solve goes on to 64 t_0 and closes the gap there
         a = random_hermitian(4, 7)
-        slack, newton, bound = lambda_max_hooks(a)
+        slack, newton, bound = lambda_max_hooks(4)
         seen = []
 
-        def centered_at_8(s_inv, t):
-            seen.append(t)
-            grad, step = newton(s_inv, t)
-            return (0.0 * grad, 0.0 * step) if t == 8.0 * seen[0] else (grad, step)
+        def centered_at_8(s_inv, t, data):
+            seen.append(float(t[0]))
+            grad, step = newton(s_inv, t, data)
+            return (0.0 * grad, 0.0 * step) if seen[-1] == 8.0 * seen[0] else (grad, step)
 
-        start = np.array([np.linalg.norm(a) + 1.0])
-        y, low = log_det_barrier(start, np.ones(1), slack, centered_at_8, bound, gap=1e-9)
+        y, low = lambda_max(a, np.linalg.norm(a) + 1.0, slack, centered_at_8, bound)
         assert seen.count(8.0 * seen[0]) == 1 and max(seen) > 8.0 * seen[0]
         top = np.linalg.eigvalsh(a)[-1]
-        assert low <= top + 1e-12 and top <= y[0] + 1e-12
-        assert y[0] - low <= 1e-9
+        assert low <= top + 1e-12 and top <= y + 1e-12
+        assert y - low <= 1e-9
 
     def test_step_out_of_the_domain_raises(self):
         # a step 1e6 times too long (a Hessian 1e6 times too small) makes the
         # damped step overshoot lambda_max, so the next Cholesky factorization
         # fails
         a = random_hermitian(4, 8)
-        slack, newton, bound = lambda_max_hooks(a)
+        slack, newton, bound = lambda_max_hooks(4)
 
-        def flat(s_inv, t):
-            grad, step = newton(s_inv, t)
+        def flat(s_inv, t, data):
+            grad, step = newton(s_inv, t, data)
             return grad, 1e6 * step
 
-        start = np.array([np.linalg.norm(a) + 1.0])
         with pytest.raises(ArithmeticError):
-            log_det_barrier(start, np.ones(1), slack, flat, bound, gap=1e-9)
+            lambda_max(a, np.linalg.norm(a) + 1.0, slack, flat, bound)
 
     def test_infeasible_start_raises(self):
         a = random_hermitian(3, 9)
-        start = np.array([np.linalg.eigvalsh(a)[-1] - 0.5])
         with pytest.raises(ArithmeticError):
-            log_det_barrier(start, np.ones(1), *lambda_max_hooks(a), gap=1e-9)
+            lambda_max(a, np.linalg.eigvalsh(a)[-1] - 0.5, *lambda_max_hooks(3))
+
+
+class TestSolveStack:
+    """The barrier's LAPACK path gives np.linalg.solve's bits and its error."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_np_linalg_solve(self, dtype):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((6, 4, 4)).astype(dtype)
+        b = rng.standard_normal((6, 4)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((6, 4, 4))
+        x = numerics.solve_stack(a, b)
+        assert x.shape == (6, 4) and x.dtype == a.dtype
+        for k in range(6):
+            assert np.array_equal(x[k], np.linalg.solve(a[k], b[k]))
+
+    def test_singular_system_raises(self):
+        a = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                numerics.solve_stack(a, np.ones((2, 2)))
 
 
 def newton_systems(monkeypatch, rhos) -> list:
@@ -428,14 +501,14 @@ def newton_systems(monkeypatch, rhos) -> list:
     through a recording ``newton`` hook; every gap must close."""
     counts = []
 
-    def recording(y, cost, slack, newton, bound, gap):
+    def recording(y, data, cost, slack, newton, bound, gap):
         counts.append(0)
 
-        def newton_hook(s_inv, t):
+        def newton_hook(s_inv, t, data):
             counts[-1] += 1
-            return newton(s_inv, t)
+            return newton(s_inv, t, data)
 
-        return log_det_barrier(y, cost, slack, newton_hook, bound, gap)
+        return log_det_barrier(y, data, cost, slack, newton_hook, bound, gap)
 
     monkeypatch.setattr(mo, "log_det_barrier", recording)
     for rho in rhos:
@@ -464,18 +537,18 @@ class TestGapDrivenSchedule:
         # per evaluation; C_R's cost is all ones, so gap = sum(y) - bound
         events = []
 
-        def recording(y, cost, slack, newton, bound, gap):
-            def bound_hook(y, s_inv):
-                low = bound(y, s_inv)
-                events.append(("gap", float(np.sum(y)) - low))
+        def recording(y, data, cost, slack, newton, bound, gap):
+            def bound_hook(y, s_inv, data):
+                low = bound(y, s_inv, data)
+                events.append(("gap", float(np.sum(y)) - float(low[0])))
                 return low
 
-            def newton_hook(s_inv, t):
-                grad, step = newton(s_inv, t)
-                events.append(("t", t, float(-grad @ step)))
+            def newton_hook(s_inv, t, data):
+                grad, step = newton(s_inv, t, data)
+                events.append(("t", float(t[0]), float(-grad[0] @ step[0])))
                 return grad, step
 
-            return log_det_barrier(y, cost, slack, newton_hook, bound_hook, gap)
+            return log_det_barrier(y, data, cost, slack, newton_hook, bound_hook, gap)
 
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         d = 5
@@ -527,18 +600,21 @@ class TestDampedNewtonDecrease:
         """(t, cost, slack, y, grad, step, next y) for every step the solve takes."""
         calls, problem = [], {}
 
-        def recording(y, cost, slack, newton, bound, gap):
-            def bound_hook(y, s_inv):
-                calls.append({"y": y})
-                return bound(y, s_inv)
+        def recording(y, data, cost, slack, newton, bound, gap):
+            def bound_hook(y, s_inv, data):
+                calls.append({"y": y[0]})
+                return bound(y, s_inv, data)
 
-            def newton_hook(s_inv, t):
-                grad, step = newton(s_inv, t)
-                calls[-1].update(t=t, grad=grad, step=step)
+            def newton_hook(s_inv, t, data):
+                grad, step = newton(s_inv, t, data)
+                calls[-1].update(t=float(t[0]), grad=grad[0], step=step[0])
                 return grad, step
 
-            problem.update(cost=cost, slack=slack)
-            return log_det_barrier(y, cost, slack, newton_hook, bound_hook, gap)
+            def one_slack(y):
+                return tuple(block[0] for block in slack(y[None], data))
+
+            problem.update(cost=cost, slack=one_slack)
+            return log_det_barrier(y, data, cost, slack, newton_hook, bound_hook, gap)
 
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         solve(rho)
@@ -622,13 +698,13 @@ class TestStructuredTraceDistanceStep:
         rho = random_density(d, seed)
         steps = []
 
-        def recording(y, cost, slack, newton, bound, gap):
-            def newton_hook(s_inv, t):
-                grad, step = newton(s_inv, t)
-                steps.append((s_inv, t, grad, step))
+        def recording(y, data, cost, slack, newton, bound, gap):
+            def newton_hook(s_inv, t, data):
+                grad, step = newton(s_inv, t, data)
+                steps.append((tuple(block[0] for block in s_inv), float(t[0]), grad[0], step[0]))
                 return grad, step
 
-            return log_det_barrier(y, cost, slack, newton_hook, bound, gap)
+            return log_det_barrier(y, data, cost, slack, newton_hook, bound, gap)
 
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         mo._incoherent_trace_distance(rho)
