@@ -382,7 +382,10 @@ def _injection_hook():
     """Deliberate corruption hook, enabled by COHERENCE_KIT_HARNESS_INJECT.
 
     Replaces the sampled channel at the given index (default 0) by a plainly
-    coherent rotation, which every sampled-class property then flags.
+    coherent rotation. The inclusions suite flags it at every seed, since the
+    rotation lies in no incoherent class. The monotonicity suite flags it only
+    where some monotone rises from the sampled input state to its rotated
+    image, which depends on the state: ``--samples 1 --seed 4`` passes.
     """
     flag = os.environ.get("COHERENCE_KIT_HARNESS_INJECT")
     if not flag:

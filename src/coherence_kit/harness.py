@@ -5,9 +5,11 @@ class: the inclusions suite tests every class ``channels.class_chain`` gives
 for it, and the monotonicity suite every monotone of those classes.
 
 The monotonicity suite first builds every sample's channels and their input
-and output states, then measures all the states at once, so that C_R solves
-each dimension's states as one batch of the barrier kernel
-(``monotones.c_r_many``); the other suites evaluate one sample after another.
+and output states, then measures all the states at once: C_R solves each
+dimension's states as one batch of the barrier kernel
+(``monotones.c_r_many``), and each spectral monotone is one stacked call per
+dimension over the states that need it (the ``monotones.*_values``
+kernels); the other suites evaluate one sample after another.
 Every suite reduces its results in sample-index order (then family, then
 check), and the samples draw from independent seeds, so a run is a pure
 function of (suite, samples, seed). Runs are serial: the samples are small
@@ -34,35 +36,54 @@ def _sub_seed(seed: int, index: int, salt: int = 0) -> int:
     return (seed * 1_000_003 + index * 97 + salt) % (2**31 - 1)
 
 
-def _state_measures(chain: tuple, rho: DensityMatrix, c_r: mo.MonotoneReport) -> dict:
-    """The monotones of every class in ``chain`` at rho, given its C_R report:
-    MIO's (every class is an MIO class), then DIO's, then IO's. A chain that
-    holds DIO reads both Renyi grids from one product (``renyi_grids``)."""
-    if "dio" in chain:
-        c_alphas, c_deltas = mo.renyi_grids(rho, ALPHA_GRID)
-    else:
-        c_alphas = mo.c_alpha_grid(rho, ALPHA_GRID)
-    vals = {report.name: report.value for report in c_alphas}
-    vals["c_r"] = c_r.value
-    vals["log1p_c_r"] = math.log2(1.0 + c_r.value)
-    if "dio" in chain:
-        vals.update((f"c_delta_alpha[{a:g}]", r.value) for a, r in zip(ALPHA_GRID, c_deltas))
-        vals["trace_norm_coherence"] = mo.trace_norm_coherence(rho).value
-        vals["c_delta_r"] = mo.c_delta_r(rho).value
-    if "io_rep" in chain:
-        vals["c_l1"] = mo.c_l1(rho).value
-    return vals
+_C_ALPHA = tuple(f"c_alpha[{a:g}]" for a in ALPHA_GRID)
+_C_DELTA_ALPHA = tuple(f"c_delta_alpha[{a:g}]" for a in ALPHA_GRID)
+
+
+def _per_dimension(kernel, states: list, rows: list) -> dict:
+    """{k: the row kernel gives states[k]} for k in rows, from one kernel call
+    on each dimension's states."""
+    by_dim = {}
+    for k in rows:
+        by_dim.setdefault(states[k].dim, []).append(k)
+    out = {}
+    for ks in by_dim.values():
+        out.update(zip(ks, kernel([states[k] for k in ks]).tolist()))
+    return out
 
 
 def _measure_states(cases) -> list:
     """The monotones of each (class, state) case, for its class and every
-    class containing it. C_R is one ``c_r_many`` call over all the states,
-    which solves each dimension's barrier states as one batch."""
-    c_rs = mo.c_r_many([rho for _, rho in cases])
-    return [
-        _state_measures(ch.class_chain(klass), rho, c_r)
-        for (klass, rho), c_r in zip(cases, c_rs)
-    ]
+    class containing it: MIO's (every class is an MIO class), then DIO's,
+    then IO's. Each measure is one stacked call per dimension over the states
+    that need it; a state in a DIO class reads both Renyi grids from one
+    product (``renyi_grid_values``), and C_R is one ``c_r_many`` call over
+    all the states, which solves each dimension's barrier states as one
+    batch."""
+    states = [rho for _, rho in cases]
+    chains = [ch.class_chain(klass) for klass, _ in cases]
+    dio = [k for k, chain in enumerate(chains) if "dio" in chain]
+    others = [k for k, chain in enumerate(chains) if "dio" not in chain]
+    io = [k for k, chain in enumerate(chains) if "io_rep" in chain]
+    grids = _per_dimension(lambda s: mo.c_alpha_values(s, ALPHA_GRID), states, others)
+    both = _per_dimension(lambda s: np.hstack(mo.renyi_grid_values(s, ALPHA_GRID)), states, dio)
+    grids.update(both)
+    trace_norms = _per_dimension(mo.trace_norm_coherence_values, states, dio)
+    c_delta_rs = _per_dimension(lambda s: mo.c_delta_r_values(s)[0], states, dio)
+    c_l1s = _per_dimension(mo.c_l1_values, states, io)
+    measured = []
+    for k, (chain, c_r) in enumerate(zip(chains, mo.c_r_many(states))):
+        vals = dict(zip(_C_ALPHA, grids[k]))
+        vals["c_r"] = c_r.value
+        vals["log1p_c_r"] = math.log2(1.0 + c_r.value)
+        if "dio" in chain:
+            vals.update(zip(_C_DELTA_ALPHA, grids[k][len(ALPHA_GRID) :]))
+            vals["trace_norm_coherence"] = trace_norms[k]
+            vals["c_delta_r"] = c_delta_rs[k]
+        if "io_rep" in chain:
+            vals["c_l1"] = c_l1s[k]
+        measured.append(vals)
+    return measured
 
 
 def _class_measures(klass: str, rho: DensityMatrix) -> dict:

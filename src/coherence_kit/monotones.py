@@ -20,17 +20,26 @@ read off its multipliers. Its Newton step uses the shared eigenbasis of
 Either report's bound is within its gap target (``C_R_GAP``,
 ``TRACE_DISTANCE_GAP``) of its value, or the call raises ArithmeticError.
 
-The spectral measures read the eigendecomposition rho = V diag(lambda) V^H
-cached on the state (``DensityMatrix.spectrum``) instead of factorizing it
-again. Each is a trace against a diagonal state, so it needs only the diagonal
+The spectral measures are stacked kernels over states of one dimension d,
+each a ``*_values`` function returning an array with one row per state; the
+one-state functions (``c_rel``, ``c_l1``, ``c_alpha_grid``,
+``c_delta_alpha_grid``, ``renyi_grids``, ``trace_norm_coherence``,
+``c_delta_r``) are their one-state case, wrapping a row in reports, and a
+state's row is the same, bit for bit, in any stack. They read the
+eigendecompositions rho = V diag(lambda) V^H cached on the states
+(``DensityMatrix.spectrum``) instead of factorizing again. Each Renyi
+measure is a trace against a diagonal state, so it needs only the diagonal
 of a function of rho, diag f(rho) = |V|^2 f(lambda) (``_diag_of``); no d x d
-power of rho is formed. The dephased state is raised to a power elementwise.
-The Renyi families take a whole alpha grid at once (``c_alpha_grid``,
-``c_delta_alpha_grid``): diag(rho^alpha) for every alpha is one d x n product
-|V|^2 [lambda_i^alpha], dotted column by column with the dephased state's
-powers for c_delta_alpha. The scalar c_alpha and c_delta_alpha are the
-one-column case, and ``renyi_grids`` gives c_alpha and the right-hand
-c_delta_alpha at one grid from a single product.
+power of rho is formed, and the dephased state is raised to a power
+elementwise. diag(rho^alpha) for every alpha of a grid and every state is
+one (K, d, n) product |V|^2 [lambda_i^alpha] (``_diag_powers``), dotted
+column by column with the dephased states' powers for c_delta_alpha;
+``renyi_grid_values`` gives c_alpha and the right-hand c_delta_alpha from a
+single product. c_rel and c_l1 are row reductions, the trace norm of
+rho - dephased is one stacked SVD, and c_delta_r is one stacked
+eigendecomposition of the cores D^-1/2 rho D^-1/2 per support size of D.
+Logarithms of the results are math.log2's, taken on Python floats: np.log2
+differs from it in the last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -77,10 +86,17 @@ def _prob_vector(p) -> np.ndarray:
     return np.clip(vec, 0.0, None)
 
 
+def _entropies(vals: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of vals (K, n); entries <= 1e-15
+    count as 0. Each row is summed from its kept entries alone, as a 1-D
+    array, so its bits do not depend on the entries it drops."""
+    rows = (row[row > 1e-15] for row in vals)
+    return np.array([-(row * np.log2(row)).sum() for row in rows])
+
+
 def _shannon(vec: np.ndarray) -> float:
-    """Shannon entropy in bits of a probability vector; entries <= 1e-15 count as 0."""
-    vec = vec[vec > 1e-15]
-    return float(-(vec * np.log2(vec)).sum())
+    """Shannon entropy in bits of a probability vector (see _entropies)."""
+    return float(_entropies(vec[None])[0])
 
 
 def renyi(p, alpha: float) -> float:
@@ -98,16 +114,50 @@ def renyi(p, alpha: float) -> float:
     return float(np.log2(np.sum(vec**alpha)) / (1.0 - alpha))
 
 
-def _diag_of(rho: DensityMatrix, values: np.ndarray) -> np.ndarray:
-    """Diagonal of V diag(values) V^H for the cached spectrum rho = V diag(lambda) V^H."""
-    vecs = rho.spectrum.eigenvectors
+def _stacked(states, get) -> np.ndarray:
+    """The stack of get(rho) over a sequence of states of one dimension; for
+    one state a view, which may be read-only."""
+    if len(states) == 1:
+        return get(states[0])[None]
+    return np.array([get(rho) for rho in states])
+
+
+def _dephased(states) -> np.ndarray:
+    """(K, d) diagonals of states of one dimension: their dephased states."""
+    return _stacked(states, lambda rho: rho.mat.diagonal()).real
+
+
+def _eigenvalues(states) -> np.ndarray:
+    """(K, d) ascending eigenvalues of states of one dimension, as cached."""
+    return _stacked(states, lambda rho: rho.spectrum.eigenvalues)
+
+
+def _eigenvectors(states) -> np.ndarray:
+    """(K, d, d) eigenvectors of states of one dimension, as cached."""
+    return _stacked(states, lambda rho: rho.spectrum.eigenvectors)
+
+
+def _diag_of(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Diagonals of V diag(values) V^H for a stack of eigenbases V (K, d, d)
+    and values (K, d, n), one column per column of values: |V|^2 values."""
     return (vecs.real**2 + vecs.imag**2) @ values
+
+
+def _c_rel_rows(delta: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """(K,) c_rel from the dephased states and the eigenvalues."""
+    entropies = _entropies(np.concatenate((delta, vals)))
+    return entropies[: len(delta)] - entropies[len(delta) :]
+
+
+def c_rel_values(states) -> np.ndarray:
+    """Relative entropy of coherence S(dephased) - S(rho) of each of states
+    of one dimension, (K,)."""
+    return _c_rel_rows(_dephased(states), _eigenvalues(states))
 
 
 def c_rel(rho: DensityMatrix) -> MonotoneReport:
     """Relative entropy of coherence S(dephased) - S(rho)."""
-    value = _shannon(np.diag(rho.mat).real) - _shannon(rho.spectrum.eigenvalues)
-    return MonotoneReport("c_rel", value, "closed_form")
+    return MonotoneReport("c_rel", float(c_rel_values((rho,))[0]), "closed_form")
 
 
 def _alpha_grid(alphas) -> np.ndarray:
@@ -117,31 +167,54 @@ def _alpha_grid(alphas) -> np.ndarray:
     return grid
 
 
-def _diag_powers(rho: DensityMatrix, exponents: np.ndarray) -> np.ndarray:
-    """Columns diag(rho^a) = |V|^2 lambda^a, one per exponent a: one d x n product."""
-    return _diag_of(rho, psd_power_values(rho.spectrum.eigenvalues[:, None], exponents))
+def _diag_powers(vals: np.ndarray, vecs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """(K, d, n) columns diag(rho^a) = |V|^2 lambda^a, one per exponent a, for
+    each state: one stacked product."""
+    return _diag_of(vecs, psd_power_values(vals[:, :, None], exponents))
 
 
-def _c_rel_at_one(rho: DensityMatrix, grid: np.ndarray):
-    """c_rel's value, where both Renyi families land at alpha = 1, if 1 is on the grid."""
-    return c_rel(rho).value if 1.0 in grid else None
-
-
-def _c_alpha_reports(grid: np.ndarray, diags: np.ndarray, rel) -> tuple:
-    """c_alpha at every alpha of grid from its columns diag(rho^alpha) and c_rel."""
+def _c_alpha_rows(grid: np.ndarray, diags: np.ndarray, rel) -> np.ndarray:
+    """(K, n) c_alpha at every alpha of grid from the columns diag(rho^alpha)
+    (K, d, n) and c_rel (K,), which stands at alpha = 1 (None if 1 is off the
+    grid). Logarithms are math.log2's, of Python floats, column by column."""
     diags = diags.clip(0.0, None)
     # alpha = 0 reads the column maximum, so its exponent here is a placeholder
-    totals = (diags ** (1.0 / np.where(grid == 0.0, 1.0, grid))).sum(axis=0)
-    reports = []
-    for alpha, top, total in zip(grid.tolist(), diags.max(axis=0).tolist(), totals.tolist()):
+    totals = (diags ** (1.0 / np.where(grid == 0.0, 1.0, grid))).sum(axis=1)
+    values = np.empty(totals.shape)
+    for j, alpha in enumerate(grid.tolist()):
         if alpha == 1.0:
-            value = rel
+            values[:, j] = rel
         elif alpha == 0.0:
-            value = 0.0 - math.log2(top)
+            values[:, j] = [0.0 - math.log2(top) for top in diags[:, :, j].max(axis=1).tolist()]
         else:
-            value = (alpha / (alpha - 1.0)) * math.log2(total)
-        reports.append(MonotoneReport(f"c_alpha[{alpha:g}]", value, "closed_form"))
-    return tuple(reports)
+            scale = alpha / (alpha - 1.0)
+            values[:, j] = [scale * math.log2(total) for total in totals[:, j].tolist()]
+    return values
+
+
+def _renyi_inputs(states, grid: np.ndarray) -> tuple:
+    """What both Renyi grids read of states of one dimension: the dephased
+    states, the spectra, the columns diag(rho^alpha) (K, d, n) of one stacked
+    product, and c_rel (None if 1 is off the grid)."""
+    delta, vals, vecs = _dephased(states), _eigenvalues(states), _eigenvectors(states)
+    rel = _c_rel_rows(delta, vals) if 1.0 in grid.tolist() else None
+    return delta, vals, vecs, _diag_powers(vals, vecs, grid), rel
+
+
+def c_alpha_values(states, alphas) -> np.ndarray:
+    """(K, n) Renyi coherence monotones c_alpha of states of one dimension at
+    every alpha in [0, 2] of ``alphas`` (see c_alpha_grid)."""
+    grid = _alpha_grid(alphas)
+    _, _, _, diags, rel = _renyi_inputs(states, grid)
+    return _c_alpha_rows(grid, diags, rel)
+
+
+def _grid_reports(name: str, grid: np.ndarray, row: np.ndarray) -> tuple:
+    """One closed-form report per alpha of grid, named name.format(alpha)."""
+    return tuple(
+        MonotoneReport(name.format(alpha), value, "closed_form")
+        for alpha, value in zip(grid.tolist(), row.tolist())
+    )
 
 
 def c_alpha_grid(rho: DensityMatrix, alphas) -> tuple:
@@ -151,10 +224,11 @@ def c_alpha_grid(rho: DensityMatrix, alphas) -> tuple:
     dispatches to the relative entropy of coherence, alpha = 0 is the
     analytic limit -log2 max_x <x|P|x> with P the support projector. The
     diagonals of every rho^alpha come from one product (``_diag_powers``).
-    Returns one closed-form report per alpha, in order.
+    Returns one closed-form report per alpha, in order; the one-state case of
+    ``c_alpha_values``.
     """
-    grid = _alpha_grid(alphas)
-    return _c_alpha_reports(grid, _diag_powers(rho, grid), _c_rel_at_one(rho, grid))
+    row = c_alpha_values((rho,), alphas)[0]
+    return _grid_reports("c_alpha[{:g}]", _alpha_grid(alphas), row)
 
 
 def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
@@ -162,10 +236,24 @@ def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
     return c_alpha_grid(rho, (alpha,))[0]
 
 
+def _off_diagonal(states) -> np.ndarray:
+    """(K, d, d) copies of the matrices of states of one dimension with their
+    diagonals set to zero: rho minus its dephased state."""
+    off = _stacked(states, lambda rho: rho.mat).copy()
+    d = off.shape[-1]
+    off[:, np.arange(d), np.arange(d)] = 0.0
+    return off
+
+
+def c_l1_values(states) -> np.ndarray:
+    """Sum of off-diagonal moduli of each of states of one dimension, (K,)."""
+    mags = np.abs(_off_diagonal(states))
+    return mags.reshape(len(mags), -1).sum(axis=1)
+
+
 def c_l1(rho: DensityMatrix) -> MonotoneReport:
     """Sum of off-diagonal moduli."""
-    off = np.abs(rho.mat) - np.diag(np.abs(np.diag(rho.mat)))
-    return MonotoneReport("c_l1", float(off.sum()), "closed_form")
+    return MonotoneReport("c_l1", float(c_l1_values((rho,))[0]), "closed_form")
 
 
 def c_q_alpha_pure(psi: PureStateVector, alpha: float) -> MonotoneReport:
@@ -181,27 +269,43 @@ def c_q_alpha_pure(psi: PureStateVector, alpha: float) -> MonotoneReport:
     return MonotoneReport(f"c_q_alpha[{alpha:g}]", renyi(psi.probs, gamma), "closed_form")
 
 
-def _c_delta_alpha_reports(rho, grid, side, powers, rel) -> tuple:
-    """c_delta_alpha on ``side`` at every alpha of grid, from the columns
-    diag(rho^a) (a = alpha on the right, 1 - alpha on the left) and c_rel."""
-    delta = np.diag(rho.mat).real
-    vals = rho.spectrum.eigenvalues
+def _c_delta_alpha_rows(grid, side, powers, delta, vals, vecs, rel) -> np.ndarray:
+    """(K, n) c_delta_alpha on ``side`` at every alpha of grid, from the columns
+    diag(rho^a) (K, d, n) (a = alpha on the right, 1 - alpha on the left), the
+    dephased states, the spectra and, on the right, c_rel (None if 1 is off
+    the grid). Logarithms are math.log2's, of Python floats, as in
+    _c_alpha_rows."""
     b = 1.0 - grid if side == "right" else grid
-    traces = (powers * psd_power_values(delta[:, None], b)).sum(axis=0)
-    infinite = side == "left" and np.sum(delta > 1e-12) > np.sum(vals > 1e-12)
-    reports = []
-    for alpha, trace in zip(grid.tolist(), traces.tolist()):
+    traces = (powers * psd_power_values(delta[:, :, None], b)).sum(axis=1)
+    values = np.empty(traces.shape)
+    for j, alpha in enumerate(grid.tolist()):
         if alpha == 1.0 and side == "right":
-            value = rel
-        elif infinite and alpha >= 1.0:
-            value = math.inf
+            values[:, j] = rel
         elif alpha == 1.0:
-            log_rho = _diag_of(rho, np.log2(np.clip(vals, 1e-300, None)))
-            value = -_shannon(delta) - float(delta @ log_rho)
+            log_rho = _diag_of(vecs, np.log2(np.clip(vals, 1e-300, None))[:, :, None])[:, :, 0]
+            values[:, j] = -_entropies(delta) - np.vecdot(delta, log_rho)
         else:
-            value = math.log2(max(trace, 1e-300)) / (alpha - 1.0)
-        reports.append(MonotoneReport(f"c_delta_alpha[{alpha:g},{side}]", value, "closed_form"))
-    return tuple(reports)
+            logs = [math.log2(max(trace, 1e-300)) for trace in traces[:, j].tolist()]
+            values[:, j] = [log / (alpha - 1.0) for log in logs]
+    if side == "left":
+        # +inf for alpha >= 1 where the dephased support exceeds the rank
+        infinite = np.sum(delta > 1e-12, axis=1) > np.sum(vals > 1e-12, axis=1)
+        values[np.ix_(infinite, grid >= 1.0)] = math.inf
+    return values
+
+
+def c_delta_alpha_values(states, alphas, side: str = "right") -> np.ndarray:
+    """(K, n) dephasing-relative Renyi monotones of states of one dimension at
+    every alpha in [0, 2] of ``alphas`` (see c_delta_alpha_grid)."""
+    grid = _alpha_grid(alphas)
+    if side == "right":
+        delta, vals, vecs, diags, rel = _renyi_inputs(states, grid)
+        return _c_delta_alpha_rows(grid, side, diags, delta, vals, vecs, rel)
+    if side != "left":
+        raise ValueError("side must be 'right' or 'left'")
+    delta, vals, vecs = _dephased(states), _eigenvalues(states), _eigenvectors(states)
+    powers = _diag_powers(vals, vecs, 1.0 - grid)
+    return _c_delta_alpha_rows(grid, side, powers, delta, vals, vecs, None)
 
 
 def c_delta_alpha_grid(rho: DensityMatrix, alphas, side: str = "right") -> tuple:
@@ -214,26 +318,32 @@ def c_delta_alpha_grid(rho: DensityMatrix, alphas, side: str = "right") -> tuple
     are diag(rho^a) . dephased^b with (a, b) = (alpha, 1-alpha) on the right
     and (1-alpha, alpha) on the left, so every trace comes from one product
     (``_diag_powers``) dotted column by column with the powers of the
-    dephased state. Returns one closed-form report per alpha, in order.
+    dephased state. Returns one closed-form report per alpha, in order; the
+    one-state case of ``c_delta_alpha_values``.
     """
+    row = c_delta_alpha_values((rho,), alphas, side)[0]
+    return _grid_reports("c_delta_alpha[{:g}," + side + "]", _alpha_grid(alphas), row)
+
+
+def renyi_grid_values(states, alphas) -> tuple:
+    """(K, n) c_alpha and (K, n) right-hand c_delta_alpha of states of one
+    dimension at every alpha in [0, 2] of ``alphas``, from one stacked
+    product diag(rho^alpha) and one c_rel: the right side reads the powers
+    c_alpha reads. The first is ``c_alpha_values``'s, bit for bit."""
     grid = _alpha_grid(alphas)
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    if side == "left":
-        return _c_delta_alpha_reports(rho, grid, side, _diag_powers(rho, 1.0 - grid), None)
-    rel = _c_rel_at_one(rho, grid)
-    return _c_delta_alpha_reports(rho, grid, side, _diag_powers(rho, grid), rel)
+    delta, vals, vecs, diags, rel = _renyi_inputs(states, grid)
+    c_deltas = _c_delta_alpha_rows(grid, "right", diags, delta, vals, vecs, rel)
+    return _c_alpha_rows(grid, diags, rel), c_deltas
 
 
 def renyi_grids(rho: DensityMatrix, alphas) -> tuple:
     """(c_alpha_grid(rho, alphas), c_delta_alpha_grid(rho, alphas, "right")),
-    the same reports bit for bit, from one product diag(rho^alpha) and one
-    c_rel: the right side reads the powers c_alpha reads."""
+    the same reports bit for bit: the one-state case of ``renyi_grid_values``."""
     grid = _alpha_grid(alphas)
-    diags, rel = _diag_powers(rho, grid), _c_rel_at_one(rho, grid)
+    c_alphas, c_deltas = renyi_grid_values((rho,), grid)
     return (
-        _c_alpha_reports(grid, diags, rel),
-        _c_delta_alpha_reports(rho, grid, "right", diags, rel),
+        _grid_reports("c_alpha[{:g}]", grid, c_alphas[0]),
+        _grid_reports("c_delta_alpha[{:g},right]", grid, c_deltas[0]),
     )
 
 
@@ -242,11 +352,16 @@ def c_delta_alpha(rho: DensityMatrix, alpha: float, side: str = "right") -> Mono
     return c_delta_alpha_grid(rho, (alpha,), side)[0]
 
 
+def trace_norm_coherence_values(states) -> np.ndarray:
+    """Trace norm of rho minus its dephased version, for each of states of one
+    dimension, (K,): one stacked SVD."""
+    return trace_norm(_off_diagonal(states))
+
+
 def trace_norm_coherence(rho: DensityMatrix) -> MonotoneReport:
     """Trace norm of rho minus its dephased version."""
-    return MonotoneReport(
-        "trace_norm_coherence", trace_norm(rho.mat - np.diag(np.diag(rho.mat))), "closed_form"
-    )
+    value = float(trace_norm_coherence_values((rho,))[0])
+    return MonotoneReport("trace_norm_coherence", value, "closed_form")
 
 
 def _is_pure(rho: DensityMatrix) -> bool:
@@ -356,27 +471,50 @@ def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
     return c_r_many((rho,), method)[0]
 
 
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v) of each row v of a complex stack vecs (K, n), bit for bit."""
+    return np.sqrt(np.vecdot(vecs.real, vecs.real) + np.vecdot(vecs.imag, vecs.imag))
+
+
+def c_delta_r_values(states) -> tuple:
+    """Dephasing robustness of each of states of one dimension d, and the
+    witnesses: ((K,) values, (K, d) ratio vectors); see c_delta_r.
+
+    A state's core D^{-1/2} rho D^{-1/2} lives on the support of its dephased
+    state D, so the states are grouped by support size, and each group's
+    cores are one stacked eigendecomposition. Raises ValueError, for all the
+    states, if one has a zero diagonal entry whose row carries off-diagonal
+    weight.
+    """
+    mats = _stacked(states, lambda rho: rho.mat)
+    diag = mats.diagonal(0, 1, 2).real
+    keep = diag > 1e-12
+    if not keep.all() and np.max(np.abs(mats[~keep])) > 1e-10:
+        raise ValueError("zero-diagonal row carries off-diagonal weight")
+    values = np.empty(len(mats))
+    witnesses = np.zeros(diag.shape, dtype=complex)
+    sizes = keep.sum(axis=1)
+    for size in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == size)
+        idx = np.nonzero(keep[rows])[1].reshape(len(rows), size)
+        sub = mats[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
+        scale = 1.0 / np.sqrt(diag[rows[:, None], idx])
+        dec = eig_hermitian(sub * (scale[:, :, None] * scale[:, None, :]))
+        top = dec.eigenvectors[:, :, -1] * scale
+        witnesses[rows[:, None], idx] = top / _norms(top)[:, None]
+        values[rows] = np.maximum(dec.eigenvalues[:, -1] - 1.0, 0.0)
+    return values, witnesses
+
+
 def c_delta_r(rho: DensityMatrix) -> MonotoneReport:
     """Dephasing robustness: the least t with (1+t) * dephased - rho PSD.
 
     Computed as lambda_max(D^{-1/2} rho D^{-1/2}) - 1 on the support of the
-    dephased state D; the witness is the maximizing ratio vector.
+    dephased state D; the witness is the maximizing ratio vector. The
+    one-state case of ``c_delta_r_values``.
     """
-    diag = np.diag(rho.mat).real
-    keep = diag > 1e-12
-    if not np.all(keep):
-        dropped = ~keep
-        if np.max(np.abs(rho.mat[dropped, :]), initial=0.0) > 1e-10:
-            raise ValueError("zero-diagonal row carries off-diagonal weight")
-    sub = rho.mat[np.ix_(keep, keep)]
-    scale = 1.0 / np.sqrt(diag[keep])
-    core = sub * np.outer(scale, scale)
-    dec = eig_hermitian(core)
-    lam = float(dec.eigenvalues[-1])
-    top = dec.eigenvectors[:, -1] * scale
-    witness = np.zeros(rho.dim, dtype=complex)
-    witness[keep] = top / np.linalg.norm(top)
-    return MonotoneReport("c_delta_r", max(lam - 1.0, 0.0), "eigenvalue", witness=witness)
+    values, witnesses = c_delta_r_values((rho,))
+    return MonotoneReport("c_delta_r", float(values[0]), "eigenvalue", witness=witnesses[0])
 
 
 def log_robustness_of(base: MonotoneReport) -> MonotoneReport:

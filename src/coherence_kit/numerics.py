@@ -1,8 +1,10 @@
 """Dense complex linear algebra, a log-det barrier kernel, a small simplex LP,
 and Birkhoff decomposition.
 
-Matrices are plain numpy arrays (complex128, row-major). Everything here is a
-pure function of its inputs; nothing mutates its arguments.
+Matrices are plain numpy arrays (complex128, row-major). ``eig_hermitian``
+and ``trace_norm`` take one matrix or a stack (K, n, n), factorized in one
+LAPACK call whose rows carry the bits of their one-matrix calls. Everything
+here is a pure function of its inputs; nothing mutates its arguments.
 """
 
 from __future__ import annotations
@@ -25,13 +27,50 @@ class UnboundedError(ValueError):
     """The linear program objective is unbounded below."""
 
 
+# Every evaluation of the barrier factors and inverts each block, and C_R's
+# Newton hook solves one system more. numpy.linalg's functions check shapes,
+# promote types and enter an errstate context in Python on every call, which
+# on a 3 x 3 block costs several times what LAPACK does: 4.0 against 1.0 us for
+# cholesky and 7.9 against 1.5 us for inv (numpy 2.4, one BLAS thread, a
+# virtual Xeon core). The barrier, eig_hermitian and trace_norm call the
+# gufuncs behind them on their float64 and complex128 stacks instead, under the
+# error state numpy.linalg sets, so the bits are the same and a failed
+# factorization raises LinAlgError as there.
+def _lapack_errstate(message: str) -> dict:
+    """numpy.linalg's error state around a LAPACK gufunc, raising
+    LinAlgError(message) where LAPACK reports a failure."""
+
+    def failed(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return {
+        "call": failed,
+        "invalid": "call",
+        "over": "ignore",
+        "divide": "ignore",
+        "under": "ignore",
+    }
+
+
+_LAPACK_ERRSTATE = _lapack_errstate("singular or not positive definite")
+_EIGH_ERRSTATE = _lapack_errstate("Eigenvalues did not converge")
+_SVD_ERRSTATE = _lapack_errstate("SVD did not converge")
+
+
 def _as_square_matrix(mat) -> np.ndarray:
+    """mat as a complex (n, n) array or (K, n, n) stack."""
     m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a complex stack (K, n, n)."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(flat, flat).real)
 
 
 @dataclass(frozen=True)
@@ -43,21 +82,32 @@ class EigenDecomposition:
 
 
 def eig_hermitian(mat) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (K, n, n).
 
-    The input must be Hermitian within ``HERMITIAN_TOL`` (relative to its
+    Each matrix must be Hermitian within ``HERMITIAN_TOL`` (relative to its
     Frobenius norm); it is symmetrized before factorization. Eigenvalues come
-    back ascending, eigenvectors as orthonormal columns.
+    back ascending, eigenvectors as orthonormal columns, with the stack's
+    leading axis where there is one. LAPACK is called through the gufunc
+    behind np.linalg.eigh (see ``_lapack_errstate``), so each matrix gets
+    np.linalg.eigh's bits, alone or in a stack. Each matrix is checked on its
+    own, and one that fails the Hermiticity check (ValueError) or whose
+    reconstruction residual exceeds ``RECONSTRUCTION_TOL`` (ArithmeticError)
+    fails the whole stack.
     """
     m = _as_square_matrix(mat)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * scale:
+    stack = m if m.ndim == 3 else m[None]
+    adjoint = stack.conj().swapaxes(1, 2)
+    scale = np.maximum(1.0, _frobenius(stack))
+    if max((_frobenius(stack - adjoint) / scale).tolist()) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    sym = (m + m.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    residual = np.linalg.norm(m - (vecs * vals) @ vecs.conj().T)
-    if residual > RECONSTRUCTION_TOL * scale:
-        raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
+    with np.errstate(**_EIGH_ERRSTATE):
+        vals, vecs = _umath_linalg.eigh_lo((stack + adjoint) / 2.0)
+    residual = _frobenius(stack - (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2))
+    if max((residual / scale).tolist()) > RECONSTRUCTION_TOL:
+        raise ArithmeticError(f"eigendecomposition residual {residual.max():.3e} too large")
+    if m.ndim == 2:
+        return EigenDecomposition(vals[0], vecs[0])
     return EigenDecomposition(vals, vecs)
 
 
@@ -86,36 +136,20 @@ def mat_power_psd(mat, alpha: float) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def trace_norm(mat) -> float:
-    """Sum of singular values (for Hermitian input: sum of |eigenvalues|)."""
+def trace_norm(mat):
+    """Sum of singular values (for Hermitian input: sum of |eigenvalues|) of a
+    matrix, as a float, or of each matrix of a stack (K, n, n), as a (K,)
+    array: one stacked SVD through the gufunc behind np.linalg.svd, each row's
+    sum the bits of its own call's."""
     m = _as_square_matrix(mat)
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    with np.errstate(**_SVD_ERRSTATE):
+        total = _umath_linalg.svd(m).sum(axis=-1)
+    return float(total) if m.ndim == 2 else total
 
 
 # ---------------------------------------------------------------------------
 # Log-det barrier: minimize cost.y subject to block-diagonal S(y) > 0.
 # ---------------------------------------------------------------------------
-
-# Every evaluation of the barrier factors and inverts each block, and C_R's
-# Newton hook solves one system more. numpy.linalg's functions check shapes,
-# promote types and enter an errstate context in Python on every call, which
-# on a 3 x 3 block costs several times what LAPACK does: 4.0 against 1.0 us for
-# cholesky and 7.9 against 1.5 us for inv (numpy 2.4, one BLAS thread, a
-# virtual Xeon core). The barrier calls the gufuncs behind them on its float64
-# and complex128 stacks instead, under the error state numpy.linalg sets, so
-# the bits are the same and a failed factorization raises LinAlgError as there.
-def _lapack_failed(err, flag):
-    raise np.linalg.LinAlgError("singular or not positive definite")
-
-
-_LAPACK_ERRSTATE = {
-    "call": _lapack_failed,
-    "invalid": "call",
-    "over": "ignore",
-    "divide": "ignore",
-    "under": "ignore",
-}
-
 
 def solve_stack(a, b) -> np.ndarray:
     """x with a[k] x[k] = b[k] for a stack of square systems a (K, n, n) and

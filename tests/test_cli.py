@@ -516,6 +516,17 @@ class TestHarnessCommand:
         checks = [f["check"] for f in json.loads(out)["failures"]]
         assert checks == [f"{suite}/{name}" for name in self.INJECTED[suite]]
 
+    def test_inclusions_flag_the_injected_rotation_at_every_seed(self, capsys, monkeypatch):
+        # the monotonicity suite misses the rotation where no monotone rises on
+        # the sampled state (seed 4); the inclusions suite flags it every time
+        monkeypatch.setenv("COHERENCE_KIT_HARNESS_INJECT", "0")
+        for seed in range(40):
+            argv = ["harness", "--suite", "inclusions", "--samples", "1", "--seed", str(seed)]
+            code, out = run_cli(capsys, argv)
+            failures = json.loads(out)["failures"]
+            assert code == 1 and failures, seed
+            assert {f["index"] for f in failures} == {0}, seed
+
     def test_repeat_runs_are_identical(self):
         first = run_suite("roundtrips", 8, seed=9)
         assert run_suite("roundtrips", 8, seed=9) == first

@@ -684,8 +684,9 @@ class TestCachedSpectrum:
 
 class TestHarnessBatching:
     """The monotonicity suite builds every sample before it measures any, so
-    C_R runs as one barrier batch per dimension, and its failure records
-    come out as a state-by-state loop over ``_class_measures`` gives them."""
+    C_R runs as one barrier batch per dimension and each spectral monotone as
+    one stacked call per dimension, and its failure records come out as a
+    state-by-state loop over ``_class_measures`` gives them, bit for bit."""
 
     def test_one_barrier_batch_per_dimension(self, monkeypatch):
         batches = []
@@ -700,6 +701,19 @@ class TestHarnessBatching:
         # g-covariant and SIO inputs and outputs at d = 3, 4 states a sample;
         # the qubit family takes C_R's closed form
         assert batches == [(20, 3, 3)]
+
+    def test_one_core_eigendecomposition_per_dimension_and_core_size(self, monkeypatch):
+        shapes = []
+
+        def recording(m):
+            shapes.append(np.shape(m))
+            return numerics.eig_hermitian(m)
+
+        monkeypatch.setattr(mo, "eig_hermitian", recording)
+        assert harness.run_suite("monotonicity", 5, seed=4)["passed"]
+        # c_delta_r is a DIO monotone, so the qubit MIO family takes none; the
+        # 20 d = 3 states all have a full diagonal, so one core size
+        assert shapes == [(20, 3, 3)]
 
     def test_failures_match_a_state_by_state_loop(self, monkeypatch):
         monkeypatch.setenv("COHERENCE_KIT_HARNESS_INJECT", "2")
@@ -718,7 +732,7 @@ class TestHarnessBatching:
         assert [(f["index"], f["check"]) for f in failures] == [r[:2] for r in reference]
         assert {f["index"] for f in failures} == {2} and len(failures) > 10
         for f, (_, _, magnitude) in zip(failures, reference):
-            assert f["magnitude"] == pytest.approx(magnitude, rel=0, abs=1e-12)
+            assert f["magnitude"] == magnitude
 
 
 def _scalar_c_alpha(rho, alpha):
@@ -815,3 +829,73 @@ class TestRenyiGrid:
         with pytest.raises(ValueError, match="side"):
             mo.c_delta_alpha_grid(rho, (0.5,), "middle")
         assert mo.c_alpha_grid(rho, ()) == ()
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestStackedMeasures:
+    """Each spectral monotone is one stacked kernel over the states of one
+    dimension; every row of a mixed stack (full rank, rank 1, rank 2, a zero
+    diagonal entry) equals the state's one-state call bit for bit."""
+
+    @staticmethod
+    def states(d):
+        mixed = [random_density(d, 110 + d), random_pure(d, 111 + d).to_density()]
+        if d >= 3:
+            mixed.append(_zero_diagonal_state(d, 112 + d))
+        mixed += [_rank_k_state(d, 2, 113 + d), random_density(d, 114 + d)]
+        if d >= 3:
+            mixed.append(_zero_diagonal_state(d, 115 + d))
+        return mixed
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 64])
+    def test_rows_match_their_one_state_calls(self, d):
+        rhos = self.states(d)
+        grid = harness.ALPHA_GRID
+        c_alphas = mo.c_alpha_values(rhos, grid)
+        rights = mo.c_delta_alpha_values(rhos, grid)
+        lefts = mo.c_delta_alpha_values(rhos, grid, "left")
+        grid_alphas, grid_rights = mo.renyi_grid_values(rhos, grid)
+        rels, l1s = mo.c_rel_values(rhos), mo.c_l1_values(rhos)
+        norms = mo.trace_norm_coherence_values(rhos)
+        c_delta_rs, witnesses = mo.c_delta_r_values(rhos)
+        assert c_alphas.shape == lefts.shape == (len(rhos), len(grid))
+        assert _bits(grid_alphas) == _bits(c_alphas) and _bits(grid_rights) == _bits(rights)
+        for k, rho in enumerate(rhos):
+            assert _bits(c_alphas[k]) == _bits([r.value for r in mo.c_alpha_grid(rho, grid)])
+            assert _bits(rights[k]) == _bits([r.value for r in mo.c_delta_alpha_grid(rho, grid)])
+            left = mo.c_delta_alpha_grid(rho, grid, "left")
+            assert _bits(lefts[k]) == _bits([r.value for r in left])
+            assert _bits(rels[k]) == _bits(mo.c_rel(rho).value)
+            assert _bits(l1s[k]) == _bits(mo.c_l1(rho).value)
+            assert _bits(norms[k]) == _bits(mo.trace_norm_coherence(rho).value)
+            report = mo.c_delta_r(rho)
+            assert _bits(c_delta_rs[k]) == _bits(report.value)
+            assert witnesses[k].tobytes() == report.witness.tobytes()
+            for j, alpha in enumerate(grid):
+                reference = _scalar_c_alpha(rho, alpha)
+                assert c_alphas[k, j] == pytest.approx(reference, rel=0, abs=1e-13)
+                reference = _scalar_c_delta_alpha_right(rho, alpha)
+                assert rights[k, j] == pytest.approx(reference, rel=0, abs=1e-13)
+
+    def test_one_core_eigendecomposition_per_core_size(self, monkeypatch):
+        rhos = self.states(5)
+        shapes = []
+
+        def recording(m):
+            shapes.append(np.shape(m))
+            return numerics.eig_hermitian(m)
+
+        monkeypatch.setattr(mo, "eig_hermitian", recording)
+        values, witnesses = mo.c_delta_r_values(rhos)
+        # the two zero-diagonal states keep their 4 x 4 cores
+        assert sorted(shapes) == [(2, 4, 4), (4, 5, 5)]
+        for k in (2, 5):
+            assert witnesses[k, 1] == 0.0
+            assert values[k] == mo.c_delta_r(rhos[k]).value
+
+    def test_rejects_states_of_two_dimensions(self):
+        with pytest.raises(ValueError):
+            mo.c_rel_values([random_density(2, 1), random_density(3, 1)])

@@ -68,6 +68,53 @@ class TestEigHermitian:
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestStackedEigHermitian:
+    """A stack (K, n, n) is one LAPACK call whose rows carry np.linalg.eigh's
+    bits, and whose checks hold row by row."""
+
+    @staticmethod
+    def stack(d, k=5):
+        return np.stack([random_hermitian(d, 100 * d + j) for j in range(k)])
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 64])
+    def test_rows_are_numpy_eigh_bit_for_bit(self, d):
+        mats = self.stack(d)
+        dec = eig_hermitian(mats)
+        assert dec.eigenvalues.shape == (5, d) and dec.eigenvectors.shape == (5, d, d)
+        for k, m in enumerate(mats):
+            vals, vecs = np.linalg.eigh(m)
+            alone = eig_hermitian(m)
+            for got in (dec.eigenvalues[k], alone.eigenvalues):
+                assert got.tobytes() == vals.tobytes()
+            for got in (dec.eigenvectors[k], alone.eigenvectors):
+                assert got.tobytes() == vecs.tobytes()
+
+    def test_one_non_hermitian_row_fails_the_stack(self):
+        mats = self.stack(3)
+        mats[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(mats)
+        eig_hermitian(np.delete(mats, 2, axis=0))
+
+    def test_a_row_over_the_residual_tolerance_fails_the_stack(self, monkeypatch):
+        class OffByOneRow:
+            @staticmethod
+            def eigh_lo(a):
+                vals, vecs = np.linalg.eigh(a)
+                vals[3:4, -1] += 1e-6  # row 3, where the stack has one
+                return vals, vecs
+
+        mats = self.stack(4)
+        monkeypatch.setattr(numerics, "_umath_linalg", OffByOneRow)
+        with pytest.raises(ArithmeticError, match="residual"):
+            eig_hermitian(mats)
+        eig_hermitian(mats[:3])
+
+    def test_rejects_a_stack_of_non_square_matrices(self):
+        with pytest.raises(ValueError, match="square"):
+            eig_hermitian(np.ones((2, 2, 3)))
+
+
 class TestIsPsd:
     def test_zero_matrix(self):
         assert is_psd(np.zeros((2, 2)), 1e-10)
