@@ -347,8 +347,7 @@ def _artifact_qubit_formulas(seed: int) -> tuple:
         std = DensityMatrix(sf.gauge @ rho.mat @ sf.gauge.conj().T)
         solver = mo.c_r(std, method="cutting_plane").value
         eigen = mo.c_delta_r(std).value
-        closed_dr = 0.0 if sf.p >= 1.0 - 1e-12 else sf.r / math.sqrt(sf.p * (1.0 - sf.p))
-        rows.append((sf.p, sf.r, solver, 2.0 * sf.r, eigen, closed_dr))
+        rows.append((sf.p, sf.r, solver, 2.0 * sf.r, eigen, tr._qubit_cdr(sf.p, sf.r)))
     return rows, ["p", "r", "c_r_solver", "c_r_closed", "c_delta_r_eigen", "c_delta_r_closed"]
 
 

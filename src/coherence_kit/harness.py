@@ -24,7 +24,8 @@ import numpy as np
 
 from . import channels as ch
 from . import monotones as mo
-from .states import DensityMatrix, random_density
+from .monotones import _per_dimension
+from .states import random_density
 
 MONOTONE_SLACK = 1e-7
 ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 1.0, 1.3, 1.7, 2.0)
@@ -38,18 +39,6 @@ def _sub_seed(seed: int, index: int, salt: int = 0) -> int:
 
 _C_ALPHA = tuple(f"c_alpha[{a:g}]" for a in ALPHA_GRID)
 _C_DELTA_ALPHA = tuple(f"c_delta_alpha[{a:g}]" for a in ALPHA_GRID)
-
-
-def _per_dimension(kernel, states: list, rows: list) -> dict:
-    """{k: the row kernel gives states[k]} for k in rows, from one kernel call
-    on each dimension's states."""
-    by_dim = {}
-    for k in rows:
-        by_dim.setdefault(states[k].dim, []).append(k)
-    out = {}
-    for ks in by_dim.values():
-        out.update(zip(ks, kernel([states[k] for k in ks]).tolist()))
-    return out
 
 
 def _measure_states(cases) -> list:
@@ -84,11 +73,6 @@ def _measure_states(cases) -> list:
             vals["c_l1"] = c_l1s[k]
         measured.append(vals)
     return measured
-
-
-def _class_measures(klass: str, rho: DensityMatrix) -> dict:
-    """The monotones of ``klass`` and of every class containing it, at rho."""
-    return _measure_states([(klass, rho)])[0]
 
 
 def _monotonicity_families(index: int, seed: int, corrupt_hook) -> list:

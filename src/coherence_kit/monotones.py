@@ -21,13 +21,14 @@ Either report's bound is within its gap target (``C_R_GAP``,
 ``TRACE_DISTANCE_GAP``) of its value, or the call raises ArithmeticError.
 
 The spectral measures are stacked kernels over states of one dimension d,
-each a ``*_values`` function returning an array with one row per state; the
-one-state functions (``c_rel``, ``c_l1``, ``c_alpha_grid``,
-``c_delta_alpha_grid``, ``renyi_grids``, ``trace_norm_coherence``,
-``c_delta_r``) are their one-state case, wrapping a row in reports, and a
-state's row is the same, bit for bit, in any stack. They read the
-eigendecompositions rho = V diag(lambda) V^H cached on the states
-(``DensityMatrix.spectrum``) instead of factorizing again. Each Renyi
+each a ``*_values`` function returning an array with one row per state, and
+the only interface for many states or many alphas; ``_per_dimension`` groups
+a list of states of mixed dimensions for them. The one-state functions
+(``c_rel``, ``c_l1``, ``c_alpha``, ``c_delta_alpha``,
+``trace_norm_coherence``, ``c_delta_r``) are their one-state case, wrapping
+one entry in a report, and a state's row is the same, bit for bit, in any
+stack. They read the eigendecompositions rho = V diag(lambda) V^H cached on
+the states (``DensityMatrix.spectrum``) instead of factorizing again. Each Renyi
 measure is a trace against a diagonal state, so it needs only the diagonal
 of a function of rho, diag f(rho) = |V|^2 f(lambda) (``_diag_of``); no d x d
 power of rho is formed, and the dephased state is raised to a power
@@ -122,6 +123,19 @@ def _stacked(states, get) -> np.ndarray:
     return np.array([get(rho) for rho in states])
 
 
+def _per_dimension(kernel, states: list, rows) -> dict:
+    """{k: the entry kernel gives states[k]} for k in rows, from one kernel
+    call on each dimension's states; kernel maps states of one dimension to
+    one entry (a row, or a report) per state, in order."""
+    by_dim = {}
+    for k in rows:
+        by_dim.setdefault(states[k].dim, []).append(k)
+    out = {}
+    for ks in by_dim.values():
+        out.update(zip(ks, kernel([states[k] for k in ks])))
+    return out
+
+
 def _dephased(states) -> np.ndarray:
     """(K, d) diagonals of states of one dimension: their dephased states."""
     return _stacked(states, lambda rho: rho.mat.diagonal()).real
@@ -203,37 +217,23 @@ def _renyi_inputs(states, grid: np.ndarray) -> tuple:
 
 def c_alpha_values(states, alphas) -> np.ndarray:
     """(K, n) Renyi coherence monotones c_alpha of states of one dimension at
-    every alpha in [0, 2] of ``alphas`` (see c_alpha_grid)."""
+    every alpha in [0, 2] of ``alphas`` (see c_alpha); the diagonals of every
+    rho^alpha come from one product (``_diag_powers``)."""
     grid = _alpha_grid(alphas)
     _, _, _, diags, rel = _renyi_inputs(states, grid)
     return _c_alpha_rows(grid, diags, rel)
 
 
-def _grid_reports(name: str, grid: np.ndarray, row: np.ndarray) -> tuple:
-    """One closed-form report per alpha of grid, named name.format(alpha)."""
-    return tuple(
-        MonotoneReport(name.format(alpha), value, "closed_form")
-        for alpha, value in zip(grid.tolist(), row.tolist())
-    )
-
-
-def c_alpha_grid(rho: DensityMatrix, alphas) -> tuple:
-    """Renyi coherence monotones c_alpha at every alpha in [0, 2] of ``alphas``.
+def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
+    """Renyi coherence monotone c_alpha for alpha in [0, 2], closed form.
 
     (alpha/(alpha-1)) * log2 sum_x <x|rho^alpha|x>^(1/alpha); alpha = 1
     dispatches to the relative entropy of coherence, alpha = 0 is the
     analytic limit -log2 max_x <x|P|x> with P the support projector. The
-    diagonals of every rho^alpha come from one product (``_diag_powers``).
-    Returns one closed-form report per alpha, in order; the one-state case of
-    ``c_alpha_values``.
+    one-state, one-alpha case of ``c_alpha_values``.
     """
-    row = c_alpha_values((rho,), alphas)[0]
-    return _grid_reports("c_alpha[{:g}]", _alpha_grid(alphas), row)
-
-
-def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
-    """Renyi coherence monotone, closed form, for alpha in [0, 2] (see c_alpha_grid)."""
-    return c_alpha_grid(rho, (alpha,))[0]
+    value = float(c_alpha_values((rho,), (alpha,))[0, 0])
+    return MonotoneReport(f"c_alpha[{float(alpha):g}]", value, "closed_form")
 
 
 def _off_diagonal(states) -> np.ndarray:
@@ -296,7 +296,9 @@ def _c_delta_alpha_rows(grid, side, powers, delta, vals, vecs, rel) -> np.ndarra
 
 def c_delta_alpha_values(states, alphas, side: str = "right") -> np.ndarray:
     """(K, n) dephasing-relative Renyi monotones of states of one dimension at
-    every alpha in [0, 2] of ``alphas`` (see c_delta_alpha_grid)."""
+    every alpha in [0, 2] of ``alphas`` (see c_delta_alpha). Each trace is
+    diag(rho^a) . dephased^b, (a, b) = (alpha, 1-alpha) on the right and
+    (1-alpha, alpha) on the left, from one product (``_diag_powers``)."""
     grid = _alpha_grid(alphas)
     if side == "right":
         delta, vals, vecs, diags, rel = _renyi_inputs(states, grid)
@@ -306,23 +308,6 @@ def c_delta_alpha_values(states, alphas, side: str = "right") -> np.ndarray:
     delta, vals, vecs = _dephased(states), _eigenvalues(states), _eigenvectors(states)
     powers = _diag_powers(vals, vecs, 1.0 - grid)
     return _c_delta_alpha_rows(grid, side, powers, delta, vals, vecs, None)
-
-
-def c_delta_alpha_grid(rho: DensityMatrix, alphas, side: str = "right") -> tuple:
-    """Dephasing-relative Renyi monotones at every alpha in [0, 2] of ``alphas``.
-
-    right: (1/(alpha-1)) log2 Tr[rho^alpha (dephased)^{1-alpha}]
-    left:  same with the arguments swapped. At alpha = 1 these become the
-    corresponding relative entropies. For alpha >= 1 the left variant is +inf
-    when the support of the dephased state exceeds the rank of rho. Both sides
-    are diag(rho^a) . dephased^b with (a, b) = (alpha, 1-alpha) on the right
-    and (1-alpha, alpha) on the left, so every trace comes from one product
-    (``_diag_powers``) dotted column by column with the powers of the
-    dephased state. Returns one closed-form report per alpha, in order; the
-    one-state case of ``c_delta_alpha_values``.
-    """
-    row = c_delta_alpha_values((rho,), alphas, side)[0]
-    return _grid_reports("c_delta_alpha[{:g}," + side + "]", _alpha_grid(alphas), row)
 
 
 def renyi_grid_values(states, alphas) -> tuple:
@@ -336,20 +321,17 @@ def renyi_grid_values(states, alphas) -> tuple:
     return _c_alpha_rows(grid, diags, rel), c_deltas
 
 
-def renyi_grids(rho: DensityMatrix, alphas) -> tuple:
-    """(c_alpha_grid(rho, alphas), c_delta_alpha_grid(rho, alphas, "right")),
-    the same reports bit for bit: the one-state case of ``renyi_grid_values``."""
-    grid = _alpha_grid(alphas)
-    c_alphas, c_deltas = renyi_grid_values((rho,), grid)
-    return (
-        _grid_reports("c_alpha[{:g}]", grid, c_alphas[0]),
-        _grid_reports("c_delta_alpha[{:g},right]", grid, c_deltas[0]),
-    )
-
-
 def c_delta_alpha(rho: DensityMatrix, alpha: float, side: str = "right") -> MonotoneReport:
-    """Dephasing-relative Renyi monotone for alpha in [0, 2] (see c_delta_alpha_grid)."""
-    return c_delta_alpha_grid(rho, (alpha,), side)[0]
+    """Dephasing-relative Renyi monotone for alpha in [0, 2], closed form.
+
+    right: (1/(alpha-1)) log2 Tr[rho^alpha (dephased)^{1-alpha}]
+    left:  same with the arguments swapped. At alpha = 1 these become the
+    corresponding relative entropies. For alpha >= 1 the left variant is +inf
+    when the support of the dephased state exceeds the rank of rho. The
+    one-state, one-alpha case of ``c_delta_alpha_values``.
+    """
+    value = float(c_delta_alpha_values((rho,), (alpha,), side)[0, 0])
+    return MonotoneReport(f"c_delta_alpha[{float(alpha):g},{side}]", value, "closed_form")
 
 
 def trace_norm_coherence_values(states) -> np.ndarray:
@@ -446,13 +428,9 @@ def c_r_many(states, method: str = "auto") -> list:
         raise ValueError("method must be 'auto' or 'cutting_plane'")
     states = list(states)
     reports = [_c_r_closed_form(rho) if method == "auto" else None for rho in states]
-    by_dim = {}
-    for k, (rho, report) in enumerate(zip(states, reports)):
-        if report is None:
-            by_dim.setdefault(rho.dim, []).append(k)
-    for rows in by_dim.values():
-        for k, report in zip(rows, _c_r_batch([states[k] for k in rows])):
-            reports[k] = report
+    solved = [k for k, report in enumerate(reports) if report is None]
+    for k, report in _per_dimension(_c_r_batch, states, solved).items():
+        reports[k] = report
     return reports
 
 
@@ -481,16 +459,20 @@ def c_delta_r_values(states) -> tuple:
     witnesses: ((K,) values, (K, d) ratio vectors); see c_delta_r.
 
     A state's core D^{-1/2} rho D^{-1/2} lives on the support of its dephased
-    state D, so the states are grouped by support size, and each group's
-    cores are one stacked eigendecomposition. Raises ValueError, for all the
-    states, if one has a zero diagonal entry whose row carries off-diagonal
-    weight.
+    state D: its rows with a diagonal entry above 1e-12, or above 0 and an
+    entry above 1e-10 (PSD allows sqrt(rho_xx rho_yy) there). The states are
+    grouped by support size, and each group's cores are one stacked
+    eigendecomposition. Raises ValueError, for all the states, if a row with
+    a diagonal entry <= 0 carries an entry above 1e-10: t is then unbounded.
     """
     mats = _stacked(states, lambda rho: rho.mat)
     diag = mats.diagonal(0, 1, 2).real
     keep = diag > 1e-12
-    if not keep.all() and np.max(np.abs(mats[~keep])) > 1e-10:
-        raise ValueError("zero-diagonal row carries off-diagonal weight")
+    if not keep.all():
+        heavy = np.abs(mats).max(axis=2) > 1e-10
+        if np.any(heavy & (diag <= 0.0)):
+            raise ValueError("zero-diagonal row carries off-diagonal weight")
+        keep |= heavy
     values = np.empty(len(mats))
     witnesses = np.zeros(diag.shape, dtype=complex)
     sizes = keep.sum(axis=1)
@@ -619,13 +601,10 @@ def _incoherent_trace_distance(rho: DensityMatrix):
     return -float(value), low, simplex_point(y)
 
 
-
 def monotone_from_divergence(
-    rho: DensityMatrix,
-    divergence: str = "trace_distance",
-    reference_set: str = "dephased_singleton",
+    rho: DensityMatrix, reference_set: str = "dephased_singleton"
 ) -> MonotoneReport:
-    """Distance-based monotone for a supported (divergence, reference set) pair.
+    """Trace-distance monotone to a reference set.
 
     dephased_singleton: the exact trace-norm distance to the dephased state.
     incoherent_set: min over diagonal states sigma of ||rho - sigma||_1. The
@@ -637,8 +616,6 @@ def monotone_from_divergence(
     ArithmeticError. The witness is the diagonal q of the nearest incoherent
     state found.
     """
-    if divergence != "trace_distance":
-        raise ValueError(f"unsupported divergence {divergence!r}")
     if reference_set == "dephased_singleton":
         return MonotoneReport(
             "div[trace_distance,dephased_singleton]",

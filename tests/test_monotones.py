@@ -411,6 +411,21 @@ class TestCDeltaR:
         den = (phi.conj() @ np.diag(np.diag(rho.mat)) @ phi).real
         assert num / den - 1.0 == pytest.approx(report.value, abs=1e-9)
 
+    def test_tiny_diagonal_row_with_weight_keeps_its_core(self):
+        # lambda_min = 7.9e-14, and |rho_01| = 1e-7 <= sqrt(rho_00 rho_11)
+        mat = np.array([[1e-13, 1e-7, 0.0], [1e-7, 0.5, 0.1], [0.0, 0.1, 0.5 - 1e-13]])
+        report = mo.c_delta_r(DensityMatrix(mat))
+        # the core is [[1, a, 0], [a, 1, b], [0, b, 1]], a^2 = 0.2, b^2 = 0.04
+        assert report.value == pytest.approx(math.sqrt(0.24), rel=0, abs=1e-12)
+        assert report.witness[0] != 0.0
+
+    def test_weight_on_a_zero_diagonal_row_is_rejected(self):
+        # t is unbounded: (1 + t) * dephased - rho has a zero diagonal entry
+        # whose row carries weight
+        rho = DensityMatrix(np.array([[0.0, 1e-9], [1e-9, 1.0]]))
+        with pytest.raises(ValueError, match="zero-diagonal row"):
+            mo.c_delta_r(rho)
+
 
 class TestLogRobustnessDephasing:
     def test_incoherent(self):
@@ -522,8 +537,8 @@ class TestDivergenceMonotone:
         assert report.value < mo.trace_norm_coherence(rho).value - 1e-3
 
     def test_unsupported_pair(self):
-        with pytest.raises(ValueError):
-            mo.monotone_from_divergence(plus_density(), divergence="fidelity")
+        with pytest.raises(ValueError, match="reference set"):
+            mo.monotone_from_divergence(plus_density(), reference_set="pure_states")
 
 
 class TestRates:
@@ -648,17 +663,18 @@ class TestCachedSpectrum:
         grid = harness.ALPHA_GRID
         for rho in rhos:
             assert mo.c_rel(rho).value == _full_matrix_c_rel(rho)
-            c_alphas = mo.c_alpha_grid(rho, grid)
-            for alpha, report in zip(grid, c_alphas):
+            (c_alphas,) = mo.c_alpha_values((rho,), grid).tolist()
+            for alpha, column in zip(grid, c_alphas):
                 reference = _full_matrix_c_alpha(rho, alpha)
                 assert _same_panel_value(mo.c_alpha(rho, alpha).value, reference)
-                assert _same_panel_value(report.value, reference)
+                assert _same_panel_value(column, reference)
             for side in ("right", "left"):
-                for alpha, report in zip(grid, mo.c_delta_alpha_grid(rho, grid, side)):
+                (c_deltas,) = mo.c_delta_alpha_values((rho,), grid, side).tolist()
+                for alpha, column in zip(grid, c_deltas):
                     reference = _full_matrix_c_delta_alpha(rho, alpha, side)
                     value = mo.c_delta_alpha(rho, alpha, side).value
                     assert _same_panel_value(value, reference)
-                    assert _same_panel_value(report.value, reference)
+                    assert _same_panel_value(column, reference)
                     infinite += math.isinf(value)
         assert infinite > 0
 
@@ -674,8 +690,8 @@ class TestCachedSpectrum:
             monkeypatch.setattr(module, "eig_hermitian", counted)
         rho = DensityMatrix(mat)
         assert len(calls) == 1
-        harness._class_measures("dio", rho)
-        mo.c_delta_alpha_grid(rho, harness.ALPHA_GRID, "left")
+        harness._measure_states([("dio", rho)])
+        mo.c_delta_alpha_values((rho,), harness.ALPHA_GRID, "left")
         # the second call is c_delta_r's rescaled core D^-1/2 rho D^-1/2; the
         # alpha grids read the cached spectrum
         assert len(calls) == 2
@@ -686,7 +702,7 @@ class TestHarnessBatching:
     """The monotonicity suite builds every sample before it measures any, so
     C_R runs as one barrier batch per dimension and each spectral monotone as
     one stacked call per dimension, and its failure records come out as a
-    state-by-state loop over ``_class_measures`` gives them, bit for bit."""
+    state-by-state loop over ``_measure_states`` gives them, bit for bit."""
 
     def test_one_barrier_batch_per_dimension(self, monkeypatch):
         batches = []
@@ -722,8 +738,8 @@ class TestHarnessBatching:
         reference = []
         for index in range(samples):
             for tag, klass, before, after in harness._monotonicity_families(index, seed, hook):
-                lhs = harness._class_measures(klass, before)
-                rhs = harness._class_measures(klass, after)
+                (lhs,) = harness._measure_states([(klass, before)])
+                (rhs,) = harness._measure_states([(klass, after)])
                 for name in lhs:
                     if lhs[name] - rhs[name] < -harness.MONOTONE_SLACK:
                         check = f"monotonicity/{tag}/{name}"
@@ -770,12 +786,17 @@ def _zero_diagonal_state(d, seed):
     return DensityMatrix(m)
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
 class TestRenyiGrid:
     """The alpha grid from one d x n product agrees with the per-alpha path
-    within 1e-13 and with the one-column calls, on full-rank, rank-1 and
-    rank-2 states and on a zero diagonal entry (where dephased^(1 - alpha)
-    is a pseudo-inverse power for alpha > 1)."""
+    within 1e-13, and the one-alpha reports are its columns, on full-rank,
+    rank-1 and rank-2 states and on a zero diagonal entry (where
+    dephased^(1 - alpha) is a pseudo-inverse power for alpha > 1)."""
 
+    SIDES = ("right", "left")
     STATES = [
         (kind, d)
         for d in (2, 3, 8, 64)
@@ -796,43 +817,71 @@ class TestRenyiGrid:
     def test_grid_matches_the_per_alpha_path(self, kind, d):
         rho = self.state(kind, d)
         grid = harness.ALPHA_GRID
-        c_alphas = mo.c_alpha_grid(rho, grid)
-        c_deltas = mo.c_delta_alpha_grid(rho, grid, "right")
-        # the harness reads both from one product; the same reports, bit for bit
-        assert mo.renyi_grids(rho, grid) == (c_alphas, c_deltas)
-        assert [r.name for r in c_alphas] == [f"c_alpha[{a:g}]" for a in grid]
-        assert [r.name for r in c_deltas] == [f"c_delta_alpha[{a:g},right]" for a in grid]
-        for alpha, c_a, c_d in zip(grid, c_alphas, c_deltas):
-            assert c_a.value == pytest.approx(_scalar_c_alpha(rho, alpha), rel=0, abs=1e-13)
-            assert c_d.value == pytest.approx(
-                _scalar_c_delta_alpha_right(rho, alpha), rel=0, abs=1e-13
-            )
-            assert _same_panel_value(c_a.value, mo.c_alpha(rho, alpha).value)
-            assert _same_panel_value(c_d.value, mo.c_delta_alpha(rho, alpha).value)
+        (c_alphas,) = mo.c_alpha_values((rho,), grid)
+        (c_deltas,) = mo.c_delta_alpha_values((rho,), grid, "right")
+        # the harness reads both from one product; the same rows, bit for bit
+        both_alphas, both_deltas = mo.renyi_grid_values((rho,), grid)
+        assert _bits(both_alphas) == _bits([c_alphas])
+        assert _bits(both_deltas) == _bits([c_deltas])
+        for alpha, c_a, c_d in zip(grid, c_alphas.tolist(), c_deltas.tolist()):
+            assert c_a == pytest.approx(_scalar_c_alpha(rho, alpha), rel=0, abs=1e-13)
+            assert c_d == pytest.approx(_scalar_c_delta_alpha_right(rho, alpha), rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("kind, d", STATES)
+    def test_one_alpha_reports_are_kernel_columns(self, kind, d):
+        rho = self.state(kind, d)
+        grid = harness.ALPHA_GRID
+        (c_alphas,) = mo.c_alpha_values((rho,), grid).tolist()
+        sides = {
+            side: mo.c_delta_alpha_values((rho,), grid, side)[0].tolist() for side in self.SIDES
+        }
+        for j, alpha in enumerate(grid):
+            # a one-alpha call is its kernel's column bit for bit; the n-column
+            # grid product rounds differently, within 1e-13
+            report = mo.c_alpha(rho, alpha)
+            assert (report.name, report.method) == (f"c_alpha[{alpha:g}]", "closed_form")
+            assert _bits(report.value) == _bits(mo.c_alpha_values((rho,), (alpha,)))
+            assert _same_panel_value(report.value, c_alphas[j])
+            for side, c_deltas in sides.items():
+                report = mo.c_delta_alpha(rho, alpha, side)
+                assert report.name == f"c_delta_alpha[{alpha:g},{side}]"
+                assert report.method == "closed_form"
+                column = mo.c_delta_alpha_values((rho,), (alpha,), side)
+                assert _bits(report.value) == _bits(column)
+                assert _same_panel_value(report.value, c_deltas[j])
+        for alpha in (2.5, -0.1, math.nan):
+            for call in (
+                lambda: mo.c_alpha(rho, alpha),
+                lambda: mo.c_alpha_values((rho,), (alpha,)),
+                lambda: mo.c_delta_alpha(rho, alpha),
+                lambda: mo.c_delta_alpha_values((rho,), (alpha,)),
+            ):
+                with pytest.raises(ValueError, match="alpha must lie"):
+                    call()
+        with pytest.raises(ValueError, match="side"):
+            mo.c_delta_alpha(rho, 0.5, "middle")
+        with pytest.raises(ValueError, match="side"):
+            mo.c_delta_alpha_values((rho,), (0.5,), "middle")
 
     def test_zero_diagonal_entry_takes_the_pseudo_inverse_power(self):
         rho = _zero_diagonal_state(3, 4)
         assert rho.mat[1, 1] == 0.0
-        (report,) = mo.c_delta_alpha_grid(rho, (2.0,))
+        ((value,),) = mo.c_delta_alpha_values((rho,), (2.0,)).tolist()
         diag_rho2 = np.diag(rho.mat @ rho.mat).real
         keep = np.diag(rho.mat).real > 0.0
         expected = math.log2(float(np.sum(diag_rho2[keep] / np.diag(rho.mat).real[keep])))
-        assert report.value == pytest.approx(expected, rel=0, abs=1e-13)
+        assert value == pytest.approx(expected, rel=0, abs=1e-13)
 
     def test_rejects_alpha_outside_0_2_and_a_bad_side(self):
         rho = random_density(3, 1)
         for alphas in ((0.5, 2.5), (-0.1,), (math.nan,)):
             with pytest.raises(ValueError, match="alpha must lie"):
-                mo.c_alpha_grid(rho, alphas)
+                mo.c_alpha_values((rho,), alphas)
             with pytest.raises(ValueError, match="alpha must lie"):
-                mo.c_delta_alpha_grid(rho, alphas)
+                mo.c_delta_alpha_values((rho,), alphas)
         with pytest.raises(ValueError, match="side"):
-            mo.c_delta_alpha_grid(rho, (0.5,), "middle")
-        assert mo.c_alpha_grid(rho, ()) == ()
-
-
-def _bits(values) -> bytes:
-    return np.asarray(values, dtype=float).tobytes()
+            mo.c_delta_alpha_values((rho,), (0.5,), "middle")
+        assert mo.c_alpha_values((rho,), ()).shape == (1, 0)
 
 
 class TestStackedMeasures:
@@ -864,10 +913,9 @@ class TestStackedMeasures:
         assert c_alphas.shape == lefts.shape == (len(rhos), len(grid))
         assert _bits(grid_alphas) == _bits(c_alphas) and _bits(grid_rights) == _bits(rights)
         for k, rho in enumerate(rhos):
-            assert _bits(c_alphas[k]) == _bits([r.value for r in mo.c_alpha_grid(rho, grid)])
-            assert _bits(rights[k]) == _bits([r.value for r in mo.c_delta_alpha_grid(rho, grid)])
-            left = mo.c_delta_alpha_grid(rho, grid, "left")
-            assert _bits(lefts[k]) == _bits([r.value for r in left])
+            assert _bits(c_alphas[k]) == _bits(mo.c_alpha_values((rho,), grid))
+            assert _bits(rights[k]) == _bits(mo.c_delta_alpha_values((rho,), grid))
+            assert _bits(lefts[k]) == _bits(mo.c_delta_alpha_values((rho,), grid, "left"))
             assert _bits(rels[k]) == _bits(mo.c_rel(rho).value)
             assert _bits(l1s[k]) == _bits(mo.c_l1(rho).value)
             assert _bits(norms[k]) == _bits(mo.trace_norm_coherence(rho).value)
