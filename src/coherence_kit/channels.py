@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import eig_hermitian, trace_norm
-from .states import DensityMatrix
+from .states import DensityMatrix, complex_from_json, complex_to_json
 
 CPTP_TOL = 1e-9
 PREDICATE_TOL = 1e-9
@@ -40,7 +40,8 @@ class NoIncoherentRepresentationError(ValueError):
 
 
 class KrausChannel:
-    """An ordered list of dout x din Kraus operators.
+    """An ordered list of dout x din Kraus operators, held as ``kraus``, one
+    read-only (n, dout, din) array.
 
     By default the operator sum is required to be trace preserving
     (sum K^dag K = I within CPTP_TOL); pass require_tp=False for plain CP
@@ -57,8 +58,7 @@ class KrausChannel:
         if not np.all(np.isfinite(stack)):
             raise ValueError("Kraus operator has non-finite entries")
         stack.setflags(write=False)
-        self.kraus = tuple(stack)
-        self._stack = stack
+        self.kraus = stack
         self.dout, self.din = stack.shape[1:]
         self.require_tp = bool(require_tp)
         if require_tp:
@@ -70,7 +70,7 @@ class KrausChannel:
                 )
 
     def __len__(self) -> int:
-        return self._stack.shape[0]
+        return len(self.kraus)
 
     def unit_actions(self) -> np.ndarray:
         """Tensor G with G[y, y', x, x'] = <y| E(|x><x'|) |y'>, a view of the
@@ -79,25 +79,12 @@ class KrausChannel:
         return blocks.transpose(1, 3, 0, 2)
 
     def to_json_dict(self) -> dict:
-        return {
-            "din": self.din,
-            "dout": self.dout,
-            "kraus": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in k] for k in self.kraus
-            ],
-        }
+        return {"din": self.din, "dout": self.dout, "kraus": complex_to_json(self.kraus)}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "KrausChannel":
-        din, dout = int(payload["din"]), int(payload["dout"])
-        ops = []
-        for entry in payload["kraus"]:
-            ops.append(np.array([[complex(re, im) for re, im in row] for row in entry]))
-            if ops[-1].shape != (dout, din):
-                raise ValueError(
-                    f"Kraus operator shape {ops[-1].shape} does not match declared ({dout},{din})"
-                )
-        return cls(ops)
+        kraus = payload["kraus"]
+        return cls(complex_from_json(kraus, (len(kraus), payload["dout"], payload["din"])))
 
 
 class ChoiMatrix:
@@ -126,7 +113,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Evaluate sum_j K_j rho K_j^dag and validate the output state."""
     if rho.dim != ch.din:
         raise ValueError(f"state dim {rho.dim} does not match channel input dim {ch.din}")
-    s = ch._stack
+    s = ch.kraus
     out = np.sum(s @ rho.mat @ s.conj().transpose(0, 2, 1), axis=0)
     out = (out + out.conj().T) / 2.0
     return DensityMatrix(out / np.trace(out).real)
@@ -135,7 +122,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 def _choi_array(ch: KrausChannel) -> np.ndarray:
     """J[(x, y), (x', y')] = <y| E(|x><x'|) |y'> as one product F^T conj(F),
     with row j of F the operator K_j flattened column by column."""
-    f = ch._stack.transpose(0, 2, 1).reshape(len(ch), ch.din * ch.dout)
+    f = ch.kraus.transpose(0, 2, 1).reshape(len(ch), ch.din * ch.dout)
     return f.T @ f.conj()
 
 
@@ -207,7 +194,7 @@ def is_mio(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
 
     Reads only the d^3 entries <y|E(|x><x|)|w>, not the full unit_actions.
     """
-    s = ch._stack
+    s = ch.kraus
     images = np.einsum("jyx,jwx->ywx", s, s.conj())
     images[np.arange(ch.dout), np.arange(ch.dout)] = 0.0
     return bool(np.all(np.abs(images) <= tol))
@@ -220,7 +207,7 @@ def is_dio(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
     """
     if not is_mio(ch, tol):
         return False
-    s = ch._stack
+    s = ch.kraus
     diagonals = np.einsum("jyx,jyz->yxz", s, s.conj())
     diagonals[:, np.arange(ch.din), np.arange(ch.din)] = 0.0
     return bool(np.all(np.abs(diagonals) <= tol))
@@ -247,7 +234,7 @@ def _entry_rows(ch: KrausChannel, tol: float):
     Returns an (operators, din) array with -1 for columns with no entry above
     tol, or None if some column of some operator has two.
     """
-    big = np.abs(ch._stack) > tol
+    big = np.abs(ch.kraus) > tol
     if np.any(big.sum(axis=1) > 1):
         return None
     return np.where(big.any(axis=1), big.argmax(axis=1), -1)
@@ -265,7 +252,7 @@ def is_sio_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
     """
     if ch.din != ch.dout:
         raise ValueError("SIO representation test needs a square channel")
-    return _single_entried(ch._stack, tol)
+    return _single_entried(ch.kraus, tol)
 
 
 def _single_entried(stack: np.ndarray, tol: float) -> bool:
@@ -315,7 +302,7 @@ def _phase_permutation_weights(ch: KrausChannel, tol: float):
     hit = rows >= 0
     if np.any((rows[:, :, None] == np.arange(ch.dout)).sum(axis=1) > 1):
         return None
-    picked = np.take_along_axis(ch._stack[live], np.maximum(rows, 0)[:, None, :], axis=1)[:, 0]
+    picked = np.take_along_axis(ch.kraus[live], np.maximum(rows, 0)[:, None, :], axis=1)[:, 0]
     # Rounded like abs() of one entry and np.mean over the support (np.abs on
     # arrays and masked sums can differ in the last bit), so weights compared
     # at 1e-8 agree with the per-operator form.
@@ -382,7 +369,7 @@ def is_pio_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
 
 def dual_map(ch: KrausChannel) -> KrausChannel:
     """The adjoint CP map, with Kraus operators {K_j^dag}. Unital iff ch is TP."""
-    return KrausChannel([k.conj().T for k in ch.kraus], require_tp=False)
+    return KrausChannel(ch.kraus.conj().transpose(0, 2, 1), require_tp=False)
 
 
 # ---------------------------------------------------------------------------

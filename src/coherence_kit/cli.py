@@ -58,7 +58,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _ParseFailure(str(exc)) from exc
 
 
@@ -293,7 +293,7 @@ def _cmd_transform(args) -> int:
 
 def _artifact_example() -> tuple:
     channel = ch.qubit_to_qutrit_mio_example()
-    stack = np.stack(channel.kraus)
+    stack = channel.kraus
     completeness = np.einsum("jyx,jyz->xz", stack.conj(), stack) - np.eye(2)
     completeness_residual = float(np.max(np.abs(completeness)))
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .numerics import EigenDecomposition, eig_hermitian
-from .states import DensityMatrix
+from .states import DensityMatrix, complex_to_json
 from .transforms import InfeasibleTransformError, TransformDecision, _decide, _verify_witness
 
 PSD_TOL = 1e-9
@@ -168,7 +168,7 @@ def n_covariant_spec(rho: DensityMatrix, sigma: DensityMatrix) -> NCovariantSpec
                 "monotone": "ratio_matrix_psd",
                 "lhs": lam_min,
                 "rhs": 0.0,
-                "certificate": [[float(z.real), float(z.imag)] for z in dec.eigenvectors[:, 0]],
+                "certificate": complex_to_json(dec.eigenvectors[:, 0]),
             },
         )
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import eig_hermitian, log_det_barrier, psd_power_values, solve_stack, trace_norm
-from .states import DensityMatrix, PureStateVector, SchmidtVector
+from .states import DensityMatrix, PureStateVector, SchmidtVector, complex_to_json
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class MonotoneReport:
         if include_witness and self.witness is not None:
             w = np.asarray(self.witness)
             if np.iscomplexobj(w):
-                payload["witness"] = [[float(z.real), float(z.imag)] for z in w.ravel()]
+                payload["witness"] = complex_to_json(w.ravel())
             else:
                 payload["witness"] = [float(v) for v in w.ravel()]
         return payload

@@ -3,6 +3,10 @@
 The incoherent basis is always the computational/index basis of the stored
 matrix; callers are responsible for any basis change. All values here are
 immutable after construction.
+
+Complex arrays leave and enter the program as JSON nestings of [re, im]
+pairs. ``complex_to_json`` and ``complex_from_json`` are the one place that
+builds or reads that form, for states, Kraus channels and witnesses alike.
 """
 
 from __future__ import annotations
@@ -15,6 +19,29 @@ from .numerics import EigenDecomposition, eig_hermitian
 
 STATE_TOL = 1e-10
 INCOHERENT_TOL = 1e-9
+
+
+def complex_to_json(arr) -> list:
+    """``arr`` as [re, im] float pairs, nested the way the array is."""
+    a = np.asarray(arr, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def complex_from_json(pairs, shape) -> np.ndarray:
+    """The complex array of the declared ``shape`` that ``pairs`` encodes.
+
+    ``pairs`` must be a nesting of [re, im] number pairs whose lengths equal
+    ``shape``; the declared lengths are compared, not coerced, so 2.0 matches
+    2 but 2.7 and "2" match nothing. The pairs are read bit for bit, -0.0
+    included. Anything else raises ValueError.
+    """
+    arr = np.array(pairs)
+    if arr.shape != (*shape, 2) or arr.dtype.kind not in "biuf":
+        raise ValueError(
+            f"expected [re, im] number pairs nested as {tuple(shape)}, "
+            f"got an array of shape {arr.shape} and dtype {arr.dtype}"
+        )
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -56,14 +83,10 @@ class DensityMatrix(_ExactArrayEquality):
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix has non-finite entries")
-        if np.linalg.norm(m - m.conj().T) > STATE_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        m = (m + m.conj().T) / 2.0
+        dec = eig_hermitian(m)  # checks finiteness and Hermiticity
+        m = (m + m.conj().T) / 2.0  # the bits eig_hermitian factorized
         if abs(np.trace(m).real - 1.0) > STATE_TOL:
             raise ValueError(f"trace must be 1, got {np.trace(m).real!r}")
-        dec = eig_hermitian(m)
         if dec.eigenvalues[0] < -STATE_TOL:
             raise ValueError("density matrix is not positive semidefinite")
         object.__setattr__(self, "mat", _freeze(m))
@@ -80,20 +103,12 @@ class DensityMatrix(_ExactArrayEquality):
         return cls(np.outer(v, v.conj()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "mat": [[[float(z.real), float(z.imag)] for z in row] for row in self.mat],
-        }
+        return {"dim": self.dim, "mat": complex_to_json(self.mat)}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
-        d = int(payload["dim"])
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["mat"]], dtype=complex
-        )
-        if mat.shape != (d, d):
-            raise ValueError(f"declared dim {d} does not match matrix shape {mat.shape}")
-        return cls(mat)
+        d = payload["dim"]
+        return cls(complex_from_json(payload["mat"], (d, d)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +139,11 @@ class PureStateVector(_ExactArrayEquality):
         return DensityMatrix.from_pure(self)
 
     def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "amps": [[float(z.real), float(z.imag)] for z in self.amps]}
+        return {"dim": self.dim, "amps": complex_to_json(self.amps)}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PureStateVector":
-        d = int(payload["dim"])
-        amps = np.array([complex(re, im) for re, im in payload["amps"]], dtype=complex)
-        if amps.size != d:
-            raise ValueError(f"declared dim {d} does not match amplitude count {amps.size}")
-        return cls(amps)
+        return cls(complex_from_json(payload["amps"], (payload["dim"],)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -92,16 +92,19 @@ def _padded_desc(*vectors) -> list:
     return [np.sort(np.pad(v, (0, size - v.size)))[::-1] for v in vectors]
 
 
+def _prefix_violations(target: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Indices where a partial sum of source exceeds target's by over 1e-12;
+    both descending and of one length."""
+    return np.flatnonzero(np.cumsum(source) > np.cumsum(target) + 1e-12)
+
+
 def majorizes(target: SchmidtVector, source: SchmidtVector) -> MajorizationCheck:
     """True iff every partial sum of source is dominated by target's.
 
     Vectors are zero-padded to a common length; on failure the smallest
     violating prefix length k (1-based) is reported.
     """
-    t, s = _padded_desc(target.probs, source.probs)
-    src_sums = np.cumsum(s)
-    tgt_sums = np.cumsum(t)
-    violated = np.flatnonzero(src_sums > tgt_sums + 1e-12)
+    violated = _prefix_violations(*_padded_desc(target.probs, source.probs))
     if violated.size:
         return MajorizationCheck(False, failing_k=int(violated[0]) + 1)
     return MajorizationCheck(True)
@@ -247,18 +250,16 @@ def multi_outcome_decide(psi: PureStateVector, ensemble) -> bool:
     """Is the multi-outcome transformation psi -> {(p_i, phi_i)} possible?
 
     Holds iff tau(psi) is majorized by the probability mix of the outcome
-    Schmidt vectors.
+    Schmidt vectors. Weights must sum to 1 within 1e-9 and are normalized
+    before mixing, so the verdict does not hang on that slack.
     """
     weights = np.array([float(p) for p, _ in ensemble])
     if weights.size == 0 or np.min(weights) < -1e-12 or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("invalid ensemble weights")
+    weights = weights / weights.sum()
     vecs = _padded_desc(psi.probs, *(schmidt_vector(s).probs for _, s in ensemble))
-    source = vecs[0]
-    mixed = sum(w * v for w, v in zip(weights, vecs[1:]))
-    mixed = np.sort(mixed)[::-1]
-    return bool(
-        majorizes(SchmidtVector(mixed), SchmidtVector(np.sort(source)[::-1])).holds
-    )
+    mixed = np.clip(sum(w * v for w, v in zip(weights, vecs[1:])), 0.0, None)
+    return not _prefix_violations(np.sort(mixed)[::-1], vecs[0]).size
 
 
 def max_conversion_probability(psi: PureStateVector, phi: PureStateVector) -> float:

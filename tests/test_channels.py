@@ -74,6 +74,18 @@ class TestKrausChannel:
             assert (len(c), c.dout, c.din) == (2, 2, 2)
             assert np.array_equal(np.stack(c.kraus), np.stack(ops))
 
+    def test_kraus_is_one_read_only_stack(self):
+        ops = [np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [0.0, 1.0j]])]
+        c = ch.KrausChannel(ops)
+        assert isinstance(c.kraus, np.ndarray) and c.kraus.shape == (2, 2, 2)
+        assert c.kraus.dtype == complex and not c.kraus.flags.writeable
+        with pytest.raises(ValueError):
+            c.kraus[0, 0, 0] = 0.0
+        assert len(c) == len(c.kraus) == len(list(c.kraus)) == 2
+        for k, op in zip(c.kraus, ops):
+            assert k.shape == (2, 2) and np.array_equal(k, op)
+        assert np.array_equal(np.array(c.kraus), np.stack(c.kraus))
+
 
 class TestApply:
     def test_identity(self):
@@ -409,7 +421,7 @@ def family_channels(d, rng):
 
 def split_or_nudge(c, rng):
     """A PIO stack with one operator split in two, nudged in modulus, or padded."""
-    stack = np.array(c._stack)
+    stack = np.array(c.kraus)
     a = rng.integers(len(stack))
     mode = rng.integers(3)
     if mode == 0:
@@ -810,7 +822,7 @@ class TestQubitMioToIo:
     def io_matrix(c):
         """M = [[diag a, |C|], [|C|^T, diag b]] read off the Kraus operators:
         a and b are the squared column norms, C = sum_j K_j|0><1|K_j^dag."""
-        s = c._stack
+        s = c.kraus
         a = np.sum(np.abs(s[:, :, 0]) ** 2, axis=0)
         b = np.sum(np.abs(s[:, :, 1]) ** 2, axis=0)
         cross = np.abs(np.einsum("jy,jw->yw", s[:, :, 0], s[:, :, 1].conj()))

@@ -55,6 +55,52 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def assert_object_error(capsys, argv):
+    """Exit 3 with a single "invalid object:" line on stderr."""
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid object: ") and err.count("\n") == 1
+
+
+def channel_text(din="2", dout="2", kraus="[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]"):
+    return '{"din": %s, "dout": %s, "kraus": %s}' % (din, dout, kraus)
+
+
+def state_text(dim="2", mat="[[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]"):
+    return '{"dim": %s, "mat": %s}' % (dim, mat)
+
+
+HUGE = str(10**400)
+
+# Files that hold no channel or no state, as JSON text.
+BAD_CHANNELS = {
+    "not-trace-preserving": channel_text(kraus="[[[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]]"),
+    "huge-integer-entry": channel_text(kraus=f"[[[[{HUGE}, 0], [0, 0]], [[0, 0], [1, 0]]]]"),
+    "din-1e999": channel_text(din="1e999"),
+    "din-2.7": channel_text(din="2.7"),
+    "din-string": channel_text(din='"2"'),
+    "string-entry": channel_text(kraus='[[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]]'),
+    "null-entry": channel_text(kraus="[[[[null, 0], [0, 0]], [[0, 0], [1, 0]]]]"),
+    "ragged-row": channel_text(kraus="[[[[1, 0], [0, 0]], [[1, 0]]]]"),
+    "missing-imaginary-part": channel_text(kraus="[[[[1], [0, 0]], [[0, 0], [1, 0]]]]"),
+    "extra-nesting": channel_text(kraus="[[[[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]]"),
+    "no-operators": channel_text(kraus="[]"),
+}
+BAD_STATES = {
+    "huge-integer-entry": state_text(mat=f"[[[{HUGE}, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]"),
+    "dim-1e999": state_text(dim="1e999"),
+    "dim-2.7": state_text(dim="2.7"),
+    "dim-string": state_text(dim='"2"'),
+    "string-entry": state_text(mat='[[["0.5", 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]'),
+    "null-entry": state_text(mat="[[[null, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]"),
+    "ragged-row": state_text(mat="[[[0.5, 0], [0.5, 0]], [[0.5, 0]]]"),
+    "missing-imaginary-part": state_text(mat="[[[0.5], [0.5, 0]], [[0.5, 0], [0.5, 0]]]"),
+    "extra-nesting": state_text(mat="[[[[0.5, 0]], [[0.5, 0]]], [[[0.5, 0]], [[0.5, 0]]]]"),
+    "amps-huge-integer-entry": '{"dim": 2, "amps": [[%s, 0], [0, 0]]}' % HUGE,
+    "amps-dim-string": '{"dim": "2", "amps": [[1, 0], [0, 0]]}',
+}
+
+
 class TestClassify:
     def test_example_channel(self, files, capsys):
         code, out = run_cli(capsys, ["classify", files["example"]])
@@ -83,16 +129,17 @@ class TestClassify:
         code, _ = run_cli(capsys, ["classify", str(files["dir"] / "nope.json")])
         assert code == 2
 
-    def test_invalid_channel_is_object_error(self, files, capsys):
+    @pytest.mark.parametrize("text", BAD_CHANNELS.values(), ids=BAD_CHANNELS)
+    def test_invalid_channel_is_object_error(self, files, capsys, text):
         bad = files["dir"] / "bad.json"
-        payload = {
-            "din": 2,
-            "dout": 2,
-            "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]],
-        }
-        bad.write_text(json.dumps(payload))
-        code, _ = run_cli(capsys, ["classify", str(bad)])
-        assert code == 3
+        bad.write_text(text)
+        assert_object_error(capsys, ["classify", str(bad)])
+
+    def test_nesting_past_the_recursion_limit_is_parse_error(self, files, capsys):
+        path = files["dir"] / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse failure: maximum recursion depth")
 
     def test_bad_usage(self, files, capsys):
         assert main(["classify"]) == 4
@@ -105,6 +152,12 @@ class TestClassify:
 
 
 class TestMonotones:
+    @pytest.mark.parametrize("text", BAD_STATES.values(), ids=BAD_STATES)
+    def test_invalid_state_is_object_error(self, files, capsys, text):
+        bad = files["dir"] / "bad.json"
+        bad.write_text(text)
+        assert_object_error(capsys, ["monotones", str(bad)])
+
     def test_plus_panel(self, files, capsys):
         code, out = run_cli(capsys, ["monotones", files["plus"]])
         assert code == 0

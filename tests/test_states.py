@@ -1,8 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from coherence_kit.channels import KrausChannel, qubit_to_qutrit_mio_example
 from coherence_kit.numerics import eig_hermitian
 from coherence_kit.states import (
     DensityMatrix,
@@ -270,3 +272,53 @@ class TestJson:
         payload["dim"] = 3
         with pytest.raises(ValueError):
             DensityMatrix.from_json_dict(payload)
+
+    @pytest.mark.parametrize("dim, ok", [(2, True), (2.0, True), (2.7, False), ("2", False)])
+    def test_declared_dim_is_compared_not_coerced(self, dim, ok):
+        for obj in (random_density(2, 1), random_pure(2, 1)):
+            payload = dict(obj.to_json_dict(), dim=dim)
+            if ok:
+                assert type(obj).from_json_dict(payload) == obj
+            else:
+                with pytest.raises(ValueError, match="number pairs nested as"):
+                    type(obj).from_json_dict(payload)
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+def signed_zero_channel():
+    op = np.array([[complex(1.0, -0.0), complex(-0.0, TINY)], [complex(TINY, -0.0), -1.0]])
+    return KrausChannel([op])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        DensityMatrix([[0.5, complex(TINY, -0.0)], [complex(TINY, 0.0), 0.5]]),
+        random_density(5, 2),
+        PureStateVector([complex(0.6, -0.0), complex(TINY, -0.8)]),
+        random_pure(4, 3),
+        signed_zero_channel(),
+        qubit_to_qutrit_mio_example(),
+    ],
+    ids=["density-signed-zero", "density", "pure-signed-zero", "pure", "kraus-signed-zero", "kraus-2to3"],
+)
+def test_json_roundtrip_is_bit_exact(obj):
+    """Encode, dump, load and decode: the stored array comes back bit for bit."""
+    arr = {DensityMatrix: "mat", PureStateVector: "amps", KrausChannel: "kraus"}[type(obj)]
+    text = json.dumps(obj.to_json_dict(), sort_keys=True)
+    again = type(obj).from_json_dict(json.loads(text))
+    assert getattr(again, arr).shape == getattr(obj, arr).shape
+    assert getattr(again, arr).tobytes() == getattr(obj, arr).tobytes()
+    assert json.dumps(again.to_json_dict(), sort_keys=True) == text
+
+
+def test_signed_zeros_and_subnormals_survive_construction():
+    """The round-trip cases above do exercise -0.0 and subnormal entries."""
+    rho = DensityMatrix([[0.5, complex(TINY, -0.0)], [complex(TINY, 0.0), 0.5]])
+    assert rho.mat[0, 1].real == TINY and np.signbit(rho.mat[0, 1].imag)
+    psi = PureStateVector([complex(0.6, -0.0), complex(TINY, -0.8)])
+    assert np.signbit(psi.amps[0].imag) and psi.amps[1].real == TINY
+    op = signed_zero_channel().kraus[0]
+    assert np.signbit(op[0, 0].imag) and np.signbit(op[0, 1].real) and op[1, 0].real == TINY

@@ -481,6 +481,19 @@ class TestMultiOutcome:
         with pytest.raises(ValueError):
             tr.multi_outcome_decide(pure([0.5, 0.5]), [(0.7, pure([1.0, 0.0]))])
 
+    @pytest.mark.parametrize("excess", [5e-10, -5e-10])
+    def test_weights_within_the_sum_tolerance_get_a_verdict(self, excess):
+        """The verdict is the one for exact weights, on either side."""
+        psi, phi = pure([0.6, 0.4]), pure([0.8, 0.2])
+        assert tr.multi_outcome_decide(psi, [(0.5 + excess, phi), (0.5, psi)])
+        assert not tr.multi_outcome_decide(phi, [(0.5 + excess, psi), (0.5, psi)])
+
+    @pytest.mark.parametrize("excess", [2e-9, -2e-9])
+    def test_weights_beyond_the_sum_tolerance_are_rejected(self, excess):
+        psi, phi = pure([0.6, 0.4]), pure([0.8, 0.2])
+        with pytest.raises(ValueError, match="invalid ensemble weights"):
+            tr.multi_outcome_decide(psi, [(0.5 + excess, phi), (0.5, psi)])
+
 
 class TestConversionProbability:
     def test_majorized_pair_is_certain(self):
