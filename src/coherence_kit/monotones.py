@@ -8,8 +8,10 @@ incoherent states are both solved by ``numerics.log_det_barrier``, which
 solves a batch of independent problems in lockstep; each client passes its
 starts, its per-problem data, and its slack, Newton step and bound, and the
 kernel sets each problem's barrier schedule from that problem's certified
-gap: t starts at nu / gap and, after each step taken near the central path,
-rises to at least BARRIER_MU * nu / gap. ``c_r_many`` solves every state
+gap: t starts at nu / gap and, after each step taken near the central path
+and after at most BARRIER_FAR_PULLS in a row taken far from it, rises to at
+least BARRIER_MU * nu / gap, and a problem that rounding keeps open past that
+t restarts without far pulls. ``c_r_many`` solves every state
 without a closed form as one batch per dimension, and ``c_r`` is its
 one-state case; a state's report is the same, bit for bit, in any batch. C_R
 solves its d x d Newton systems densely and repairs a dual point out of
@@ -382,7 +384,7 @@ def _c_r_batch(states) -> list:
     stops once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1, Hessian
     |S^-1|^2 entrywise, solved densely for the step, one (n, n) system per
     active state; the kernel chooses each state's t and lets it follow that
-    state's certified gap, so a d = 3 solve takes about 20 Newton systems.
+    state's certified gap, so a d = 3 solve takes about 11 Newton systems.
     Returns one barrier report per state, value 1.d - 1 with the majorant's
     diagonal d as witness and Tr(rho Y) - 1 as bound, or raises
     ArithmeticError.

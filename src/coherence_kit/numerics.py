@@ -160,11 +160,29 @@ def solve_stack(a, b) -> np.ndarray:
         return _umath_linalg.solve1(a, b)
 
 
-# After a damped step at decrement^2 <= 1, t is raised to at least
+# After a damped step that leaves the gap open, t may be raised to at least
 # BARRIER_MU * nu / gap, the t whose central point has 1 / BARRIER_MU of the
-# certified gap. Chosen by measurement: a d = 3 C_R solve took 25.0 / 23.0 /
-# 19.9 / 18.9 Newton systems on average at mu = 4 / 8 / 16 / 32.
+# certified gap. Chosen by measurement, with raises after near-path steps only:
+# a d = 3 C_R solve took 25.0 / 23.0 / 19.9 / 18.9 Newton systems on average
+# at mu = 4 / 8 / 16 / 32.
 BARRIER_MU = 16.0
+# A row may raise t after at most BARRIER_FAR_PULLS steps taken far from the
+# central path (decrement^2 > 1) before a growth of t or a raise after a
+# near-path step renews its allowance. Chosen by measurement, mean Newton
+# systems per C_R solve (cutting plane):
+#   allowance                          0     2     3     4     6    10  no limit
+#   random_density d = 3, seeds 0-59  19.9  12.4  12.2  11.2  11.2  10.1  10.1
+#   random_density d = 8, seeds 0-59  24.3  18.2  17.2  16.9  16.3  16.5  33.1
+#   random_pure d = 16, seeds 0-14    24.5  18.3  18.3  21.2  32.3  92.9  1831
+# 4 is the smallest allowance at which d = 3, the monotonicity harness's size,
+# takes 11.2, and no set above takes more than with no far raise. Far pulls
+# change the path, and near C_R's optimum on low-rank states at d = 64 the
+# rounding of S^-1 decides which paths close within 1e-9: with far pulls, 12
+# of 40 rank-2 and 6 of 40 rank-3 such states ran out of rounds, against 7
+# and 0 without. Those solves all grew t past BARRIER_MU * nu over the target
+# gap, where in exact arithmetic the gap has closed, so a row that does
+# restarts from its start with far pulls off (see log_det_barrier).
+BARRIER_FAR_PULLS = 4
 
 
 def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
@@ -185,12 +203,12 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
     built from the iterates, so certified lower bounds on the optima.
 
     Each problem runs the schedule below on its own: its t, decrement,
-    damping, mu-rule and stop are Python floats of its own row, and the
-    kernel's arithmetic acts row by row, so with hooks that do too (C_R's do)
-    a problem gets the same iterates, bit for bit, in any batch and alone. A
-    round asks every active row for one Newton system; only the rows that
-    step are evaluated again, and a row leaves the active set once its gap
-    closes.
+    damping, mu-rule, far-pull allowance and stop are Python numbers of its
+    own row, and the kernel's arithmetic acts row by row, so with hooks that
+    do too (C_R's do) a problem gets the same iterates, bit for bit, in any
+    batch and alone. A round asks every active row for one Newton system;
+    only the rows that step are evaluated again, and a row leaves the active
+    set once its gap closes.
 
     Each iterate is evaluated once: every block of S(y) is factored by
     Cholesky, which checks that the start is strictly feasible and that
@@ -207,20 +225,32 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
     step y <- y + step / (1 + lambda). f is self-concordant, so this step
     stays in the domain and lowers f by lambda - ln(1 + lambda) (Nesterov,
     Introductory Lectures on Convex Optimization, Thm 4.1.12); it needs no
-    line search. After a step taken at lambda^2 <= 1, near enough the central
-    point for its gap to measure t, t follows the certified gap just
-    evaluated: t <- max(t, BARRIER_MU * nu / gap), the update t = mu m / eta
-    of the primal-dual method of 11.7 with the certified gap as eta. Without
-    the lambda^2 <= 1 guard the rule also fires far from the path, where the
-    gap says little about t, and rank-1 d = 16 C_R solves took 86.5 (mu = 4)
-    and 699 (mu = 8) Newton systems on average in place of 41.5.
+    line search. After a step that leaves the gap open, t may follow the
+    certified gap just evaluated: t <- max(t, BARRIER_MU * nu / gap), the
+    update t = mu m / eta of the primal-dual method of 11.7 with the certified
+    gap as eta. A step taken at lambda^2 <= 1 is near enough the central point
+    for its gap to measure t, and always pulls t so. Far from the path
+    (lambda^2 > 1) the gap says less about t: a row pulls after at most
+    BARRIER_FAR_PULLS far steps, each spending one of its allowance whether
+    or not t rises, and a growth of t or a near-path pull renews it (the
+    measurements behind the limit are at BARRIER_FAR_PULLS).
+
+    In exact arithmetic t stays below BARRIER_MU * nu / ``gap``, ``gap``
+    the target: a pull sets it from a certified gap still above the target,
+    and a growth starts from a centered iterate, whose gap nu / t is still
+    above it too. A growth past that bound therefore means
+    rounding kept the certified gap open, and the path far pulls chose may not
+    close at all; the row then restarts from its start, with the start's
+    evaluation and t kept from round 0 and far pulls off for the rest of its
+    solve, so it follows, bit for bit, the path it takes when
+    BARRIER_FAR_PULLS is 0.
 
     Returns (y, bound), the final iterates (K, m) and their bounds (K,).
     Raises ArithmeticError, for the whole batch, when a block of S is not
     numerically positive definite (as at an infeasible start), S^-1 or a
     hook's Newton system is numerically singular (a LinAlgError raised inside
     the hook), or 2400 rounds (Newton systems solved, steps and growths of t
-    alike) leave a gap open.
+    alike, restarts included) leave a gap open.
     """
 
     def evaluate(y, data):
@@ -244,6 +274,9 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
         s_inv, low, gaps = evaluate(y, data)
         nu = sum(block.shape[-1] for block in s_inv)
         t = [nu / g if g > gap else 0.0 for g in gaps]
+        y0, s_inv0, low0, t0 = y, s_inv, low, list(t)  # for restarts, by batch place
+        far = [BARRIER_FAR_PULLS] * len(t)
+        renew = list(far)  # the allowance a row's growths and near pulls renew
         closed = [k for k, g in enumerate(gaps) if g <= gap]
         rounds = 0
         while True:
@@ -256,20 +289,30 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
                     return final_y, final_low
                 rows, data, y, low = rows[keep], data[keep], y[keep], low[keep]
                 s_inv = tuple(block[keep] for block in s_inv)
-                t = [t[k] for k in keep]
+                t, far, renew = ([v[k] for k in keep] for v in (t, far, renew))
                 closed = []
             if rounds == 2400:
                 raise ArithmeticError("barrier solver did not close the duality gap")
             rounds += 1
             grad, step = newton(s_inv, np.array(t), data)
             decrements = [-dot for dot in np.vecdot(grad, step).tolist()]
-            moving, alpha = [], []
+            moving, alpha, restart = [], [], []
             for k, decrement in enumerate(decrements):
                 if decrement <= 1e-8:
                     t[k] *= 8.0
+                    far[k] = renew[k]
+                    if renew[k] and t[k] > BARRIER_MU * nu / gap:
+                        restart.append(k)
                 else:
                     moving.append(k)
                     alpha.append(1.0 / (1.0 + math.sqrt(decrement)))
+            if restart:
+                places = rows[restart]
+                y = replace(y, restart, y0[places])
+                s_inv = tuple(replace(a, restart, a0[places]) for a, a0 in zip(s_inv, s_inv0))
+                low = replace(low, restart, low0[places])
+                for k in restart:
+                    t[k], far[k], renew[k] = t0[rows[k]], 0, 0
             if not moving:
                 continue
             alpha = np.array(alpha)[:, None]
@@ -285,8 +328,9 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
             for k, g in zip(moving, gaps):
                 if g <= gap:
                     closed.append(k)
-                elif decrements[k] <= 1.0:
+                elif decrements[k] <= 1.0 or far[k]:
                     t[k] = max(t[k], BARRIER_MU * nu / g)
+                    far[k] = renew[k] if decrements[k] <= 1.0 else far[k] - 1
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"barrier step failed: {exc}") from exc
 

@@ -32,9 +32,12 @@ def complex_from_json(pairs, shape) -> np.ndarray:
 
     ``pairs`` must be a nesting of [re, im] number pairs whose lengths equal
     ``shape``; the declared lengths are compared, not coerced, so 2.0 matches
-    2 but 2.7 and "2" match nothing. The pairs are read bit for bit, -0.0
+    2 but 2.7, "2" and true match nothing (true == 1 in Python, so a boolean
+    length is rejected by name). The pairs are read bit for bit, -0.0
     included. Anything else raises ValueError.
     """
+    if any(isinstance(n, bool) for n in shape):
+        raise ValueError(f"a declared size must be a number, got {tuple(shape)}")
     arr = np.array(pairs)
     if arr.shape != (*shape, 2) or arr.dtype.kind not in "biuf":
         raise ValueError(

@@ -79,6 +79,9 @@ BAD_CHANNELS = {
     "din-1e999": channel_text(din="1e999"),
     "din-2.7": channel_text(din="2.7"),
     "din-string": channel_text(din='"2"'),
+    "din-dout-true": channel_text(din="true", dout="true", kraus="[[[[1, 0]]]]"),
+    "din-true": channel_text(din="true", dout="1", kraus="[[[[1, 0]]]]"),
+    "dout-true": channel_text(din="1", dout="true", kraus="[[[[1, 0]]]]"),
     "string-entry": channel_text(kraus='[[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]]'),
     "null-entry": channel_text(kraus="[[[[null, 0], [0, 0]], [[0, 0], [1, 0]]]]"),
     "ragged-row": channel_text(kraus="[[[[1, 0], [0, 0]], [[1, 0]]]]"),
@@ -98,6 +101,8 @@ BAD_STATES = {
     "extra-nesting": state_text(mat="[[[[0.5, 0]], [[0.5, 0]]], [[[0.5, 0]], [[0.5, 0]]]]"),
     "amps-huge-integer-entry": '{"dim": 2, "amps": [[%s, 0], [0, 0]]}' % HUGE,
     "amps-dim-string": '{"dim": "2", "amps": [[1, 0], [0, 0]]}',
+    "dim-true": state_text(dim="true", mat="[[[1, 0]]]"),
+    "amps-dim-true": '{"dim": true, "amps": [[1, 0]]}',
 }
 
 

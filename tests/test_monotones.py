@@ -17,7 +17,7 @@ from coherence_kit.states import (
     random_density,
     random_pure,
 )
-from linalg_checks import is_psd
+from linalg_checks import is_psd, rank_k_state
 
 CROSSING_Q = np.array([8.0 / 9.0, 1.0 / 18.0, 1.0 / 18.0])
 
@@ -325,11 +325,11 @@ class TestCR:
             DensityMatrix(m / np.trace(m)),
             random_density(4, 3),
             random_pure(5, 4).to_density(),
-            _rank_k_state(4, 1, 5),
+            rank_k_state(4, 1, 5),
             random_density(3, 6),
-            _rank_k_state(5, 2, 7),
+            rank_k_state(5, 2, 7),
             random_density(4, 8),
-            _rank_k_state(3, 2, 9),
+            rank_k_state(3, 2, 9),
             random_density(3, 10),
         ]
 
@@ -772,17 +772,11 @@ def _scalar_c_delta_alpha_right(rho, alpha):
     return math.log2(max(float(abs2 @ powers @ delta), 1e-300)) / (alpha - 1.0)
 
 
-def _rank_k_state(d, k, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    return DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
-
-
 def _zero_diagonal_state(d, seed):
     """Full rank on every index but 1, whose row and column are zero."""
     keep = [i for i in range(d) if i != 1]
     m = np.zeros((d, d), dtype=complex)
-    m[np.ix_(keep, keep)] = _rank_k_state(d - 1, d - 1, seed).mat
+    m[np.ix_(keep, keep)] = rank_k_state(d - 1, d - 1, seed).mat
     return DensityMatrix(m)
 
 
@@ -810,7 +804,7 @@ class TestRenyiGrid:
         if kind == "rank1":
             return random_pure(d, 90 + d).to_density()
         if kind == "rank2":
-            return _rank_k_state(d, 2, 90 + d)
+            return rank_k_state(d, 2, 90 + d)
         return _zero_diagonal_state(d, 90 + d)
 
     @pytest.mark.parametrize("kind, d", STATES)
@@ -894,7 +888,7 @@ class TestStackedMeasures:
         mixed = [random_density(d, 110 + d), random_pure(d, 111 + d).to_density()]
         if d >= 3:
             mixed.append(_zero_diagonal_state(d, 112 + d))
-        mixed += [_rank_k_state(d, 2, 113 + d), random_density(d, 114 + d)]
+        mixed += [rank_k_state(d, 2, 113 + d), random_density(d, 114 + d)]
         if d >= 3:
             mixed.append(_zero_diagonal_state(d, 115 + d))
         return mixed

@@ -7,6 +7,7 @@ import pytest
 from coherence_kit import monotones as mo
 from coherence_kit import numerics
 from coherence_kit.numerics import (
+    BARRIER_FAR_PULLS,
     BARRIER_MU,
     BirkhoffDecomposition,
     InfeasibleError,
@@ -20,7 +21,7 @@ from coherence_kit.numerics import (
     trace_norm,
 )
 from coherence_kit.states import random_density, random_pure
-from linalg_checks import is_psd
+from linalg_checks import is_psd, rank_k_state
 
 
 def random_hermitian(d, seed):
@@ -543,8 +544,20 @@ class TestSolveStack:
                 numerics.solve_stack(a, np.ones((2, 2)))
 
 
-def newton_systems(monkeypatch, rhos) -> list:
-    """Newton systems solved by each C_R barrier solve of ``rhos``, counted
+def c_r_gap(rho):
+    """C_R's certified gap at rho, through the barrier, and its target."""
+    report = mo.c_r(rho, method="cutting_plane")
+    return report.value - report.bound, mo.C_R_GAP
+
+
+def trace_distance_gap(rho):
+    """The trace distance's certified gap at rho and its target."""
+    value, bound, _ = mo._incoherent_trace_distance(rho)
+    return value - bound, mo.TRACE_DISTANCE_GAP
+
+
+def newton_systems(monkeypatch, rhos, solve=c_r_gap) -> list:
+    """Newton systems solved by each barrier solve of ``rhos``, counted
     through a recording ``newton`` hook; every gap must close."""
     counts = []
 
@@ -559,69 +572,154 @@ def newton_systems(monkeypatch, rhos) -> list:
 
     monkeypatch.setattr(mo, "log_det_barrier", recording)
     for rho in rhos:
-        report = mo.c_r(rho, method="cutting_plane")
-        assert report.value - report.bound <= mo.C_R_GAP
+        gap, target = solve(rho)
+        assert gap <= target
     return counts
 
 
+def schedule_moves(monkeypatch, rho) -> list:
+    """The move of t after each Newton system of rho's C_R solve, checked
+    against the schedule: "growth" (t <- 8 t at a centered iterate), "near"
+    and "far" (t <- max(t, BARRIER_MU * d / gap) after a step taken at
+    decrement^2 <= 1 or above it), or "held" (t kept after a far step with
+    no allowance left, where the pull would have raised it) or "kept" (where
+    it would not). The last Newton system, whose step closed the gap, has no
+    move."""
+    events = []  # ("t", t, decrement) per Newton system, ("gap", gap) per evaluation
+
+    def recording(y, data, cost, slack, newton, bound, gap):
+        def bound_hook(y, s_inv, data):
+            low = bound(y, s_inv, data)
+            events.append(("gap", float(np.sum(y)) - float(low[0])))  # C_R's cost is all ones
+            return low
+
+        def newton_hook(s_inv, t, data):
+            grad, step = newton(s_inv, t, data)
+            events.append(("t", float(t[0]), float(-grad[0] @ step[0])))
+            return grad, step
+
+        return log_det_barrier(y, data, cost, slack, newton_hook, bound_hook, gap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mo, "log_det_barrier", recording)
+        mo.c_r(rho, method="cutting_plane")
+    moves, allowance = [], BARRIER_FAR_PULLS
+    for i, event in enumerate(events[:-2]):
+        if event[0] != "t":
+            continue
+        _, t, decrement = event
+        if decrement <= 1e-8:
+            assert events[i + 1] == ("t", 8.0 * t, events[i + 1][2])
+            moves.append("growth")
+            allowance = BARRIER_FAR_PULLS
+            continue
+        # a step: one evaluation, then the next Newton system
+        (_, gap), (_, next_t, _) = events[i + 1], events[i + 2]
+        pulled = max(t, BARRIER_MU * rho.dim / gap)
+        if decrement <= 1.0:
+            assert next_t == pulled
+            moves.append("near")
+            allowance = BARRIER_FAR_PULLS
+        elif allowance:
+            assert next_t == pulled
+            moves.append("far")
+            allowance -= 1
+        else:
+            assert next_t == t
+            moves.append("held" if pulled > t else "kept")
+    return moves
+
+
 class TestGapDrivenSchedule:
-    """After a damped step taken at decrement^2 <= 1, t follows the certified
-    gap: t <- max(t, BARRIER_MU * nu / gap). The budgets are mean Newton
-    systems per C_R solve; the schedule without the rule took 31.6 and 41.5,
-    and the rule applied after every step, unguarded, took 86.5 (mu = 4) and
-    699 (mu = 8) on the rank-1 set."""
+    """After a damped step that leaves the gap open, t follows the certified
+    gap, t <- max(t, BARRIER_MU * nu / gap): always after a step taken at
+    decrement^2 <= 1, and after at most BARRIER_FAR_PULLS far steps in a row.
+    The budgets are mean Newton systems per solve. For C_R, the schedule
+    without far pulls took 19.9 and 24.5, and with far pulls unlimited 10.1
+    and 1831, on the d = 3 and rank-1 d = 16 sets; on the trace-distance set
+    the schedule without far pulls took 41.63."""
+
+    # (rank, seed) of rank_k_state(64, rank, seed) states whose C_R solves
+    # with far pulls, and no restart, ran out of rounds, while the schedule
+    # without far pulls closes them
+    STALLING = [(2, 3), (2, 11), (2, 24), (2, 26), (2, 31), (2, 35), (2, 39)]
+    STALLING += [(3, 12), (3, 19), (3, 20), (3, 25), (3, 28), (3, 36)]
 
     def test_budget_on_random_d3_states(self, monkeypatch):
         counts = newton_systems(monkeypatch, [random_density(3, seed) for seed in range(60)])
-        assert np.mean(counts) <= 22.0
+        assert np.mean(counts) <= 13.0
 
     def test_budget_on_rank_one_d16_states(self, monkeypatch):
         rhos = [random_pure(16, seed).to_density() for seed in range(15)]
-        assert np.mean(newton_systems(monkeypatch, rhos)) <= 41.5
+        assert np.mean(newton_systems(monkeypatch, rhos)) <= 24.5
 
-    def test_t_moves_only_by_the_two_rules(self, monkeypatch):
-        # events in order: ("t", t, decrement) per Newton system, ("gap", gap)
-        # per evaluation; C_R's cost is all ones, so gap = sum(y) - bound
-        events = []
+    def test_budget_on_trace_distance_d4_states(self, monkeypatch):
+        rhos = [random_density(4, seed) for seed in range(1000, 1030)]
+        assert np.mean(newton_systems(monkeypatch, rhos, trace_distance_gap)) <= 41.6
 
-        def recording(y, data, cost, slack, newton, bound, gap):
-            def bound_hook(y, s_inv, data):
-                low = bound(y, s_inv, data)
-                events.append(("gap", float(np.sum(y)) - float(low[0])))
-                return low
+    def test_budget_on_the_rank_three_d64_state(self, monkeypatch):
+        # 41 Newton systems without far pulls; with them the row grows t past
+        # BARRIER_MU * nu / gap at the 52nd and restarts (2120 without restart)
+        (count,) = newton_systems(monkeypatch, [rank_k_state(64, 3, 0)])
+        assert count <= 100
 
-            def newton_hook(s_inv, t, data):
-                grad, step = newton(s_inv, t, data)
-                events.append(("t", float(t[0]), float(-grad[0] @ step[0])))
-                return grad, step
+    def test_a_row_that_grows_t_past_the_bound_restarts_without_far_pulls(
+        self, monkeypatch
+    ):
+        # one batch closes every state, and each row's report is, bit for bit,
+        # the one the schedule without far pulls gives, and its solve alone
+        rhos = [rank_k_state(64, rank, seed) for rank, seed in self.STALLING]
+        batch = mo.c_r_many(rhos)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "BARRIER_FAR_PULLS", 0)
+            without = mo.c_r_many(rhos)
+        for k, (report, safe) in enumerate(zip(batch, without)):
+            assert report.method == safe.method == "barrier"
+            assert report.value - report.bound <= mo.C_R_GAP
+            assert (report.value, report.bound) == (safe.value, safe.bound)
+            assert report.witness.tobytes() == safe.witness.tobytes()
+        for k in (0, 7):
+            alone = mo.c_r(rhos[k])
+            assert (alone.value, alone.bound) == (batch[k].value, batch[k].bound)
 
-            return log_det_barrier(y, data, cost, slack, newton_hook, bound_hook, gap)
+    def test_t_moves_only_by_the_three_rules(self, monkeypatch):
+        # schedule_moves checks every move; here the far pulls happen, the
+        # allowance runs out and holds t, and both a growth and a near-path
+        # pull renew an allowance that had run out
+        renewed_by = set()
+        for rho in (random_density(5, 3), random_density(3, 0)):
+            moves = schedule_moves(monkeypatch, rho)
+            assert "far" in moves and "held" in moves
+            for i, move in enumerate(moves):
+                if move in ("growth", "near") and "held" in moves[:i] and "far" in moves[i:]:
+                    renewed_by.add(move)
+        assert renewed_by == {"growth", "near"}
 
-        monkeypatch.setattr(mo, "log_det_barrier", recording)
-        d = 5
-        mo.c_r(random_density(d, 3), method="cutting_plane")
-        pulled = kept = 0
-        for i, event in enumerate(events[:-1]):
-            if event[0] != "t":
-                continue
-            _, t, decrement = event
-            following = events[i + 1]
-            if decrement <= 1e-8:
-                assert following == ("t", 8.0 * t, following[2])
-                continue
-            # a step: one evaluation, then the next Newton system unless the
-            # gap closed there
-            if i + 2 == len(events):
-                break
-            gap = following[1]
-            next_t = events[i + 2][1]
-            if decrement <= 1.0:
-                assert next_t == max(t, BARRIER_MU * d / gap)
-                pulled += next_t > t
-            else:
-                assert next_t == t
-                kept += 1
-        assert pulled > 2 and kept > 0
+    def test_rows_spending_their_far_pulls_at_different_rounds_match_their_single_solves(
+        self, monkeypatch
+    ):
+        # the round of each row's last far pull before a hold, read off its
+        # single solve, differs from row to row; in one batch every row still
+        # gets its single solve's report, bit for bit
+        rhos = [
+            random_density(8, 1),
+            random_pure(8, 0).to_density(),
+            random_pure(8, 2).to_density(),
+            random_density(8, 5),
+        ]
+        spent = []
+        for rho in rhos:
+            moves = schedule_moves(monkeypatch, rho)
+            spent.append(
+                tuple(i for i, (a, b) in enumerate(zip(moves, moves[1:])) if (a, b) == ("far", "held"))
+            )
+        assert all(spent) and len(set(spent)) == len(rhos)
+        batch = mo.c_r_many(rhos, method="cutting_plane")
+        for rho, report in zip(rhos, batch):
+            alone = mo.c_r(rho, method="cutting_plane")
+            assert report.method == alone.method == "barrier"
+            assert (report.value, report.bound) == (alone.value, alone.bound)
+            assert report.witness.tobytes() == alone.witness.tobytes()
 
 
 def _log_det_barrier(blocks) -> float:
@@ -671,30 +769,34 @@ class TestDampedNewtonDecrease:
             if "grad" in a and not np.array_equal(a["y"], b["y"])
         ]
 
+    # a d = 3 C_R solve takes about 11 Newton systems, too few steps below
+    # t = 1e8 for ten checks, so that case checks three states
     @pytest.mark.parametrize(
-        "solve, d, seed",
+        "solve, d, seeds",
         [
-            (mo.c_r, 3, 0),
-            (mo.c_r, 8, 1),
-            (mo.c_r, 16, 2),
-            (mo._incoherent_trace_distance, 3, 0),
-            (mo._incoherent_trace_distance, 4, 1042),
-            (mo._incoherent_trace_distance, 8, 2),
+            (mo.c_r, 3, (0, 1, 2)),
+            (mo.c_r, 8, (1,)),
+            (mo.c_r, 16, (2,)),
+            (mo._incoherent_trace_distance, 3, (0,)),
+            (mo._incoherent_trace_distance, 4, (1042,)),
+            (mo._incoherent_trace_distance, 8, (2,)),
         ],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
     )
-    def test_every_step_lowers_f_by_omega(self, monkeypatch, solve, d, seed):
+    def test_every_step_lowers_f_by_omega(self, monkeypatch, solve, d, seeds):
         checked = 0
-        for t, cost, slack, y, grad, step, y_next in self.recorded_steps(
-            monkeypatch, solve, random_density(d, seed)
-        ):
-            if t > 1e8:
-                continue
-            lam = np.sqrt(float(-grad @ step))
-            before = t * float(cost @ y) + _log_det_barrier(slack(y))
-            after = t * float(cost @ y_next) + _log_det_barrier(slack(y_next))
-            rounding = 1e-9 * max(1.0, abs(t * float(cost @ y)))
-            assert after <= before - (lam - np.log1p(lam)) + rounding
-            checked += 1
+        for seed in seeds:
+            for t, cost, slack, y, grad, step, y_next in self.recorded_steps(
+                monkeypatch, solve, random_density(d, seed)
+            ):
+                if t > 1e8:
+                    continue
+                lam = np.sqrt(float(-grad @ step))
+                before = t * float(cost @ y) + _log_det_barrier(slack(y))
+                after = t * float(cost @ y_next) + _log_det_barrier(slack(y_next))
+                rounding = 1e-9 * max(1.0, abs(t * float(cost @ y)))
+                assert after <= before - (lam - np.log1p(lam)) + rounding
+                checked += 1
         assert checked >= 10
 
 
