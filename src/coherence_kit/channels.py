@@ -17,9 +17,10 @@ none exists.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .numerics import eig_hermitian, trace_norm
-from .states import DensityMatrix, complex_from_json, complex_to_json
+from .numerics import _EIGH_ERRSTATE, EigenDecomposition, eig_hermitian, trace_norm
+from .states import DensityMatrix, _freeze, complex_from_json, complex_to_json
 
 CPTP_TOL = 1e-9
 PREDICATE_TOL = 1e-9
@@ -88,7 +89,13 @@ class KrausChannel:
 
 
 class ChoiMatrix:
-    """Choi matrix J = sum_{jk} |j><k| (x) E(|j><k|) of a CPTP map."""
+    """Choi matrix J = sum_{jk} |j><k| (x) E(|j><k|) of a CPTP map.
+
+    ``spectrum`` is the read-only eigendecomposition that validated complete
+    positivity, kept so that ``channel_from_choi`` need not factorize J
+    again. ``mat`` is stored exactly Hermitian, so ``eig_hermitian(mat)``
+    returns the same bits.
+    """
 
     def __init__(self, mat, din: int, dout: int, atol: float = CPTP_TOL):
         m = np.asarray(mat, dtype=complex)
@@ -97,26 +104,33 @@ class ChoiMatrix:
         if np.linalg.norm(m - m.conj().T) > atol * max(1.0, np.linalg.norm(m)):
             raise ValueError("Choi matrix is not Hermitian")
         m = (m + m.conj().T) / 2.0
-        if eig_hermitian(m).eigenvalues[0] < -atol:
+        dec = eig_hermitian(m)
+        if dec.eigenvalues[0] < -atol:
             raise ValueError("Choi matrix is not PSD: the map is not completely positive")
         blocks = m.reshape(din, dout, din, dout)
         reduced = np.einsum("xyzy->xz", blocks)
         if np.max(np.abs(reduced - np.eye(din))) > atol:
             raise ValueError("partial trace over the output is not the identity")
-        m.setflags(write=False)
-        self.mat = m
+        self.mat = _freeze(m)
+        self.spectrum = EigenDecomposition(_freeze(dec.eigenvalues), _freeze(dec.eigenvectors))
         self.din = din
         self.dout = dout
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Evaluate sum_j K_j rho K_j^dag and validate the output state."""
+    return DensityMatrix(_operator_sum(ch, rho))
+
+
+def _operator_sum(ch: KrausChannel, rho: DensityMatrix) -> np.ndarray:
+    """The unvalidated matrix of ``apply(ch, rho)``: sum_j K_j rho K_j^dag,
+    symmetrized and scaled to unit trace."""
     if rho.dim != ch.din:
         raise ValueError(f"state dim {rho.dim} does not match channel input dim {ch.din}")
     s = ch.kraus
     out = np.sum(s @ rho.mat @ s.conj().transpose(0, 2, 1), axis=0)
     out = (out + out.conj().T) / 2.0
-    return DensityMatrix(out / np.trace(out).real)
+    return out / np.trace(out).real
 
 
 def _choi_array(ch: KrausChannel) -> np.ndarray:
@@ -132,12 +146,13 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
 
 
 def channel_from_choi(j: ChoiMatrix) -> KrausChannel:
-    """Kraus operators from the eigendecomposition of a Choi matrix.
+    """Kraus operators from the eigendecomposition of a Choi matrix, the one
+    that validated it (``j.spectrum``).
 
     The rank is the number of eigenvalues above 1e-10; each operator's global
     phase is fixed by making its largest-modulus entry real positive.
     """
-    dec = eig_hermitian(j.mat)
+    dec = j.spectrum
     ops = []
     for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
         if lam <= 1e-10:
@@ -572,6 +587,11 @@ def sample_mio_qubit_channel(seed: int) -> KrausChannel:
     gap is tiny; deterministic per seed. The Choi matrix I/2 of the
     depolarizing channel lies strictly inside the cone and in the affine set,
     so the projections converge from every start.
+
+    The affine projection returns an exactly Hermitian matrix, so each PSD
+    projection factorizes it with the LAPACK gufunc directly, with
+    ``eig_hermitian``'s bits and none of its checks; the returned channel is
+    checked in full by ``ChoiMatrix`` and ``KrausChannel``.
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -579,9 +599,9 @@ def sample_mio_qubit_channel(seed: int) -> KrausChannel:
     j *= 2.0 / np.trace(j).real
     for _ in range(10000):
         j = _project_mio_affine_qubit(j)
-        dec = eig_hermitian(j)
-        clipped = np.clip(dec.eigenvalues, 0.0, None)
-        j_psd = (dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T
+        with np.errstate(**_EIGH_ERRSTATE):
+            vals, vecs = _umath_linalg.eigh_lo(j)
+        j_psd = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         gap = np.linalg.norm(j - j_psd)
         j = j_psd
         if gap <= 1e-12:

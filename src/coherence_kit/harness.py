@@ -5,11 +5,16 @@ class: the inclusions suite tests every class ``channels.class_chain`` gives
 for it, and the monotonicity suite every monotone of those classes.
 
 The monotonicity suite first builds every sample's channels and their input
-and output states, then measures all the states at once: C_R solves each
-dimension's states as one batch of the barrier kernel
-(``monotones.c_r_many``), and each spectral monotone is one stacked call per
-dimension over the states that need it (the ``monotones.*_values``
-kernels); the other suites evaluate one sample after another.
+and output states, then measures all the states at once. A sample's three
+input states are validated as one stack per dimension, and so are its three
+output states (``states._density_stack``: one ``eig_hermitian`` call per
+stack, each state with the bits ``DensityMatrix`` gives it alone); the qubit
+MIO channel's Choi matrix is factorized with full checks once, and its Kraus
+operators are read off that factorization. C_R solves each dimension's
+states as one batch of the barrier kernel (``monotones.c_r_many``), and each
+spectral monotone is one stacked call per dimension over the states that
+need it (the ``monotones.*_values`` kernels); the other suites evaluate one
+sample after another.
 Every suite reduces its results in sample-index order (then family, then
 check), and the samples draw from independent seeds, so a run is a pure
 function of (suite, samples, seed). Runs are serial: the samples are small
@@ -25,7 +30,7 @@ import numpy as np
 from . import channels as ch
 from . import monotones as mo
 from .monotones import _per_dimension
-from .states import random_density
+from .states import _density_stack, _ginibre
 
 MONOTONE_SLACK = 1e-7
 ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 1.0, 1.3, 1.7, 2.0)
@@ -77,24 +82,29 @@ def _measure_states(cases) -> list:
 
 def _monotonicity_families(index: int, seed: int, corrupt_hook) -> list:
     """(tag, smallest class, input, output) for each family sampled at index,
-    with the corrupt hook applied to its channel."""
+    with the corrupt hook applied to its channel. The inputs are
+    ``random_density`` states and the outputs ``ch.apply``'s, each set
+    validated as one stack per dimension."""
     rng = np.random.default_rng(_sub_seed(seed, index))
-
-    def state(d, salt):
-        return random_density(d, _sub_seed(seed, index, salt))
-
     params = ch.GCovariantParams(*rng.dirichlet(np.ones(3)), 3)
+    # (tag, smallest class, channel, input dimension, input seed salt)
     families = (
-        ("g_covariant", "dio", ch.g_covariant_channel(params), state(3, 1)),
-        ("qubit_mio", "mio", ch.sample_mio_qubit_channel(_sub_seed(seed, index, 2)), state(2, 3)),
-        ("sio", "sio_rep", ch.random_sio_channel(3, rng), state(3, 4)),
+        ("g_covariant", "dio", ch.g_covariant_channel(params), 3, 1),
+        ("qubit_mio", "mio", ch.sample_mio_qubit_channel(_sub_seed(seed, index, 2)), 2, 3),
+        ("sio", "sio_rep", ch.random_sio_channel(3, rng), 3, 4),
     )
-    built = []
-    for tag, klass, channel, rho in families:
-        if corrupt_hook is not None:
-            channel = corrupt_hook(channel, index)
-        built.append((tag, klass, rho, ch.apply(channel, rho)))
-    return built
+    inputs = _density_stack(
+        [_ginibre(d, _sub_seed(seed, index, salt)) for _, _, _, d, salt in families]
+    )
+    channels = [
+        channel if corrupt_hook is None else corrupt_hook(channel, index)
+        for _, _, channel, _, _ in families
+    ]
+    outputs = _density_stack([ch._operator_sum(c, rho) for c, rho in zip(channels, inputs)])
+    return [
+        (tag, klass, rho, out)
+        for (tag, klass, *_), rho, out in zip(families, inputs, outputs)
+    ]
 
 
 def _monotonicity_run(samples: int, seed: int, corrupt_hook) -> list:

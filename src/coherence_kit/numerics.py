@@ -35,7 +35,11 @@ class UnboundedError(ValueError):
 # virtual Xeon core). The barrier, eig_hermitian and trace_norm call the
 # gufuncs behind them on their float64 and complex128 stacks instead, under the
 # error state numpy.linalg sets, so the bits are the same and a failed
-# factorization raises LinAlgError as there.
+# factorization raises LinAlgError as there. eig_hermitian's checks cost more
+# again (25 us a call at n = 3 or 4, against 3 to 5 us of LAPACK), so callers
+# with many states validate them as one stack (``states._density_stack``),
+# and the qubit MIO sampler's projection steps, whose matrices are exactly
+# Hermitian, call eigh_lo themselves (``channels.sample_mio_qubit_channel``).
 def _lapack_errstate(message: str) -> dict:
     """numpy.linalg's error state around a LAPACK gufunc, raising
     LinAlgError(message) where LAPACK reports a failure."""

@@ -77,6 +77,10 @@ class DensityMatrix(_ExactArrayEquality):
     exactly Hermitian, so ``eig_hermitian(mat)`` returns the same bits.
     ``spectrum`` takes no part in equality, which compares ``mat`` exactly,
     or in the repr.
+
+    A state is validated as the one row of a stack (``_validated_stack``), so
+    ``DensityMatrix(m)`` and m's row of any stack ``_density_stack`` builds
+    carry the same bits and fail with the same error.
     """
 
     mat: np.ndarray
@@ -86,15 +90,12 @@ class DensityMatrix(_ExactArrayEquality):
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        dec = eig_hermitian(m)  # checks finiteness and Hermiticity
-        m = (m + m.conj().T) / 2.0  # the bits eig_hermitian factorized
-        if abs(np.trace(m).real - 1.0) > STATE_TOL:
-            raise ValueError(f"trace must be 1, got {np.trace(m).real!r}")
-        if dec.eigenvalues[0] < -STATE_TOL:
-            raise ValueError("density matrix is not positive semidefinite")
-        object.__setattr__(self, "mat", _freeze(m))
-        spectrum = EigenDecomposition(_freeze(dec.eigenvalues), _freeze(dec.eigenvectors))
-        object.__setattr__(self, "spectrum", spectrum)
+        mats, vals, vecs = _validated_stack(m[None])
+        self._store(mats[0], vals[0], vecs[0])
+
+    def _store(self, mat, eigenvalues, eigenvectors):
+        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "spectrum", EigenDecomposition(eigenvalues, eigenvectors))
 
     @property
     def dim(self) -> int:
@@ -112,6 +113,43 @@ class DensityMatrix(_ExactArrayEquality):
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
         d = payload["dim"]
         return cls(complex_from_json(payload["mat"], (d, d)))
+
+
+def _validated_stack(stack: np.ndarray):
+    """(mats, eigenvalues, eigenvectors), read-only, of a complex (K, d, d)
+    stack of density matrices, from one ``eig_hermitian`` call.
+
+    Each row must have finite entries and be Hermitian (both checked by
+    ``eig_hermitian``), then have unit trace and no eigenvalue below
+    -STATE_TOL. The first row that fails raises the ValueError it raises as
+    the only row of a stack.
+    """
+    dec = eig_hermitian(stack)
+    mats = (stack + stack.conj().swapaxes(1, 2)) / 2.0  # the bits eig_hermitian factorized
+    traces = mats.diagonal(axis1=1, axis2=2).sum(axis=1).real  # np.trace's bits
+    for k, (trace, low) in enumerate(zip(traces.tolist(), dec.eigenvalues[:, 0].tolist())):
+        if abs(trace - 1.0) > STATE_TOL:
+            raise ValueError(f"trace must be 1, got {traces[k]!r}")
+        if low < -STATE_TOL:
+            raise ValueError("density matrix is not positive semidefinite")
+    return _freeze(mats), _freeze(dec.eigenvalues), _freeze(dec.eigenvectors)
+
+
+def _density_stack(mats) -> list:
+    """The DensityMatrix of each square matrix in ``mats``, validated with one
+    ``_validated_stack`` call per dimension; row k carries the bits, and
+    fails with the error, of ``DensityMatrix(mats[k])``."""
+    by_dim = {}
+    for k, m in enumerate(mats):
+        by_dim.setdefault(np.shape(m), []).append(k)
+    out = [None] * len(mats)
+    for ks in by_dim.values():
+        validated = _validated_stack(np.array([mats[k] for k in ks], dtype=complex))
+        for k, row in zip(ks, zip(*validated)):
+            rho = object.__new__(DensityMatrix)
+            rho._store(*row)
+            out[k] = rho
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +284,15 @@ def random_density(d: int, seed: int) -> DensityMatrix:
     """Ginibre sample: rho = G G^dagger / Tr, deterministic per seed."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    return DensityMatrix(_ginibre(d, seed))
+
+
+def _ginibre(d: int, seed: int) -> np.ndarray:
+    """The unvalidated matrix G G^dagger / Tr of ``random_density(d, seed)``."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 def random_pure(d: int, seed: int) -> PureStateVector:

@@ -731,6 +731,22 @@ class TestHarnessBatching:
         # 20 d = 3 states all have a full diagonal, so one core size
         assert shapes == [(20, 3, 3)]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_sample_factorizes_six_times(self, monkeypatch, seed):
+        shapes = []
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return eig_hermitian(m)
+
+        for module in (numerics, states, ch, mo):
+            monkeypatch.setattr(module, "eig_hermitian", counted)
+        harness.run_suite("monotonicity", 1, seed)
+        # the qubit MIO sample's Choi matrix, the inputs and then the outputs
+        # as one stack per dimension, and c_delta_r's core stack of the four
+        # d = 3 states
+        assert shapes == [(4, 4), (2, 3, 3), (1, 2, 2), (2, 3, 3), (1, 2, 2), (4, 3, 3)]
+
     def test_failures_match_a_state_by_state_loop(self, monkeypatch):
         monkeypatch.setenv("COHERENCE_KIT_HARNESS_INJECT", "2")
         hook = cli._injection_hook()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coherence_kit.channels import KrausChannel, qubit_to_qutrit_mio_example
+from coherence_kit import states
 from coherence_kit.numerics import eig_hermitian
 from coherence_kit.states import (
     DensityMatrix,
@@ -65,6 +66,55 @@ class TestSpectrum:
         object.__setattr__(other, "spectrum", eig_hermitian(np.eye(3) / 3))
         assert other == rho
         assert "spectrum" not in repr(rho)
+
+
+class TestDensityStack:
+    """A stack validated in one call gives each row the bits, and the error,
+    of DensityMatrix(row) alone."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_rows_are_the_one_state_bits(self, d):
+        # unvalidated Ginibre matrices are Hermitian only up to rounding
+        mats = [states._ginibre(d, 10 * d + k) for k in range(4)]
+        for m, rho in zip(mats, states._density_stack(mats)):
+            alone = DensityMatrix(m)
+            assert rho.mat.tobytes() == alone.mat.tobytes()
+            assert rho.spectrum.eigenvalues.tobytes() == alone.spectrum.eigenvalues.tobytes()
+            assert rho.spectrum.eigenvectors.tobytes() == alone.spectrum.eigenvectors.tobytes()
+            for arr in (rho.mat, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors):
+                assert not arr.flags.writeable
+
+    def test_mixed_dimensions_keep_their_order(self):
+        mats = [states._ginibre(d, d) for d in (3, 2, 8, 3)]
+        stacked = states._density_stack(mats)
+        assert [rho.dim for rho in stacked] == [3, 2, 8, 3]
+        assert stacked == [DensityMatrix(m) for m in mats]
+
+    @staticmethod
+    def _bad_rows():
+        good = states._ginibre(3, 1)
+        non_hermitian = good.copy()
+        non_hermitian[0, 1] += 1e-3
+        nan = good.copy()
+        nan[0, 0] = np.nan
+        return {
+            "trace": 1.2 * good,
+            "psd": np.diag([0.6, 0.5, -0.1]).astype(complex),
+            "hermitian": non_hermitian,
+            "nan": nan,
+        }
+
+    @pytest.mark.parametrize("kind", ["trace", "psd", "hermitian", "nan"])
+    def test_one_bad_row_raises_its_own_error(self, kind):
+        bad = self._bad_rows()[kind]
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(bad)
+        mats = [states._ginibre(3, 2), bad, states._ginibre(3, 3)]
+        with pytest.raises(ValueError) as stacked:
+            states._density_stack(mats)
+        assert str(stacked.value) == str(alone.value)
+        if kind == "trace":
+            assert "got np.float64(1.19999" in str(alone.value)
 
 
 class TestEquality:
