@@ -20,7 +20,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .numerics import _EIGH_ERRSTATE, EigenDecomposition, eig_hermitian, trace_norm
-from .states import DensityMatrix, _freeze, complex_from_json, complex_to_json
+from .states import DensityMatrix, _freeze, complex_from_json, complex_to_json, probability_vector
 
 CPTP_TOL = 1e-9
 PREDICATE_TOL = 1e-9
@@ -190,9 +190,16 @@ CLASS_PARENTS = {
 }
 
 
+def _known_class(klass: str) -> str:
+    """``klass``, if it names a class of CLASS_PARENTS; ValueError if not."""
+    if klass not in CLASS_PARENTS:
+        raise ValueError(f"unknown class {klass!r}; the classes are {', '.join(CLASS_PARENTS)}")
+    return klass
+
+
 def class_chain(klass: str) -> tuple:
     """``klass`` and every class that contains it, smallest first."""
-    members = {klass}
+    members = {_known_class(klass)}
     for c, parents in CLASS_PARENTS.items():  # children come before parents
         if c in members:
             members.update(parents)
@@ -201,7 +208,7 @@ def class_chain(klass: str) -> tuple:
 
 def in_class(ch: KrausChannel, klass: str, tol: float = PREDICATE_TOL) -> bool:
     """``is_<klass>(ch, tol)``; ValueError where that test is not defined."""
-    return globals()[f"is_{klass}"](ch, tol)
+    return globals()[f"is_{_known_class(klass)}"](ch, tol)
 
 
 def is_mio(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
@@ -393,17 +400,13 @@ def dual_map(ch: KrausChannel) -> KrausChannel:
 
 
 class GCovariantParams:
-    """Probability weights (q1, q2, q3) of the three extremal covariant maps."""
+    """Weights (q1, q2, q3), a ``probability_vector``, of the three extremal covariant maps."""
 
     def __init__(self, q1: float, q2: float, q3: float, d: int):
-        qs = (float(q1), float(q2), float(q3))
-        if min(qs) < -1e-12:
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(qs) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+        qs = probability_vector([q1, q2, q3], "covariant weights")
         if d < 2:
             raise ValueError("dimension must be at least 2")
-        self.q1, self.q2, self.q3 = (max(q, 0.0) for q in qs)
+        self.q1, self.q2, self.q3 = qs.tolist()
         self.d = int(d)
 
     def as_tuple(self):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .numerics import EigenDecomposition, eig_hermitian
-from .states import DensityMatrix, complex_to_json
+from .states import DISTRIBUTION_SUM_TOL, DensityMatrix, complex_to_json, probability_vector
 from .transforms import InfeasibleTransformError, TransformDecision, _decide, _verify_witness
 
 PSD_TOL = 1e-9
@@ -33,10 +33,11 @@ class NQMatrix:
 class NCovariantSpec:
     """Gram matrix H of diagonal-operator columns plus a column-stochastic R.
 
-    R's diagonal equals H's; off-diagonal entries of R are the squared hop
-    amplitudes. ``spectrum`` is the eigendecomposition of H that checked it
-    PSD, kept for the factorization in ``channel_from_n_spec``; it takes no
-    part in equality or the repr.
+    R's columns are ``probability_vector``s and its diagonal equals H's;
+    off-diagonal entries of R are the squared hop amplitudes. ``spectrum`` is
+    the eigendecomposition of H that checked it PSD, kept for the
+    factorization in ``channel_from_n_spec``; it takes no part in equality or
+    the repr.
     """
 
     h: np.ndarray
@@ -60,8 +61,7 @@ class NCovariantSpec:
         if dec.eigenvalues[0] < -PSD_TOL:
             raise ValueError("Gram matrix must be PSD")
         object.__setattr__(self, "spectrum", dec)
-        if np.min(r) < -1e-12 or np.max(np.abs(r.sum(axis=0) - 1.0)) > 1e-9:
-            raise ValueError("transfer matrix must be column stochastic")
+        probability_vector(r.T, "transfer matrix columns", DISTRIBUTION_SUM_TOL)
         if np.max(np.abs(np.diag(r) - np.diag(h).real)) > 1e-10:
             raise ValueError("transfer diagonal must match the Gram diagonal")
 
@@ -244,8 +244,8 @@ def random_n_covariant_channel(d: int, rng: np.random.Generator | int) -> KrausC
 
 def phi_t(rho: DensityMatrix, t: float) -> np.ndarray:
     """Evaluate (1+t) * dephased(rho) - rho (not a state below threshold)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     return (1.0 + t) * np.diag(np.diag(rho.mat)) - rho.mat
 
 

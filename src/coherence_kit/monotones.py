@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import eig_hermitian, log_det_barrier, psd_power_values, solve_stack, trace_norm
-from .states import DensityMatrix, PureStateVector, SchmidtVector, complex_to_json
+from .states import DISTRIBUTION_SUM_TOL, DensityMatrix, PureStateVector, SchmidtVector
+from .states import complex_to_json, probability_vector
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,6 @@ class MonotoneReport:
         return payload
 
 
-def _prob_vector(p) -> np.ndarray:
-    if isinstance(p, SchmidtVector):
-        vec = p.probs
-    else:
-        vec = np.asarray(p, dtype=float).ravel()
-        if np.min(vec, initial=0.0) < -1e-10:
-            raise ValueError("negative probabilities")
-        if abs(vec.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-    return np.clip(vec, 0.0, None)
-
-
 def _entropies(vals: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits of each row of vals (K, n); entries <= 1e-15
     count as 0. Each row is summed from its kept entries alone, as a 1-D
@@ -103,10 +92,12 @@ def _shannon(vec: np.ndarray) -> float:
 
 
 def renyi(p, alpha: float) -> float:
-    """Renyi entropy S_alpha in bits; alpha=1 is Shannon, alpha=inf is min-entropy."""
+    """Renyi entropy S_alpha in bits of a SchmidtVector or a flat
+    ``probability_vector``; alpha=1 is Shannon, alpha=inf is min-entropy."""
     if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
-    vec = _prob_vector(p)
+    probs = p.probs if isinstance(p, SchmidtVector) else p
+    vec = probability_vector(np.ravel(probs), "probability vector", DISTRIBUTION_SUM_TOL)
     if alpha == 1.0:
         return _shannon(vec)
     vec = vec[vec > 1e-15]

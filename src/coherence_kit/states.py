@@ -7,6 +7,7 @@ immutable after construction.
 Complex arrays leave and enter the program as JSON nestings of [re, im]
 pairs. ``complex_to_json`` and ``complex_from_json`` are the one place that
 builds or reads that form, for states, Kraus channels and witnesses alike.
+``probability_vector`` is likewise the one test of a probability vector.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .numerics import EigenDecomposition, eig_hermitian
 
 STATE_TOL = 1e-10
+DISTRIBUTION_SUM_TOL = 1e-9  # sum slack of a distribution a caller types in
 INCOHERENT_TOL = 1e-9
 
 
@@ -45,6 +47,22 @@ def complex_from_json(pairs, shape) -> np.ndarray:
             f"got an array of shape {arr.shape} and dtype {arr.dtype}"
         )
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
+def probability_vector(values, what: str, sum_tol: float = STATE_TOL) -> np.ndarray:
+    """``values`` clipped at 0 as floats, once every entry is finite and at
+    least -STATE_TOL and each row of the last axis sums to 1 within
+    ``sum_tol``: STATE_TOL for vectors read off states, DISTRIBUTION_SUM_TOL
+    for ones a caller types in. Else ``ValueError("invalid <what>: ...")``;
+    both tests fail on NaN, and a NaN or infinite entry fails one of them."""
+    p = np.asarray(values, dtype=float)
+    low = p.min(initial=0.0)
+    if not low >= -STATE_TOL:
+        raise ValueError(f"invalid {what}: entries must be finite and nonnegative, got {low}")
+    sums = p.sum(axis=-1)
+    if not abs(sums - 1.0).max(initial=0.0) <= sum_tol:
+        raise ValueError(f"invalid {what}: entries must sum to 1 within {sum_tol:g}, got {sums}")
+    return np.maximum(p, 0.0)  # np.clip's bits, -0.0 included
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -121,12 +139,13 @@ def _validated_stack(stack: np.ndarray):
 
     Each row must have finite entries and be Hermitian (both checked by
     ``eig_hermitian``), then have unit trace and no eigenvalue below
-    -STATE_TOL. The first row that fails raises the ValueError it raises as
-    the only row of a stack.
+    -STATE_TOL; the real diagonal is summed as ``probability_vector`` sums a
+    pure state's squared amplitudes. The first row that fails raises the
+    ValueError it raises as the only row of a stack.
     """
     dec = eig_hermitian(stack)
     mats = (stack + stack.conj().swapaxes(1, 2)) / 2.0  # the bits eig_hermitian factorized
-    traces = mats.diagonal(axis1=1, axis2=2).sum(axis=1).real  # np.trace's bits
+    traces = mats.diagonal(axis1=1, axis2=2).real.sum(axis=1)
     for k, (trace, low) in enumerate(zip(traces.tolist(), dec.eigenvalues[:, 0].tolist())):
         if abs(trace - 1.0) > STATE_TOL:
             raise ValueError(f"trace must be 1, got {traces[k]!r}")
@@ -154,18 +173,15 @@ def _density_stack(mats) -> list:
 
 @dataclass(frozen=True, eq=False)
 class PureStateVector(_ExactArrayEquality):
-    """A complex unit vector of amplitudes in the incoherent basis."""
+    """Amplitudes in the incoherent basis whose squared moduli are a
+    ``probability_vector``, so valid exactly when their density matrix is."""
 
     amps: np.ndarray
 
     def __init__(self, amps):
         v = np.asarray(amps, dtype=complex).ravel()
-        if v.size < 1:
-            raise ValueError("state vector must be nonempty")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("state vector has non-finite entries")
-        if abs(np.linalg.norm(v) - 1.0) > STATE_TOL:
-            raise ValueError(f"state vector norm must be 1, got {np.linalg.norm(v)!r}")
+        with np.errstate(invalid="ignore", over="ignore"):  # the rule rejects a non-finite square
+            probability_vector((v * v.conj()).real, "squared amplitudes of a state vector")
         object.__setattr__(self, "amps", _freeze(v))
 
     @property
@@ -189,19 +205,16 @@ class PureStateVector(_ExactArrayEquality):
 
 @dataclass(frozen=True, eq=False)
 class SchmidtVector(_ExactArrayEquality):
-    """Descending vector of squared amplitudes in the incoherent basis."""
+    """Descending ``probability_vector`` (sum within STATE_TOL) of squared
+    amplitudes in the incoherent basis, stored clipped at 0."""
 
     probs: np.ndarray
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float).ravel()
-        if np.min(p, initial=0.0) < -STATE_TOL:
-            raise ValueError("negative entries")
-        if abs(p.sum() - 1.0) > STATE_TOL:
-            raise ValueError("entries must sum to 1")
+        p = probability_vector(np.ravel(probs), "Schmidt vector")
         if np.any(np.diff(p) > STATE_TOL):
-            raise ValueError("entries must be nonincreasing")
-        object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None)))
+            raise ValueError("invalid Schmidt vector: entries must be nonincreasing")
+        object.__setattr__(self, "probs", _freeze(p))
 
     @property
     def dim(self) -> int:

@@ -34,9 +34,11 @@ from .channels import (
 )
 from .numerics import trace_norm
 from .states import (
+    DISTRIBUTION_SUM_TOL,
     DensityMatrix,
     PureStateVector,
     SchmidtVector,
+    probability_vector,
     qubit_standard_form,
     schmidt_vector,
 )
@@ -88,8 +90,10 @@ def _decide(construct, *args) -> TransformDecision:
 
 
 def _padded_desc(*vectors) -> list:
+    """The vectors normalized (a valid sum may miss 1 by more than the 1e-12
+    prefix slack), zero-padded to a common length and sorted descending."""
     size = max(v.size for v in vectors)
-    return [np.sort(np.pad(v, (0, size - v.size)))[::-1] for v in vectors]
+    return [np.sort(np.pad(v / v.sum(), (0, size - v.size)))[::-1] for v in vectors]
 
 
 def _prefix_violations(target: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -101,8 +105,8 @@ def _prefix_violations(target: np.ndarray, source: np.ndarray) -> np.ndarray:
 def majorizes(target: SchmidtVector, source: SchmidtVector) -> MajorizationCheck:
     """True iff every partial sum of source is dominated by target's.
 
-    Vectors are zero-padded to a common length; on failure the smallest
-    violating prefix length k (1-based) is reported.
+    Vectors are normalized and zero-padded to a common length; on failure
+    the smallest violating prefix length k (1-based) is reported.
     """
     violated = _prefix_violations(*_padded_desc(target.probs, source.probs))
     if violated.size:
@@ -250,15 +254,14 @@ def multi_outcome_decide(psi: PureStateVector, ensemble) -> bool:
     """Is the multi-outcome transformation psi -> {(p_i, phi_i)} possible?
 
     Holds iff tau(psi) is majorized by the probability mix of the outcome
-    Schmidt vectors. Weights must sum to 1 within 1e-9 and are normalized
-    before mixing, so the verdict does not hang on that slack.
+    Schmidt vectors. The weights must be a ``probability_vector`` and are
+    normalized before mixing, so the verdict does not hang on its slack.
     """
-    weights = np.array([float(p) for p, _ in ensemble])
-    if weights.size == 0 or np.min(weights) < -1e-12 or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("invalid ensemble weights")
-    weights = weights / weights.sum()
+    weights = [float(p) for p, _ in ensemble]
+    weights = probability_vector(weights, "ensemble weights", DISTRIBUTION_SUM_TOL)
+    weights /= weights.sum()
     vecs = _padded_desc(psi.probs, *(schmidt_vector(s).probs for _, s in ensemble))
-    mixed = np.clip(sum(w * v for w, v in zip(weights, vecs[1:])), 0.0, None)
+    mixed = sum(w * v for w, v in zip(weights, vecs[1:]))
     return not _prefix_violations(np.sort(mixed)[::-1], vecs[0]).size
 
 
@@ -266,10 +269,12 @@ def max_conversion_probability(psi: PureStateVector, phi: PureStateVector) -> fl
     """Largest p with psi -> phi succeeding at probability p under SIO.
 
     min over k of the tail-sum ratios of the descending squared amplitudes,
-    zero-padded to a common length; 1 exactly when the target majorizes the
-    source.
+    normalized and zero-padded to a common length; 1.0 exactly when
+    ``majorizes`` holds, which is decided first with its own slack.
     """
     s, t = _padded_desc(psi.probs, phi.probs)
+    if not _prefix_violations(t, s).size:
+        return 1.0
     src_tail = np.cumsum(s[::-1])[::-1]
     tgt_tail = np.cumsum(t[::-1])[::-1]
     kept = tgt_tail > 1e-15
@@ -284,13 +289,11 @@ def max_conversion_probability(psi: PureStateVector, phi: PureStateVector) -> fl
 
 def _mio_target(q) -> np.ndarray:
     """Validated target probabilities: dimension above 2, all positive, sum 1."""
-    qv = np.asarray(q, dtype=float).ravel()
+    qv = probability_vector(np.ravel(q), "target probabilities", DISTRIBUTION_SUM_TOL)
     if qv.size <= 2:
         raise ValueError("target dimension must exceed 2 (use qubit_decide instead)")
     if np.min(qv) <= 1e-15:
         raise ValueError("all target probabilities must be strictly positive")
-    if abs(qv.sum() - 1.0) > 1e-9:
-        raise ValueError("target probabilities must sum to 1")
     return qv
 
 
@@ -298,19 +301,20 @@ def mio_qubit_pure_construct(p, q) -> KrausChannel:
     """Maximally incoherent channel taking the pure qubit with probabilities p
     to the pure qudit sum_y sqrt(q_y) |y>.
 
-    The source must be |+>: p uniform, with a 1e-12 slack. Both vectors are
-    validated before either test. Uses d'+1 operators built from
-    r_y = sqrt(q_y)/s with s = sum sqrt(q): column 0 of operator j holds
-    sqrt(r_j) e_j, column 1 holds sqrt(2 q_y) c_j - sqrt(r_y) delta_{yj}, with
-    c_j = sqrt(s/2) q_j^(1/4) and a completing coefficient
-    c_{d'+1} = sqrt(1 - s^2/2). Feasible exactly when s <= sqrt(2), tested
-    with a 1e-12 slack; at the boundary the completing operator vanishes.
+    The source must be |+>: p uniform, |p_0 - p_1| <= 2e-12 whatever the
+    scale of p. Both vectors are validated before either test. Uses d'+1
+    operators built from r_y = sqrt(q_y)/s with s = sum sqrt(q): column 0 of
+    operator j holds sqrt(r_j) e_j, column 1 holds
+    sqrt(2 q_y) c_j - sqrt(r_y) delta_{yj}, with c_j = sqrt(s/2) q_j^(1/4) and
+    a completing coefficient c_{d'+1} = sqrt(1 - s^2/2). Feasible exactly when
+    s <= sqrt(2), tested with a 1e-12 slack; at the boundary the completing
+    operator vanishes.
     """
-    pv = np.asarray(p, dtype=float).ravel()
-    if pv.size != 2 or np.min(pv) < -1e-12 or abs(pv.sum() - 1.0) > 1e-9:
+    pv = probability_vector(np.ravel(p), "source probabilities", DISTRIBUTION_SUM_TOL)
+    if pv.size != 2:
         raise ValueError("source must be a qubit probability vector")
     qv = _mio_target(q)
-    if abs(pv[0] - 0.5) > 1e-12:
+    if abs(pv[0] - pv[1]) > 2e-12:
         raise InfeasibleTransformError(
             f"source population {pv[0]:.6f} is not uniform",
             {"monotone": "uniform_source", "lhs": float(pv[0]), "rhs": 0.5},
@@ -341,7 +345,7 @@ def mio_qubit_pure_construct(p, q) -> KrausChannel:
     if not is_mio(channel):
         raise ArithmeticError("constructed channel lost the incoherence property")
     plus = PureStateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    target = PureStateVector(np.sqrt(qv).astype(complex))
+    target = PureStateVector(np.sqrt(qv / qv.sum()).astype(complex))
     _verify_witness(channel, plus.to_density(), target.to_density())
     return channel
 

@@ -660,6 +660,14 @@ class TestClassInclusions:
         with pytest.raises(ValueError, match="square"):
             ch.in_class(ch.qubit_to_qutrit_mio_example(), "sio_rep")
 
+    @pytest.mark.parametrize("klass", ["pio", "io", "sio_special", "covariant_under_dephasing", ""])
+    def test_unknown_class_names_are_rejected(self, klass):
+        listed = "pio_rep, sio_rep, sio_special_rep, io_rep, dio, mio"
+        with pytest.raises(ValueError, match=f"unknown class {klass!r}; the classes are {listed}$"):
+            ch.class_chain(klass)
+        with pytest.raises(ValueError, match=f"unknown class {klass!r}"):
+            ch.in_class(ch.KrausChannel([np.eye(2)]), klass)
+
 
 class TestSamplersTakeASeed:
     """Every sampler that takes ``rng`` accepts an int seed and then draws

@@ -12,6 +12,7 @@ import pytest
 
 from coherence_kit import channels as ch
 from coherence_kit import monotones as mo
+from coherence_kit import transforms as tr
 from coherence_kit import cli
 from coherence_kit.cli import main
 from coherence_kit.harness import run_suite
@@ -341,6 +342,31 @@ class TestTransform:
         stored = json.loads(witness_path.read_text())
         witness = ch.KrausChannel.from_json_dict(stored)
         assert ch.is_mio(witness)
+
+    @pytest.mark.parametrize(
+        "klass, source, target",
+        [
+            # squared amplitudes summing to 1 + 8e-11, inside the state tolerance
+            ("sio", np.sqrt([0.5, 0.3, 0.2]) * (1 + 4e-11), np.sqrt([0.8, 0.2, 0.0])),
+            ("mio-pure", np.full(2, 0.7071067812148317), np.sqrt([0.9, 0.05, 0.05])),
+        ],
+    )
+    def test_nearly_normalized_states_get_the_normalized_verdict(
+        self, capsys, tmp_path, klass, source, target
+    ):
+        paths = []
+        for name, amps in (("source", source), ("target", target)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(PureStateVector(amps).to_json_dict()))
+        witness_path = tmp_path / "witness.json"
+        argv = ["transform", *map(str, paths), "--class", klass, "--witness-out", str(witness_path)]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
+        witness = ch.KrausChannel.from_json_dict(json.loads(witness_path.read_text()))
+        tr._verify_witness(
+            witness, PureStateVector(source).to_density(), PureStateVector(target).to_density()
+        )
 
     def test_qubit_violation_record(self, files, capsys):
         code, out = run_cli(

@@ -495,7 +495,42 @@ class TestMultiOutcome:
             tr.multi_outcome_decide(psi, [(0.5 + excess, phi), (0.5, psi)])
 
 
+class TestNearlyNormalizedInputs:
+    """States whose squared amplitudes sum to 1 only within the 1e-10 state
+    tolerance get the verdict of their normalized versions."""
+
+    # sum of squares 1 + 8e-11; psi -> phi is feasible
+    PSI = np.sqrt([0.5, 0.3, 0.2]) * (1 + 4e-11)
+    PHI = np.sqrt([0.8, 0.2, 0.0])
+    # |+> with norm^2 1 + 8e-11, and a target inside the sqrt(2) region
+    PLUS = np.array([0.7071067812148317, 0.7071067812148317])
+    TARGET = np.sqrt([0.9, 0.05, 0.05])
+
+    def test_majorization_reads_normalized_vectors(self):
+        psi, phi = PureStateVector(self.PSI), PureStateVector(self.PHI)
+        assert tr.majorizes(schmidt_vector(phi), schmidt_vector(psi))
+        decision = tr.sio_pure_decide(psi, phi)
+        assert decision.verdict
+        tr._verify_witness(decision.witness, psi.to_density(), phi.to_density())
+        assert tr.multi_outcome_decide(psi, [(1, phi)])
+
+    def test_uniform_source_test_is_scale_free(self):
+        plus, target = PureStateVector(self.PLUS), PureStateVector(self.TARGET)
+        decision = tr.mio_qubit_pure_decide(plus.probs, target.probs)
+        assert decision.verdict
+        tr._verify_witness(decision.witness, plus.to_density(), target.to_density())
+
+
 class TestConversionProbability:
+    def test_certain_exactly_when_majorized(self):
+        """1.0 exactly, not 1 - 1e-16, on every pair where majorizes holds."""
+        for seed in range(2000):
+            d = 2 + seed % 7
+            psi = random_pure(d, seed)
+            phi = PureStateVector(np.sqrt(0.5 * np.sort(psi.probs)[::-1] + 0.5 * np.eye(d)[0]))
+            assert tr.majorizes(schmidt_vector(phi), schmidt_vector(psi))
+            assert tr.max_conversion_probability(psi, phi) == 1.0, seed
+
     def test_majorized_pair_is_certain(self):
         psi, phi = pure([0.5, 0.5]), pure([0.9, 0.1])
         assert tr.max_conversion_probability(psi, phi) == pytest.approx(1.0)
