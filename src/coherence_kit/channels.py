@@ -11,7 +11,11 @@ read only the d^3 slices of its action on matrix units that they constrain.
 ``qubit_mio_to_io`` is the one existence procedure offered, for channels
 with a qubit input and any output dimension: a closed-form PSD test that
 returns either an incoherent representation or an eigenvector certifying that
-none exists.
+none exists. It reads its test matrix off the Choi matrix into one array,
+finds the connected blocks of the coherence support by the boolean transitive
+closure that ``is_sio_special_rep`` also uses, and writes every operator of
+the representation into one stack by fancy indexing, with no loop over
+entries.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .numerics import _EIGH_ERRSTATE, EigenDecomposition, eig_hermitian, trace_norm
+from .numerics import _EIGH_ERRSTATE, _SVD_ERRSTATE, EigenDecomposition, eig_hermitian, trace_norm
 from .states import DensityMatrix, _freeze, complex_from_json, complex_to_json, probability_vector
 
 CPTP_TOL = 1e-9
@@ -50,13 +54,14 @@ class KrausChannel:
     """
 
     def __init__(self, kraus, require_tp: bool = True, atol: float = CPTP_TOL):
+        # a stack is copied as it is, any other iterable of operators stacked;
         # numpy raises ValueError itself on operators of unequal shape
-        stack = np.array([*kraus], dtype=complex)
+        stack = np.array(kraus if isinstance(kraus, np.ndarray) else [*kraus], dtype=complex)
         if stack.shape[0] == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         if stack.ndim != 3:
             raise ValueError("Kraus operators must be matrices")
-        if not np.all(np.isfinite(stack)):
+        if not np.isfinite(stack).all():
             raise ValueError("Kraus operator has non-finite entries")
         stack.setflags(write=False)
         self.kraus = stack
@@ -64,11 +69,11 @@ class KrausChannel:
         self.require_tp = bool(require_tp)
         if require_tp:
             flat = stack.reshape(-1, self.din)
-            defect = flat.conj().T @ flat - np.eye(self.din)
-            if np.max(np.abs(defect)) > atol:
-                raise ValueError(
-                    f"Kraus operators are not trace preserving (defect {np.max(np.abs(defect)):.3e})"
-                )
+            defect = flat.conj().T @ flat
+            defect.flat[:: self.din + 1] -= 1.0
+            worst = np.abs(defect).max()
+            if worst > atol:
+                raise ValueError(f"Kraus operators are not trace preserving (defect {worst:.3e})")
 
     def __len__(self) -> int:
         return len(self.kraus)
@@ -299,13 +304,21 @@ def is_sio_special_rep(ch: KrausChannel, tol: float = PREDICATE_TOL) -> bool:
     hit = rows >= 0
     both = hit[:, :, None] & hit[:, None, :]
     same_row = rows[:, :, None] == rows[:, None, :]
-    linked = (both & same_row).any(axis=0)
-    while True:  # transitive closure by repeated squaring
-        grown = linked @ linked
-        if np.array_equal(grown, linked):
-            break
-        linked = grown
+    linked = _transitive_closure((both & same_row).any(axis=0))
     return not (linked & both & ~same_row).any()
+
+
+def _transitive_closure(linked: np.ndarray) -> np.ndarray:
+    """Transitive closure of a boolean relation, by repeated squaring.
+
+    Every element related to anything must be related to itself (a relation
+    of the form S S^T is), so each squaring keeps the paths found so far.
+    """
+    while True:
+        grown = linked @ linked
+        if np.count_nonzero(grown) == np.count_nonzero(linked):  # grown holds linked
+            return linked
+        linked = grown
 
 
 def _phase_permutation_weights(ch: KrausChannel, tol: float):
@@ -474,69 +487,74 @@ def fit_g_covariant(ch: KrausChannel, tol: float = PREDICATE_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _bipartite_blocks(support: np.ndarray):
-    """Connected components (rows, cols) of the bipartite graph of a boolean matrix."""
-    blocks = []
-    left = support.any(axis=1)
-    while left.any():
-        rows = np.zeros_like(left)
-        rows[np.argmax(left)] = True
-        while True:
-            cols = support[rows].any(axis=0)
-            grown = rows | support[:, cols].any(axis=1)
-            if np.array_equal(grown, rows):
-                break
-            rows = grown
-        left &= ~rows
-        blocks.append((np.nonzero(rows)[0], np.nonzero(cols)[0]))
-    return blocks
+def _qubit_io_rep_from_channel(ch: KrausChannel) -> np.ndarray:
+    """Incoherent Kraus operators reproducing a MIO channel with qubit input,
+    as one (operators, d, 2) stack.
 
+    With a = diag E(|0><0|), b = diag E(|1><1|) and C = E(|0><1|), read off
+    the Choi matrix, an incoherent representation exists iff
+    M = [[diag a, |C|], [|C|^T, diag b]] is PSD; otherwise
+    NoIncoherentRepresentationError carries M's lowest eigenvector. On each
+    connected block of the support of |C|, the Perron singular pair (p, q) of
+    K = diag(a)^-1/2 |C| diag(b)^-1/2 sets the loads X_ij = a_i K_ij q_j / p_i:
+    row i then uses s a_i and column j uses s b_j, where s = ||K|| <= 1, and
+    diagonal operators take up what is left.
 
-def _qubit_io_rep_from_channel(ch: KrausChannel) -> list:
-    """Incoherent Kraus operators reproducing a MIO channel with qubit input.
-
-    With a = diag E(|0><0|), b = diag E(|1><1|) and C = E(|0><1|), an
-    incoherent representation exists iff M = [[diag a, |C|], [|C|^T, diag b]]
-    is PSD; otherwise NoIncoherentRepresentationError carries M's lowest
-    eigenvector. On each connected block of the support of |C|, the Perron
-    singular pair (p, q) of K = diag(a)^-1/2 |C| diag(b)^-1/2 sets the loads
-    X_ij = a_i K_ij q_j / p_i: row i then uses s a_i and column j uses s b_j,
-    where s = ||K|| <= 1, and diagonal operators take up what is left.
+    M is written into one preallocated array. It is factorized, and each
+    block's pair found, by the LAPACK gufuncs behind np.linalg.eigh and
+    np.linalg.svd, so the certificate and the loads have their bits. The
+    blocks are the classes of the transitive closure of "rows share a column
+    of the support". The support entries, ordered by block (its smallest
+    row), then row, then column, each give one operator
+    sqrt(X_ij) |i><0| + conj(C_ij) / sqrt(X_ij) |j><1|, written by fancy
+    indexing, and the slack is reduced in that order. |C_ij|^2 is taken by C
+    ``pow`` (np.float_power), as numpy's scalar ``x ** 2`` takes it; the
+    array ``x ** 2`` is ``x * x``, which differs in the last bit.
     """
-    g = ch.unit_actions()
-    a = np.clip(np.diag(g[:, :, 0, 0]).real, 0.0, None)
-    b = np.clip(np.diag(g[:, :, 1, 1]).real, 0.0, None)
-    cross = g[:, :, 0, 1]
+    d = ch.dout
+    j = _choi_array(ch)
+    ab = np.maximum(j.diagonal().real, 0.0)  # a then b
+    cross = j[:d, d:]
     modulus = np.abs(cross)
-    vals, vecs = np.linalg.eigh(np.block([[np.diag(a), modulus], [modulus.T, np.diag(b)]]))
+    m = np.zeros((2 * d, 2 * d))
+    m.flat[:: 2 * d + 1] = ab
+    m[:d, d:] = modulus
+    m[d:, :d] = modulus.T
+    with np.errstate(**_EIGH_ERRSTATE):
+        vals, vecs = _umath_linalg.eigh_lo(m)
     if vals[0] < -IO_PSD_TOL:
         raise NoIncoherentRepresentationError(
             "this qubit MIO channel has no incoherent Kraus representation",
             certificate=vecs[:, 0],
         )
     support = modulus > 1e-11
-    ops = []
-    slack = np.stack([a, b], axis=1)
-    for rows, cols in _bipartite_blocks(support):
-        k = modulus[np.ix_(rows, cols)] / np.sqrt(np.outer(a[rows], b[cols]))
-        u, _, vh = np.linalg.svd(k)
-        p, q = np.abs(u[:, 0]), np.abs(vh[0])
-        for bi, i in enumerate(rows):
-            for bj, j in enumerate(cols):
-                if not support[i, j]:
-                    continue
-                load = a[i] * k[bi, bj] * q[bj] / p[bi]
-                op = np.zeros((ch.dout, 2), dtype=complex)
-                op[i, 0] = np.sqrt(load)
-                op[j, 1] = cross[i, j].conjugate() / np.sqrt(load)
-                ops.append(op)
-                slack[i, 0] -= load
-                slack[j, 1] -= modulus[i, j] ** 2 / load
-    for i, x in zip(*np.nonzero(slack > 1e-15)):
-        op = np.zeros((ch.dout, 2), dtype=complex)
-        op[i, x] = np.sqrt(slack[i, x])
-        ops.append(op)
-    return ops
+    linked = _transitive_closure(support @ support.T)
+    rows, cols = support.nonzero()
+    heads = linked.argmax(axis=1)[rows]  # each entry's block, named by its first row
+    a, b = ab[:d], ab[d:]
+    p, q = np.zeros(d), np.zeros(d)
+    for first in set(heads.tolist()):
+        in_rows = linked[first].nonzero()[0]
+        in_cols = (linked[first] @ support).nonzero()[0]
+        k = modulus[in_rows[:, None], in_cols] / np.sqrt(a[in_rows][:, None] * b[in_cols])
+        with np.errstate(**_SVD_ERRSTATE):
+            u, _, vh = _umath_linalg.svd_f(k)
+        p[in_rows], q[in_cols] = np.abs(u[:, 0]), np.abs(vh[0])
+    order = heads.argsort(kind="stable")
+    rows, cols = rows[order], cols[order]
+    entries = modulus[rows, cols]
+    load = a[rows] * (entries / np.sqrt(a[rows] * b[cols])) * q[cols] / p[rows]
+    root = np.sqrt(load)
+    slack = ab.reshape(2, d).T.copy()
+    np.subtract.at(slack[:, 0], rows, load)
+    np.subtract.at(slack[:, 1], cols, np.float_power(entries, 2.0) / load)
+    slack_rows, slack_cols = (slack > 1e-15).nonzero()
+    n = rows.size
+    stack = np.zeros((n + slack_rows.size, d, 2), dtype=complex)
+    stack[np.arange(n), rows, 0] = root
+    stack[np.arange(n), cols, 1] = cross[rows, cols].conj() / root
+    stack[np.arange(n, len(stack)), slack_rows, slack_cols] = np.sqrt(slack[slack_rows, slack_cols])
+    return stack
 
 
 def qubit_mio_to_io(ch: KrausChannel) -> KrausChannel:

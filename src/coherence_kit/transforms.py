@@ -288,12 +288,10 @@ def max_conversion_probability(psi: PureStateVector, phi: PureStateVector) -> fl
 
 
 def _mio_target(q) -> np.ndarray:
-    """Validated target probabilities: dimension above 2, all positive, sum 1."""
+    """Validated target probabilities: a ``probability_vector`` of dimension above 2."""
     qv = probability_vector(np.ravel(q), "target probabilities", DISTRIBUTION_SUM_TOL)
     if qv.size <= 2:
         raise ValueError("target dimension must exceed 2 (use qubit_decide instead)")
-    if np.min(qv) <= 1e-15:
-        raise ValueError("all target probabilities must be strictly positive")
     return qv
 
 
@@ -308,7 +306,7 @@ def mio_qubit_pure_construct(p, q) -> KrausChannel:
     sqrt(2 q_y) c_j - sqrt(r_y) delta_{yj}, with c_j = sqrt(s/2) q_j^(1/4) and
     a completing coefficient c_{d'+1} = sqrt(1 - s^2/2). Feasible exactly when
     s <= sqrt(2), tested with a 1e-12 slack; at the boundary the completing
-    operator vanishes.
+    operator vanishes, and so does operator j wherever q_j = 0.
     """
     pv = probability_vector(np.ravel(p), "source probabilities", DISTRIBUTION_SUM_TOL)
     if pv.size != 2:
@@ -338,7 +336,7 @@ def mio_qubit_pure_construct(p, q) -> KrausChannel:
         op[:, 1] = np.sqrt(2.0 * qv) * cj
         if j < d_out:
             op[j, 1] -= np.sqrt(r[j])
-        if j == d_out and c_last < 1e-13:
+        if (j == d_out and c_last < 1e-13) or not op.any():
             continue
         ops.append(op)
     channel = KrausChannel(ops)

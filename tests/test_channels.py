@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from coherence_kit import channels as ch
 from coherence_kit import covariance as cov
+from coherence_kit import harness
 from coherence_kit import numerics
 from coherence_kit.numerics import eig_hermitian
 from coherence_kit.states import (
@@ -389,6 +391,39 @@ def loop_sio_special_rep(c, tol):
     )
 
 
+def union_find_blocks(support):
+    """Connected components of the bipartite graph of a boolean matrix, as a
+    set of (rows, cols) frozensets, by union-find over rows and columns."""
+    n_rows, n_cols = support.shape
+    parent = list(range(n_rows + n_cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in zip(*np.nonzero(support)):
+        parent[find(int(i))] = find(n_rows + int(j))
+    blocks = collections.defaultdict(lambda: (set(), set()))
+    for i, j in zip(*np.nonzero(support)):
+        rows, cols = blocks[find(int(i))]
+        rows.add(int(i))
+        cols.add(int(j))
+    return {(frozenset(rows), frozenset(cols)) for rows, cols in blocks.values()}
+
+
+def closure_blocks(support):
+    """The same components read off ``channels._transitive_closure`` of the
+    row relation "rows share a column"."""
+    linked = ch._transitive_closure(support @ support.T)
+    return {
+        (frozenset(np.flatnonzero(linked[i]).tolist()),
+         frozenset(np.flatnonzero(linked[i] @ support).tolist()))
+        for i in np.flatnonzero(support.any(axis=1))
+    }
+
+
 def loop_partial_permutation_weight(op, tol):
     """(weight, column support) if op = sqrt(w) * phase-permutation on support."""
     rows = loop_column_rows(op, tol)
@@ -532,6 +567,25 @@ class TestArrayPredicatesMatchLoops:
         assert ("mio", True) in seen
 
 
+class TestTransitiveClosure:
+    def test_blocks_match_union_find(self):
+        rng = np.random.default_rng(45)
+        shapes = set()
+        for trial in range(400):
+            n_rows, n_cols = 1 + trial % 8, 1 + (trial // 8) % 8
+            support = rng.random((n_rows, n_cols)) < rng.choice([0.1, 0.25, 0.5])
+            support[rng.random(n_rows) < 0.2] = False  # empty rows
+            support[:, rng.random(n_cols) < 0.2] = False  # empty columns
+            assert closure_blocks(support) == union_find_blocks(support), support
+            shapes.add((n_rows, n_cols))
+        assert len(shapes) == 64
+
+    def test_one_link_per_step_closes(self):
+        # a path 0 - 1 - ... - 7 through shared columns is one block
+        support = np.eye(8, dtype=bool) | np.eye(8, k=1, dtype=bool)
+        assert closure_blocks(support) == {(frozenset(range(8)), frozenset(range(8)))}
+
+
 class TestSioSpecialRep:
     def test_sio_is_special(self):
         rng = np.random.default_rng(10)
@@ -575,6 +629,23 @@ class TestSioSpecialRep:
             c = ch.random_sio_special_channel(4, rng)
             assert ch.is_sio_special_rep(c)
             assert ch.is_io_rep(c)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inclusions_suite_verdicts_match_union_find(self, monkeypatch, seed):
+        # every family channel the inclusions suite samples, tested through
+        # the shared closure and through the union-find loop form
+        sampled = {}
+        in_class = ch.in_class
+
+        def recording(channel, klass, tol=ch.PREDICATE_TOL):
+            sampled[id(channel)] = channel
+            return in_class(channel, klass, tol)
+
+        monkeypatch.setattr(ch, "in_class", recording)
+        assert harness.run_suite("inclusions", 4, seed)["passed"]
+        verdicts = [ch.is_sio_special_rep(c) for c in sampled.values()]
+        assert verdicts == [loop_sio_special_rep(c, ch.PREDICATE_TOL) for c in sampled.values()]
+        assert len(verdicts) == 24 and True in verdicts and False in verdicts
 
 
 class TestPioRep:
@@ -850,13 +921,17 @@ class TestQubitMioToIo:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert v @ m @ v == pytest.approx((1.0 - math.sqrt(2.0)) / 2.0, abs=1e-9)
 
-    def test_reducible_cross_block_canonicalizes_exactly(self):
-        # C = E(|0><1|) = diag(.433, -.433): |C| splits into two blocks, so a
-        # single Perron pair of the whole matrix has zero entries
+    @staticmethod
+    def reducible():
+        """C = E(|0><1|) = diag(.433, -.433): |C| splits into two blocks, so a
+        single Perron pair of the whole matrix has zero entries."""
         k1 = np.array([[math.sqrt(0.5), math.sqrt(0.375)], [0.0, 0.0]])
         k2 = np.array([[0.0, 0.0], [math.sqrt(0.3), -math.sqrt(0.625)]])
         k3 = np.array([[0.0, 0.0], [math.sqrt(0.2), 0.0]])
-        c = ch.KrausChannel([k1, k2, k3])
+        return ch.KrausChannel([k1, k2, k3])
+
+    def test_reducible_cross_block_canonicalizes_exactly(self):
+        c = self.reducible()
         out = ch.qubit_mio_to_io(c)
         assert ch.is_io_rep(out)
         assert ch.choi_distance(c, out) <= 1e-8
@@ -871,18 +946,24 @@ class TestQubitMioToIo:
         cross = np.abs(np.einsum("jy,jw->yw", s[:, :, 0], s[:, :, 1].conj()))
         return np.block([[np.diag(a), cross], [cross.T, np.diag(b)]])
 
+    @staticmethod
+    def widened(seed):
+        """The sampled channel of ``seed`` and its composite with an incoherent
+        isometry V into d = 3-6."""
+        c = ch.sample_mio_qubit_channel(seed)
+        rng = np.random.default_rng(1000 + seed)
+        d = 3 + seed % 4
+        v = np.zeros((d, 2), dtype=complex)
+        v[rng.permutation(d)[:2], [0, 1]] = np.exp(2j * np.pi * rng.random(2))
+        return c, ch.KrausChannel([v @ k for k in c.kraus])
+
     def test_qubit_to_d_channels_keep_the_qubit_verdict(self):
-        # composing with an incoherent isometry V into d = 3-6 keeps the
-        # verdict: V K is incoherent when K is, and V^dag undoes V on any
-        # incoherent representation of the composite
+        # composing with V keeps the verdict: V K is incoherent when K is, and
+        # V^dag undoes V on any incoherent representation of the composite
         verdicts = []
         for seed in range(40):
-            c = ch.sample_mio_qubit_channel(seed)
-            rng = np.random.default_rng(1000 + seed)
-            d = 3 + seed % 4
-            v = np.zeros((d, 2), dtype=complex)
-            v[rng.permutation(d)[:2], [0, 1]] = np.exp(2j * np.pi * rng.random(2))
-            wide = ch.KrausChannel([v @ k for k in c.kraus])
+            c, wide = self.widened(seed)
+            d = wide.dout
             feasible = np.linalg.eigvalsh(self.io_matrix(c))[0] >= -1e-10
             verdicts.append(feasible)
             if feasible:
@@ -896,6 +977,58 @@ class TestQubitMioToIo:
                 w = exc.value.certificate
                 assert w @ self.io_matrix(wide) @ w < -1e-10
         assert any(verdicts) and not all(verdicts)
+
+    def test_verdicts_certificates_and_stacks_are_pinned(self):
+        # the sampled channels of seeds 0-499 and the qubit -> d composites
+        # above: each verdict with its certificate or its rebuilt Kraus stack
+        digest = hashlib.sha256()
+        no_representation = 0
+        channels = [ch.sample_mio_qubit_channel(seed) for seed in range(500)]
+        channels += [self.widened(seed)[1] for seed in range(40)]
+        for index, c in enumerate(channels):
+            try:
+                out = ch.qubit_mio_to_io(c)
+            except ch.NoIncoherentRepresentationError as exc:
+                no_representation += index < 500
+                digest.update(b"none" + exc.certificate.tobytes())
+            else:
+                digest.update(b"rep" + out.kraus.tobytes())
+        assert no_representation == 121
+        assert digest.hexdigest() == (
+            "e63f58a2ba892f326155a4179eec8a94255ae90395dc9bc22fcbbf2b52fe59f5"
+        )
+
+    def test_one_eigh_and_one_svd_per_block(self, monkeypatch):
+        channels = [ch.sample_mio_qubit_channel(seed) for seed in range(20)] + [self.reducible()]
+        calls = collections.Counter()
+        lapack = ch._umath_linalg
+
+        class Counting:
+            def __getattr__(self, name):
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return getattr(lapack, name)(*args, **kwargs)
+
+                return counted
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("np.block called")
+
+        monkeypatch.setattr(ch, "_umath_linalg", Counting())
+        monkeypatch.setattr(np, "block", no_block)
+        seen = set()
+        for c in channels:
+            calls.clear()
+            try:
+                ch.qubit_mio_to_io(c)
+            except ch.NoIncoherentRepresentationError:
+                assert calls == {"eigh_lo": 1}
+                seen.add("none")
+                continue
+            n_blocks = len(union_find_blocks(np.abs(c.unit_actions()[:, :, 0, 1]) > 1e-11))
+            assert calls == {"eigh_lo": 1, "svd_f": n_blocks}
+            seen.add(n_blocks)
+        assert seen == {"none", 1, 2}
 
     def test_qubit_to_qutrit_example_has_no_io_representation(self):
         # no IO map takes |+> to the example's target (8/9, 1/18, 1/18):

@@ -464,6 +464,15 @@ class TestTransform:
         )
         assert code == 4
 
+    def test_mio_pure_target_with_zero_amplitudes(self, files, capsys, tmp_path):
+        # |+> reaches (1, 1, 0, 0)/sqrt2 by the isometry |0><0| + |1><1|
+        z4 = PureStateVector(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0))
+        path = tmp_path / "z4.json"
+        path.write_text(json.dumps(z4.to_json_dict()))
+        code, out = run_cli(capsys, ["transform", files["plus"], str(path), "--class", "mio-pure"])
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
+
     @pytest.mark.parametrize("offset, verdict", [(8.9e-13, True), (1.1e-12, False)])
     def test_mio_pure_at_the_slack(self, files, capsys, tmp_path, offset, verdict):
         # sum sqrt(q) - sqrt(2) = offset, on either side of the 1e-12 slack

@@ -613,9 +613,18 @@ class TestMioQubitPure:
         out = ch.apply(dec.witness, pure([0.5, 0.5]).to_density())
         assert int(np.sum(np.diag(out.mat).real > 1e-9)) == 3
 
-    def test_rejects_zero_entries(self):
-        with pytest.raises(ValueError):
-            tr.mio_qubit_pure_decide([0.5, 0.5], [0.5, 0.5, 0.0])
+    @pytest.mark.parametrize(
+        "q, n_ops",
+        [((0.5, 0.5, 0.0), 2), ((1.0, 0.0, 0.0), 2), ((0.0, 0.9, 0.05, 0.05), 4),
+         ((0.6, 0.4, 0.0, 0.0), 3)],
+    )
+    def test_zero_entries_get_a_verified_witness(self, q, n_ops):
+        # a zero amplitude leaves its operator all zero, and it is dropped;
+        # (1/2, 1/2, 0) sits on the boundary, so its completing operator goes too
+        dec = tr.mio_qubit_pure_decide([0.5, 0.5], q)
+        assert dec.verdict and len(dec.witness) == n_ops
+        assert ch.is_mio(dec.witness)
+        tr._verify_witness(dec.witness, pure([0.5, 0.5]).to_density(), pure(q).to_density())
 
     def test_rejects_low_dimension_target(self):
         with pytest.raises(ValueError):
