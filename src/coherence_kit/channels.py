@@ -49,11 +49,11 @@ class KrausChannel:
     read-only (n, dout, din) array.
 
     By default the operator sum is required to be trace preserving
-    (sum K^dag K = I within CPTP_TOL); pass require_tp=False for plain CP
-    maps such as duals of channels.
+    (sum K^dag K = I within CPTP_TOL, for decider witnesses too); pass
+    require_tp=False for plain CP maps such as duals of channels.
     """
 
-    def __init__(self, kraus, require_tp: bool = True, atol: float = CPTP_TOL):
+    def __init__(self, kraus, require_tp: bool = True):
         # a stack is copied as it is, any other iterable of operators stacked;
         # numpy raises ValueError itself on operators of unequal shape
         stack = np.array(kraus if isinstance(kraus, np.ndarray) else [*kraus], dtype=complex)
@@ -72,7 +72,7 @@ class KrausChannel:
             defect = flat.conj().T @ flat
             defect.flat[:: self.din + 1] -= 1.0
             worst = np.abs(defect).max()
-            if worst > atol:
+            if worst > CPTP_TOL:
                 raise ValueError(f"Kraus operators are not trace preserving (defect {worst:.3e})")
 
     def __len__(self) -> int:
@@ -96,25 +96,24 @@ class KrausChannel:
 class ChoiMatrix:
     """Choi matrix J = sum_{jk} |j><k| (x) E(|j><k|) of a CPTP map.
 
-    ``spectrum`` is the read-only eigendecomposition that validated complete
-    positivity, kept so that ``channel_from_choi`` need not factorize J
-    again. ``mat`` is stored exactly Hermitian, so ``eig_hermitian(mat)``
-    returns the same bits.
+    ``eig_hermitian`` checks J Hermitian; PSD and the partial trace are
+    checked within CPTP_TOL. ``spectrum`` is the read-only eigendecomposition
+    that validated complete positivity, kept so that ``channel_from_choi``
+    need not factorize J again. ``mat`` is stored exactly Hermitian, so
+    ``eig_hermitian(mat)`` returns the same bits.
     """
 
-    def __init__(self, mat, din: int, dout: int, atol: float = CPTP_TOL):
+    def __init__(self, mat, din: int, dout: int):
         m = np.asarray(mat, dtype=complex)
         if m.shape != (din * dout, din * dout):
             raise ValueError(f"Choi matrix shape {m.shape} does not match ({din*dout},)*2")
-        if np.linalg.norm(m - m.conj().T) > atol * max(1.0, np.linalg.norm(m)):
-            raise ValueError("Choi matrix is not Hermitian")
-        m = (m + m.conj().T) / 2.0
         dec = eig_hermitian(m)
-        if dec.eigenvalues[0] < -atol:
+        if dec.eigenvalues[0] < -CPTP_TOL:
             raise ValueError("Choi matrix is not PSD: the map is not completely positive")
+        m = (m + m.conj().T) / 2.0
         blocks = m.reshape(din, dout, din, dout)
         reduced = np.einsum("xyzy->xz", blocks)
-        if np.max(np.abs(reduced - np.eye(din))) > atol:
+        if np.max(np.abs(reduced - np.eye(din))) > CPTP_TOL:
             raise ValueError("partial trace over the output is not the identity")
         self.mat = _freeze(m)
         self.spectrum = EigenDecomposition(_freeze(dec.eigenvalues), _freeze(dec.eigenvectors))
@@ -487,12 +486,12 @@ def fit_g_covariant(ch: KrausChannel, tol: float = PREDICATE_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _qubit_io_rep_from_channel(ch: KrausChannel) -> np.ndarray:
+def _qubit_io_rep_from_choi(j: np.ndarray) -> np.ndarray:
     """Incoherent Kraus operators reproducing a MIO channel with qubit input,
-    as one (operators, d, 2) stack.
+    as one (operators, d, 2) stack, from its Choi array j (``_choi_array``).
 
     With a = diag E(|0><0|), b = diag E(|1><1|) and C = E(|0><1|), read off
-    the Choi matrix, an incoherent representation exists iff
+    j, an incoherent representation exists iff
     M = [[diag a, |C|], [|C|^T, diag b]] is PSD; otherwise
     NoIncoherentRepresentationError carries M's lowest eigenvector. On each
     connected block of the support of |C|, the Perron singular pair (p, q) of
@@ -511,8 +510,7 @@ def _qubit_io_rep_from_channel(ch: KrausChannel) -> np.ndarray:
     ``pow`` (np.float_power), as numpy's scalar ``x ** 2`` takes it; the
     array ``x ** 2`` is ``x * x``, which differs in the last bit.
     """
-    d = ch.dout
-    j = _choi_array(ch)
+    d = j.shape[0] // 2
     ab = np.maximum(j.diagonal().real, 0.0)  # a then b
     cross = j[:d, d:]
     modulus = np.abs(cross)
@@ -568,13 +566,15 @@ def qubit_mio_to_io(ch: KrausChannel) -> KrausChannel:
     it does, the operators are built from Perron singular pairs and the
     rebuilt channel is checked against the original. When it does not, raises
     NoIncoherentRepresentationError whose ``certificate`` v has v^T M v < 0.
+    The test and the round-trip check read one Choi array.
     """
     if ch.din != 2:
         raise ValueError("canonicalization is defined for qubit-input channels only")
     if not is_mio(ch):
         raise ValueError("channel is not MIO")
-    candidate = KrausChannel(_qubit_io_rep_from_channel(ch))
-    if not is_io_rep(candidate) or choi_distance(ch, candidate) > CHOI_ROUNDTRIP_TOL:
+    j = _choi_array(ch)
+    candidate = KrausChannel(_qubit_io_rep_from_choi(j))
+    if not is_io_rep(candidate) or np.linalg.norm(j - _choi_array(candidate)) > CHOI_ROUNDTRIP_TOL:
         raise ArithmeticError("incoherent rebuild failed to reproduce the channel")
     return candidate
 

@@ -3,7 +3,8 @@
 A channel commuting with every diagonal unitary has only two kinds of Kraus
 operators: diagonal matrices and single-entry hops |x><x'|. Whether one state
 can reach another under such channels reduces to positivity of a ratio matrix
-built from the two states, and a feasible instance yields an explicit channel.
+built from the two states, and a feasible instance yields an explicit channel,
+one stack of diagonal and hop operators checked by ``transforms._witness``.
 Membership of a given channel is read off its action on matrix units in one
 masked reduction (``is_n_covariant``).
 """
@@ -17,7 +18,7 @@ import numpy as np
 from .channels import KrausChannel
 from .numerics import EigenDecomposition, eig_hermitian
 from .states import DISTRIBUTION_SUM_TOL, DensityMatrix, complex_to_json, probability_vector
-from .transforms import InfeasibleTransformError, TransformDecision, _decide, _verify_witness
+from .transforms import InfeasibleTransformError, TransformDecision, _decide, _witness
 
 PSD_TOL = 1e-9
 
@@ -121,11 +122,7 @@ def _northwest_corner(supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
             i += 1
         if s_rem[j] <= 1e-15:
             j += 1
-    c = np.zeros_like(amounts)
-    for j in range(cols):
-        if supply[j] > 1e-15:
-            c[:, j] = amounts[:, j] / supply[j]
-    return c
+    return np.divide(amounts, supply, out=np.zeros_like(amounts), where=supply > 1e-15)
 
 
 def n_covariant_spec(rho: DensityMatrix, sigma: DensityMatrix) -> NCovariantSpec:
@@ -174,47 +171,49 @@ def n_covariant_spec(rho: DensityMatrix, sigma: DensityMatrix) -> NCovariantSpec
 
     rho_d = np.diag(rho.mat).real
     sig_d = np.diag(sigma.mat).real
-    up = [x for x in range(d) if sig_d[x] >= rho_d[x] - 1e-15]
-    down = [x for x in range(d) if x not in up]
-    r_mat = np.zeros((d, d))
-    for x in up:
-        r_mat[x, x] = 1.0
-    if down:
-        demand = np.array([sig_d[x] - rho_d[x] for x in up])
-        supply = np.array([rho_d[x] - sig_d[x] for x in down])
-        c = _northwest_corner(supply, demand)
-        for jj, x_col in enumerate(down):
-            ratio = sig_d[x_col] / rho_d[x_col]
-            r_mat[x_col, x_col] = ratio
-            for ii, x_row in enumerate(up):
-                r_mat[x_row, x_col] = c[ii, jj] * (1.0 - ratio)
+    gains = sig_d >= rho_d - 1e-15
+    up, down = np.flatnonzero(gains), np.flatnonzero(~gains)
+    ratio = sig_d[down] / rho_d[down]
+    r_mat = np.diag(gains.astype(float))
+    r_mat[down, down] = ratio
+    if down.size:
+        c = _northwest_corner(rho_d[down] - sig_d[down], sig_d[up] - rho_d[up])
+        r_mat[np.ix_(up, down)] = c * (1.0 - ratio)
     return NCovariantSpec._from_factorized(q, r_mat, dec)
 
 
-def channel_from_n_spec(spec: NCovariantSpec) -> KrausChannel:
-    """Kraus operators (diagonals plus hops) realizing a Gram/transfer pair."""
+def _n_spec_operators(spec: NCovariantSpec) -> np.ndarray:
+    """Kraus stack realizing a Gram/transfer pair: a diagonal per eigenvalue
+    of H above 1e-14, then hops per R[x, x'] above 1e-15, column by column."""
     d = spec.h.shape[0]
     dec = spec.spectrum
     vals = np.clip(dec.eigenvalues, 0.0, None)
     # F[k, x] = sqrt(lam_k) V[x, k] makes sum_k F[k,x] conj(F[k,z]) = H[x,z]
     factor = (np.sqrt(vals)[:, None]) * dec.eigenvectors.T
-    ops = [np.diag(factor[j]).astype(complex) for j in range(d) if vals[j] > 1e-14]
-    for x_col in range(d):
-        for x_row in range(d):
-            if x_row != x_col and spec.r[x_row, x_col] > 1e-15:
-                hop = np.zeros((d, d), dtype=complex)
-                hop[x_row, x_col] = np.sqrt(spec.r[x_row, x_col])
-                ops.append(hop)
-    return KrausChannel(ops, atol=1e-8)
+    hop_cols, hop_rows = np.nonzero((spec.r.T > 1e-15) & ~np.eye(d, dtype=bool))
+    diagonals = factor[vals > 1e-14]
+    n = len(diagonals)
+    x = np.arange(d)
+    ops = np.zeros((n + hop_rows.size, d, d), dtype=complex)
+    ops[:n, x, x] = diagonals
+    ops[n + np.arange(hop_rows.size), hop_rows, hop_cols] = np.sqrt(spec.r[hop_rows, hop_cols])
+    return ops
+
+
+def channel_from_n_spec(spec: NCovariantSpec) -> KrausChannel:
+    """Kraus operators (diagonals plus hops) realizing a Gram/transfer pair."""
+    return KrausChannel(_n_spec_operators(spec))
 
 
 def n_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
     """Diagonal-unitary-covariant channel mapping rho to sigma."""
-    channel = channel_from_n_spec(n_covariant_spec(rho, sigma))
-    if not is_n_covariant(channel, tol=1e-7):
-        raise ArithmeticError("constructed channel lost diagonal-unitary covariance")
-    _verify_witness(channel, rho, sigma)
-    return channel
+    return _witness(
+        _n_spec_operators(n_covariant_spec(rho, sigma)),
+        lambda c: is_n_covariant(c, tol=1e-7),
+        "diagonal-unitary covariance",
+        rho,
+        sigma,
+    )
 
 
 def random_n_covariant_channel(d: int, rng: np.random.Generator | int) -> KrausChannel:

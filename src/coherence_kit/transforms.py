@@ -7,8 +7,9 @@ higher-rank pure qudit by maximally incoherent operations exactly on the
 `sum sqrt(q) <= sqrt(2)` region; and a pure state converts under physically
 incoherent operations exactly when its support splits into blocks whose
 moduli are proportional to the target's. Every positive verdict carries a
-Kraus witness which is re-verified (CPTP, class membership, output match)
-before it is returned.
+Kraus witness. Each construction writes its operators as one stack, and
+``_witness`` alone builds and checks it: CPTP within ``CPTP_TOL``, the
+construction's class test, and the output match (``_verify_witness``).
 
 Each class's feasibility inequality is tested in one place, its construction,
 which raises ``InfeasibleTransformError`` carrying the violation record. Every
@@ -120,6 +121,17 @@ def _verify_witness(channel: KrausChannel, source: DensityMatrix, target: Densit
         raise ArithmeticError(f"witness output misses the target by {dist:.3e}")
 
 
+def _witness(ops, member, lost: str, source: DensityMatrix, target: DensityMatrix):
+    """The channel of the stack ``ops``: TP within CPTP_TOL (else ValueError),
+    passing ``member`` (else ArithmeticError naming what was ``lost``) and
+    taking source to target (``_verify_witness``)."""
+    channel = KrausChannel(ops)
+    if not member(channel):
+        raise ArithmeticError(f"constructed witness lost {lost}")
+    _verify_witness(channel, source, target)
+    return channel
+
+
 def _sorting_gauge(amps: np.ndarray) -> tuple:
     """Incoherent unitary g with (g @ amps) real, nonnegative, descending."""
     order = np.argsort(-np.abs(amps), kind="stable")
@@ -182,11 +194,13 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
         fold[np.arange(1, fold.shape[0]), 0, np.arange(d_out, d_in)] = 1.0
         ops = (fold[:, None] @ ops[None]).reshape(-1, d_out, d_in)
         ops = ops[np.any(ops != 0.0, axis=(1, 2))]
-    channel = KrausChannel(ops, atol=WITNESS_TOL)
-    if not _single_entried(ops, PREDICATE_TOL):
-        raise ArithmeticError("constructed operators lost strict incoherence")
-    _verify_witness(channel, psi.to_density(), phi.to_density())
-    return channel
+    return _witness(
+        ops,
+        lambda c: _single_entried(c.kraus, PREDICATE_TOL),
+        "strict incoherence",
+        psi.to_density(),
+        phi.to_density(),
+    )
 
 
 def _permutohedron_walk(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -300,22 +314,24 @@ def mio_qubit_pure_construct(p, q) -> KrausChannel:
     to the pure qudit sum_y sqrt(q_y) |y>.
 
     The source must be |+>: p uniform, |p_0 - p_1| <= 2e-12 whatever the
-    scale of p. Both vectors are validated before either test. Uses d'+1
-    operators built from r_y = sqrt(q_y)/s with s = sum sqrt(q): column 0 of
-    operator j holds sqrt(r_j) e_j, column 1 holds
-    sqrt(2 q_y) c_j - sqrt(r_y) delta_{yj}, with c_j = sqrt(s/2) q_j^(1/4) and
-    a completing coefficient c_{d'+1} = sqrt(1 - s^2/2). Feasible exactly when
-    s <= sqrt(2), tested with a 1e-12 slack; at the boundary the completing
-    operator vanishes, and so does operator j wherever q_j = 0.
+    scale of p, and a refusal reports that inequality. Both vectors are
+    validated before either test. Uses a stack of d'+1 operators built from
+    r_y = sqrt(q_y)/s with s = sum sqrt(q): column 0 of operator j holds
+    sqrt(r_j) e_j, column 1 holds sqrt(2 q_y) c_j - sqrt(r_y) delta_{yj}, with
+    c_j = sqrt(s/2) q_j^(1/4) and a completing coefficient
+    c_{d'+1} = sqrt(1 - s^2/2). Feasible exactly when s <= sqrt(2), tested
+    with a 1e-12 slack; at the boundary the completing operator vanishes (it
+    is dropped below 1e-13), and so does operator j wherever q_j = 0.
     """
     pv = probability_vector(np.ravel(p), "source probabilities", DISTRIBUTION_SUM_TOL)
     if pv.size != 2:
         raise ValueError("source must be a qubit probability vector")
     qv = _mio_target(q)
-    if abs(pv[0] - pv[1]) > 2e-12:
+    spread = float(abs(pv[0] - pv[1]))
+    if spread > 2e-12:
         raise InfeasibleTransformError(
             f"source population {pv[0]:.6f} is not uniform",
-            {"monotone": "uniform_source", "lhs": float(pv[0]), "rhs": 0.5},
+            {"monotone": "uniform_source", "lhs": spread, "rhs": 2e-12},
         )
     s = float(np.sum(np.sqrt(qv)))
     if s > math.sqrt(2.0) + 1e-12:
@@ -324,28 +340,21 @@ def mio_qubit_pure_construct(p, q) -> KrausChannel:
             {"monotone": "sqrt_sum", "lhs": s, "rhs": math.sqrt(2.0)},
         )
     d_out = qv.size
-    r = np.sqrt(qv) / s
-    c = np.sqrt(s / 2.0) * qv**0.25
+    root_r = np.sqrt(np.sqrt(qv) / s)
     c_last = math.sqrt(max(1.0 - s * s / 2.0, 0.0))
-    ops = []
-    for j in range(d_out + 1):
-        cj = c[j] if j < d_out else c_last
-        op = np.zeros((d_out, 2), dtype=complex)
-        if j < d_out:
-            op[j, 0] = np.sqrt(r[j])
-        op[:, 1] = np.sqrt(2.0 * qv) * cj
-        if j < d_out:
-            op[j, 1] -= np.sqrt(r[j])
-        if (j == d_out and c_last < 1e-13) or not op.any():
-            continue
-        ops.append(op)
-    channel = KrausChannel(ops)
-    if not is_mio(channel):
-        raise ArithmeticError("constructed channel lost the incoherence property")
+    c = np.append(np.sqrt(s / 2.0) * qv**0.25, c_last)
+    y = np.arange(d_out)
+    ops = np.zeros((d_out + 1, d_out, 2), dtype=complex)
+    ops[y, y, 0] = root_r
+    ops[:, :, 1] = np.sqrt(2.0 * qv) * c[:, None]
+    ops[y, y, 1] -= root_r
+    keep = ops.any(axis=(1, 2))
+    keep[d_out] &= c_last >= 1e-13
     plus = PureStateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
     target = PureStateVector(np.sqrt(qv / qv.sum()).astype(complex))
-    _verify_witness(channel, plus.to_density(), target.to_density())
-    return channel
+    return _witness(
+        ops[keep], is_mio, "the incoherence property", plus.to_density(), target.to_density()
+    )
 
 
 def mio_qubit_pure_decide(p, q) -> TransformDecision:
@@ -375,10 +384,10 @@ def _qubit_peak_offdiagonal(p: float, q: float, r: float) -> float:
     return r
 
 
-def _qubit_stage_one(p: float, q: float):
-    """Diagonal/antidiagonal pair {J, K} moving (p, r) to (q, r_peak)."""
+def _qubit_stage_one(p: float, q: float) -> np.ndarray:
+    """Diagonal/antidiagonal stack {J, K} moving (p, r) to (q, r_peak)."""
     if abs(p - q) < 1e-14:
-        return [np.eye(2, dtype=complex)]
+        return np.eye(2, dtype=complex)[None]
     if p >= q:
         u = v = (p + q - 1.0) / (2.0 * p - 1.0)
     else:
@@ -390,8 +399,8 @@ def _qubit_stage_one(p: float, q: float):
     j_op = np.diag([math.sqrt(u), math.sqrt(v)]).astype(complex)
     k_op = np.array([[0.0, math.sqrt(1.0 - v)], [math.sqrt(1.0 - u), 0.0]], dtype=complex)
     if np.max(np.abs(k_op)) < 1e-13:
-        return [j_op]
-    return [j_op, k_op]
+        return j_op[None]
+    return np.stack([j_op, k_op])
 
 
 def qubit_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
@@ -423,21 +432,14 @@ def qubit_construct(rho: DensityMatrix, sigma: DensityMatrix) -> KrausChannel:
                 {"monotone": monotone, "lhs": lhs, "rhs": rhs},
             )
 
-    stage_one = _qubit_stage_one(p, q)
-    if t >= t_peak - 1e-12:
-        ops = stage_one
-    else:
+    ops = _qubit_stage_one(p, q)
+    if t < t_peak - 1e-12:
         theta = 0.5 * math.asin(t / t_peak)
-        d1 = np.diag([math.cos(theta), math.sin(theta)]).astype(complex)
-        d2 = np.diag([math.sin(theta), math.cos(theta)]).astype(complex)
-        ops = [dd @ op for dd in (d1, d2) for op in stage_one]
-
-    gauged = [sf_out.gauge.conj().T @ op @ sf_in.gauge for op in ops]
-    channel = KrausChannel(gauged, atol=WITNESS_TOL)
-    if not is_sio_rep(channel):
-        raise ArithmeticError("constructed operators lost strict incoherence")
-    _verify_witness(channel, rho, sigma)
-    return channel
+        cos, sin = math.cos(theta), math.sin(theta)
+        dephasing = np.array([np.diag([cos, sin]), np.diag([sin, cos])], dtype=complex)
+        ops = (dephasing[:, None] @ ops[None]).reshape(-1, 2, 2)
+    gauged = sf_out.gauge.conj().T @ ops @ sf_in.gauge
+    return _witness(gauged, is_sio_rep, "strict incoherence", rho, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -479,24 +481,25 @@ def pio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     operator's column support is one block; the identity on the complement of
     psi's support closes the sum rule. The witness is checked at every d to be
     one PIO group: unit-modulus phase partial permutations whose supports
-    partition the basis.
+    partition the basis. Moduli are taken by np.hypot, which rounds as abs()
+    of one entry does; np.abs of a complex array can differ in the last bit.
     """
     if psi.dim != phi.dim:
         raise ValueError("decision expects equal dimensions")
     d = psi.dim
-    supp_in = [x for x in range(d) if abs(psi.amps[x]) > 1e-12]
-    supp_out = [y for y in range(d) if abs(phi.amps[y]) > 1e-12]
-    n = len(supp_out)
-    if n == 0 or len(supp_in) % n != 0:
+    mod_in = np.hypot(psi.amps.real, psi.amps.imag)
+    mod_out = np.hypot(phi.amps.real, phi.amps.imag)
+    supp_in = np.flatnonzero(mod_in > 1e-12)
+    supp_out = np.flatnonzero(mod_out > 1e-12)
+    n = supp_out.size
+    if n == 0 or supp_in.size % n != 0:
         reason = "support sizes incompatible"
-        raise InfeasibleTransformError(
-            reason, {"reason": reason, "source_support": supp_in, "target_support": supp_out}
-        )
-    profile = sorted((abs(phi.amps[y]) for y in supp_out), reverse=True)
-    values = sorted(
-        ((x, abs(psi.amps[x])) for x in supp_in), key=lambda iv: -iv[1]
-    )
-    blocks, unmatched = _match_blocks(values, profile)
+        supports = {"source_support": supp_in.tolist(), "target_support": supp_out.tolist()}
+        raise InfeasibleTransformError(reason, {"reason": reason, **supports})
+    out_sorted = supp_out[np.argsort(-mod_out[supp_out], kind="stable")]
+    profile = mod_out[out_sorted].tolist()
+    in_sorted = supp_in[np.argsort(-mod_in[supp_in], kind="stable")]
+    blocks, unmatched = _match_blocks(zip(in_sorted.tolist(), mod_in[in_sorted].tolist()), profile)
     if blocks is None:
         top, missing = unmatched
         reason = "no proportional block partition"
@@ -504,29 +507,24 @@ def pio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
             reason, {"reason": reason, "profile": profile, "top": top, "missing": missing}
         )
 
-    out_sorted = sorted(supp_out, key=lambda y: -abs(phi.amps[y]))
-    ops = []
-    for block in blocks:
-        op = np.zeros((d, d), dtype=complex)
-        scale = abs(psi.amps[block[0]]) / abs(phi.amps[out_sorted[0]])
-        for y, x in zip(out_sorted, block):
-            phase = (psi.amps[x] / (scale * phi.amps[y])).conjugate()
-            op[y, x] = phase / abs(phase)
-        ops.append(op)
-    complement = [x for x in range(d) if x not in supp_in]
-    if complement:
-        op = np.zeros((d, d), dtype=complex)
-        for x in complement:
-            op[x, x] = 1.0
-        ops.append(op)
-    channel = KrausChannel(ops, atol=WITNESS_TOL)
-    # One PIO group: unit-modulus phase partial permutations. KrausChannel's
-    # trace check then makes their supports partition the basis.
+    blocks = np.array(blocks)
+    scale = mod_in[blocks[:, :1]] / mod_out[out_sorted[0]]
+    phase = (psi.amps[blocks] / (scale * phi.amps[out_sorted])).conj()
+    complement = np.flatnonzero(mod_in <= 1e-12)
+    m = len(blocks)
+    ops = np.zeros((m + (complement.size > 0), d, d), dtype=complex)
+    ops[np.arange(m)[:, None], out_sorted, blocks] = phase / np.hypot(phase.real, phase.imag)
+    ops[m:, complement, complement] = 1.0
+    return _witness(
+        ops, _one_projective_group, "the projective form", psi.to_density(), phi.to_density()
+    )
+
+
+def _one_projective_group(channel: KrausChannel) -> bool:
+    """Unit-modulus phase partial permutations: one PIO group, as the trace
+    check has made their supports partition the basis."""
     group = _phase_permutation_weights(channel, PREDICATE_TOL)
-    if group is None or np.max(np.abs(group[0] - 1.0)) > 1e-8:
-        raise ArithmeticError("constructed witness lost the projective form")
-    _verify_witness(channel, psi.to_density(), phi.to_density())
-    return channel
+    return group is not None and np.max(np.abs(group[0] - 1.0)) <= 1e-8
 
 
 def pio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDecision:

@@ -9,7 +9,7 @@ from coherence_kit import channels as ch
 from coherence_kit import covariance as cov
 from coherence_kit import harness
 from coherence_kit import numerics
-from coherence_kit.numerics import eig_hermitian
+from coherence_kit.numerics import HERMITIAN_TOL, eig_hermitian
 from coherence_kit.states import (
     DensityMatrix,
     PureStateVector,
@@ -137,6 +137,17 @@ class TestChoi:
         j[0, 0] = -0.5
         with pytest.raises(ValueError):
             ch.ChoiMatrix(j, 2, 2)
+
+    def test_hermiticity_is_checked_at_hermitian_tol(self):
+        # eig_hermitian's one check: a skew part of Frobenius norm above
+        # HERMITIAN_TOL times max(1, ||J||) is refused
+        j = ch.choi(ch.random_channel(2, 2, 3, 4)).mat
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1], skew[1, 0] = 1.0, -1.0
+        scale = max(1.0, np.linalg.norm(j)) / np.linalg.norm(skew)
+        ch.ChoiMatrix(j + 0.5 * HERMITIAN_TOL * scale * skew, 2, 2)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ch.ChoiMatrix(j + 2.0 * HERMITIAN_TOL * scale * skew, 2, 2)
 
     def test_keeps_the_validating_spectrum(self):
         j = ch.choi(ch.random_channel(3, 2, 4, 8))

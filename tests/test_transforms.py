@@ -204,13 +204,14 @@ class TestDecideOnce:
         assert tr.mio_qubit_pure_decide(p, q).violation["monotone"] == "uniform_source"
 
     def test_mio_non_uniform_source_over_any_target(self):
-        # the source is tested before the target's sqrt(2) inequality
+        # the source is tested before the target's sqrt(2) inequality, and
+        # its record is the inequality tested: |p_0 - p_1| <= 2e-12
         for q in ([0.9, 0.05, 0.05], [0.5, 0.25, 0.25]):
             assert not decides_once(
                 tr.mio_qubit_pure_decide, tr.mio_qubit_pure_construct, [0.6, 0.4], q
             )
             violation = tr.mio_qubit_pure_decide([0.6, 0.4], q).violation
-            assert violation == {"monotone": "uniform_source", "lhs": 0.6, "rhs": 0.5}
+            assert violation == {"monotone": "uniform_source", "lhs": 0.6 - 0.4, "rhs": 2e-12}
 
     def test_pio_random_pairs(self):
         # by thirds: block-proportional pairs (feasible), random moduli on
@@ -597,6 +598,13 @@ class TestMioQubitPure:
         assert not dec.verdict
         assert dec.violation["monotone"] == "uniform_source"
 
+    def test_uniform_source_record_shows_the_violation(self):
+        # the record is |p_0 - p_1| against 2e-12, the inequality tested
+        violation = tr.mio_qubit_pure_decide([0.5, 0.5 + 5e-10], [0.9, 0.05, 0.05]).violation
+        assert violation["monotone"] == "uniform_source"
+        assert violation["lhs"] == pytest.approx(5e-10)
+        assert violation["rhs"] == 2e-12 < violation["lhs"]
+
     def test_construct_rejects_over_boundary(self):
         with pytest.raises(ValueError):
             tr.mio_qubit_pure_construct([0.5, 0.5], np.ones(3) / 3.0)
@@ -811,7 +819,7 @@ class TestPioPure:
             half = np.asarray(ops[0]) / math.sqrt(2.0)
             return make_channel([half, half, *ops[1:]], **kwargs)
 
-        split = split_first(list(dec.witness.kraus), atol=tr.WITNESS_TOL)
+        split = split_first(list(dec.witness.kraus))
         tr._verify_witness(split, psi.to_density(), phi.to_density())
         monkeypatch.setattr(tr, "KrausChannel", split_first)
         with pytest.raises(ArithmeticError, match="projective form"):
