@@ -128,13 +128,14 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def _operator_sum(ch: KrausChannel, rho: DensityMatrix) -> np.ndarray:
     """The unvalidated matrix of ``apply(ch, rho)``: sum_j K_j rho K_j^dag,
-    symmetrized and scaled to unit trace."""
+    symmetrized and, for a channel built with require_tp, scaled to unit
+    trace. A map that is not trace preserving keeps the trace it gives."""
     if rho.dim != ch.din:
         raise ValueError(f"state dim {rho.dim} does not match channel input dim {ch.din}")
     s = ch.kraus
     out = np.sum(s @ rho.mat @ s.conj().transpose(0, 2, 1), axis=0)
     out = (out + out.conj().T) / 2.0
-    return out / np.trace(out).real
+    return out / np.trace(out).real if ch.require_tp else out
 
 
 def _choi_array(ch: KrausChannel) -> np.ndarray:

@@ -16,29 +16,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel
-from .numerics import EigenDecomposition, eig_hermitian
-from .states import DISTRIBUTION_SUM_TOL, DensityMatrix, complex_to_json, probability_vector
+from .numerics import EigenDecomposition, _ExactEquality, eig_hermitian
+from .states import DISTRIBUTION_SUM_TOL, DensityMatrix, _freeze, complex_to_json
+from .states import probability_vector
 from .transforms import InfeasibleTransformError, TransformDecision, _decide, _witness
 
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NQMatrix:
+@dataclass(frozen=True, eq=False)
+class NQMatrix(_ExactEquality):
     """Hermitian ratio matrix with q_xx = min(sigma_xx/rho_xx, 1), q_xx' = sigma_xx'/rho_xx'."""
 
     q: np.ndarray
 
 
-@dataclass(frozen=True)
-class NCovariantSpec:
+@dataclass(frozen=True, eq=False)
+class NCovariantSpec(_ExactEquality):
     """Gram matrix H of diagonal-operator columns plus a column-stochastic R.
 
     R's columns are ``probability_vector``s and its diagonal equals H's;
-    off-diagonal entries of R are the squared hop amplitudes. ``spectrum`` is
-    the eigendecomposition of H that checked it PSD, kept for the
-    factorization in ``channel_from_n_spec``; it takes no part in equality or
-    the repr.
+    off-diagonal entries of R are the squared hop amplitudes. ``h`` and ``r``
+    are stored as read-only copies. ``spectrum`` is the eigendecomposition of
+    H that checked it PSD, kept for the factorization in
+    ``channel_from_n_spec``; it takes no part in equality or the repr.
     """
 
     h: np.ndarray
@@ -46,25 +47,28 @@ class NCovariantSpec:
     spectrum: EigenDecomposition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self._validate(eig_hermitian(self.h))
+        self._store(self.h, self.r, eig_hermitian(self.h))
 
     @classmethod
     def _from_factorized(cls, h: np.ndarray, r: np.ndarray, dec: EigenDecomposition):
         """The spec for an H the caller has just factorized into ``dec``."""
         spec = object.__new__(cls)
-        object.__setattr__(spec, "h", h)
-        object.__setattr__(spec, "r", r)
-        spec._validate(dec)
+        spec._store(h, r, dec)
         return spec
 
-    def _validate(self, dec: EigenDecomposition):
-        h, r = np.asarray(self.h), np.asarray(self.r)
+    def _store(self, h, r, dec: EigenDecomposition):
+        """Check h and r, with dec the eigendecomposition of h, and keep
+        read-only copies of both and dec."""
+        h, r = np.array(h), np.array(r)
         if dec.eigenvalues[0] < -PSD_TOL:
             raise ValueError("Gram matrix must be PSD")
-        object.__setattr__(self, "spectrum", dec)
         probability_vector(r.T, "transfer matrix columns", DISTRIBUTION_SUM_TOL)
         if np.max(np.abs(np.diag(r) - np.diag(h).real)) > 1e-10:
             raise ValueError("transfer diagonal must match the Gram diagonal")
+        object.__setattr__(self, "h", _freeze(h))
+        object.__setattr__(self, "r", _freeze(r))
+        spectrum = EigenDecomposition(_freeze(dec.eigenvalues), _freeze(dec.eigenvectors))
+        object.__setattr__(self, "spectrum", spectrum)
 
 
 def n_q_matrix(rho: DensityMatrix, sigma: DensityMatrix) -> NQMatrix:

@@ -4,13 +4,13 @@ The class suites list each sampled channel family once, with its smallest
 class: the inclusions suite tests every class ``channels.class_chain`` gives
 for it, and the monotonicity suite every monotone of those classes.
 
-The monotonicity suite first builds every sample's channels and their input
-and output states, then measures all the states at once. A sample's three
-input states are validated as one stack per dimension, and so are its three
-output states (``states._density_stack``: one ``eig_hermitian`` call per
-stack, each state with the bits ``DensityMatrix`` gives it alone); the qubit
-MIO channel's Choi matrix is factorized with full checks once, and its Kraus
-operators are read off that factorization. C_R solves each dimension's
+The monotonicity suite takes each step once for the whole run: it samples
+every channel and input matrix, validates the inputs, applies the channels,
+validates the outputs, and measures every state. Each validation is one
+stack per dimension (``states._density_stack``: one ``eig_hermitian`` call
+per stack, each state with the bits ``DensityMatrix`` gives it alone); the
+qubit MIO channel's Choi matrix is factorized with full checks once, and its
+Kraus operators are read off that factorization. C_R solves each dimension's
 states as one batch of the barrier kernel (``monotones.c_r_many``), and each
 spectral monotone is one stacked call per dimension over the states that
 need it (the ``monotones.*_values`` kernels); the other suites evaluate one
@@ -29,8 +29,7 @@ import numpy as np
 
 from . import channels as ch
 from . import monotones as mo
-from .monotones import _per_dimension
-from .states import _density_stack, _ginibre
+from .states import _density_stack, _ginibre, _per_dimension
 
 MONOTONE_SLACK = 1e-7
 ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 1.0, 1.3, 1.7, 2.0)
@@ -46,82 +45,86 @@ _C_ALPHA = tuple(f"c_alpha[{a:g}]" for a in ALPHA_GRID)
 _C_DELTA_ALPHA = tuple(f"c_delta_alpha[{a:g}]" for a in ALPHA_GRID)
 
 
+def _dio_measures(states):
+    """(c_alpha grid, c_delta_alpha grid, trace-norm coherence, c_delta_r) of
+    each of states of one dimension, the grids from one product."""
+    c_alphas, c_deltas = mo.renyi_grid_values(states, ALPHA_GRID)
+    trace_norms = mo.trace_norm_coherence_values(states)
+    return zip(c_alphas, c_deltas, trace_norms, mo.c_delta_r_values(states)[0])
+
+
 def _measure_states(cases) -> list:
     """The monotones of each (class, state) case, for its class and every
     class containing it: MIO's (every class is an MIO class), then DIO's,
     then IO's. Each measure is one stacked call per dimension over the states
-    that need it; a state in a DIO class reads both Renyi grids from one
-    product (``renyi_grid_values``), and C_R is one ``c_r_many`` call over
-    all the states, which solves each dimension's barrier states as one
-    batch."""
+    that need it, and a state in a DIO class reads all of DIO's from one
+    call (``_dio_measures``); C_R is one ``c_r_many`` call over all the
+    states, which solves each dimension's barrier states as one batch."""
     states = [rho for _, rho in cases]
     chains = [ch.class_chain(klass) for klass, _ in cases]
     dio = [k for k, chain in enumerate(chains) if "dio" in chain]
     others = [k for k, chain in enumerate(chains) if "dio" not in chain]
     io = [k for k, chain in enumerate(chains) if "io_rep" in chain]
-    grids = _per_dimension(lambda s: mo.c_alpha_values(s, ALPHA_GRID), states, others)
-    both = _per_dimension(lambda s: np.hstack(mo.renyi_grid_values(s, ALPHA_GRID)), states, dio)
-    grids.update(both)
-    trace_norms = _per_dimension(mo.trace_norm_coherence_values, states, dio)
-    c_delta_rs = _per_dimension(lambda s: mo.c_delta_r_values(s)[0], states, dio)
+    rows = _per_dimension(lambda s: zip(mo.c_alpha_values(s, ALPHA_GRID)), states, others)
+    rows.update(_per_dimension(_dio_measures, states, dio))
     c_l1s = _per_dimension(mo.c_l1_values, states, io)
     measured = []
-    for k, (chain, c_r) in enumerate(zip(chains, mo.c_r_many(states))):
-        vals = dict(zip(_C_ALPHA, grids[k]))
+    for k, c_r in enumerate(mo.c_r_many(states)):
+        c_alphas, *dio_values = rows[k]
+        vals = dict(zip(_C_ALPHA, c_alphas))
         vals["c_r"] = c_r.value
         vals["log1p_c_r"] = math.log2(1.0 + c_r.value)
-        if "dio" in chain:
-            vals.update(zip(_C_DELTA_ALPHA, grids[k][len(ALPHA_GRID) :]))
-            vals["trace_norm_coherence"] = trace_norms[k]
-            vals["c_delta_r"] = c_delta_rs[k]
-        if "io_rep" in chain:
+        if dio_values:
+            c_deltas, trace_norm, c_delta_r = dio_values
+            vals.update(zip(_C_DELTA_ALPHA, c_deltas))
+            vals["trace_norm_coherence"] = trace_norm
+            vals["c_delta_r"] = c_delta_r
+        if k in c_l1s:
             vals["c_l1"] = c_l1s[k]
         measured.append(vals)
     return measured
 
 
 def _monotonicity_families(index: int, seed: int, corrupt_hook) -> list:
-    """(tag, smallest class, input, output) for each family sampled at index,
-    with the corrupt hook applied to its channel. The inputs are
-    ``random_density`` states and the outputs ``ch.apply``'s, each set
-    validated as one stack per dimension."""
+    """(tag, smallest class, channel, input matrix) for each family sampled at
+    index, with the corrupt hook applied to its channel. The input is the
+    unvalidated matrix of a ``random_density`` state."""
     rng = np.random.default_rng(_sub_seed(seed, index))
     params = ch.GCovariantParams(*rng.dirichlet(np.ones(3)), 3)
-    # (tag, smallest class, channel, input dimension, input seed salt)
     families = (
         ("g_covariant", "dio", ch.g_covariant_channel(params), 3, 1),
         ("qubit_mio", "mio", ch.sample_mio_qubit_channel(_sub_seed(seed, index, 2)), 2, 3),
         ("sio", "sio_rep", ch.random_sio_channel(3, rng), 3, 4),
     )
-    inputs = _density_stack(
-        [_ginibre(d, _sub_seed(seed, index, salt)) for _, _, _, d, salt in families]
-    )
-    channels = [
-        channel if corrupt_hook is None else corrupt_hook(channel, index)
-        for _, _, channel, _, _ in families
-    ]
-    outputs = _density_stack([ch._operator_sum(c, rho) for c, rho in zip(channels, inputs)])
     return [
-        (tag, klass, rho, out)
-        for (tag, klass, *_), rho, out in zip(families, inputs, outputs)
+        (
+            tag,
+            klass,
+            channel if corrupt_hook is None else corrupt_hook(channel, index),
+            _ginibre(d, _sub_seed(seed, index, salt)),
+        )
+        for tag, klass, channel, d, salt in families
     ]
 
 
 def _monotonicity_run(samples: int, seed: int, corrupt_hook) -> list:
-    """Build every sample's channels and states first, then measure them all
-    at once (``_measure_states``), and reduce by sample index, then family,
-    then measure."""
-    families = [
-        (index, family)
+    """Sample every family's channel and input, validate the inputs, apply
+    the channels and validate the outputs, each step once for the run, then
+    measure every state at once (``_measure_states``), and reduce by sample
+    index, then family, then measure."""
+    rows = [
+        (index, *family)
         for index in range(samples)
         for family in _monotonicity_families(index, seed, corrupt_hook)
     ]
+    indices, tags, classes, channels, mats = zip(*rows)
+    inputs = _density_stack(mats)
+    outputs = _density_stack([ch._operator_sum(c, rho) for c, rho in zip(channels, inputs)])
     measured = _measure_states(
-        [(klass, rho) for _, (_, klass, before, after) in families for rho in (before, after)]
+        [(klass, rho) for klass, *pair in zip(classes, inputs, outputs) for rho in pair]
     )
     failures = []
-    for k, (index, (tag, _, _, _)) in enumerate(families):
-        before, after = measured[2 * k], measured[2 * k + 1]
+    for index, tag, before, after in zip(indices, tags, measured[::2], measured[1::2]):
         for name, lhs in before.items():
             drop = lhs - after[name]
             if drop < -MONOTONE_SLACK:

@@ -24,8 +24,8 @@ Either report's bound is within its gap target (``C_R_GAP``,
 
 The spectral measures are stacked kernels over states of one dimension d,
 each a ``*_values`` function returning an array with one row per state, and
-the only interface for many states or many alphas; ``_per_dimension`` groups
-a list of states of mixed dimensions for them. The one-state functions
+the only interface for many states or many alphas; ``states._per_dimension``
+groups a list of states of mixed dimensions for them. The one-state functions
 (``c_rel``, ``c_l1``, ``c_alpha``, ``c_delta_alpha``,
 ``trace_norm_coherence``, ``c_delta_r``) are their one-state case, wrapping
 one entry in a report, and a state's row is the same, bit for bit, in any
@@ -52,13 +52,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import eig_hermitian, log_det_barrier, psd_power_values, solve_stack, trace_norm
+from .numerics import _ExactEquality, eig_hermitian, log_det_barrier, psd_power_values, solve_stack
+from .numerics import trace_norm
 from .states import DISTRIBUTION_SUM_TOL, DensityMatrix, PureStateVector, SchmidtVector
-from .states import complex_to_json, probability_vector
+from .states import _per_dimension, complex_to_json, probability_vector
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+@dataclass(frozen=True, eq=False)
+class MonotoneReport(_ExactEquality):
     name: str
     value: float
     method: str  # closed_form | eigenvalue | barrier (log-det barrier kernel, with a bound)
@@ -114,19 +115,6 @@ def _stacked(states, get) -> np.ndarray:
     if len(states) == 1:
         return get(states[0])[None]
     return np.array([get(rho) for rho in states])
-
-
-def _per_dimension(kernel, states: list, rows) -> dict:
-    """{k: the entry kernel gives states[k]} for k in rows, from one kernel
-    call on each dimension's states; kernel maps states of one dimension to
-    one entry (a row, or a report) per state, in order."""
-    by_dim = {}
-    for k in rows:
-        by_dim.setdefault(states[k].dim, []).append(k)
-    out = {}
-    for ks in by_dim.values():
-        out.update(zip(ks, kernel([states[k] for k in ks])))
-    return out
 
 
 def _dephased(states) -> np.ndarray:

@@ -10,7 +10,7 @@ here is a pure function of its inputs; nothing mutates its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -37,9 +37,11 @@ class UnboundedError(ValueError):
 # error state numpy.linalg sets, so the bits are the same and a failed
 # factorization raises LinAlgError as there. eig_hermitian's checks cost more
 # again (25 us a call at n = 3 or 4, against 3 to 5 us of LAPACK), so callers
-# with many states validate them as one stack (``states._density_stack``),
-# and the qubit MIO sampler's projection steps, whose matrices are exactly
-# Hermitian, call eigh_lo themselves (``channels.sample_mio_qubit_channel``).
+# with many states validate them as one stack per dimension
+# (``states._density_stack``: a harness monotonicity run of any size validates
+# its states in four calls), and the qubit MIO sampler's projection steps,
+# whose matrices are exactly Hermitian, call eigh_lo themselves
+# (``channels.sample_mio_qubit_channel``).
 def _lapack_errstate(message: str) -> dict:
     """numpy.linalg's error state around a LAPACK gufunc, raising
     LinAlgError(message) where LAPACK reports a failure."""
@@ -77,8 +79,34 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+def _same(a, b) -> bool:
+    """Exact equality of two field values: arrays entry by entry (shape
+    included), tuples item by item, anything else by ``==``."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool(np.array_equal(a, b))
+    return bool(a == b)
+
+
+class _ExactEquality:
+    """Equality of frozen dataclasses that hold arrays, for classes declared
+    with ``eq=False``: instances compare equal only to instances of the same
+    class whose compared fields are all the same (``_same``). Like numpy
+    arrays they are unhashable."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            _same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare
+        )
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class EigenDecomposition(_ExactEquality):
     """Ascending real eigenvalues and column-orthonormal eigenvectors."""
 
     eigenvalues: np.ndarray
@@ -344,8 +372,8 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+@dataclass(frozen=True, eq=False)
+class LinearProgram(_ExactEquality):
     """min objective.d  s.t.  a.d >= b for every (a, b) in cuts, d >= 0."""
 
     objective: np.ndarray
@@ -459,8 +487,8 @@ def solve_lp(lp: LinearProgram):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BirkhoffDecomposition:
+@dataclass(frozen=True, eq=False)
+class BirkhoffDecomposition(_ExactEquality):
     """Convex combination sum_a weight_a * P(perm_a) of permutation matrices.
 
     ``terms`` is a tuple of (weight, perm) with perm an index map: the

@@ -7,16 +7,20 @@ immutable after construction.
 Complex arrays leave and enter the program as JSON nestings of [re, im]
 pairs. ``complex_to_json`` and ``complex_from_json`` are the one place that
 builds or reads that form, for states, Kraus channels and witnesses alike.
-``probability_vector`` is likewise the one test of a probability vector.
+``probability_vector`` is likewise the one test of a probability vector,
+and ``_per_dimension`` the one place that groups items by dimension for a
+stacked call: states for the monotone kernels and C_R, raw matrices for
+``_density_stack``, which validates many states with one eigendecomposition
+per dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import EigenDecomposition, eig_hermitian
+from .numerics import EigenDecomposition, _ExactEquality, eig_hermitian
 
 STATE_TOL = 1e-10
 DISTRIBUTION_SUM_TOL = 1e-9  # sum slack of a distribution a caller types in
@@ -70,24 +74,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _ExactArrayEquality:
-    """Equality as exact comparison of the one stored array.
-
-    Instances compare equal only to instances of the same class with the same
-    shape and the same entries. Like numpy arrays they are unhashable.
-    """
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        name = fields(self)[0].name
-        return bool(np.array_equal(getattr(self, name), getattr(other, name)))
-
-    __hash__ = None
-
-
 @dataclass(frozen=True, eq=False)
-class DensityMatrix(_ExactArrayEquality):
+class DensityMatrix(_ExactEquality):
     """A d x d Hermitian, unit-trace, PSD operator.
 
     ``spectrum`` is the eigendecomposition that validated PSD-ness, kept so
@@ -154,32 +142,44 @@ def _validated_stack(stack: np.ndarray):
     return _freeze(mats), _freeze(dec.eigenvalues), _freeze(dec.eigenvectors)
 
 
+def _per_dimension(kernel, items: list, rows, key=lambda item: item.dim) -> dict:
+    """{k: the entry kernel gives items[k]} for k in rows, from one kernel
+    call on each group of items that share a key: states group by their
+    dimension, raw matrices (``key=np.shape``) by their shape. kernel maps
+    one group to one entry (a row, a report or a state) per item, in order."""
+    groups = {}
+    for k in rows:
+        groups.setdefault(key(items[k]), []).append(k)
+    out = {}
+    for ks in groups.values():
+        out.update(zip(ks, kernel([items[k] for k in ks])))
+    return out
+
+
 def _density_stack(mats) -> list:
     """The DensityMatrix of each square matrix in ``mats``, validated with one
     ``_validated_stack`` call per dimension; row k carries the bits, and
     fails with the error, of ``DensityMatrix(mats[k])``."""
-    by_dim = {}
-    for k, m in enumerate(mats):
-        by_dim.setdefault(np.shape(m), []).append(k)
-    out = [None] * len(mats)
-    for ks in by_dim.values():
-        validated = _validated_stack(np.array([mats[k] for k in ks], dtype=complex))
-        for k, row in zip(ks, zip(*validated)):
+
+    def validate(group):
+        for row in zip(*_validated_stack(np.array(group, dtype=complex))):
             rho = object.__new__(DensityMatrix)
             rho._store(*row)
-            out[k] = rho
-    return out
+            yield rho
+
+    states = _per_dimension(validate, mats, range(len(mats)), np.shape)
+    return [states[k] for k in range(len(mats))]
 
 
 @dataclass(frozen=True, eq=False)
-class PureStateVector(_ExactArrayEquality):
+class PureStateVector(_ExactEquality):
     """Amplitudes in the incoherent basis whose squared moduli are a
     ``probability_vector``, so valid exactly when their density matrix is."""
 
     amps: np.ndarray
 
     def __init__(self, amps):
-        v = np.asarray(amps, dtype=complex).ravel()
+        v = np.array(amps, dtype=complex).ravel()  # a copy: the caller keeps amps
         with np.errstate(invalid="ignore", over="ignore"):  # the rule rejects a non-finite square
             probability_vector((v * v.conj()).real, "squared amplitudes of a state vector")
         object.__setattr__(self, "amps", _freeze(v))
@@ -191,6 +191,13 @@ class PureStateVector(_ExactArrayEquality):
     @property
     def probs(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The density matrix, unvalidated and read-only: (o + o^H) / 2 of
+        the outer product o, the bits ``to_density().mat`` holds."""
+        o = np.outer(self.amps, self.amps.conj())
+        return _freeze((o + o.conj().T) / 2.0)
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix.from_pure(self)
@@ -204,7 +211,7 @@ class PureStateVector(_ExactArrayEquality):
 
 
 @dataclass(frozen=True, eq=False)
-class SchmidtVector(_ExactArrayEquality):
+class SchmidtVector(_ExactEquality):
     """Descending ``probability_vector`` (sum within STATE_TOL) of squared
     amplitudes in the incoherent basis, stored clipped at 0."""
 
@@ -221,8 +228,8 @@ class SchmidtVector(_ExactArrayEquality):
         return self.probs.size
 
 
-@dataclass(frozen=True)
-class QubitStandardForm:
+@dataclass(frozen=True, eq=False)
+class QubitStandardForm(_ExactEquality):
     """(p, r) parameters plus the incoherent gauge reaching them.
 
     gauge @ rho @ gauge^dagger == [[p, r], [r, 1-p]] with p >= 1/2 and r >= 0.

@@ -115,16 +115,19 @@ def majorizes(target: SchmidtVector, source: SchmidtVector) -> MajorizationCheck
     return MajorizationCheck(True)
 
 
-def _verify_witness(channel: KrausChannel, source: DensityMatrix, target: DensityMatrix):
+def _verify_witness(channel: KrausChannel, source, target):
     dist = 0.5 * trace_norm(apply(channel, source).mat - target.mat)
     if dist > WITNESS_TOL:
         raise ArithmeticError(f"witness output misses the target by {dist:.3e}")
 
 
-def _witness(ops, member, lost: str, source: DensityMatrix, target: DensityMatrix):
+def _witness(ops, member, lost: str, source, target):
     """The channel of the stack ``ops``: TP within CPTP_TOL (else ValueError),
     passing ``member`` (else ArithmeticError naming what was ``lost``) and
-    taking source to target (``_verify_witness``)."""
+    taking source to target (``_verify_witness``). source and target are the
+    decider's own states, a DensityMatrix or a PureStateVector, read through
+    their ``mat``: a pure state is not validated again as a density matrix,
+    and only the witness's output is (``apply``)."""
     channel = KrausChannel(ops)
     if not member(channel):
         raise ArithmeticError(f"constructed witness lost {lost}")
@@ -195,11 +198,7 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
         ops = (fold[:, None] @ ops[None]).reshape(-1, d_out, d_in)
         ops = ops[np.any(ops != 0.0, axis=(1, 2))]
     return _witness(
-        ops,
-        lambda c: _single_entried(c.kraus, PREDICATE_TOL),
-        "strict incoherence",
-        psi.to_density(),
-        phi.to_density(),
+        ops, lambda c: _single_entried(c.kraus, PREDICATE_TOL), "strict incoherence", psi, phi
     )
 
 
@@ -352,9 +351,7 @@ def mio_qubit_pure_construct(p, q) -> KrausChannel:
     keep[d_out] &= c_last >= 1e-13
     plus = PureStateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
     target = PureStateVector(np.sqrt(qv / qv.sum()).astype(complex))
-    return _witness(
-        ops[keep], is_mio, "the incoherence property", plus.to_density(), target.to_density()
-    )
+    return _witness(ops[keep], is_mio, "the incoherence property", plus, target)
 
 
 def mio_qubit_pure_decide(p, q) -> TransformDecision:
@@ -515,9 +512,7 @@ def pio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     ops = np.zeros((m + (complement.size > 0), d, d), dtype=complex)
     ops[np.arange(m)[:, None], out_sorted, blocks] = phase / np.hypot(phase.real, phase.imag)
     ops[m:, complement, complement] = 1.0
-    return _witness(
-        ops, _one_projective_group, "the projective form", psi.to_density(), phi.to_density()
-    )
+    return _witness(ops, _one_projective_group, "the projective form", psi, phi)
 
 
 def _one_projective_group(channel: KrausChannel) -> bool:

@@ -111,6 +111,14 @@ class TestApply:
         with pytest.raises(ValueError):
             ch.apply(ch.KrausChannel([np.eye(3)]), random_density(2, 0))
 
+    def test_a_map_that_is_not_trace_preserving_keeps_its_trace(self):
+        half = ch.KrausChannel([np.diag([1.0, 0.5])], require_tp=False)
+        mixed = DensityMatrix(np.eye(2) / 2)
+        out = ch._operator_sum(half, mixed)
+        assert out.tobytes() == np.diag([0.5, 0.125]).astype(complex).tobytes()
+        with pytest.raises(ValueError, match="trace must be 1, got np.float64[(]0.625[)]"):
+            ch.apply(half, mixed)
+
 
 class TestChoi:
     def test_identity_is_scaled_entangled_projector(self):

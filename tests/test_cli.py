@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -619,6 +620,50 @@ class TestHarnessCommand:
             failures = json.loads(out)["failures"]
             assert code == 1 and failures, seed
             assert {f["index"] for f in failures} == {0}, seed
+
+    # sha256 of stdout at seeds 0-4, taken before the monotonicity suite
+    # validated a run's states as one stack per dimension: (exit code, digest)
+    STDOUT_SHA256 = {
+        ("monotonicity", 200, None): (
+            (0, "090ca5f13d335f320619443da457d6fd9ab74bce3b9485976b9a2fc5ca003772"),
+            (0, "491c3aad731acea0f4477b84c92401f95707b34e34e69ad35c834d265c08c640"),
+            (0, "c48ea39f530bdc78f0e8c6952c976efe9061b04069afa14ce2275caee2aa13ad"),
+            (0, "dece6df41f19a54c8233b4fa2cf20f4cb78730841220197e4a15aec8a63dc1ca"),
+            (0, "f57f5de409dce98d61a03d95a926d41cdd78f93614c9150d19bf18b68f761af0"),
+        ),
+        ("monotonicity", 40, "3"): (
+            (1, "9179c84807a3db543c412750829c8a68271f446e9ef6ad673a90ddced2e11f8b"),
+            (1, "3554b8f5c51545bf11ae1acf69023602abda7771364f7c1edf51a86ccd0c3227"),
+            (1, "d53ee5359079c1ba6bbbf133b916847d431c74e36ae776a1d6bf7f58b8d352a6"),
+            (1, "ebb9748dae19355cf1e677694f3626551e7d834e1b5013dbb3d4825b46663c7a"),
+            (1, "cd744b06a1f131bdda824e124a825a399256fa21714fb6ab3f8946ee3d643a39"),
+        ),
+        ("inclusions", 40, None): (
+            (0, "ed806c8bc0df348eb4d09aac447a22ff266cb36e9a56124a7c2225341db07553"),
+            (0, "8a3439405163e30cfe13a4ca748aaeeb8a11c03daa757e5477da090a4264ea7c"),
+            (0, "8841473141af5e9f364386805125a9f74edb039b86b7d4f20036045d2fc5bb1e"),
+            (0, "8099a553789816aa4466557d6e590755928d1226a176b9d2bb15458d20e966e4"),
+            (0, "a9cbaf56b865bf43e1b5c3f3ace0f442e1cf6d9a4244e86d5d9b62f87df2513f"),
+        ),
+        ("roundtrips", 40, None): (
+            (0, "2adc6f088d536d1a8fb462aebaeb44ccc86c4fe6bea2d1dec23a896b66d3cf86"),
+            (0, "4259c582eecc3144210607ff12e04084b99f66a158eae3267cb710aaac325c28"),
+            (0, "a3ec4d1de4b2a6abef8680df2380d7fd3761a14e181b7a925be1f4ee406417d1"),
+            (0, "7a9cff5296920f6a7cc8b50feca2ed28aa34c5a1f931f2167cd037f775bb3191"),
+            (0, "665ca6df657570dca9a60f69d5a894fef067b3fcd18d7554724497fa63db79e2"),
+        ),
+    }
+
+    @pytest.mark.parametrize("suite, samples, inject", list(STDOUT_SHA256))
+    def test_stdout_bytes_are_pinned(self, capsys, monkeypatch, suite, samples, inject):
+        if inject is None:
+            monkeypatch.delenv("COHERENCE_KIT_HARNESS_INJECT", raising=False)
+        else:
+            monkeypatch.setenv("COHERENCE_KIT_HARNESS_INJECT", inject)
+        for seed, pinned in enumerate(self.STDOUT_SHA256[suite, samples, inject]):
+            argv = ["harness", "--suite", suite, "--samples", str(samples), "--seed", str(seed)]
+            code, out = run_cli(capsys, argv)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned, seed
 
     def test_repeat_runs_are_identical(self):
         first = run_suite("roundtrips", 8, seed=9)

@@ -201,6 +201,18 @@ class TestSpecPair:
         cov.random_n_covariant_channel(3, np.random.default_rng(2))
         assert len(calls) == 1
 
+    def test_stores_read_only_copies(self):
+        h = np.eye(2, dtype=complex)
+        r = np.eye(2)
+        spec = cov.NCovariantSpec(h=h, r=r)
+        h[0, 1] = h[1, 0] = 0.5
+        r[0, 0] = 0.0
+        assert spec.h.tobytes() == np.eye(2, dtype=complex).tobytes()
+        assert spec.r.tobytes() == np.eye(2).tobytes()
+        assert not spec.h.flags.writeable and not spec.r.flags.writeable
+        assert not spec.spectrum.eigenvalues.flags.writeable
+        assert not spec.spectrum.eigenvectors.flags.writeable
+
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
             cov.NCovariantSpec(h=np.diag([1.0, -0.5]), r=np.eye(2))

@@ -699,9 +699,10 @@ class TestCachedSpectrum:
 
 
 class TestHarnessBatching:
-    """The monotonicity suite builds every sample before it measures any, so
-    C_R runs as one barrier batch per dimension and each spectral monotone as
-    one stacked call per dimension, and its failure records come out as a
+    """The monotonicity suite builds every sample before it validates or
+    measures any, so its states are validated as one stack per dimension, C_R
+    runs as one barrier batch per dimension and each spectral monotone as one
+    stacked call per dimension, and its failure records come out as a
     state-by-state loop over ``_measure_states`` gives them, bit for bit."""
 
     def test_one_barrier_batch_per_dimension(self, monkeypatch):
@@ -747,13 +748,48 @@ class TestHarnessBatching:
         # d = 3 states
         assert shapes == [(4, 4), (2, 3, 3), (1, 2, 2), (2, 3, 3), (1, 2, 2), (4, 3, 3)]
 
+    @pytest.fixture()
+    def eig_shapes(self, monkeypatch):
+        """The shape of each ``eig_hermitian`` call made, in order."""
+        shapes = []
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return eig_hermitian(m)
+
+        for module in (numerics, states, ch, mo):
+            monkeypatch.setattr(module, "eig_hermitian", counted)
+        return shapes
+
+    def test_a_run_validates_its_states_in_four_stacks(self, eig_shapes):
+        harness.run_suite("monotonicity", 5, seed=4)
+        # five qubit MIO Choi matrices while sampling, then the inputs and the
+        # outputs of all five samples as one stack per dimension, then
+        # c_delta_r's core stack of the twenty d = 3 states
+        assert eig_shapes == [(4, 4)] * 5 + [(10, 3, 3), (5, 2, 2)] * 2 + [(20, 3, 3)]
+
+    def test_families_validate_nothing(self, eig_shapes):
+        families = harness._monotonicity_families(0, 4, None)
+        # the qubit MIO sampler's Choi matrix alone
+        assert eig_shapes == [(4, 4)]
+        assert [(tag, np.shape(m)) for tag, _, _, m in families] == [
+            ("g_covariant", (3, 3)),
+            ("qubit_mio", (2, 2)),
+            ("sio", (3, 3)),
+        ]
+        for (_, _, channel, m), (d, salt) in zip(families, [(3, 1), (2, 3), (3, 4)]):
+            assert isinstance(channel, ch.KrausChannel) and type(m) is np.ndarray
+            assert m.tobytes() == states._ginibre(d, harness._sub_seed(4, 0, salt)).tobytes()
+
     def test_failures_match_a_state_by_state_loop(self, monkeypatch):
         monkeypatch.setenv("COHERENCE_KIT_HARNESS_INJECT", "2")
         hook = cli._injection_hook()
         seed, samples = 6, 4
         reference = []
         for index in range(samples):
-            for tag, klass, before, after in harness._monotonicity_families(index, seed, hook):
+            for tag, klass, channel, m in harness._monotonicity_families(index, seed, hook):
+                before = DensityMatrix(m)
+                after = ch.apply(channel, before)
                 (lhs,) = harness._measure_states([(klass, before)])
                 (rhs,) = harness._measure_states([(klass, after)])
                 for name in lhs:

@@ -282,6 +282,21 @@ class TestSchmidtVector:
         assert np.allclose(schmidt_vector(psi).probs, [0.5, 0.3, 0.2])
 
 
+class TestPureStateVector:
+    def test_stores_a_read_only_copy(self):
+        amps = np.array([1.0, 0.0], dtype=complex)
+        psi = PureStateVector(amps)
+        amps[0] = 5.0
+        assert psi.amps.tolist() == [1.0, 0.0]
+        assert not psi.amps.flags.writeable
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_mat_is_the_density_matrix_bits(self, d):
+        psi = random_pure(d, d)
+        assert psi.mat.tobytes() == psi.to_density().mat.tobytes()
+        assert not psi.mat.flags.writeable
+
+
 class TestRandomStates:
     def test_determinism(self):
         assert np.array_equal(random_density(3, 42).mat, random_density(3, 42).mat)

@@ -19,6 +19,7 @@ import pytest
 
 from coherence_kit import channels as ch
 from coherence_kit import covariance as cov
+from coherence_kit import numerics, states
 from coherence_kit import transforms as tr
 from coherence_kit.states import PureStateVector, partial_dephase, random_density
 
@@ -209,6 +210,25 @@ def test_trace_defect_above_cptp_tol_is_refused(name, monkeypatch):
     _patched(monkeypatch, lambda ops: ops * math.sqrt(1.0 + 3e-9))
     with pytest.raises(ValueError, match="not trace preserving"):
         decide(*pair())
+
+
+@pytest.mark.parametrize("name", ["sio", "sio, 3 -> 2", "sio, 2 -> 3", "mio-pure", "pio"])
+def test_a_pure_decision_factorizes_only_the_witness_output(name, monkeypatch):
+    decide, pair = FEASIBLE[name]
+    args = pair()
+    shapes, eig_hermitian = [], numerics.eig_hermitian
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return eig_hermitian(m)
+
+    for module in (numerics, states, ch, tr):
+        monkeypatch.setattr(module, "eig_hermitian", counted, raising=False)
+    dec = decide(*args)
+    assert dec.verdict
+    # ``apply`` validates the output; the decider's pure states are read
+    # through their ``mat`` and never validated as density matrices
+    assert shapes == [(1, dec.witness.dout, dec.witness.dout)]
 
 
 def test_channels_take_no_tolerance_knob():
