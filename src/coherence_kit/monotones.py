@@ -3,19 +3,26 @@
 All values are in bits (log base 2). Each measure returns a MonotoneReport
 carrying the value, the evaluation method, an optional witness (an optimal
 diagonal majorant, an optimal ratio vector, or similar) and, for the two
-optimizations, the certified dual bound. C_R and the trace distance to the
-incoherent states are both solved by ``numerics.log_det_barrier``, which
-solves a batch of independent problems in lockstep; each client passes its
+optimizations, the certified dual bound. C_R first tries a rank-one dual
+Y = u u^H, |u_i| = 1, which is the shape of its optimum in each closed form:
+``_c_r_rank_one`` runs Newton on the phases of u for a batch of states in
+lockstep and certifies a state with one Cholesky factorization of
+Diag(d) - rho at d_i = Re(conj(u_i) (rho u)_i), which sums to the dual value
+u^H rho u. The states it refuses, C_R with method="cutting_plane", and the
+trace distance to the incoherent states are solved by
+``numerics.log_det_barrier``, which solves a batch of independent problems
+in lockstep; each client passes its
 starts, its per-problem data, and its slack, Newton step and bound, and the
 kernel sets each problem's barrier schedule from that problem's certified
 gap: t starts at nu / gap and, after each step taken near the central path
 and after at most BARRIER_FAR_PULLS in a row taken far from it, rises to at
 least BARRIER_MU * nu / gap, and a problem that rounding keeps open past that
-t restarts without far pulls. ``c_r_many`` solves every state
-without a closed form as one batch per dimension, and ``c_r`` is its
-one-state case; a state's report is the same, bit for bit, in any batch. C_R
-solves its d x d Newton systems densely and repairs a dual point out of
-S^-1. The trace distance, one problem at a time, is solved in its dual form,
+t restarts without far pulls. ``c_r_many`` hands every state without a
+closed form to the rank-one kernel, and every state that kernel refuses to
+the barrier, as one batch per dimension each, and ``c_r`` is its one-state
+case; a state's report is the same, bit for bit, in any batch. The C_R
+barrier solves its d x d Newton systems densely and repairs a dual point out
+of S^-1. The trace distance, one problem at a time, is solved in its dual form,
 so every iterate is a certificate as it stands, and the primal point q is
 read off its multipliers. Its Newton step uses the shared eigenbasis of
 (I -+ W)^-1 and costs O(d^4), so it reaches d = 64.
@@ -51,6 +58,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .numerics import _ExactEquality, eig_hermitian, log_det_barrier, psd_power_values, solve_stack
 from .numerics import trace_norm
@@ -62,7 +70,7 @@ from .states import _per_dimension, complex_to_json, probability_vector
 class MonotoneReport(_ExactEquality):
     name: str
     value: float
-    method: str  # closed_form | eigenvalue | barrier (log-det barrier kernel, with a bound)
+    method: str  # closed_form | eigenvalue | rank_one_dual | barrier (the last two with a bound)
     witness: object = None
     bound: float | None = None  # certified lower bound on value; None when exact
 
@@ -341,7 +349,11 @@ C_R_GAP = 1e-9
 
 
 def _c_r_closed_form(rho: DensityMatrix):
-    """C_R's closed form at rho, or None when none applies (see c_r)."""
+    """C_R's closed form at rho, or None when none applies (see c_r). Each is
+    the value at a rank-one dual optimum u u^H whose phases are known: u_i =
+    psi_i / |psi_i| for a pure state psi, u = (1, conj(rho_01) / |rho_01|)
+    for a qubit, and u = 1 for a real nonnegative state; ``_c_r_rank_one``
+    looks for u where no formula gives it."""
     if _is_pure(rho):
         p = np.clip(np.diag(rho.mat).real, 0.0, None)
         return MonotoneReport("c_r", float(np.sum(np.sqrt(p)) ** 2 - 1.0), "closed_form")
@@ -350,6 +362,79 @@ def _c_r_closed_form(rho: DensityMatrix):
     if _is_real_nonneg(rho):
         return MonotoneReport("c_r", c_l1(rho).value, "closed_form")
     return None
+
+
+def _unit_phases(z: np.ndarray, out: np.ndarray) -> None:
+    """Write z / |z| entrywise into out, whose entries stay where z is 0."""
+    mod = np.abs(z)
+    np.divide(z, mod, out=out, where=mod > 0.0)
+
+
+def _c_r_rank_one(states) -> list:
+    """C_R of states of one dimension n from a rank-one dual Y = u u^H,
+    |u_i| = 1: one report per state it certifies, None for the others.
+
+    Tr(rho Y) = f(u) = u^H rho u is maximized over the phases u = e^{i theta}
+    for every state at once. The start is the phases of rho's top eigenvector
+    (cached on the state), then two sweeps of exact coordinate ascent
+    u_i <- phase(sum_{j != i} rho_ij u_j) (the mixing method of Wang, Chang &
+    Kolter, arXiv:1706.00476), then plain Newton on theta_1..theta_{n-1}
+    with theta_0 fixed: with M = diag(u)^H rho diag(u) and r its row sums the
+    gradient is 2 Im r and the Hessian 2 (Re M - Diag(Re r)). The rows run in
+    lockstep, each stopping after a step of at most 1e-6 in every phase or
+    after 20 rounds; a singular Hessian stops a row where it is. Where a
+    zero coordinate sum or a zero eigenvector entry leaves a phase undefined
+    the old phase (or 1) stays.
+
+    At any u, d_i = Re(conj(u_i) (rho u)_i) sums to u^H rho u, a dual value.
+    d raised by a relative 1e-13 certifies a state when Diag(d) - rho passes
+    a Cholesky factorization, which makes 1.d an upper bound, and
+    1.d - Re(u^H rho u) <= C_R_GAP: the report is then value 1.d - 1,
+    witness d and bound Re(u^H rho u) - 1, method "rank_one_dual". A state
+    whose optimal duals all have rank above one, or whose ascent stopped
+    short of a maximum, fails the factorization and is left to the barrier.
+    Every step is row by row, so a state's report is the same, bit for bit,
+    in any batch.
+    """
+    n = states[0].dim
+    mats, off = _stacked(states, lambda rho: rho.mat), _off_diagonal(states)
+    u = np.ones((len(mats), n), dtype=complex)
+    _unit_phases(_stacked(states, lambda rho: rho.spectrum.eigenvectors[:, -1]), u)
+    for _ in range(2):
+        for i in range(n):
+            _unit_phases(np.vecdot(off[:, :, i], u), u[:, i])
+    rows, active, sub = np.arange(len(u)), u, mats
+    for _ in range(20):
+        m = active.conj()[:, :, None] * sub * active[:, None, :]
+        r = m.sum(axis=2)
+        # A = Diag(Re r) - Re M is -Hessian / 2, so the Newton step is A^-1 Im r
+        a = -m.real
+        a.reshape(len(m), n * n)[:, :: n + 1] += r.real
+        with np.errstate(invalid="ignore", over="ignore"):  # a singular A: no step
+            step = _umath_linalg.solve1(a[:, 1:, 1:], r.imag[:, 1:])
+        step = np.where(np.isfinite(step), step, 0.0)
+        active[:, 1:] *= np.exp(1j * step)
+        going = np.abs(step).max(axis=1) > 1e-6
+        if not going.all():
+            u[rows[~going]] = active[~going]
+            rows, active, sub = rows[going], active[going], sub[going]
+            if not len(rows):
+                break
+    u[rows] = active
+    rho_u = (mats @ u[:, :, None])[:, :, 0]
+    d = (u.conj() * rho_u).real * (1.0 + 1e-13)
+    slack = -mats
+    slack.reshape(len(mats), n * n)[:, :: n + 1] += d
+    with np.errstate(invalid="ignore"):  # a failed factorization gives NaN
+        factors = _umath_linalg.cholesky_lo(slack)
+    psd = np.isfinite(factors.reshape(len(mats), n * n)).all(axis=1).tolist()
+    totals, duals = d.sum(axis=1).tolist(), np.vecdot(u, rho_u).real.tolist()
+    return [
+        MonotoneReport("c_r", total - 1.0, "rank_one_dual", witness=d_vec, bound=dual - 1.0)
+        if ok and total - dual <= C_R_GAP
+        else None
+        for ok, total, dual, d_vec in zip(psd, totals, duals, d)
+    ]
 
 
 def _c_r_batch(states) -> list:
@@ -401,17 +486,20 @@ def c_r_many(states, method: str = "auto") -> list:
     """C_R of every state, one report per state, in order (see c_r).
 
     Each state takes c_r's closed form where one applies; the rest are
-    grouped by dimension, and each group is one batch of the barrier kernel,
-    whose rows keep their own schedules, so a state's report does not depend
-    on the states it was solved with.
+    grouped by dimension, and each group is one batch of the rank-one dual
+    kernel, then the states it refuses are grouped again, each group one
+    batch of the barrier kernel. Both kernels' rows keep their own
+    iterations, so a state's report does not depend on the states it was
+    solved with. method="cutting_plane" sends every state to the barrier.
     """
     if method not in ("auto", "cutting_plane"):
         raise ValueError("method must be 'auto' or 'cutting_plane'")
     states = list(states)
     reports = [_c_r_closed_form(rho) if method == "auto" else None for rho in states]
-    solved = [k for k, report in enumerate(reports) if report is None]
-    for k, report in _per_dimension(_c_r_batch, states, solved).items():
-        reports[k] = report
+    for kernel in (_c_r_rank_one, _c_r_batch) if method == "auto" else (_c_r_batch,):
+        left = [k for k, report in enumerate(reports) if report is None]
+        for k, report in _per_dimension(kernel, states, left).items():
+            reports[k] = report
     return reports
 
 
@@ -419,13 +507,15 @@ def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
     """Robustness of coherence.
 
     Closed forms: pure states give (sum sqrt p)^2 - 1, qubits give 2r, and
-    entrywise-nonnegative real states give the l1 value. Anything else, or
-    method='cutting_plane' (kept as the name that forces the solver), runs the
-    log-det barrier solver, whose answer is within 1e-9 of a dual lower bound
-    (or the call raises ArithmeticError).
-    The witness is then the optimal diagonal majorant's diagonal, and the
-    report's bound is the dual value Tr(rho Y) - 1 that certifies it. This is
-    the one-state case of c_r_many.
+    entrywise-nonnegative real states give the l1 value. Anything else is
+    first tried with a rank-one dual u u^H (method "rank_one_dual", see
+    ``_c_r_rank_one``), and a state that fails its Cholesky certificate, or
+    any state with method='cutting_plane' (kept as the name that forces the
+    solver), runs the log-det barrier solver (method "barrier"). Either
+    answer is within C_R_GAP = 1e-9 of a dual lower bound, or the call raises
+    ArithmeticError. The witness is then a diagonal majorant's diagonal d,
+    and the report's bound is the dual value Tr(rho Y) - 1 that certifies it.
+    This is the one-state case of c_r_many.
     """
     return c_r_many((rho,), method)[0]
 

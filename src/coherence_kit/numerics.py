@@ -41,7 +41,10 @@ class UnboundedError(ValueError):
 # (``states._density_stack``: a harness monotonicity run of any size validates
 # its states in four calls), and the qubit MIO sampler's projection steps,
 # whose matrices are exactly Hermitian, call eigh_lo themselves
-# (``channels.sample_mio_qubit_channel``).
+# (``channels.sample_mio_qubit_channel``). C_R's rank-one kernel
+# (``monotones._c_r_rank_one``) calls solve1 and cholesky_lo with invalid
+# values ignored instead: a failed row comes back as NaN and is refused, so
+# it neither warns nor stops the other rows of its batch.
 def _lapack_errstate(message: str) -> dict:
     """numpy.linalg's error state around a LAPACK gufunc, raising
     LinAlgError(message) where LAPACK reports a failure."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,165 @@ class TestTraceNormCoherence:
             )
 
 
+def rank_two_dual_state():
+    """A d = 4 state whose C_R dual optima all have rank two, with C_R = 1/2.
+
+    W's rows w_1..w_4 = e_1, e_2, (e_1 + e_2)/sqrt2, (e_1 + i e_2)/sqrt2 are
+    unit vectors in C^2, so Y = W W^H is a correlation matrix, and with P the
+    projector onto range(W)'s orthogonal complement rho = (3/8) I - P/4 is a
+    state. d = (3/8) 1 is primal feasible (Diag(d) - rho = P/4 >= 0) and
+    Tr(P Y) = 0, so both are optimal, C_R = 3/2 - 1, and every optimal dual
+    Y' has Tr(P Y') = 0, so its range lies in range(W): Y' = W Z W^H. A
+    rank-one Y' = u u^H needs |u_i| = |w_i c| = 1 for u = W c at every i, so
+    |c_1| = |c_2| = 1 and |c_1 + c_2| = sqrt2, which leaves c_2 = +-i c_1 and
+    |c_1 + i c_2| = 0 or 2, not sqrt2: no dual optimum has rank one."""
+    w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0j]]) / np.array(
+        [[1.0], [1.0], [math.sqrt(2.0)], [math.sqrt(2.0)]]
+    )
+    p = np.eye(4) - w @ np.linalg.solve(w.conj().T @ w, w.conj().T)
+    return DensityMatrix(0.375 * np.eye(4) - 0.25 * (p + p.conj().T) / 2.0)
+
+
+def record_c_r_batches(monkeypatch) -> dict:
+    """The shape of each batch c_r_many hands the rank-one kernel and the
+    barrier kernel, in call order, filled as calls are made."""
+    batches = {"rank_one": [], "barrier": []}
+    rank_one = mo._c_r_rank_one
+
+    def rank_one_recording(states):
+        batches["rank_one"].append((len(states), states[0].dim, states[0].dim))
+        return rank_one(states)
+
+    def barrier_recording(y, data, cost, slack, newton, bound, gap):
+        batches["barrier"].append(data.shape)
+        return numerics.log_det_barrier(y, data, cost, slack, newton, bound, gap)
+
+    monkeypatch.setattr(mo, "_c_r_rank_one", rank_one_recording)
+    monkeypatch.setattr(mo, "log_det_barrier", barrier_recording)
+    return batches
+
+
+def harness_states(samples, seed):
+    """Every state a monotonicity run of the harness measures."""
+    rows = [family for index in range(samples) for family in harness._monotonicity_families(index, seed, None)]
+    inputs = states._density_stack([m for _, _, _, m in rows])
+    return inputs + [ch.apply(channel, rho) for (_, _, channel, _), rho in zip(rows, inputs)]
+
+
+class TestRankOneDual:
+    """C_R from the phases u of a rank-one dual Y = u u^H, certified by a
+    Cholesky factorization of Diag(d) - rho; the barrier takes what it
+    refuses."""
+
+    @staticmethod
+    def check_certificate(rho, report):
+        """Re-derive the report's certificate: Diag(witness) - rho factors by
+        Cholesky, so 1.witness bounds C_R + 1 from above, and a vector u of
+        unit moduli found in that matrix's null space gives the report's bound
+        Re(u^H rho u) - 1 from below. u is the fixed point of alternating
+        projections onto the null space and onto unit moduli: the null space
+        has more than one dimension on a block-diagonal state."""
+        d = report.witness
+        assert report.method == "rank_one_dual"
+        assert report.value == pytest.approx(np.sum(d) - 1.0, abs=1e-14)
+        slack = np.diag(d).astype(complex) - rho.mat
+        np.linalg.cholesky(slack)
+        vals, vecs = np.linalg.eigh(slack)
+        null = vecs[:, vals <= 1e-11]
+        rng = np.random.default_rng(0)
+        u = np.exp(2j * np.pi * rng.random(rho.dim))
+        for _ in range(1000):
+            v = null @ (null.conj().T @ u)
+            u, previous = v / np.abs(v), u
+            if np.max(np.abs(u - previous)) <= 1e-12:
+                break
+        assert report.bound == pytest.approx(np.vdot(u, rho.mat @ u).real - 1.0, abs=1e-12)
+        assert 0.0 <= report.value - report.bound <= mo.C_R_GAP
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_agrees_with_the_barrier(self, d):
+        # where it certifies, the rank-one interval [bound, value] lies inside
+        # the barrier's; elsewhere the default route is the barrier's report
+        rhos = [random_density(d, seed) for seed in range(60)]
+        for rho, report, barrier in zip(rhos, mo.c_r_many(rhos), mo.c_r_many(rhos, "cutting_plane")):
+            assert abs(report.value - barrier.value) <= mo.C_R_GAP
+            if report.method == "rank_one_dual":
+                self.check_certificate(rho, report)
+                assert barrier.bound - 1e-12 <= report.bound <= report.value <= barrier.value + 1e-12
+            else:
+                assert report == barrier
+
+    def test_agrees_with_the_barrier_on_harness_states(self):
+        # every state without a closed form is certified
+        rhos = harness_states(10, 0)
+        for rho, report, barrier in zip(rhos, mo.c_r_many(rhos), mo.c_r_many(rhos, "cutting_plane")):
+            assert abs(report.value - barrier.value) <= mo.C_R_GAP
+            if report.method != "closed_form":
+                self.check_certificate(rho, report)
+
+    def test_every_d3_seed_is_certified(self):
+        rhos = [random_density(3, seed) for seed in range(300)]
+        for rho, report in zip(rhos, mo.c_r_many(rhos)):
+            self.check_certificate(rho, report)
+
+    def test_a_row_gets_its_bits_alone_and_in_a_mixed_batch(self, monkeypatch):
+        # random_density(4, 25) and the rank-two state are refused, the
+        # others certified; one batch per kernel holds them all
+        rhos = [random_density(4, seed) for seed in (24, 25, 26)] + [rank_two_dual_state()]
+        batches = record_c_r_batches(monkeypatch)
+        many = mo.c_r_many(rhos)
+        assert batches == {"rank_one": [(4, 4, 4)], "barrier": [(2, 4, 4)]}
+        assert [report.method for report in many] == ["rank_one_dual", "barrier", "rank_one_dual", "barrier"]
+        for rho, report in zip(rhos, many):
+            alone = mo.c_r(rho)
+            assert (alone.method, alone.value, alone.bound) == (report.method, report.value, report.bound)
+            assert alone.witness.tobytes() == report.witness.tobytes()
+        for k in (0, 2):
+            assert mo._c_r_rank_one(rhos[k : k + 1])[0] == many[k]
+        assert mo._c_r_rank_one(rhos) == [many[0], None, many[2], None]
+
+    def test_a_rank_two_dual_optimum_gets_a_barrier_report(self):
+        rho = rank_two_dual_state()
+        assert mo._c_r_rank_one([rho]) == [None]
+        report = mo.c_r(rho)
+        assert report.method == "barrier"
+        assert report.bound <= 0.5 <= report.value <= report.bound + mo.C_R_GAP
+
+    def test_edge_cases_raise_no_warning_and_keep_other_rows(self):
+        # a block-diagonal state (its blocks' relative phase is free, so the
+        # Hessian is singular), states with a zero diagonal entry (a zero
+        # coordinate sum, a zero eigenvector entry, a zero row of Diag(d) -
+        # rho), a rank-two state and a near-incoherent one, in one batch with
+        # a plain state
+        block = np.zeros((4, 4), dtype=complex)
+        block[:2, :2], block[2:, 2:] = random_density(2, 3).mat / 2.0, random_density(2, 4).mat / 2.0
+        zero_row = np.zeros((4, 4), dtype=complex)
+        zero_row[1:, 1:] = random_density(3, 6).mat
+        near = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        near[0, 1], near[1, 0] = 1e-9j, -1e-9j
+        rhos = [DensityMatrix(m) for m in (block, zero_row, near)]
+        rhos += [rank_k_state(4, 2, 0), random_density(4, 24)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = mo._c_r_rank_one(rhos)
+            alone = [mo._c_r_rank_one([rho])[0] for rho in rhos]
+            reports = mo.c_r_many(rhos)
+        assert batch == alone
+        assert [report is None for report in batch] == [False, True, False, False, False]
+        for rho, report in zip(rhos, reports):
+            assert np.isfinite(report.value) and np.isfinite(report.bound)
+            assert abs(report.value - mo.c_r(rho, "cutting_plane").value) <= mo.C_R_GAP
+            if report.method == "rank_one_dual":
+                self.check_certificate(rho, report)
+
+    def test_refuses_the_low_rank_states_the_barrier_fails_on(self):
+        # the barrier leaves these low-rank states' gaps open, so c_r raises on
+        # them, and no rank-one dual certifies them either
+        rhos = [rank_k_state(64, 2, seed) for seed in (1, 5, 10, 20, 32, 38)]
+        rhos += [rank_k_state(64, 3, seed) for seed in (103, 104)]
+        assert mo._c_r_rank_one(rhos) == [None] * len(rhos)
+
+
 class TestCR:
     def test_qubit_closed_form_vs_solver(self):
         for seed in range(60):
@@ -291,11 +451,12 @@ class TestCR:
             assert bound - 1e-12 <= value <= bound + 1e-7
 
     def test_report_carries_its_dual_bound(self):
-        for d in (3, 12, 32):
+        # the d = 32 state has no rank-one dual optimum the phase ascent finds
+        for d, route in ((3, "rank_one_dual"), (12, "rank_one_dual"), (32, "barrier")):
             rho = random_density(d, d)
             report = mo.c_r(rho)
             mixing = self.mixing_dual_bound(rho.mat)
-            assert report.method == "barrier"
+            assert report.method == route
             assert mixing - 1e-9 <= report.bound <= report.value <= report.bound + 1e-9
             assert "bound" not in report.to_json_dict()
             assert report.to_json_dict(include_witness=True)["bound"] == report.bound
@@ -333,38 +494,51 @@ class TestCR:
             random_density(3, 10),
         ]
 
+    # the route c_r_many's default takes for each of mixed_states()
+    MIXED_ROUTES = [
+        "rank_one_dual",
+        "closed_form",
+        "rank_one_dual",
+        "closed_form",
+        "closed_form",
+        "rank_one_dual",
+        "closed_form",
+        "closed_form",
+        "rank_one_dual",
+        "rank_one_dual",
+        "rank_one_dual",
+        "rank_one_dual",
+        "rank_one_dual",
+    ]
+
     @pytest.mark.parametrize("method", ["auto", "cutting_plane"])
     def test_c_r_many_matches_per_state_c_r(self, method):
-        # each dimension's barrier states are one batch, but a row's iterates
-        # do not depend on its batch, so every number agrees bit for bit
+        # each dimension's solved states are one batch per kernel, but a row's
+        # iterates do not depend on its batch, so every number agrees bit for bit
         rhos = self.mixed_states()
         many = mo.c_r_many(rhos, method)
         assert len(many) == len(rhos)
-        barrier = 0
         for rho, report in zip(rhos, many):
             single = mo.c_r(rho, method)
             assert (report.name, report.method) == (single.name, single.method)
             assert report.value == single.value and report.bound == single.bound
-            if report.method == "barrier":
-                barrier += 1
+            if report.method != "closed_form":
                 assert np.array_equal(report.witness, single.witness)
                 assert report.witness.shape == (rho.dim,)
                 assert report.value - report.bound <= mo.C_R_GAP
             else:
                 assert report.witness is None and single.witness is None
-        assert barrier == (8 if method == "auto" else len(rhos))
+        routes = self.MIXED_ROUTES if method == "auto" else ["barrier"] * len(rhos)
+        assert [report.method for report in many] == routes
 
     def test_c_r_many_makes_one_batch_per_dimension(self, monkeypatch):
-        batches = []
-
-        def recording(y, data, cost, slack, newton, bound, gap):
-            batches.append(data.shape)
-            return numerics.log_det_barrier(y, data, cost, slack, newton, bound, gap)
-
-        monkeypatch.setattr(mo, "log_det_barrier", recording)
-        mo.c_r_many(self.mixed_states())
-        # four d = 3 states, two d = 4 and two d = 5; the rest take closed forms
-        assert sorted(batches) == [(2, 4, 4), (2, 5, 5), (4, 3, 3)]
+        batches = record_c_r_batches(monkeypatch)
+        reports = mo.c_r_many(self.mixed_states() + [rank_two_dual_state()])
+        # four d = 3 states, three d = 4 and two d = 5 go to the rank-one
+        # kernel, the rest take closed forms; the rank-two state it refuses is
+        # the barrier's one batch
+        assert batches == {"rank_one": [(4, 3, 3), (2, 5, 5), (3, 4, 4)], "barrier": [(1, 4, 4)]}
+        assert [report.method for report in reports] == self.MIXED_ROUTES + ["barrier"]
         assert mo.c_r_many([]) == []
         with pytest.raises(ValueError, match="method"):
             mo.c_r_many([random_density(3, 0)], "simplex")
@@ -695,29 +869,28 @@ class TestCachedSpectrum:
         # the second call is c_delta_r's rescaled core D^-1/2 rho D^-1/2; the
         # alpha grids read the cached spectrum
         assert len(calls) == 2
-        assert mo.c_r(rho).method == "barrier"
+        assert mo.c_r(rho).method == "rank_one_dual"
+        assert len(calls) == 2
 
 
 class TestHarnessBatching:
     """The monotonicity suite builds every sample before it validates or
     measures any, so its states are validated as one stack per dimension, C_R
-    runs as one barrier batch per dimension and each spectral monotone as one
+    runs as one batch per kernel and dimension and each spectral monotone as one
     stacked call per dimension, and its failure records come out as a
     state-by-state loop over ``_measure_states`` gives them, bit for bit."""
 
     def test_one_barrier_batch_per_dimension(self, monkeypatch):
-        batches = []
-
-        def recording(y, data, cost, slack, newton, bound, gap):
-            batches.append(data.shape)
-            return numerics.log_det_barrier(y, data, cost, slack, newton, bound, gap)
-
-        monkeypatch.setattr(mo, "log_det_barrier", recording)
-        summary = harness.run_suite("monotonicity", 5, seed=4)
-        assert summary["passed"]
-        # g-covariant and SIO inputs and outputs at d = 3, 4 states a sample;
-        # the qubit family takes C_R's closed form
-        assert batches == [(20, 3, 3)]
+        batches = record_c_r_batches(monkeypatch)
+        assert harness.run_suite("monotonicity", 5, seed=4)["passed"]
+        # g-covariant and SIO inputs and outputs at d = 3, 4 states a sample,
+        # all certified by the rank-one kernel; the qubit family takes C_R's
+        # closed form
+        assert batches == {"rank_one": [(20, 3, 3)], "barrier": []}
+        batches["rank_one"].clear()
+        assert harness.run_suite("monotonicity", 5, seed=158)["passed"]
+        # sample 0's g-covariant output is one the rank-one kernel refuses
+        assert batches == {"rank_one": [(20, 3, 3)], "barrier": [(1, 3, 3)]}
 
     def test_one_core_eigendecomposition_per_dimension_and_core_size(self, monkeypatch):
         shapes = []
