@@ -390,7 +390,9 @@ def _c_r_rank_one(states) -> list:
     d raised by a relative 1e-13 certifies a state when Diag(d) - rho passes
     a Cholesky factorization, which makes 1.d an upper bound, and
     1.d - Re(u^H rho u) <= C_R_GAP: the report is then value 1.d - 1,
-    witness d and bound Re(u^H rho u) - 1, method "rank_one_dual". A state
+    witness d and bound Re(u^H rho u) - 1, method "rank_one_dual". A zero
+    row of rho has d_i = 0 and splits off Diag(d) - rho as a zero row, so
+    the factorization reads 1 on its diagonal and factors the rest. A state
     whose optimal duals all have rank above one, or whose ascent stopped
     short of a maximum, fails the factorization and is left to the barrier.
     Every step is row by row, so a state's report is the same, bit for bit,
@@ -424,7 +426,7 @@ def _c_r_rank_one(states) -> list:
     rho_u = (mats @ u[:, :, None])[:, :, 0]
     d = (u.conj() * rho_u).real * (1.0 + 1e-13)
     slack = -mats
-    slack.reshape(len(mats), n * n)[:, :: n + 1] += d
+    slack.reshape(len(mats), n * n)[:, :: n + 1] += d + ~mats.any(axis=2)
     with np.errstate(invalid="ignore"):  # a failed factorization gives NaN
         factors = _umath_linalg.cholesky_lo(slack)
     psd = np.isfinite(factors.reshape(len(mats), n * n)).all(axis=1).tolist()

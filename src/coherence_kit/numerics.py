@@ -377,20 +377,24 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram(_ExactEquality):
-    """min objective.d  s.t.  a.d >= b for every (a, b) in cuts, d >= 0."""
+    """min objective.d  s.t.  a.d >= b for every (a, b) in cuts, d >= 0.
+
+    The arrays are read-only copies: the caller keeps its own."""
 
     objective: np.ndarray
     cuts: tuple
 
     def __init__(self, objective, cuts):
-        c = np.asarray(objective, dtype=float)
+        c = np.array(objective, dtype=float)
         if c.ndim != 1:
             raise ValueError("objective must be a vector")
+        c.setflags(write=False)
         normalized = []
         for a, b in cuts:
-            av = np.asarray(a, dtype=float)
+            av = np.array(a, dtype=float)
             if av.shape != c.shape:
                 raise ValueError("cut coefficient length must match objective length")
+            av.setflags(write=False)
             normalized.append((av, float(b)))
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "cuts", tuple(normalized))

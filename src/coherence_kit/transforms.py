@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -162,20 +163,26 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     one and the square witness is composed with the embedding sum_x |x><x|
     (d < d', still at most d operators) or with the fold operators
     sum_{y<d'} |y><y| and |0><y| for y >= d' (d > d'; zero composites are
-    dropped). Majorization is tested first, on the padded vectors.
+    dropped).
+
+    Each state is sorted once, by its gauge: majorization is tested first,
+    on the squared sorted moduli x and y, each normalized by the sum over its
+    own state's entries. These are the bits ``majorizes`` compares after
+    ``schmidt_vector`` sorts the probabilities (squaring keeps the
+    descending order, and the padding zeros sit past every entry), so the
+    verdict and ``failing_k`` are the same without a second sort.
     """
-    check = majorizes(schmidt_vector(phi), schmidt_vector(psi))
-    if not check:
-        raise InfeasibleTransformError(
-            f"majorization fails at k={check.failing_k}", {"failing_k": check.failing_k}
-        )
     d_in, d_out = psi.dim, phi.dim
     d = max(d_in, d_out)
     g_in, amps_in = _sorting_gauge(np.pad(psi.amps, (0, d - d_in)))
     g_out, amps_out = _sorting_gauge(np.pad(phi.amps, (0, d - d_out)))
+    x, y = amps_in**2, amps_out**2
+    violated = _prefix_violations(y / y[:d_out].sum(), x / x[:d_in].sum())
+    if violated.size:
+        k = int(violated[0]) + 1
+        raise InfeasibleTransformError(f"majorization fails at k={k}", {"failing_k": k})
 
-    y = amps_out**2
-    weights, perms = _permutohedron_walk(amps_in**2, y)
+    weights, perms = _permutohedron_walk(x, y)
     # Columns are normalized by the mix actually reached, not by |psi_x|^2,
     # so the sum rule closes to rounding even for tiny amplitudes.
     reached = weights @ y[perms]
@@ -217,45 +224,64 @@ def _permutohedron_walk(x: np.ndarray, y: np.ndarray) -> tuple:
     A step writes z = (z' + lam v) / (1 + lam), so the weights are carried as
     products; rounding amplified by a far extrapolation is damped by the same
     factor 1 / (1 + lam).
+
+    The walk runs on Python floats and lists: at d <= 64 a numpy call costs
+    more than its arithmetic. Every step rounds as the numpy form of the
+    walk did, so weights and permutations keep their bits: ``sorted`` with
+    ``reverse=True`` is the stable descending order of ``argsort(-z,
+    kind="stable")``, running sums add left to right as ``cumsum`` does,
+    each entrywise sum, product and quotient is one IEEE operation either
+    way, and the first strict minimum is ``argmin``'s.
     """
     d = x.size
-    y_cum = np.cumsum(y)
-    tight = np.zeros(d, dtype=bool)
-    tight[-1] = True  # sum z = sum y throughout
-    z = x.astype(float)
-    order = np.argsort(-z, kind="stable")
+    y = y.tolist()
+    y_cum = list(accumulate(y))
+    free = [True] * (d - 1) + [False]  # sum z = sum y throughout
+    z = x.astype(float).tolist()
     weights, perms, carry = [], [], 1.0
-    while not tight.all():
-        v = np.empty(d)
-        v[order] = y
-        u = z - v
-        lam, cut = np.inf, None
+    while True:
+        rank = _descending_rank(z)
+        if not any(free):
+            break
+        u = [zi - y[r] for zi, r in zip(z, rank)]  # z - v, with v[i] = y[rank[i]]
+        lam, cut = math.inf, None
         while True:
-            idx = np.argsort(-u if lam == np.inf else -(z + lam * u), kind="stable")
-            u_cum = np.cumsum(u[idx])
-            free = np.flatnonzero(~tight & (u_cum > 0.0))
-            if free.size == 0:
+            key = u if lam == math.inf else [zi + lam * ui for zi, ui in zip(z, u)]
+            idx = sorted(range(d), key=key.__getitem__, reverse=True)
+            best, k_best = math.inf, None
+            u_cum = z_cum = 0.0
+            for k, i in enumerate(idx):
+                u_cum += u[i]
+                z_cum += z[i]
+                if free[k] and u_cum > 0.0:
+                    ratio = (y_cum[k] - z_cum) / u_cum
+                    if ratio < best:
+                        best, k_best = ratio, k
+            if best >= lam:  # also when no cut is free, or every ratio is inf
                 break
-            with np.errstate(over="ignore"):  # a vanishing u-sum never binds
-                ratios = (y_cum[free] - np.cumsum(z[idx])[free]) / u_cum[free]
-            best = int(np.argmin(ratios))
-            if ratios[best] >= lam:
-                break
-            lam, cut = float(ratios[best]), int(free[best])
+            lam, cut = best, k_best
         if cut is None:  # u vanishes up to rounding: z is the vertex v
             break
         step = max(lam, 0.0)
         if step > 0.0:
             weights.append(carry * step / (1.0 + step))
-            perms.append(np.argsort(order))
+            perms.append(rank)
             carry /= 1.0 + step
-        z = z + step * u
-        tight[cut] = True
-        order = np.argsort(-z, kind="stable")
+        z = [zi + step * ui for zi, ui in zip(z, u)]
+        free[cut] = False
     weights.append(carry)
-    perms.append(np.argsort(order))
+    perms.append(rank)
     keep = np.array(weights) > 0.0
     return np.array(weights)[keep], np.array(perms)[keep]
+
+
+def _descending_rank(z: list) -> list:
+    """rank[i] = position of entry i in the stable descending order of z:
+    ``argsort(argsort(-z, kind="stable"))``."""
+    rank = [0] * len(z)
+    for k, i in enumerate(sorted(range(len(z)), key=z.__getitem__, reverse=True)):
+        rank[i] = k
+    return rank
 
 
 def sio_pure_decide(psi: PureStateVector, phi: PureStateVector) -> TransformDecision:

@@ -284,12 +284,16 @@ class TestRankOneDual:
         unit moduli found in that matrix's null space gives the report's bound
         Re(u^H rho u) - 1 from below. u is the fixed point of alternating
         projections onto the null space and onto unit moduli: the null space
-        has more than one dimension on a block-diagonal state."""
+        has more than one dimension on a block-diagonal state. Rows where
+        rho is zero must have d = 0; they split off and are dropped before
+        the factorization."""
         d = report.witness
         assert report.method == "rank_one_dual"
         assert report.value == pytest.approx(np.sum(d) - 1.0, abs=1e-14)
         slack = np.diag(d).astype(complex) - rho.mat
-        np.linalg.cholesky(slack)
+        kept = rho.mat.any(axis=1)
+        assert not rho.mat[~kept].any() and not d[~kept].any()
+        np.linalg.cholesky(slack[np.ix_(kept, kept)])
         vals, vecs = np.linalg.eigh(slack)
         null = vecs[:, vals <= 1e-11]
         rng = np.random.default_rng(0)
@@ -371,12 +375,23 @@ class TestRankOneDual:
             alone = [mo._c_r_rank_one([rho])[0] for rho in rhos]
             reports = mo.c_r_many(rhos)
         assert batch == alone
-        assert [report is None for report in batch] == [False, True, False, False, False]
+        assert [report is None for report in batch] == [False] * 5
         for rho, report in zip(rhos, reports):
             assert np.isfinite(report.value) and np.isfinite(report.bound)
             assert abs(report.value - mo.c_r(rho, "cutting_plane").value) <= mo.C_R_GAP
             if report.method == "rank_one_dual":
                 self.check_certificate(rho, report)
+
+    def test_a_zero_row_splits_off(self):
+        # 0 + sigma is certified as sigma is, with d = 0 on the zero row
+        for sigma in (random_density(3, 6), random_density(2, 5)):
+            padded = np.zeros((sigma.dim + 1,) * 2, dtype=complex)
+            padded[1:, 1:] = sigma.mat
+            rho = DensityMatrix(padded)
+            report = mo.c_r(rho)
+            self.check_certificate(rho, report)
+            assert report.witness[0] == 0.0
+            assert abs(report.value - mo.c_r(rho, "cutting_plane").value) <= mo.C_R_GAP
 
     def test_refuses_the_low_rank_states_the_barrier_fails_on(self):
         # the barrier leaves these low-rank states' gaps open, so c_r raises on

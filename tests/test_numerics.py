@@ -219,6 +219,15 @@ class TestSolveLp:
         with pytest.raises(ValueError):
             LinearProgram([1.0, 1.0], [([1.0], 1.0)])
 
+    def test_keeps_its_own_read_only_arrays(self):
+        c, a = np.array([1.0, 2.0]), np.array([1.0, 1.0])
+        lp = LinearProgram(c, [(a, 1.0)])
+        c[0], a[1] = 9.0, 7.0
+        assert lp.objective.tolist() == [1.0, 2.0]
+        assert lp.cuts[0][0].tolist() == [1.0, 1.0]
+        assert not lp.objective.flags.writeable and not lp.cuts[0][0].flags.writeable
+        assert solve_lp(lp)[1] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestBirkhoff:
     def test_permutation_is_single_term(self):

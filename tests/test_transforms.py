@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from linalg_checks import reference_permutohedron_walk
+from test_witness import _sio_pairs
 
 from coherence_kit import channels as ch
 from coherence_kit import covariance as cov
 from coherence_kit import monotones as mo
+from coherence_kit import states
 from coherence_kit import transforms as tr
 from coherence_kit.numerics import eig_hermitian
 from coherence_kit.states import (
@@ -346,6 +349,53 @@ class TestSioPure:
         with pytest.raises(ValueError):
             tr.sio_pure_construct(pure([0.7, 0.3]), pure([0.5, 0.5]))
 
+    def test_verdict_is_majorizes_at_the_slack(self):
+        # psi moves eps of phi's mass up to entry k: prefix sums k+1 onwards
+        # exceed phi's by eps, placed 1e-14 to 5e-13 to either side of the
+        # 1e-12 slack; zero-padded to unequal dimensions and shuffled, and in
+        # two of three pairs one state's norm is off by 5e-11, inside the
+        # state tolerance, so the prefix sums must be read normalized
+        rng = np.random.default_rng(47)
+        for trial in range(120):
+            m = int(rng.integers(2, 9))
+            t = np.sort(rng.dirichlet(np.ones(m)))[::-1]
+            k = int(rng.integers(0, m - 1))
+            eps = 1e-12 + (-1) ** trial * rng.uniform(1e-14, 5e-13)
+            s = t.copy()
+            s[k] += eps
+            s[k + 1] -= eps
+            if trial % 3 == 0:
+                s *= 1.0 + 5e-11
+            elif trial % 3 == 1:
+                t *= 1.0 - 5e-11
+            d_in, d_out = m + int(rng.integers(0, 4)), m + int(rng.integers(0, 4))
+            psi = pure(np.pad(s, (0, d_in - m))[rng.permutation(d_in)], rng)
+            phi = pure(np.pad(t, (0, d_out - m))[rng.permutation(d_out)], rng)
+            check = tr.majorizes(schmidt_vector(phi), schmidt_vector(psi))
+            assert check.holds == (trial % 2 == 1)
+            assert check.holds or check.failing_k == k + 1
+            self.assert_verdict_is_majorizes(psi, phi)
+
+    def test_verdict_is_majorizes_on_the_witness_pairs(self):
+        for psi, phi in _sio_pairs():
+            self.assert_verdict_is_majorizes(psi, phi)
+
+    @staticmethod
+    def assert_verdict_is_majorizes(psi, phi):
+        check = tr.majorizes(schmidt_vector(phi), schmidt_vector(psi))
+        dec = tr.sio_pure_decide(psi, phi)
+        assert dec.verdict == check.holds
+        assert dec.violation == (None if check.holds else {"failing_k": check.failing_k})
+
+    def test_builds_no_schmidt_vector(self, monkeypatch):
+        # the construction sorts each state once, in its gauge
+        def refuse(self, probs):
+            raise AssertionError("SchmidtVector built")
+
+        monkeypatch.setattr(states.SchmidtVector, "__init__", refuse)
+        decisions = [tr.sio_pure_decide(psi, phi) for psi, phi in _sio_pairs()]
+        assert {dec.verdict for dec in decisions} == {True, False}
+
 
 def mixed_down(y, rng, n_perms=None):
     """Descending x majorized by y: a random convex mix of permutations of y."""
@@ -420,6 +470,31 @@ class TestPermutohedronWalk:
         assert weights.size == d
         assert np.max(np.abs(weights - 1.0 / d)) < 1e-15
         assert sorted(np.argmin(perms, axis=1)) == list(range(d))
+
+    @staticmethod
+    def assert_matches_reference(x, y):
+        weights, perms = tr._permutohedron_walk(x, y)
+        ref_weights, ref_perms = reference_permutohedron_walk(x, y)
+        assert weights.tobytes() == ref_weights.tobytes()
+        assert perms.dtype == ref_perms.dtype and perms.shape == ref_perms.shape
+        assert np.array_equal(perms, ref_perms)
+
+    def test_matches_the_numpy_walk_on_walk_cases(self):
+        for x, y in walk_cases():
+            self.assert_matches_reference(x, y)
+
+    def test_matches_the_numpy_walk_on_seeded_pairs(self):
+        # ties, zero tails in y alone and in both, and x = y, at every d
+        # from 2 to 64
+        rng = np.random.default_rng(46)
+        for d in range(2, 65):
+            for kind in ("generic", "ties", "zeros"):
+                y = walk_target(d, rng, kind)
+                support = y[y > 0.0]
+                both = np.r_[mixed_down(support, rng), np.zeros(d - support.size)]
+                for x in (mixed_down(y, rng), both, y):
+                    assert tr.majorizes(sv(y), sv(x))
+                    self.assert_matches_reference(x, y)
 
 
 class TestSioWitness:
