@@ -75,10 +75,28 @@ def _as_density(state) -> DensityMatrix:
     return state.to_density() if isinstance(state, PureStateVector) else state
 
 
+def _format_float(v: float) -> str:
+    """A float as the CSV form prints it: "inf", "-inf" and "nan" when it
+    is not finite."""
+    return f"{v:.9g}"
+
+
+def _finite_json(value):
+    """value with each non-finite float replaced by ``_format_float``'s
+    string, since strict JSON has no Infinity or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _format_float(value)
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def _format_csv(rows: list, header: list) -> str:
     def fmt(v):
         if isinstance(v, float):
-            return f"{v:.9g}"
+            return _format_float(v)
         return str(v)
 
     lines = [",".join(header)]
@@ -86,10 +104,31 @@ def _format_csv(rows: list, header: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _destination(path: str):
+    """What writing to path would write: the (device, inode) of an existing
+    regular file, the resolved path where nothing exists yet, or None for a
+    FIFO, device or other special file, which may be named more than once."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def _write_all(files) -> None:
     """Write every (path, text) of files, or none of them: all are opened,
     untruncated, before any is written, and a failure removes the files this
-    call created. Each is written in place, so a FIFO or device stays one."""
+    call created. Each is written in place, so a FIFO or device stays one.
+    Two paths that name one regular file, or one path not there yet, are a
+    usage error before anything is opened: the second text would replace
+    the first."""
+    named = {}
+    for path, _ in files:
+        key = _destination(path)
+        if key in named:
+            raise UsageError(f"{named[key]} and {path} name the same file")
+        if key is not None:
+            named[key] = path
     opened = []  # (path, text, created by this call, handle)
     try:
         for path, text in files:
@@ -114,7 +153,11 @@ def _emit(args, payload, csv_rows=None, csv_header=None, side_files=()):
     if getattr(args, "format", "json") == "csv":
         text = _format_csv(csv_rows, csv_header)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # a non-finite float; walking every payload costs 1-2% of a call
+            text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False)
+        text += "\n"
     _write_all(([(args.out, text)] if args.out else []) + list(side_files))
     if not args.out:
         sys.stdout.write(text)

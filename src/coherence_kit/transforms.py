@@ -9,7 +9,10 @@ incoherent operations exactly when its support splits into blocks whose
 moduli are proportional to the target's. Every positive verdict carries a
 Kraus witness. Each construction writes its operators as one stack, and
 ``_witness`` alone builds and checks it: CPTP within ``CPTP_TOL``, the
-construction's class test, and the output match (``_verify_witness``).
+construction's class test, and the output match (``_verify_witness``), on
+an output formed as one Gram product (``_witness_output``) for every
+decider. SIO operators are written entry by entry through the sorting
+gauges' indices and phases, with no gauge matrix formed.
 
 Each class's feasibility inequality is tested in one place, its construction,
 which raises ``InfeasibleTransformError`` carrying the violation record. Every
@@ -30,7 +33,6 @@ from .channels import (
     KrausChannel,
     _phase_permutation_weights,
     _single_entried,
-    apply,
     is_mio,
     is_sio_rep,
 )
@@ -116,8 +118,28 @@ def majorizes(target: SchmidtVector, source: SchmidtVector) -> MajorizationCheck
     return MajorizationCheck(True)
 
 
+def _witness_output(channel: KrausChannel, source) -> DensityMatrix:
+    """The channel's output on source, as the Gram product G G^H with
+    G = [K_a F], the operators applied to a factor F F^H of the source: psi
+    as a column for a PureStateVector, V diag(sqrt(max(lam, 0))) from the
+    cached spectrum for a DensityMatrix. It is scaled to unit trace, as
+    ``apply`` scales a trace-preserving channel's output, and validated as a
+    DensityMatrix. A pure source costs O(n d^2), against the operator sum's
+    O(n d^3), and no structure of the stack is assumed."""
+    if isinstance(source, PureStateVector):
+        factor = source.amps[:, None]
+    else:
+        spec = source.spectrum
+        factor = spec.eigenvectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))
+    cols = (channel.kraus @ factor).transpose(1, 0, 2).reshape(channel.dout, -1)
+    out = cols @ cols.conj().T
+    return DensityMatrix(out / np.trace(out).real)
+
+
 def _verify_witness(channel: KrausChannel, source, target):
-    dist = 0.5 * trace_norm(apply(channel, source).mat - target.mat)
+    """Raise ArithmeticError unless the channel's output on source
+    (``_witness_output``) is within WITNESS_TOL of target in trace distance."""
+    dist = 0.5 * trace_norm(_witness_output(channel, source).mat - target.mat)
     if dist > WITNESS_TOL:
         raise ArithmeticError(f"witness output misses the target by {dist:.3e}")
 
@@ -127,8 +149,8 @@ def _witness(ops, member, lost: str, source, target):
     passing ``member`` (else ArithmeticError naming what was ``lost``) and
     taking source to target (``_verify_witness``). source and target are the
     decider's own states, a DensityMatrix or a PureStateVector, read through
-    their ``mat``: a pure state is not validated again as a density matrix,
-    and only the witness's output is (``apply``)."""
+    their ``amps``, ``spectrum`` and ``mat``: a pure state is not validated
+    again as a density matrix, and only the witness's output is."""
     channel = KrausChannel(ops)
     if not member(channel):
         raise ArithmeticError(f"constructed witness lost {lost}")
@@ -137,18 +159,16 @@ def _witness(ops, member, lost: str, source, target):
 
 
 def _sorting_gauge(amps: np.ndarray) -> tuple:
-    """Incoherent unitary g with (g @ amps) real, nonnegative, descending."""
+    """(order, phases, moduli) of the incoherent unitary g with
+    g[i, order[i]] = phases[i], which makes g @ amps = moduli real,
+    nonnegative and descending: ``order`` sorts |amps| stably descending,
+    and a phase is 1 where the modulus is at most 1e-15."""
     order = np.argsort(-np.abs(amps), kind="stable")
-    d = amps.size
-    perm = np.zeros((d, d), dtype=complex)
-    perm[np.arange(d), order] = 1.0
-    phases = np.ones(d, dtype=complex)
     moved = amps[order]
+    phases = np.ones(amps.size, dtype=complex)
     nonzero = np.abs(moved) > 1e-15
     phases[nonzero] = np.exp(-1j * np.angle(moved[nonzero]))
-    gauge = np.diag(phases) @ perm
-    sorted_amps = np.abs(moved)
-    return gauge, sorted_amps
+    return order, phases, np.abs(moved)
 
 
 def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChannel:
@@ -158,12 +178,13 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     tau(phi) writes tau(psi) as a convex mix of at most d permutations of
     tau(phi), and each permutation is Hadamarded against the amplitude-ratio
     matrix. Input columns the mix leaves at zero keep an identity block per
-    operator so the sum rule closes exactly. Sorting gauges are composed
-    back in. States of unequal dimension d, d' are zero-padded to the larger
-    one and the square witness is composed with the embedding sum_x |x><x|
-    (d < d', still at most d operators) or with the fold operators
-    sum_{y<d'} |y><y| and |0><y| for y >= d' (d > d'; zero composites are
-    dropped).
+    operator so the sum rule closes exactly. Each operator has one entry per
+    column, written into the dense stack through the sorting gauges'
+    indices and phases (``_sorting_gauge``), with no gauge matrix formed.
+    States of unequal dimension d, d' are zero-padded to the larger one and
+    the square witness is composed with the embedding sum_x |x><x| (d < d',
+    still at most d operators) or with the fold operators sum_{y<d'} |y><y|
+    and |0><y| for y >= d' (d > d'; zero composites are dropped).
 
     Each state is sorted once, by its gauge: majorization is tested first,
     on the squared sorted moduli x and y, each normalized by the sum over its
@@ -174,8 +195,8 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     """
     d_in, d_out = psi.dim, phi.dim
     d = max(d_in, d_out)
-    g_in, amps_in = _sorting_gauge(np.pad(psi.amps, (0, d - d_in)))
-    g_out, amps_out = _sorting_gauge(np.pad(phi.amps, (0, d - d_out)))
+    order_in, phase_in, amps_in = _sorting_gauge(np.pad(psi.amps, (0, d - d_in)))
+    order_out, phase_out, amps_out = _sorting_gauge(np.pad(phi.amps, (0, d - d_out)))
     x, y = amps_in**2, amps_out**2
     violated = _prefix_violations(y / y[:d_out].sum(), x / x[:d_in].sum())
     if violated.size:
@@ -187,15 +208,18 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     # so the sum rule closes to rounding even for tiny amplitudes.
     reached = weights @ y[perms]
     support = reached > 0.0
-    ratio = np.zeros((d, d))
-    ratio[:, support] = amps_out[:, None] / np.sqrt(reached[support])
-    # operator a sends column x to row perms[a, x]
-    cols = np.arange(d)
-    ops = np.zeros((weights.size, d, d))
-    ops[np.arange(weights.size)[:, None], perms, cols] = ratio[perms, cols]
-    ops += np.diag((~support).astype(float))
-    ops *= np.sqrt(weights)[:, None, None]
-    ops = g_out.conj().T @ ops @ g_in
+    # In the sorted frame operator a sends column x to row rows[a, x]: to
+    # perms[a, x] where the mix reached x, else to x itself, the identity
+    # block that closes the sum rule.
+    rows = np.where(support, perms, np.arange(d))
+    ratio = amps_out[perms] / np.sqrt(np.where(support, reached, 1.0))
+    values = np.where(support, ratio, 1.0) * np.sqrt(weights)[:, None]
+    # the gauges move entry (r, x) to (order_out[r], order_in[x]) and
+    # multiply it by conj(phase_out[r]) phase_in[x]
+    ops = np.zeros((weights.size, d, d), dtype=complex)
+    ops[np.arange(weights.size)[:, None], order_out[rows], order_in] = (
+        phase_out[rows].conj() * values * phase_in
+    )
     if d_in < d_out:
         ops = ops[:, :, :d_in]
     elif d_in > d_out:

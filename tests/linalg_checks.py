@@ -76,3 +76,51 @@ def reference_permutohedron_walk(x: np.ndarray, y: np.ndarray) -> tuple:
     perms.append(np.argsort(order))
     keep = np.array(weights) > 0.0
     return np.array(weights)[keep], np.array(perms)[keep]
+
+
+
+def reference_sio_stack(psi, phi):
+    """The dense form of ``transforms.sio_pure_construct``'s stack, kept as
+    its reference. Returns (failing_k, None), failing_k read off
+    ``majorizes``, or (None, ops): the operators built in the sorted frame as
+    a real stack, carried back by the dense sorting gauges,
+    g_out^H @ ops @ g_in with g = diag(phases) @ perm, then sliced or folded
+    to the states' dimensions as the construction does."""
+    from coherence_kit import transforms as tr
+    from coherence_kit.states import schmidt_vector
+
+    check = tr.majorizes(schmidt_vector(phi), schmidt_vector(psi))
+    if not check:
+        return check.failing_k, None
+    d_in, d_out = psi.dim, phi.dim
+    d = max(d_in, d_out)
+
+    def dense_gauge(amps):
+        order, phases, moduli = tr._sorting_gauge(np.pad(amps, (0, d - amps.size)))
+        perm = np.zeros((d, d), dtype=complex)
+        perm[np.arange(d), order] = 1.0
+        return np.diag(phases) @ perm, moduli
+
+    g_in, amps_in = dense_gauge(psi.amps)
+    g_out, amps_out = dense_gauge(phi.amps)
+    y = amps_out**2
+    weights, perms = tr._permutohedron_walk(amps_in**2, y)
+    reached = weights @ y[perms]
+    support = reached > 0.0
+    ratio = np.zeros((d, d))
+    ratio[:, support] = amps_out[:, None] / np.sqrt(reached[support])
+    cols = np.arange(d)
+    ops = np.zeros((weights.size, d, d))
+    ops[np.arange(weights.size)[:, None], perms, cols] = ratio[perms, cols]
+    ops += np.diag((~support).astype(float))
+    ops *= np.sqrt(weights)[:, None, None]
+    ops = g_out.conj().T @ ops @ g_in
+    if d_in < d_out:
+        return None, ops[:, :, :d_in]
+    if d_in > d_out:
+        fold = np.zeros((1 + d_in - d_out, d_out, d_in))
+        fold[0, :, :d_out] = np.eye(d_out)
+        fold[np.arange(1, fold.shape[0]), 0, np.arange(d_out, d_in)] = 1.0
+        ops = (fold[:, None] @ ops[None]).reshape(-1, d_out, d_in)
+        ops = ops[np.any(ops != 0.0, axis=(1, 2))]
+    return None, ops

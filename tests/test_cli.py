@@ -51,9 +51,22 @@ def files(tmp_path):
     }
 
 
+def strict_loads(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, as jq and
+    JSON.parse do."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, argv):
+    """Exit code and stdout of one call; a JSON stdout must parse strictly."""
     code = main(argv)
     out = capsys.readouterr().out
+    if out.startswith(("{", "[")):
+        strict_loads(out)
     return code, out
 
 
@@ -112,7 +125,7 @@ class TestClassify:
     def test_example_channel(self, files, capsys):
         code, out = run_cli(capsys, ["classify", files["example"]])
         assert code == 0
-        report = json.loads(out)
+        report = strict_loads(out)
         assert report["cptp"] is True
         assert report["mio"] is True
         assert report["io_rep"] is False
@@ -120,7 +133,7 @@ class TestClassify:
 
     def test_identity_channel(self, files, capsys):
         code, out = run_cli(capsys, ["classify", files["identity"]])
-        report = json.loads(out)
+        report = strict_loads(out)
         assert code == 0
         assert all(
             report[key] for key in ("cptp", "mio", "dio", "io_rep", "sio_rep", "pio_rep")
@@ -128,7 +141,7 @@ class TestClassify:
 
     def test_hadamard(self, files, capsys):
         code, out = run_cli(capsys, ["classify", files["hadamard"]])
-        report = json.loads(out)
+        report = strict_loads(out)
         assert code == 0
         assert report["cptp"] is True and report["mio"] is False
 
@@ -168,7 +181,7 @@ class TestMonotones:
     def test_plus_panel(self, files, capsys):
         code, out = run_cli(capsys, ["monotones", files["plus"]])
         assert code == 0
-        values = {entry["name"]: entry["value"] for entry in json.loads(out)}
+        values = {entry["name"]: entry["value"] for entry in strict_loads(out)}
         for key in ("c_rel", "c_l1", "c_r", "c_delta_r", "r_d"):
             assert values[key] == pytest.approx(1.0, abs=1e-9)
 
@@ -177,7 +190,7 @@ class TestMonotones:
         path.write_text(json.dumps(DensityMatrix(np.diag([0.3, 0.7])).to_json_dict()))
         code, out = run_cli(capsys, ["monotones", str(path)])
         assert code == 0
-        for entry in json.loads(out):
+        for entry in strict_loads(out):
             assert abs(entry["value"]) < 1e-9
 
     def test_qubit_closed_forms(self, files, capsys):
@@ -185,7 +198,7 @@ class TestMonotones:
             capsys, ["monotones", files["mixed_qubit"], "--measures", "c_r,c_delta_r"]
         )
         assert code == 0
-        values = {e["name"]: e["value"] for e in json.loads(out)}
+        values = {e["name"]: e["value"] for e in strict_loads(out)}
         assert values["c_r"] == pytest.approx(0.4, abs=1e-12)
         assert values["c_delta_r"] == pytest.approx(0.2 / math.sqrt(0.21), abs=1e-9)
 
@@ -243,7 +256,7 @@ class TestMonotones:
         monkeypatch.setattr(DensityMatrix, "__init__", counted)
         code, out = run_cli(capsys, ["monotones", str(path)])
         assert code == 0
-        assert len(json.loads(out)) == 8
+        assert len(strict_loads(out)) == 8
         assert len(built) == 1
 
     def test_default_panel_runs_c_delta_r_once(self, files, capsys, monkeypatch):
@@ -257,7 +270,7 @@ class TestMonotones:
         monkeypatch.setattr(mo, "c_delta_r", counted)
         code, out = run_cli(capsys, ["monotones", files["mixed_qubit"]])
         assert code == 0
-        assert [e["name"] for e in json.loads(out)].count("r_d") == 1
+        assert [e["name"] for e in strict_loads(out)].count("r_d") == 1
         assert len(calls) == 1
 
     @pytest.mark.parametrize("state", [random_density(3, 4), random_pure(16, 5)])
@@ -284,7 +297,7 @@ class TestMonotones:
         monkeypatch.setattr(mo, "c_r", counted)
         code, out = run_cli(capsys, ["monotones", files["mixed_qubit"], "--measures", "c_r,c_r"])
         assert code == 0
-        first, second = json.loads(out)
+        first, second = strict_loads(out)
         assert first == second and first["name"] == "c_r"
         assert len(calls) == 1
 
@@ -299,7 +312,7 @@ class TestMonotones:
         target, link = files["dir"] / "real.json", files["dir"] / "link.json"
         link.symlink_to(target)
         assert main(["reproduce", "--artifact", "fig1", "--out", str(link)]) == 0
-        assert link.is_symlink() and json.loads(target.read_text())
+        assert link.is_symlink() and strict_loads(target.read_text())
 
     def test_out_to_a_fifo_keeps_the_fifo(self, files, capsys):
         # --out is opened and written in place, never replaced by a new file
@@ -311,12 +324,35 @@ class TestMonotones:
         assert main(["reproduce", "--artifact", "fig1", "--out", str(fifo)]) == 0
         reader.join(timeout=10)
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-        assert json.loads(read[0])
+        assert strict_loads(read[0])
+
+    def test_non_finite_values_are_strings(self, capsys, tmp_path):
+        # C_Delta_2 from the left is infinite on a pure state; strict JSON has
+        # no Infinity, so it prints the string the CSV form prints
+        state = tmp_path / "pure.json"
+        state.write_text(json.dumps(PureStateVector([0.6, 0.8]).to_json_dict()))
+        argv = ["monotones", str(state), "--measures", "c_delta_alpha:2:left"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0 and strict_loads(out)[0]["value"] == "inf"
+        code, out = run_cli(capsys, [*argv, "--format", "csv"])
+        assert code == 0 and out.splitlines()[1].endswith(",inf,closed_form")
+
+    def test_one_rule_for_non_finite_floats(self):
+        payload = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": (2, "x", None, True)}
+        assert cli._finite_json(payload) == {
+            "a": ["inf", "-inf", "nan", 1.5],
+            "b": [2, "x", None, True],
+        }
+        assert [cli._format_float(v) for v in (math.inf, -math.inf, math.nan)] == [
+            "inf",
+            "-inf",
+            "nan",
+        ]
 
     def test_matches_direct_library_call(self, files, capsys):
         code, out = run_cli(capsys, ["monotones", files["mixed_qubit"]])
         assert code == 0
-        reported = {e["name"]: e["value"] for e in json.loads(out)}
+        reported = {e["name"]: e["value"] for e in strict_loads(out)}
         rho = DensityMatrix([[0.7, 0.2], [0.2, 0.3]])
         assert reported["c_rel"] == mo.c_rel(rho).value
         assert reported["c_r"] == mo.c_r(rho).value
@@ -338,9 +374,9 @@ class TestTransform:
             ],
         )
         assert code == 0
-        decision = json.loads(out)
+        decision = strict_loads(out)
         assert decision["verdict"] is True
-        stored = json.loads(witness_path.read_text())
+        stored = strict_loads(witness_path.read_text())
         witness = ch.KrausChannel.from_json_dict(stored)
         assert ch.is_mio(witness)
 
@@ -363,8 +399,8 @@ class TestTransform:
         argv = ["transform", *map(str, paths), "--class", klass, "--witness-out", str(witness_path)]
         code, out = run_cli(capsys, argv)
         assert code == 0
-        assert json.loads(out)["verdict"] is True
-        witness = ch.KrausChannel.from_json_dict(json.loads(witness_path.read_text()))
+        assert strict_loads(out)["verdict"] is True
+        witness = ch.KrausChannel.from_json_dict(strict_loads(witness_path.read_text()))
         tr._verify_witness(
             witness, PureStateVector(source).to_density(), PureStateVector(target).to_density()
         )
@@ -375,7 +411,7 @@ class TestTransform:
             ["transform", files["weak_qubit"], files["strong_qubit"], "--class", "qubit"],
         )
         assert code == 0
-        decision = json.loads(out)
+        decision = strict_loads(out)
         assert decision["verdict"] is False
         assert decision["violation"]["monotone"] == "c_r"
 
@@ -385,7 +421,7 @@ class TestTransform:
                 capsys, ["transform", files["plus"], files["plus"], "--class", klass]
             )
             assert code == 0
-            assert json.loads(out)["verdict"] is True
+            assert strict_loads(out)["verdict"] is True
 
     def test_sio_witness_at_d16(self, capsys, tmp_path):
         rng = np.random.default_rng(16)
@@ -404,8 +440,8 @@ class TestTransform:
             argv = ["transform", *paths, "--class", "sio", "--witness-out", str(witness_path)]
             code, out = run_cli(capsys, argv)
             assert code == 0
-            assert json.loads(out)["verdict"] is True
-            stored = json.loads(witness_path.read_text())
+            assert strict_loads(out)["verdict"] is True
+            stored = strict_loads(witness_path.read_text())
             assert len(stored["kraus"]) <= 16
             assert ch.is_sio_rep(ch.KrausChannel.from_json_dict(stored))
             outputs.append(out)
@@ -458,6 +494,37 @@ class TestTransform:
         assert captured.err == "usage error: cannot write /dev/full: No space left on device\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [None, "old"])
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_out_and_witness_out_naming_one_file_is_usage_error(
+        self, files, capsys, existing, spelling
+    ):
+        # the witness would replace the decision: refused before anything is opened
+        out = files["dir"] / "both.json"
+        if existing is not None:
+            out.write_text(existing)
+        other = {
+            "same": out,
+            "dot": files["dir"] / "." / "both.json",
+            "symlink": files["dir"] / "link.json",
+        }[spelling]
+        if spelling == "symlink":
+            other.symlink_to(out)
+        before = sorted(files["dir"].iterdir())
+        argv = ["transform", files["plus"], files["plus"], "--class", "sio"]
+        assert main([*argv, "--out", str(out), "--witness-out", str(other)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {out} and {other} name the same file\n"
+        assert sorted(files["dir"].iterdir()) == before
+        assert (out.read_text() if out.exists() else None) == existing
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_a_device_may_take_out_and_witness_out(self, files, capsys):
+        argv = ["transform", files["plus"], files["plus"], "--class", "sio"]
+        assert main([*argv, "--out", "/dev/null", "--witness-out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_class_input_mismatch(self, files, capsys):
         code, _ = run_cli(
             capsys,
@@ -472,7 +539,7 @@ class TestTransform:
         path.write_text(json.dumps(z4.to_json_dict()))
         code, out = run_cli(capsys, ["transform", files["plus"], str(path), "--class", "mio-pure"])
         assert code == 0
-        assert json.loads(out)["verdict"] is True
+        assert strict_loads(out)["verdict"] is True
 
     @pytest.mark.parametrize("offset, verdict", [(8.9e-13, True), (1.1e-12, False)])
     def test_mio_pure_at_the_slack(self, files, capsys, tmp_path, offset, verdict):
@@ -483,7 +550,7 @@ class TestTransform:
         path.write_text(json.dumps(PureStateVector(np.sqrt(q)).to_json_dict()))
         code, out = run_cli(capsys, ["transform", files["plus"], str(path), "--class", "mio-pure"])
         assert code == 0
-        decision = json.loads(out)
+        decision = strict_loads(out)
         assert decision["verdict"] is verdict
         assert ("witness" in decision) is verdict
         assert verdict or decision["violation"]["monotone"] == "sqrt_sum"
@@ -501,7 +568,7 @@ class TestReproduce:
     def test_example_artifact(self, files, capsys):
         code, out = run_cli(capsys, ["reproduce", "--artifact", "example"])
         assert code == 0
-        log = json.loads(out)
+        log = strict_loads(out)
         assert log["max_residual"] <= 1e-10
         assert log["mio"] is True and log["io_rep"] is False and log["dio"] is False
 
@@ -519,14 +586,14 @@ class TestReproduce:
     def test_cp_threshold(self, files, capsys):
         code, out = run_cli(capsys, ["reproduce", "--artifact", "cp-threshold"])
         assert code == 0
-        for row in json.loads(out):
+        for row in strict_loads(out):
             assert row["threshold"] == pytest.approx(row["expected"], abs=1e-6)
-        assert [row["d"] for row in json.loads(out)] == list(range(2, 9))
+        assert [row["d"] for row in strict_loads(out)] == list(range(2, 9))
 
     def test_qubit_formulas(self, files, capsys):
         code, out = run_cli(capsys, ["reproduce", "--artifact", "qubit-formulas", "--seed", "3"])
         assert code == 0
-        for row in json.loads(out):
+        for row in strict_loads(out):
             assert row["c_r_solver"] == pytest.approx(row["c_r_closed"], abs=1e-8)
             assert row["c_delta_r_eigen"] == pytest.approx(row["c_delta_r_closed"], abs=1e-8)
 
@@ -536,7 +603,7 @@ class TestReproduce:
         _, as_csv = run_cli(capsys, ["reproduce", "--artifact", artifact, "--format", "csv"])
         header, *lines = as_csv.strip().splitlines()
         header = header.split(",")
-        rows = json.loads(as_json)
+        rows = strict_loads(as_json)
         assert len(rows) == len(lines)
         for row, line in zip(rows, lines):
             assert sorted(row) == sorted(header)
@@ -560,7 +627,7 @@ class TestHarnessCommand:
                 capsys, ["harness", "--suite", suite, "--samples", "10", "--seed", "3"]
             )
             assert code == 0
-            assert json.loads(out)["passed"] is True
+            assert strict_loads(out)["passed"] is True
 
     def test_injected_corruption_fails(self, files, capsys, monkeypatch):
         monkeypatch.setenv("COHERENCE_KIT_HARNESS_INJECT", "2")
@@ -568,7 +635,7 @@ class TestHarnessCommand:
             capsys, ["harness", "--suite", "inclusions", "--samples", "5", "--seed", "3"]
         )
         assert code == 1
-        summary = json.loads(out)
+        summary = strict_loads(out)
         assert summary["passed"] is False
         assert all(f["index"] == 2 for f in summary["failures"])
 
@@ -607,7 +674,7 @@ class TestHarnessCommand:
         argv = ["harness", "--suite", suite, "--samples", "1", "--seed", "2"]
         code, out = run_cli(capsys, argv)
         assert code == 1
-        checks = [f["check"] for f in json.loads(out)["failures"]]
+        checks = [f["check"] for f in strict_loads(out)["failures"]]
         assert checks == [f"{suite}/{name}" for name in self.INJECTED[suite]]
 
     def test_inclusions_flag_the_injected_rotation_at_every_seed(self, capsys, monkeypatch):
@@ -617,7 +684,7 @@ class TestHarnessCommand:
         for seed in range(40):
             argv = ["harness", "--suite", "inclusions", "--samples", "1", "--seed", str(seed)]
             code, out = run_cli(capsys, argv)
-            failures = json.loads(out)["failures"]
+            failures = strict_loads(out)["failures"]
             assert code == 1 and failures, seed
             assert {f["index"] for f in failures} == {0}, seed
 

@@ -22,6 +22,7 @@ from coherence_kit import covariance as cov
 from coherence_kit import numerics, states
 from coherence_kit import transforms as tr
 from coherence_kit.states import PureStateVector, partial_dephase, random_density
+from linalg_checks import reference_sio_stack
 
 
 def _pure(probs, rng) -> PureStateVector:
@@ -137,9 +138,11 @@ def _digest(name) -> tuple:
     return digest.hexdigest(), positive
 
 
-# taken before the constructions returned through ``_witness``
+# taken before the constructions returned through ``_witness``; "sio" was
+# re-pinned when its operators stopped going through dense sorting gauges
+# (entries moved by at most 1.6e-16, see ``test_sio_stack_matches_the_dense_gauge_reference``)
 PINNED = {
-    "sio": ("c2860d3ace054bbc50f2a029798ce400f931f96c9eb48d18d9feeabfad7e621a", 95),
+    "sio": ("66e5261e0fa4f2a65f1bcbbd71ead4c18bc791e46e725a5904f6a24ab02cd687", 95),
     "mio-pure": ("91cf9f2a07c7db7ccbe4c95257a34f90f21c274a6c0a9265a54f33b9aba0f92c", 32),
     "qubit": ("5055bf590ba58044a63f5ccbe31166e15401e64a2763ec86d18b22e0e80f2c46", 37),
     "pio": ("e23c7b241ca503dd2312f24f9416c2ff0479e305ec78f81099b3a30efa7e3740", 18),
@@ -226,9 +229,92 @@ def test_a_pure_decision_factorizes_only_the_witness_output(name, monkeypatch):
         monkeypatch.setattr(module, "eig_hermitian", counted, raising=False)
     dec = decide(*args)
     assert dec.verdict
-    # ``apply`` validates the output; the decider's pure states are read
-    # through their ``mat`` and never validated as density matrices
+    # ``_witness_output`` validates the output; the decider's pure states
+    # are read through their ``amps`` and ``mat`` and never validated as
+    # density matrices
     assert shapes == [(1, dec.witness.dout, dec.witness.dout)]
+
+
+# ---------------------------------------------------------------------------
+# The output check: one Gram product, and it refuses a missed target.
+# ---------------------------------------------------------------------------
+
+PLUS = PureStateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("name", DECIDERS)
+def test_gram_output_is_the_operator_sum(name):
+    decide, pairs = DECIDERS[name]
+    checked = 0
+    for source, target in pairs():
+        dec = decide(source, target)
+        if dec.verdict:
+            state = PLUS if name == "mio-pure" else source
+            got = tr._witness_output(dec.witness, state).mat
+            assert np.abs(got - ch.apply(dec.witness, state).mat).max() <= 1e-15
+            checked += 1
+    assert checked == PINNED[name][1]
+
+
+def test_a_pure_witness_missing_its_target_is_refused():
+    psi, phi = FEASIBLE["sio"][1]()
+    witness = tr.sio_pure_decide(psi, phi).witness
+    tr._verify_witness(witness, psi, phi)
+    permuted = PureStateVector(phi.amps[[1, 0, 2]])
+    with pytest.raises(ArithmeticError, match="^witness output misses the target by "):
+        tr._verify_witness(witness, psi, permuted)
+
+
+def test_a_density_witness_missing_its_target_is_refused():
+    rho, sigma = next(_qubit_pairs())
+    witness = tr.qubit_decide(rho, sigma).witness
+    tr._verify_witness(witness, rho, sigma)
+    with pytest.raises(ArithmeticError, match="^witness output misses the target by "):
+        tr._verify_witness(witness, rho, random_density(2, 5))
+
+
+def _sio_tied_pairs():
+    """Pure pairs at d_in, d_out in {2, 5, 16, 33, 64}, unequal in two of
+    three, with moduli drawn from four levels (ties and zero amplitudes); the
+    target is the source's sorted probabilities, folded or padded and mixed
+    with e_0 by w in {0, 1/2, random}, or, one in four, a random vector."""
+    rng = np.random.default_rng(2033)
+    dims = (2, 5, 16, 33, 64)
+    for trial in range(40):
+        d_in = int(rng.choice(dims))
+        d_out = d_in if trial % 3 == 0 else int(rng.choice(dims))
+        p = rng.integers(0, 4, d_in).astype(float)
+        p[rng.integers(d_in)] += 1.0
+        p /= p.sum()
+        if trial % 4 == 3:
+            q = rng.integers(0, 4, d_out).astype(float)
+            q[0] += 1.0
+        else:
+            s = np.sort(p)[::-1]
+            if d_out < d_in:
+                s = np.concatenate([[s[0] + s[d_out:].sum()], s[1:d_out]])
+            s = np.pad(s, (0, d_out - s.size))
+            w = (0.0, 0.5, rng.random())[trial % 3]
+            q = ((1.0 - w) * s + w * np.eye(d_out)[0])[rng.permutation(d_out)]
+        yield _pure(p, rng), _pure(q / q.sum(), rng)
+
+
+@pytest.mark.parametrize("pairs", [_sio_pairs, _sio_tied_pairs])
+def test_sio_stack_matches_the_dense_gauge_reference(pairs):
+    verdicts = set()
+    for psi, phi in pairs():
+        dec = tr.sio_pure_decide(psi, phi)
+        failing_k, ref = reference_sio_stack(psi, phi)
+        verdicts.add(dec.verdict)
+        assert dec.verdict == (ref is not None)
+        if not dec.verdict:
+            assert dec.violation == {"failing_k": failing_k}
+            continue
+        got = dec.witness.kraus
+        assert got.shape == ref.shape
+        assert np.array_equal(got != 0.0, ref != 0.0)
+        assert np.abs(got - ref).max() <= 2.2e-16
+    assert verdicts == {True, False}
 
 
 def test_channels_take_no_tolerance_knob():
