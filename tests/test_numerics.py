@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 
@@ -329,7 +330,32 @@ def lambda_max(a, start, slack, newton, bound):
     return y[0], low
 
 
+def barrier_digest() -> str:
+    """sha256 over the value, bound and witness bytes of C_R forced through
+    the barrier on random_density(d, s), d = 2..8 and s = 0..19, and on two
+    d = 64 low-rank states whose solves restart, then over the value, bound
+    and q bytes of the trace distance at random_density(d, 1000 + s), d = 3..5
+    and s = 0..3."""
+    digest = hashlib.sha256()
+    rhos = [random_density(d, s) for d in range(2, 9) for s in range(20)]
+    for rho in rhos + [rank_k_state(64, 2, 11), rank_k_state(64, 3, 0)]:
+        report = c_r(rho)
+        digest.update(np.array([report.value, report.bound]).tobytes() + report.witness.tobytes())
+    for d in range(3, 6):
+        for s in range(4):
+            value, bound, q = mo._incoherent_trace_distance(random_density(d, 1000 + s))
+            digest.update(np.array([value, bound]).tobytes() + q.tobytes())
+    return digest.hexdigest()
+
+
+# taken while the kernel still solved a batch of problems in lockstep
+BARRIER_PIN = "94fbbed50e27f1fc83c2fe5c8c79268290aad676cc7cb438e587ad71f7f6263f"
+
+
 class TestLogDetBarrier:
+    def test_outputs_are_pinned(self):
+        assert barrier_digest() == BARRIER_PIN
+
     def test_lambda_max_is_bracketed(self):
         for seed in range(12):
             a = random_hermitian(2 + seed % 5, 40 + seed)
