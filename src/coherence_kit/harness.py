@@ -11,11 +11,11 @@ stack per dimension (``states._density_stack``: one ``eig_hermitian`` call
 per stack, each state with the bits ``DensityMatrix`` gives it alone); the
 qubit MIO channel's Choi matrix is factorized with full checks once, and its
 Kraus operators are read off that factorization. C_R solves each dimension's
-states as one batch of the rank-one dual kernel and those it refuses as one
-batch of the barrier kernel (``monotones.c_r_many``), and each
-spectral monotone is one stacked call per dimension over the states that
-need it (the ``monotones.*_values`` kernels); the other suites evaluate one
-sample after another.
+states as one batch of the rank-one dual kernel and those it refuses one at
+a time on the barrier kernel (``monotones.c_r_many``), and each spectral
+monotone is one stacked call per dimension over the states that need it (the
+``monotones.*_values`` kernels); the other suites evaluate one sample after
+another.
 Every suite reduces its results in sample-index order (then family, then
 check), and the samples draw from independent seeds, so a run is a pure
 function of (suite, samples, seed). Runs are serial: the samples are small
@@ -60,7 +60,7 @@ def _measure_states(cases) -> list:
     then IO's. Each measure is one stacked call per dimension over the states
     that need it, and a state in a DIO class reads all of DIO's from one
     call (``_dio_measures``); C_R is one ``c_r_many`` call over all the
-    states, which solves each dimension's states as one batch per kernel."""
+    states, which solves each dimension's states as one rank-one batch."""
     states = [rho for _, rho in cases]
     chains = [ch.class_chain(klass) for klass, _ in cases]
     dio = [k for k, chain in enumerate(chains) if "dio" in chain]

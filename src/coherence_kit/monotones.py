@@ -10,22 +10,21 @@ lockstep and certifies a state with one Cholesky factorization of
 Diag(d) - rho at d_i = Re(conj(u_i) (rho u)_i), which sums to the dual value
 u^H rho u. The states it refuses, C_R with method="cutting_plane", and the
 trace distance to the incoherent states are solved by
-``numerics.log_det_barrier``, which solves a batch of independent problems
-in lockstep; each client passes its
-starts, its per-problem data, and its slack, Newton step and bound, and the
-kernel sets each problem's barrier schedule from that problem's certified
-gap: t starts at nu / gap and, after each step taken near the central path
-and after at most BARRIER_FAR_PULLS in a row taken far from it, rises to at
-least BARRIER_MU * nu / gap, and a problem that rounding keeps open past that
-t restarts without far pulls. ``c_r_many`` hands every state without a
-closed form to the rank-one kernel, and every state that kernel refuses to
-the barrier, as one batch per dimension each, and ``c_r`` is its one-state
-case; a state's report is the same, bit for bit, in any batch. The C_R
-barrier solves its d x d Newton systems densely and repairs a dual point out
-of S^-1. The trace distance, one problem at a time, is solved in its dual form,
-so every iterate is a certificate as it stands, and the primal point q is
-read off its multipliers. Its Newton step uses the shared eigenbasis of
-(I -+ W)^-1 and costs O(d^4), so it reaches d = 64.
+``numerics.log_det_barrier``, one problem per call: each client passes its
+start and its slack, Newton step and bound hooks, which read the problem's
+data from their closures, and the kernel sets the barrier schedule from the
+certified gap: t starts at nu / gap and, after each step taken near the
+central path and after at most BARRIER_FAR_PULLS in a row taken far from it,
+rises to at least BARRIER_MU * nu / gap, and a solve that rounding keeps
+open past that t restarts without far pulls. ``c_r_many`` hands every state
+without a closed form to the rank-one kernel, as one batch per dimension,
+and every state that kernel refuses to the barrier, and ``c_r`` is its
+one-state case; a state's report is the same, bit for bit, in any batch.
+The C_R barrier solves its d x d Newton systems densely and repairs a dual
+point out of S^-1. The trace distance is solved in its dual form, so every
+iterate is a certificate as it stands, and the primal point q is read off
+its multipliers. Its Newton step uses the shared eigenbasis of (I -+ W)^-1
+and costs O(d^4), so it reaches d = 64.
 Either report's bound is within its gap target (``C_R_GAP``,
 ``TRACE_DISTANCE_GAP``) of its value, or the call raises ArithmeticError.
 
@@ -439,70 +438,60 @@ def _c_r_rank_one(states) -> list:
     ]
 
 
-def _c_r_batch(states) -> list:
-    """min{ 1.d : Diag(d) >= rho } for states of one dimension n, as one
-    batch of the log-det barrier kernel.
+def _c_r_barrier(rho: DensityMatrix) -> MonotoneReport:
+    """min{ 1.d : Diag(d) >= rho } on the log-det barrier kernel.
 
     The start d = (lambda_max + 1/n) 1 makes S = Diag(d) - rho positive
     definite, and the kernel keeps it so: every iterate d is primal feasible.
     Y = S^-1 rescaled to unit diagonal is a correlation matrix, so Tr(rho Y)
-    is a dual lower bound (Napoli et al., PRL 116, 150502); a state's solve
-    stops once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1, Hessian
-    |S^-1|^2 entrywise, solved densely for the step, one (n, n) system per
-    active state; the kernel chooses each state's t and lets it follow that
-    state's certified gap, so a d = 3 solve takes about 11 Newton systems.
-    Returns one barrier report per state, value 1.d - 1 with the majorant's
+    is a dual lower bound (Napoli et al., PRL 116, 150502); the solve stops
+    once 1.d - Tr(rho Y) <= C_R_GAP. Gradient t - diag S^-1, Hessian
+    |S^-1|^2 entrywise, solved densely for the step; the kernel chooses t and
+    lets it follow the certified gap, so a d = 3 solve takes about 11 Newton
+    systems. Returns a barrier report, value 1.d - 1 with the majorant's
     diagonal d as witness and Tr(rho Y) - 1 as bound, or raises
     ArithmeticError.
     """
-    n = states[0].dim
-    start = [[float(rho.spectrum.eigenvalues[-1]) + 1.0 / n] * n for rho in states]
+    n, mat = rho.dim, rho.mat
 
-    def slack(y, mats):
-        diag = np.zeros(mats.shape)
-        diag.reshape(len(y), n * n)[:, :: n + 1] = y
-        return (diag - mats,)
+    def slack(y):
+        return (np.diag(y) - mat,)
 
-    def newton(s_inv, t, mats):
+    def newton(s_inv, t):
         (s_inv,) = s_inv
-        grad = t[:, None] - s_inv.diagonal(0, 1, 2).real
+        grad = t - s_inv.diagonal().real
         return grad, -solve_stack(np.abs(s_inv) ** 2, grad)
 
-    def bound(y, s_inv, mats):
+    def bound(y, s_inv):
         (s_inv,) = s_inv
-        scale = 1.0 / np.sqrt(s_inv.diagonal(0, 1, 2).real)
-        dual = s_inv * (scale[:, :, None] * scale[:, None, :])
-        return np.vecdot(dual.reshape(len(y), n * n), mats.reshape(len(y), n * n)).real
+        scale = 1.0 / np.sqrt(s_inv.diagonal().real)
+        return float(np.vecdot((s_inv * np.outer(scale, scale)).ravel(), mat.ravel()).real)
 
-    mats = np.stack([rho.mat for rho in states])
-    d_vecs, duals = log_det_barrier(start, mats, np.ones(n), slack, newton, bound, C_R_GAP)
-    return [
-        MonotoneReport(
-            "c_r", float(np.sum(d_vec) - 1.0), "barrier", witness=d_vec, bound=dual - 1.0
-        )
-        for d_vec, dual in zip(d_vecs, duals.tolist())
-    ]
+    start = np.full(n, float(rho.spectrum.eigenvalues[-1]) + 1.0 / n)
+    d_vec, dual = log_det_barrier(start, np.ones(n), slack, newton, bound, C_R_GAP)
+    return MonotoneReport("c_r", float(np.sum(d_vec) - 1.0), "barrier", witness=d_vec, bound=dual - 1.0)
 
 
 def c_r_many(states, method: str = "auto") -> list:
     """C_R of every state, one report per state, in order (see c_r).
 
     Each state takes c_r's closed form where one applies; the rest are
-    grouped by dimension, and each group is one batch of the rank-one dual
-    kernel, then the states it refuses are grouped again, each group one
-    batch of the barrier kernel. Both kernels' rows keep their own
-    iterations, so a state's report does not depend on the states it was
-    solved with. method="cutting_plane" sends every state to the barrier.
+    grouped by dimension, each group one batch of the rank-one dual kernel,
+    whose rows keep their own iterations, so a state's report does not
+    depend on the states it was solved with. Each state that kernel refuses
+    is solved on its own by the barrier. method="cutting_plane" sends every
+    state to the barrier.
     """
     if method not in ("auto", "cutting_plane"):
         raise ValueError("method must be 'auto' or 'cutting_plane'")
     states = list(states)
-    reports = [_c_r_closed_form(rho) if method == "auto" else None for rho in states]
-    for kernel in (_c_r_rank_one, _c_r_batch) if method == "auto" else (_c_r_batch,):
+    reports = [None] * len(states)
+    if method == "auto":
+        reports = [_c_r_closed_form(rho) for rho in states]
         left = [k for k, report in enumerate(reports) if report is None]
-        for k, report in _per_dimension(kernel, states, left).items():
+        for k, report in _per_dimension(_c_r_rank_one, states, left).items():
             reports[k] = report
-    return reports
+    return [_c_r_barrier(rho) if report is None else report for rho, report in zip(states, reports)]
 
 
 def c_r(rho: DensityMatrix, method: str = "auto") -> MonotoneReport:
@@ -628,19 +617,16 @@ def _incoherent_trace_distance(rho: DensityMatrix):
     def w_of(y):
         return y[:-1].view(complex).reshape(d, d)
 
-    def slack(y, data):
-        (y,) = y
+    def slack(y):
         w = w_of(y)
-        blocks = np.eye(d) - w, np.eye(d) + w, np.diag(y[-1] - w.diagonal().real)
-        return tuple(block[None] for block in blocks)
+        return np.eye(d) - w, np.eye(d) + w, np.diag(y[-1] - w.diagonal().real)
 
     def simplex_point(y):
         r = 1.0 / (y[-1] - w_of(y).diagonal().real)
         return r / r.sum()
 
-    def newton(s_inv, t, data):
-        (a1,), (a2,), (a3,) = s_inv
-        (t,) = t.tolist()
+    def newton(s_inv, t):
+        a1, a2, a3 = s_inv
         r = a3.diagonal().real
         grad_w = a1 - a2 - t * mat
         grad_w.flat[:: d + 1] += r
@@ -662,13 +648,13 @@ def _incoherent_trace_distance(rho: DensityMatrix):
         step_w = (x + x.conj().T) / 2.0
         step_w.flat[:: d + 1] = sol[:d] / r**2 + sol[d]
         grad = np.append(grad_w.view(float).ravel(), grad_s)
-        return grad[None], np.append(step_w.view(float).ravel(), sol[d])[None]
+        return grad, np.append(step_w.view(float).ravel(), sol[d])
 
-    def bound(y, s_inv, data):
-        return np.array([-trace_norm(mat - np.diag(simplex_point(y[0])))])
+    def bound(y, s_inv):
+        return -trace_norm(mat - np.diag(simplex_point(y)))
 
-    y = np.append(np.zeros(2 * d * d), 1.0)[None]
-    (y,), (value,) = log_det_barrier(y, mat[None], cost, slack, newton, bound, TRACE_DISTANCE_GAP)
+    y = np.append(np.zeros(2 * d * d), 1.0)
+    y, value = log_det_barrier(y, cost, slack, newton, bound, TRACE_DISTANCE_GAP)
     w = w_of(y)
     low = float(np.vdot(w, mat).real) - float(np.max(w.diagonal().real))
     return -float(value), low, simplex_point(y)

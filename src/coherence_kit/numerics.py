@@ -1,5 +1,5 @@
-"""Dense complex linear algebra, a log-det barrier kernel, a small simplex LP,
-and Birkhoff decomposition.
+"""Dense complex linear algebra, a log-det barrier kernel that solves one
+problem at a time, a small simplex LP, and Birkhoff decomposition.
 
 Matrices are plain numpy arrays (complex128, row-major). ``eig_hermitian``
 and ``trace_norm`` take one matrix or a stack (K, n, n), factorized in one
@@ -32,10 +32,10 @@ class UnboundedError(ValueError):
 # promote types and enter an errstate context in Python on every call, which
 # on a 3 x 3 block costs several times what LAPACK does: 4.0 against 1.0 us for
 # cholesky and 7.9 against 1.5 us for inv (numpy 2.4, one BLAS thread, a
-# virtual Xeon core). The barrier, eig_hermitian and trace_norm call the
-# gufuncs behind them on their float64 and complex128 stacks instead, under the
-# error state numpy.linalg sets, so the bits are the same and a failed
-# factorization raises LinAlgError as there. eig_hermitian's checks cost more
+# virtual Xeon core). The barrier, on its problem's blocks, and eig_hermitian
+# and trace_norm, on their complex128 stacks, call the gufuncs behind them
+# instead, under the error state numpy.linalg sets, so the bits are the same
+# and a failed factorization raises LinAlgError as there. eig_hermitian's checks cost more
 # again (25 us a call at n = 3 or 4, against 3 to 5 us of LAPACK), so callers
 # with many states validate them as one stack per dimension
 # (``states._density_stack``: a harness monotonicity run of any size validates
@@ -201,7 +201,7 @@ def solve_stack(a, b) -> np.ndarray:
 # a d = 3 C_R solve took 25.0 / 23.0 / 19.9 / 18.9 Newton systems on average
 # at mu = 4 / 8 / 16 / 32.
 BARRIER_MU = 16.0
-# A row may raise t after at most BARRIER_FAR_PULLS steps taken far from the
+# A solve may raise t after at most BARRIER_FAR_PULLS steps taken far from the
 # central path (decrement^2 > 1) before a growth of t or a raise after a
 # near-path step renews its allowance. Chosen by measurement, mean Newton
 # systems per C_R solve (cutting plane):
@@ -215,40 +215,28 @@ BARRIER_MU = 16.0
 # rounding of S^-1 decides which paths close within 1e-9: with far pulls, 12
 # of 40 rank-2 and 6 of 40 rank-3 such states ran out of rounds, against 7
 # and 0 without. Those solves all grew t past BARRIER_MU * nu over the target
-# gap, where in exact arithmetic the gap has closed, so a row that does
+# gap, where in exact arithmetic the gap has closed, so a solve that does
 # restarts from its start with far pulls off (see log_det_barrier).
 BARRIER_FAR_PULLS = 4
 
 
-def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
-    """Certified damped-Newton log-det barrier for K independent problems
-    min cost.y s.t. S_k(y) > 0, solved in lockstep.
+def log_det_barrier(y, cost, slack, newton, bound, gap: float):
+    """Certified damped-Newton log-det barrier for min cost.y s.t. S(y) > 0.
 
-    The batch axis leads everywhere. ``y`` holds one strictly feasible start
-    per problem, shape (K, m); ``data`` holds each problem's own data, shape
-    (K, ...); ``cost`` (m,) is shared. The problems whose gap is still open
-    form the active set, and the hooks see only those A rows, in batch order,
-    with ``data`` cut to match: ``slack(y, data)`` returns the stacked
-    Hermitian blocks of S(y), each (A, n, n) and affine in its row of y;
-    ``newton(s_inv, t, data)`` takes the stacked inverses of those blocks and
-    the rows' barrier parameters t, shape (A,), and returns the gradients of
-    f = t cost.y - log det S and the Newton steps, -Hessian^-1 gradient, both
-    (A, m), which each client solves in its own structure; ``bound(y, s_inv,
-    data)`` returns (A,) objectives of the other problem at feasible points
-    built from the iterates, so certified lower bounds on the optima.
-
-    Each problem runs the schedule below on its own: its t, decrement,
-    damping, mu-rule, far-pull allowance and stop are Python numbers of its
-    own row, and the kernel's arithmetic acts row by row, so with hooks that
-    do too (C_R's do) a problem gets the same iterates, bit for bit, in any
-    batch and alone. A round asks every active row for one Newton system;
-    only the rows that step are evaluated again, and a row leaves the active
-    set once its gap closes.
+    ``y`` (m,) is a strictly feasible start and ``cost`` (m,) the objective;
+    the hooks read the problem's data from their closures. ``slack(y)``
+    returns the Hermitian blocks of S(y), each (n, n) and affine in y;
+    ``newton(s_inv, t)`` takes the inverses of those blocks and the barrier
+    parameter t, a Python float, and returns the gradient of
+    f = t cost.y - log det S and the Newton step, -Hessian^-1 gradient, both
+    (m,), which each client solves in its own structure; ``bound(y, s_inv)``
+    returns, as a float, the objective of the other problem at a feasible
+    point built from the iterate, so a certified lower bound on the optimum.
 
     Each iterate is evaluated once: every block of S(y) is factored by
     Cholesky, which checks that the start is strictly feasible and that
     rounding has not carried a step out of the domain, then inverted and
-    bounded, and the row's (y, bound) is final once cost.y - bound <= gap.
+    bounded, and (y, bound) is final once cost.y - bound <= gap.
     The schedule of t is the kernel's own. It starts at nu / gap_0, where
     nu = sum of the block sizes is the barrier parameter and gap_0 the
     certified gap at the start, because on the central path the gap is nu / t
@@ -265,7 +253,7 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
     update t = mu m / eta of the primal-dual method of 11.7 with the certified
     gap as eta. A step taken at lambda^2 <= 1 is near enough the central point
     for its gap to measure t, and always pulls t so. Far from the path
-    (lambda^2 > 1) the gap says less about t: a row pulls after at most
+    (lambda^2 > 1) the gap says less about t: the solve pulls after at most
     BARRIER_FAR_PULLS far steps, each spending one of its allowance whether
     or not t rises, and a growth of t or a near-path pull renews it (the
     measurements behind the limit are at BARRIER_FAR_PULLS).
@@ -275,97 +263,54 @@ def log_det_barrier(y, data, cost, slack, newton, bound, gap: float):
     and a growth starts from a centered iterate, whose gap nu / t is still
     above it too. A growth past that bound therefore means
     rounding kept the certified gap open, and the path far pulls chose may not
-    close at all; the row then restarts from its start, with the start's
-    evaluation and t kept from round 0 and far pulls off for the rest of its
+    close at all; the solve then restarts from its start, with the start's
+    evaluation and t kept from round 0 and far pulls off for the rest of the
     solve, so it follows, bit for bit, the path it takes when
     BARRIER_FAR_PULLS is 0.
 
-    Returns (y, bound), the final iterates (K, m) and their bounds (K,).
-    Raises ArithmeticError, for the whole batch, when a block of S is not
-    numerically positive definite (as at an infeasible start), S^-1 or a
-    hook's Newton system is numerically singular (a LinAlgError raised inside
-    the hook), or 2400 rounds (Newton systems solved, steps and growths of t
-    alike, restarts included) leave a gap open.
+    Returns (y, bound), the final iterate (m,) and its bound, a float.
+    Raises ArithmeticError when a block of S is not numerically positive
+    definite (as at an infeasible start), S^-1 or a hook's Newton system is
+    numerically singular (a LinAlgError raised inside the hook), or 2400
+    rounds (Newton systems solved, steps and growths of t alike, restarts
+    included) leave the gap open.
     """
 
-    def evaluate(y, data):
-        blocks = slack(y, data)
+    def evaluate(y):
+        blocks = slack(y)
         with np.errstate(**_LAPACK_ERRSTATE):
             for block in blocks:
                 _umath_linalg.cholesky_lo(block)
             s_inv = tuple(_umath_linalg.inv(block) for block in blocks)
-        low = bound(y, s_inv, data)
-        return s_inv, low, (np.add.reduce(cost * y, 1) - low).tolist()
-
-    def replace(old, idx, new):
-        out = old.copy()
-        out[idx] = new
-        return out
+        low = bound(y, s_inv)
+        return s_inv, low, float(np.add.reduce(cost * y) - low)
 
     y = np.array(y, dtype=float)
-    final_y, final_low = np.empty_like(y), np.empty(len(y))
-    rows = np.arange(len(y))  # the active rows' places in the batch
     try:
-        s_inv, low, gaps = evaluate(y, data)
-        nu = sum(block.shape[-1] for block in s_inv)
-        t = [nu / g if g > gap else 0.0 for g in gaps]
-        y0, s_inv0, low0, t0 = y, s_inv, low, list(t)  # for restarts, by batch place
-        far = [BARRIER_FAR_PULLS] * len(t)
-        renew = list(far)  # the allowance a row's growths and near pulls renew
-        closed = [k for k, g in enumerate(gaps) if g <= gap]
+        s_inv, low, open_gap = evaluate(y)
+        nu = sum(len(block) for block in s_inv)
+        t = nu / open_gap if open_gap > gap else 0.0
+        start = y, s_inv, low, t
+        far = renew = BARRIER_FAR_PULLS  # renew: the allowance growths and near pulls restore
         rounds = 0
-        while True:
-            if closed:
-                final_y[rows[closed]] = y[closed]
-                final_low[rows[closed]] = low[closed]
-                shut = set(closed)
-                keep = [k for k in range(len(rows)) if k not in shut]
-                if not keep:
-                    return final_y, final_low
-                rows, data, y, low = rows[keep], data[keep], y[keep], low[keep]
-                s_inv = tuple(block[keep] for block in s_inv)
-                t, far, renew = ([v[k] for k in keep] for v in (t, far, renew))
-                closed = []
+        while open_gap > gap:
             if rounds == 2400:
                 raise ArithmeticError("barrier solver did not close the duality gap")
             rounds += 1
-            grad, step = newton(s_inv, np.array(t), data)
-            decrements = [-dot for dot in np.vecdot(grad, step).tolist()]
-            moving, alpha, restart = [], [], []
-            for k, decrement in enumerate(decrements):
-                if decrement <= 1e-8:
-                    t[k] *= 8.0
-                    far[k] = renew[k]
-                    if renew[k] and t[k] > BARRIER_MU * nu / gap:
-                        restart.append(k)
-                else:
-                    moving.append(k)
-                    alpha.append(1.0 / (1.0 + math.sqrt(decrement)))
-            if restart:
-                places = rows[restart]
-                y = replace(y, restart, y0[places])
-                s_inv = tuple(replace(a, restart, a0[places]) for a, a0 in zip(s_inv, s_inv0))
-                low = replace(low, restart, low0[places])
-                for k in restart:
-                    t[k], far[k], renew[k] = t0[rows[k]], 0, 0
-            if not moving:
+            grad, step = newton(s_inv, t)
+            decrement = -float(np.vecdot(grad, step))
+            if decrement <= 1e-8:
+                t *= 8.0
+                far = renew
+                if renew and t > BARRIER_MU * nu / gap:
+                    (y, s_inv, low, t), far, renew = start, 0, 0
                 continue
-            alpha = np.array(alpha)[:, None]
-            if len(moving) == len(rows):
-                y = y + alpha * step
-                s_inv, low, gaps = evaluate(y, data)
-            else:
-                # new arrays, so a hook that kept an earlier one sees it unchanged
-                y = replace(y, moving, y[moving] + alpha * step[moving])
-                s_new, low_new, gaps = evaluate(y[moving], data[moving])
-                s_inv = tuple(replace(a, moving, b) for a, b in zip(s_inv, s_new))
-                low = replace(low, moving, low_new)
-            for k, g in zip(moving, gaps):
-                if g <= gap:
-                    closed.append(k)
-                elif decrements[k] <= 1.0 or far[k]:
-                    t[k] = max(t[k], BARRIER_MU * nu / g)
-                    far[k] = renew[k] if decrements[k] <= 1.0 else far[k] - 1
+            y = y + 1.0 / (1.0 + math.sqrt(decrement)) * step
+            s_inv, low, open_gap = evaluate(y)
+            if open_gap > gap and (decrement <= 1.0 or far):
+                t = max(t, BARRIER_MU * nu / open_gap)
+                far = renew if decrement <= 1.0 else far - 1
+        return y, low
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"barrier step failed: {exc}") from exc
 

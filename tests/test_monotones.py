@@ -247,21 +247,21 @@ def rank_two_dual_state():
 
 
 def record_c_r_batches(monkeypatch) -> dict:
-    """The shape of each batch c_r_many hands the rank-one kernel and the
-    barrier kernel, in call order, filled as calls are made."""
+    """The shape of each batch c_r_many hands the rank-one kernel, and each
+    state it hands the barrier, in call order, filled as calls are made."""
     batches = {"rank_one": [], "barrier": []}
-    rank_one = mo._c_r_rank_one
+    rank_one, barrier = mo._c_r_rank_one, mo._c_r_barrier
 
     def rank_one_recording(states):
         batches["rank_one"].append((len(states), states[0].dim, states[0].dim))
         return rank_one(states)
 
-    def barrier_recording(y, data, cost, slack, newton, bound, gap):
-        batches["barrier"].append(data.shape)
-        return numerics.log_det_barrier(y, data, cost, slack, newton, bound, gap)
+    def barrier_recording(rho):
+        batches["barrier"].append(rho)
+        return barrier(rho)
 
     monkeypatch.setattr(mo, "_c_r_rank_one", rank_one_recording)
-    monkeypatch.setattr(mo, "log_det_barrier", barrier_recording)
+    monkeypatch.setattr(mo, "_c_r_barrier", barrier_recording)
     return batches
 
 
@@ -334,11 +334,12 @@ class TestRankOneDual:
 
     def test_a_row_gets_its_bits_alone_and_in_a_mixed_batch(self, monkeypatch):
         # random_density(4, 25) and the rank-two state are refused, the
-        # others certified; one batch per kernel holds them all
+        # others certified; one rank-one batch holds them all, and the barrier
+        # solves the two it refuses
         rhos = [random_density(4, seed) for seed in (24, 25, 26)] + [rank_two_dual_state()]
         batches = record_c_r_batches(monkeypatch)
         many = mo.c_r_many(rhos)
-        assert batches == {"rank_one": [(4, 4, 4)], "barrier": [(2, 4, 4)]}
+        assert batches == {"rank_one": [(4, 4, 4)], "barrier": [rhos[1], rhos[3]]}
         assert [report.method for report in many] == ["rank_one_dual", "barrier", "rank_one_dual", "barrier"]
         for rho, report in zip(rhos, many):
             alone = mo.c_r(rho)
@@ -528,8 +529,9 @@ class TestCR:
 
     @pytest.mark.parametrize("method", ["auto", "cutting_plane"])
     def test_c_r_many_matches_per_state_c_r(self, method):
-        # each dimension's solved states are one batch per kernel, but a row's
-        # iterates do not depend on its batch, so every number agrees bit for bit
+        # each dimension's states are one rank-one batch, but a row's iterates
+        # do not depend on its batch, and the barrier solves one state at a
+        # time, so every number agrees bit for bit
         rhos = self.mixed_states()
         many = mo.c_r_many(rhos, method)
         assert len(many) == len(rhos)
@@ -551,8 +553,11 @@ class TestCR:
         reports = mo.c_r_many(self.mixed_states() + [rank_two_dual_state()])
         # four d = 3 states, three d = 4 and two d = 5 go to the rank-one
         # kernel, the rest take closed forms; the rank-two state it refuses is
-        # the barrier's one batch
-        assert batches == {"rank_one": [(4, 3, 3), (2, 5, 5), (3, 4, 4)], "barrier": [(1, 4, 4)]}
+        # the barrier's one state
+        assert batches == {
+            "rank_one": [(4, 3, 3), (2, 5, 5), (3, 4, 4)],
+            "barrier": [rank_two_dual_state()],
+        }
         assert [report.method for report in reports] == self.MIXED_ROUTES + ["barrier"]
         assert mo.c_r_many([]) == []
         with pytest.raises(ValueError, match="method"):
@@ -890,9 +895,9 @@ class TestCachedSpectrum:
 
 class TestHarnessBatching:
     """The monotonicity suite builds every sample before it validates or
-    measures any, so its states are validated as one stack per dimension, C_R
-    runs as one batch per kernel and dimension and each spectral monotone as one
-    stacked call per dimension, and its failure records come out as a
+    measures any, so its states are validated as one stack per dimension, C_R's
+    rank-one kernel runs as one batch per dimension and each spectral monotone as
+    one stacked call per dimension, and its failure records come out as a
     state-by-state loop over ``_measure_states`` gives them, bit for bit."""
 
     def test_one_barrier_batch_per_dimension(self, monkeypatch):
@@ -905,7 +910,8 @@ class TestHarnessBatching:
         batches["rank_one"].clear()
         assert harness.run_suite("monotonicity", 5, seed=158)["passed"]
         # sample 0's g-covariant output is one the rank-one kernel refuses
-        assert batches == {"rank_one": [(20, 3, 3)], "barrier": [(1, 3, 3)]}
+        g_covariant_output = harness_states(5, 158)[15]
+        assert batches == {"rank_one": [(20, 3, 3)], "barrier": [g_covariant_output]}
 
     def test_one_core_eigendecomposition_per_dimension_and_core_size(self, monkeypatch):
         shapes = []

@@ -301,32 +301,31 @@ def c_r(rho):
     return mo.c_r(rho, method="cutting_plane")
 
 
-def lambda_max_hooks(d):
-    """min s s.t. s I - A > 0 for each row's d x d matrix A (its data), whose
-    optimum is lambda_max(A); the dual point Z = S^-1 / Tr S^-1 is a density
-    matrix, so Tr(A Z) bounds it from below."""
-    eye = np.eye(d)
+def lambda_max_hooks(a):
+    """min s s.t. s I - A > 0 for a d x d matrix A, whose optimum is
+    lambda_max(A); the dual point Z = S^-1 / Tr S^-1 is a density matrix, so
+    Tr(A Z) bounds it from below."""
+    eye = np.eye(len(a))
 
-    def slack(y, a):
-        return (y[:, :, None] * eye - a,)
+    def slack(y):
+        return (y[0] * eye - a,)
 
-    def newton(s_inv, t, a):
+    def newton(s_inv, t):
         (z,) = s_inv
-        grad = (t - np.trace(z, axis1=1, axis2=2).real)[:, None]
-        return grad, -grad / (np.abs(z) ** 2).sum(axis=(1, 2))[:, None]
+        grad = np.array([t - np.trace(z).real])
+        return grad, -grad / (np.abs(z) ** 2).sum()
 
-    def bound(y, s_inv, a):
+    def bound(y, s_inv):
         (z,) = s_inv
-        return (z * a.transpose(0, 2, 1)).sum(axis=(1, 2)).real / np.trace(z, axis1=1, axis2=2).real
+        return float((z * a.T).sum().real / np.trace(z).real)
 
     return slack, newton, bound
 
 
-def lambda_max(a, start, slack, newton, bound):
-    """(s, bound) of the one-problem batch min s s.t. s I - a > 0 from ``start``."""
-    (y,), (low,) = log_det_barrier(
-        np.array([[start]]), a[None], np.ones(1), slack, newton, bound, gap=1e-9
-    )
+def lambda_max(start, slack, newton, bound):
+    """(s, bound) of min s s.t. s I - A > 0 from ``start``, A in the hooks."""
+    y, low = log_det_barrier(np.array([start]), np.ones(1), slack, newton, bound, gap=1e-9)
+    assert y.shape == (1,) and isinstance(low, float)
     return y[0], low
 
 
@@ -357,90 +356,47 @@ class TestLogDetBarrier:
         assert barrier_digest() == BARRIER_PIN
 
     def test_lambda_max_is_bracketed(self):
-        for seed in range(12):
-            a = random_hermitian(2 + seed % 5, 40 + seed)
-            start = np.linalg.norm(a) + 1.0
-            y, low = lambda_max(a, start, *lambda_max_hooks(len(a)))
+        # twelve sizes and seeds from just outside the spectrum, and five d = 4
+        # problems started ever farther from the optimum, up to 1e8 away
+        problems = [(random_hermitian(2 + seed % 5, 40 + seed), 1.0) for seed in range(12)]
+        problems += [(random_hermitian(4, 70 + k), 100.0**k) for k in range(5)]
+        for a, offset in problems:
+            start = np.linalg.norm(a) + offset
+            y, low = lambda_max(start, *lambda_max_hooks(a))
             top = np.linalg.eigvalsh(a)[-1]
             assert low <= top + 1e-12 and top <= y + 1e-12
             assert y - low <= 1e-9
 
-    def test_rows_closing_at_different_rounds_match_their_single_solves(self):
-        # five problems of one size, started ever farther from the optimum so
-        # their gaps close in different rounds, solved as one batch and one
-        # at a time; every value is a Python float of its row and every hook
-        # acts row by row, so the bits agree
-        hooks = lambda_max_hooks(4)
-        a = np.array([random_hermitian(4, 70 + k) for k in range(5)])
-        starts = np.array([[np.linalg.norm(m) + 100.0**k] for k, m in enumerate(a)])
-        slack, newton, bound = hooks
-        events = []  # ("newton" | "bound", rows the hook saw)
-
-        def counted_newton(s_inv, t, data):
-            events.append(("newton", len(t)))
-            return newton(s_inv, t, data)
-
-        def counted_bound(y, s_inv, data):
-            events.append(("bound", len(y)))
-            return bound(y, s_inv, data)
-
-        y, low = log_det_barrier(
-            starts, a, np.ones(1), slack, counted_newton, counted_bound, gap=1e-9
-        )
-        assert y.shape == (5, 1) and low.shape == (5,)
-        # the active set only shrinks, through every size from 5 to 1, and in
-        # some round a row grew t while another stepped, so fewer rows were
-        # evaluated than asked for a Newton system
-        active = [n for kind, n in events if kind == "newton"]
-        assert active == sorted(active, reverse=True) and set(active) == {1, 2, 3, 4, 5}
-        stepped = [
-            (a[1], b[1]) for a, b in zip(events, events[1:]) if (a[0], b[0]) == ("newton", "bound")
-        ]
-        assert any(evaluated < asked for asked, evaluated in stepped)
-        for k in range(5):
-            single_y, single_low = lambda_max(a[k], starts[k, 0], *hooks)
-            assert y[k, 0] == single_y and low[k] == single_low
-            top = np.linalg.eigvalsh(a[k])[-1]
-            assert low[k] <= top + 1e-12 and top <= y[k, 0] + 1e-12
-            assert y[k, 0] - low[k] <= 1e-9
-
-    def test_one_infeasible_row_raises_for_the_batch(self):
-        a = np.array([random_hermitian(3, 80 + k) for k in range(3)])
-        starts = np.array([[np.linalg.norm(m) + 1.0] for m in a])
-        starts[1, 0] = np.linalg.eigvalsh(a[1])[-1] - 0.5
-        with pytest.raises(ArithmeticError):
-            log_det_barrier(starts, a, np.ones(1), *lambda_max_hooks(3), gap=1e-9)
-
     def test_singular_newton_system_raises(self):
         a = random_hermitian(3, 5)
-        slack, _, bound = lambda_max_hooks(3)
+        slack, _, bound = lambda_max_hooks(a)
 
-        def singular(s_inv, t, data):
-            return np.zeros((1, 1)), -np.linalg.solve(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))[0]
+        def singular(s_inv, t):
+            return np.zeros(1), -np.linalg.solve(np.zeros((1, 1)), np.zeros(1))
 
         # not LinAlgError: that is a ValueError, which the CLI reports as an
         # invalid input
         with pytest.raises(ArithmeticError):
-            lambda_max(a, np.linalg.norm(a) + 1.0, slack, singular, bound)
+            lambda_max(np.linalg.norm(a) + 1.0, slack, singular, bound)
 
     def test_open_gap_raises_after_the_step_cap(self):
         # a Newton system pinned at t = 1 keeps the iterate centered there, so
         # t never effectively grows and the gap stays open until the cap
         a = random_hermitian(4, 6)
-        slack, newton, bound = lambda_max_hooks(4)
+        slack, newton, bound = lambda_max_hooks(a)
         bounds, decrements = [], []
 
-        def pinned(s_inv, t, data):
-            grad, step = newton(s_inv, np.ones_like(t), data)
-            decrements.append(float(-grad[0] @ step[0]))
+        def pinned(s_inv, t):
+            grad, step = newton(s_inv, 1.0)
+            decrements.append(float(-grad @ step))
             return grad, step
 
-        def counted(y, s_inv, data):
+        def counted(y, s_inv):
             bounds.append(y)
-            return bound(y, s_inv, data)
+            return bound(y, s_inv)
 
         with pytest.raises(ArithmeticError):
-            lambda_max(a, np.linalg.norm(a) + 1.0, slack, pinned, counted)
+            lambda_max(np.linalg.norm(a) + 1.0, slack, pinned, counted)
         assert len(decrements) == 2400
         steps = sum(dec > 1e-8 for dec in decrements)
         assert 0 < steps < 2400 and len(bounds) == 1 + steps
@@ -450,21 +406,21 @@ class TestLogDetBarrier:
         # grows t and none moves y; t overflows to inf as a Python float,
         # without a numpy warning
         a = random_hermitian(3, 10)
-        slack, _, bound = lambda_max_hooks(3)
+        slack, _, bound = lambda_max_hooks(a)
         bounds, ts = [], []
 
-        def flat(s_inv, t, data):
-            ts.append(float(t[0]))
-            return np.zeros((1, 1)), np.zeros((1, 1))
+        def flat(s_inv, t):
+            ts.append(t)
+            return np.zeros(1), np.zeros(1)
 
-        def counted(y, s_inv, data):
+        def counted(y, s_inv):
             bounds.append(y)
-            return bound(y, s_inv, data)
+            return bound(y, s_inv)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError):
-                lambda_max(a, np.linalg.norm(a) + 1.0, slack, flat, counted)
+                lambda_max(np.linalg.norm(a) + 1.0, slack, flat, counted)
         assert len(ts) == 2400 and len(bounds) == 1
         assert ts[1] == 8.0 * ts[0] and ts[-1] == np.inf
 
@@ -475,20 +431,20 @@ class TestLogDetBarrier:
         for seed in range(6):
             d = 2 + seed
             a = random_hermitian(d, 60 + seed)
-            slack, newton, bound = lambda_max_hooks(d)
+            slack, newton, bound = lambda_max_hooks(a)
             seen = []
 
-            def recorded(s_inv, t, data):
+            def recorded(s_inv, t):
                 seen.append(t)
-                return newton(s_inv, t, data)
+                return newton(s_inv, t)
 
             y0 = float(np.linalg.norm(a) + 1.0)
             lam = np.linalg.eigvalsh(a)
             weights = 1.0 / (y0 - lam)
             gap0 = y0 - float(lam @ weights / weights.sum())
-            lambda_max(a, y0, slack, recorded, bound)
-            assert seen[0].dtype == np.float64 and seen[0].shape == (1,)
-            assert seen[0][0] == pytest.approx(d / gap0, rel=1e-12)
+            lambda_max(y0, slack, recorded, bound)
+            assert type(seen[0]) is float
+            assert seen[0] == pytest.approx(d / gap0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "solve, d, seed", [(c_r, 3, 0), (mo._incoherent_trace_distance, 4, 1042)]
@@ -499,21 +455,21 @@ class TestLogDetBarrier:
         # Newton system follows; the start is evaluated before either
         slacks, bounds, events = [], [], []
 
-        def recording(y, data, cost, slack, newton, bound, gap):
-            def slack_hook(y, data):
+        def recording(y, cost, slack, newton, bound, gap):
+            def slack_hook(y):
                 slacks.append(y.tobytes())
-                return slack(y, data)
+                return slack(y)
 
-            def bound_hook(y, s_inv, data):
+            def bound_hook(y, s_inv):
                 bounds.append(y.tobytes())
                 events.append(None)
-                return bound(y, s_inv, data)
+                return bound(y, s_inv)
 
-            def newton_hook(s_inv, t, data):
-                events.append(float(t[0]))
-                return newton(s_inv, t, data)
+            def newton_hook(s_inv, t):
+                events.append(t)
+                return newton(s_inv, t)
 
-            return log_det_barrier(y, data, cost, slack_hook, newton_hook, bound_hook, gap)
+            return log_det_barrier(y, cost, slack_hook, newton_hook, bound_hook, gap)
 
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         solve(random_density(d, seed))
@@ -528,15 +484,15 @@ class TestLogDetBarrier:
         # a zero gradient at 8 t_0 makes that round centered, so it takes no
         # step; the solve goes on to 64 t_0 and closes the gap there
         a = random_hermitian(4, 7)
-        slack, newton, bound = lambda_max_hooks(4)
+        slack, newton, bound = lambda_max_hooks(a)
         seen = []
 
-        def centered_at_8(s_inv, t, data):
-            seen.append(float(t[0]))
-            grad, step = newton(s_inv, t, data)
+        def centered_at_8(s_inv, t):
+            seen.append(t)
+            grad, step = newton(s_inv, t)
             return (0.0 * grad, 0.0 * step) if seen[-1] == 8.0 * seen[0] else (grad, step)
 
-        y, low = lambda_max(a, np.linalg.norm(a) + 1.0, slack, centered_at_8, bound)
+        y, low = lambda_max(np.linalg.norm(a) + 1.0, slack, centered_at_8, bound)
         assert seen.count(8.0 * seen[0]) == 1 and max(seen) > 8.0 * seen[0]
         top = np.linalg.eigvalsh(a)[-1]
         assert low <= top + 1e-12 and top <= y + 1e-12
@@ -547,19 +503,20 @@ class TestLogDetBarrier:
         # damped step overshoot lambda_max, so the next Cholesky factorization
         # fails
         a = random_hermitian(4, 8)
-        slack, newton, bound = lambda_max_hooks(4)
+        slack, newton, bound = lambda_max_hooks(a)
 
-        def flat(s_inv, t, data):
-            grad, step = newton(s_inv, t, data)
+        def flat(s_inv, t):
+            grad, step = newton(s_inv, t)
             return grad, 1e6 * step
 
         with pytest.raises(ArithmeticError):
-            lambda_max(a, np.linalg.norm(a) + 1.0, slack, flat, bound)
+            lambda_max(np.linalg.norm(a) + 1.0, slack, flat, bound)
 
     def test_infeasible_start_raises(self):
-        a = random_hermitian(3, 9)
-        with pytest.raises(ArithmeticError):
-            lambda_max(a, np.linalg.eigvalsh(a)[-1] - 0.5, *lambda_max_hooks(3))
+        for seed in (9, 81):
+            a = random_hermitian(3, seed)
+            with pytest.raises(ArithmeticError):
+                lambda_max(np.linalg.eigvalsh(a)[-1] - 0.5, *lambda_max_hooks(a))
 
 
 class TestSolveStack:
@@ -616,14 +573,14 @@ def newton_systems(monkeypatch, rhos, solve=c_r_gap) -> list:
     through a recording ``newton`` hook; every gap must close."""
     counts = []
 
-    def recording(y, data, cost, slack, newton, bound, gap):
+    def recording(y, cost, slack, newton, bound, gap):
         counts.append(0)
 
-        def newton_hook(s_inv, t, data):
+        def newton_hook(s_inv, t):
             counts[-1] += 1
-            return newton(s_inv, t, data)
+            return newton(s_inv, t)
 
-        return log_det_barrier(y, data, cost, slack, newton_hook, bound, gap)
+        return log_det_barrier(y, cost, slack, newton_hook, bound, gap)
 
     monkeypatch.setattr(mo, "log_det_barrier", recording)
     for rho in rhos:
@@ -642,18 +599,18 @@ def schedule_moves(monkeypatch, rho) -> list:
     move."""
     events = []  # ("t", t, decrement) per Newton system, ("gap", gap) per evaluation
 
-    def recording(y, data, cost, slack, newton, bound, gap):
-        def bound_hook(y, s_inv, data):
-            low = bound(y, s_inv, data)
-            events.append(("gap", float(np.sum(y)) - float(low[0])))  # C_R's cost is all ones
+    def recording(y, cost, slack, newton, bound, gap):
+        def bound_hook(y, s_inv):
+            low = bound(y, s_inv)
+            events.append(("gap", float(np.sum(y)) - low))  # C_R's cost is all ones
             return low
 
-        def newton_hook(s_inv, t, data):
-            grad, step = newton(s_inv, t, data)
-            events.append(("t", float(t[0]), float(-grad[0] @ step[0])))
+        def newton_hook(s_inv, t):
+            grad, step = newton(s_inv, t)
+            events.append(("t", t, float(-grad @ step)))
             return grad, step
 
-        return log_det_barrier(y, data, cost, slack, newton_hook, bound_hook, gap)
+        return log_det_barrier(y, cost, slack, newton_hook, bound_hook, gap)
 
     with monkeypatch.context() as patch:
         patch.setattr(mo, "log_det_barrier", recording)
@@ -713,7 +670,7 @@ class TestGapDrivenSchedule:
         assert np.mean(newton_systems(monkeypatch, rhos, trace_distance_gap)) <= 41.6
 
     def test_budget_on_the_rank_three_d64_state(self, monkeypatch):
-        # 41 Newton systems without far pulls; with them the row grows t past
+        # 41 Newton systems without far pulls; with them the solve grows t past
         # BARRIER_MU * nu / gap at the 52nd and restarts (2120 without restart)
         (count,) = newton_systems(monkeypatch, [rank_k_state(64, 3, 0)])
         assert count <= 100
@@ -721,8 +678,8 @@ class TestGapDrivenSchedule:
     def test_a_row_that_grows_t_past_the_bound_restarts_without_far_pulls(
         self, monkeypatch
     ):
-        # one batch closes every state, and each row's report is, bit for bit,
-        # the one the schedule without far pulls gives, and its solve alone
+        # every state closes, and each report is, bit for bit, the one the
+        # schedule without far pulls gives, through c_r_many and alone
         rhos = [rank_k_state(64, rank, seed) for rank, seed in self.STALLING]
         batch = mo.c_r_many(rhos, method="cutting_plane")
         with monkeypatch.context() as patch:
@@ -753,9 +710,9 @@ class TestGapDrivenSchedule:
     def test_rows_spending_their_far_pulls_at_different_rounds_match_their_single_solves(
         self, monkeypatch
     ):
-        # the round of each row's last far pull before a hold, read off its
-        # single solve, differs from row to row; in one batch every row still
-        # gets its single solve's report, bit for bit
+        # the round of each state's last far pull before a hold, read off its
+        # single solve, differs from state to state; through one c_r_many call
+        # every state still gets its single solve's report, bit for bit
         rhos = [
             random_density(8, 1),
             random_pure(8, 0).to_density(),
@@ -800,21 +757,18 @@ class TestDampedNewtonDecrease:
         """(t, cost, slack, y, grad, step, next y) for every step the solve takes."""
         calls, problem = [], {}
 
-        def recording(y, data, cost, slack, newton, bound, gap):
-            def bound_hook(y, s_inv, data):
-                calls.append({"y": y[0]})
-                return bound(y, s_inv, data)
+        def recording(y, cost, slack, newton, bound, gap):
+            def bound_hook(y, s_inv):
+                calls.append({"y": y})
+                return bound(y, s_inv)
 
-            def newton_hook(s_inv, t, data):
-                grad, step = newton(s_inv, t, data)
-                calls[-1].update(t=float(t[0]), grad=grad[0], step=step[0])
+            def newton_hook(s_inv, t):
+                grad, step = newton(s_inv, t)
+                calls[-1].update(t=t, grad=grad, step=step)
                 return grad, step
 
-            def one_slack(y):
-                return tuple(block[0] for block in slack(y[None], data))
-
-            problem.update(cost=cost, slack=one_slack)
-            return log_det_barrier(y, data, cost, slack, newton_hook, bound_hook, gap)
+            problem.update(cost=cost, slack=slack)
+            return log_det_barrier(y, cost, slack, newton_hook, bound_hook, gap)
 
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         solve(rho)
@@ -902,13 +856,13 @@ class TestStructuredTraceDistanceStep:
         rho = random_density(d, seed)
         steps = []
 
-        def recording(y, data, cost, slack, newton, bound, gap):
-            def newton_hook(s_inv, t, data):
-                grad, step = newton(s_inv, t, data)
-                steps.append((tuple(block[0] for block in s_inv), float(t[0]), grad[0], step[0]))
+        def recording(y, cost, slack, newton, bound, gap):
+            def newton_hook(s_inv, t):
+                grad, step = newton(s_inv, t)
+                steps.append((s_inv, t, grad, step))
                 return grad, step
 
-            return log_det_barrier(y, data, cost, slack, newton_hook, bound, gap)
+            return log_det_barrier(y, cost, slack, newton_hook, bound, gap)
 
         monkeypatch.setattr(mo, "log_det_barrier", recording)
         mo._incoherent_trace_distance(rho)
