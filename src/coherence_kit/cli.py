@@ -16,7 +16,9 @@ call.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -94,14 +96,19 @@ def _finite_json(value):
 
 
 def _format_csv(rows: list, header: list) -> str:
+    """CSV as RFC 4180 writes it, lines ending in a newline: a field that
+    holds a comma, a quote or a newline is quoted; any other keeps its bytes."""
+
     def fmt(v):
         if isinstance(v, float):
             return _format_float(v)
         return str(v)
 
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    return out.getvalue()
 
 
 def _destination(path: str):

@@ -73,6 +73,10 @@ class MonotoneReport(_ExactEquality):
     witness: object = None
     bound: float | None = None  # certified lower bound on value; None when exact
 
+    def __post_init__(self):
+        # a zero value is +0.0; x + 0.0 is x for every other x
+        object.__setattr__(self, "value", self.value + 0.0)
+
     def to_json_dict(self, include_witness: bool = False) -> dict:
         payload = {"name": self.name, "value": self.value, "method": self.method}
         if include_witness and self.bound is not None:
@@ -106,14 +110,16 @@ def renyi(p, alpha: float) -> float:
         raise ValueError("alpha must be nonnegative")
     probs = p.probs if isinstance(p, SchmidtVector) else p
     vec = probability_vector(np.ravel(probs), "probability vector", DISTRIBUTION_SUM_TOL)
+    kept = vec[vec > 1e-15]
     if alpha == 1.0:
-        return _shannon(vec)
-    vec = vec[vec > 1e-15]
-    if math.isinf(alpha):
-        return float(-np.log2(np.max(vec)))
-    if alpha == 0.0:
-        return float(np.log2(vec.size))
-    return float(np.log2(np.sum(vec**alpha)) / (1.0 - alpha))
+        value = _shannon(vec)
+    elif math.isinf(alpha):
+        value = float(-np.log2(np.max(kept)))
+    elif alpha == 0.0:
+        value = float(np.log2(kept.size))
+    else:
+        value = float(np.log2(np.sum(kept**alpha)) / (1.0 - alpha))
+    return value + 0.0  # a zero entropy is +0.0, as in MonotoneReport
 
 
 def _stacked(states, get) -> np.ndarray:

@@ -223,11 +223,14 @@ def sio_pure_construct(psi: PureStateVector, phi: PureStateVector) -> KrausChann
     if d_in < d_out:
         ops = ops[:, :, :d_in]
     elif d_in > d_out:
-        fold = np.zeros((1 + d_in - d_out, d_out, d_in))
-        fold[0, :, :d_out] = np.eye(d_out)
-        fold[np.arange(1, fold.shape[0]), 0, np.arange(d_out, d_in)] = 1.0
-        ops = (fold[:, None] @ ops[None]).reshape(-1, d_out, d_in)
-        ops = ops[np.any(ops != 0.0, axis=(1, 2))]
+        # the fold: each operator's rows below d_out stay where they are, and
+        # its row y >= d_out moves to row 0 of a composite of its own; the
+        # composites run y-major, as the products |0><y| K_a do
+        head = ops[:, :d_out]
+        y, a = np.nonzero(np.any(ops[:, d_out:] != 0.0, axis=2).T)
+        tail = np.zeros((y.size, d_out, d_in), dtype=complex)
+        tail[:, 0] = ops[a, d_out + y]
+        ops = np.concatenate((head[np.any(head != 0.0, axis=(1, 2))], tail))
     return _witness(
         ops, lambda c: _single_entried(c.kraus, PREDICATE_TOL), "strict incoherence", psi, phi
     )

@@ -1,6 +1,8 @@
 import argparse
+import csv
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -337,6 +339,30 @@ class TestMonotones:
         code, out = run_cli(capsys, [*argv, "--format", "csv"])
         assert code == 0 and out.splitlines()[1].endswith(",inf,closed_form")
 
+    def test_zero_values_print_as_positive_zero(self, capsys, tmp_path):
+        state = tmp_path / "e0.json"
+        state.write_text(json.dumps({"dim": 3, "amps": [[1, 0], [0, 0], [0, 0]]}))
+        measures = "c_q_alpha:0.5,c_q_alpha:1,c_alpha:0.5,c_delta_alpha:0.5"
+        code, out = run_cli(capsys, ["monotones", str(state), "--measures", measures])
+        assert code == 0 and [e["value"] for e in strict_loads(out)] == [0.0] * 4
+        assert "-0" not in out
+        code, out = run_cli(capsys, ["monotones", str(state), "--measures", measures, "--format", "csv"])
+        assert code == 0 and "-0" not in out
+        assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["0"] * 4
+
+    def test_csv_quotes_a_measure_name_that_holds_a_comma(self, capsys, tmp_path):
+        state = tmp_path / "pure.json"
+        state.write_text(json.dumps(PureStateVector([0.6, 0.8]).to_json_dict()))
+        argv = ["monotones", str(state), "--measures", "c_delta_alpha:2:left,c_l1"]
+        code, out = run_cli(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[1] == '"c_delta_alpha[2,left]",inf,closed_form'
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["measure", "value", "method"],
+            ["c_delta_alpha[2,left]", "inf", "closed_form"],
+            ["c_l1", "0.96", "closed_form"],
+        ]
+
     def test_one_rule_for_non_finite_floats(self):
         payload = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": (2, "x", None, True)}
         assert cli._finite_json(payload) == {
@@ -618,6 +644,28 @@ class TestReproduce:
         _, first = run_cli(capsys, ["reproduce", "--artifact", "qubit-formulas", "--seed", "5"])
         _, second = run_cli(capsys, ["reproduce", "--artifact", "qubit-formulas", "--seed", "5"])
         assert first == second
+
+
+class TestCsv:
+    """CSV fields are quoted as RFC 4180 asks, so a field without a comma, a
+    quote or a newline, as in every table below, keeps the bytes of a plain
+    comma join."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["monotones", "plus", "--measures", "c_rel"],
+            ["monotones", "mixed_qubit", "--measures", "all"],
+            ["reproduce", "--artifact", "fig1"],
+            ["reproduce", "--artifact", "cp-threshold"],
+            ["reproduce", "--artifact", "qubit-formulas"],
+        ],
+        ids=lambda argv: "-".join(argv[:2] if argv[0] == "monotones" else argv[::2]),
+    )
+    def test_unquoted_tables_keep_their_bytes(self, files, capsys, argv):
+        code, out = run_cli(capsys, [files.get(arg, arg) for arg in argv] + ["--format", "csv"])
+        assert code == 0 and '"' not in out
+        assert "".join(",".join(row) + "\n" for row in csv.reader(io.StringIO(out))) == out
 
 
 class TestHarnessCommand:

@@ -59,6 +59,20 @@ class TestRenyi:
         with pytest.raises(ValueError):
             mo.renyi([0.5, 0.5], math.nan)
 
+    def test_zero_entropy_is_positive_zero(self):
+        # Shannon's -(1 log2 1), -log2 max p and log2(sum p^2) / (1 - 2) are
+        # -0.0 on a point mass
+        for alpha in (0.0, 0.5, 1.0, 2.0, math.inf):
+            value = mo.renyi([1.0, 0.0, 0.0], alpha)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_a_report_of_negative_zero_holds_positive_zero(self):
+        report = mo.MonotoneReport("c_l1", -0.0, "closed_form")
+        assert math.copysign(1.0, report.value) == 1.0
+        for value in (-1e-300, 0.25, math.inf, -math.inf):
+            assert mo.MonotoneReport("c_l1", value, "closed_form").value == value
+        assert math.isnan(mo.MonotoneReport("c_l1", math.nan, "closed_form").value)
+
     def test_non_monotone_witness_profile(self):
         for alpha in np.linspace(0.0, 4.0, 50):
             gap = mo.renyi(CROSSING_Q, alpha) - 1.0
@@ -1076,18 +1090,19 @@ class TestRenyiGrid:
             side: mo.c_delta_alpha_values((rho,), grid, side)[0].tolist() for side in self.SIDES
         }
         for j, alpha in enumerate(grid):
-            # a one-alpha call is its kernel's column bit for bit; the n-column
-            # grid product rounds differently, within 1e-13
+            # a one-alpha call is its kernel's column bit for bit, but for a
+            # zero, which a report holds as +0.0; the n-column grid product
+            # rounds differently, within 1e-13
             report = mo.c_alpha(rho, alpha)
             assert (report.name, report.method) == (f"c_alpha[{alpha:g}]", "closed_form")
-            assert _bits(report.value) == _bits(mo.c_alpha_values((rho,), (alpha,)))
+            assert _bits(report.value) == _bits(mo.c_alpha_values((rho,), (alpha,)) + 0.0)
             assert _same_panel_value(report.value, c_alphas[j])
             for side, c_deltas in sides.items():
                 report = mo.c_delta_alpha(rho, alpha, side)
                 assert report.name == f"c_delta_alpha[{alpha:g},{side}]"
                 assert report.method == "closed_form"
                 column = mo.c_delta_alpha_values((rho,), (alpha,), side)
-                assert _bits(report.value) == _bits(column)
+                assert _bits(report.value) == _bits(column + 0.0)
                 assert _same_panel_value(report.value, c_deltas[j])
         for alpha in (2.5, -0.1, math.nan):
             for call in (
