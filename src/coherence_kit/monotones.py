@@ -475,7 +475,8 @@ def _c_r_barrier(rho: DensityMatrix) -> MonotoneReport:
 
     start = np.full(n, float(rho.spectrum.eigenvalues[-1]) + 1.0 / n)
     d_vec, dual = log_det_barrier(start, np.ones(n), slack, newton, bound, C_R_GAP)
-    return MonotoneReport("c_r", float(np.sum(d_vec) - 1.0), "barrier", witness=d_vec, bound=dual - 1.0)
+    value = float(np.sum(d_vec) - 1.0)
+    return MonotoneReport("c_r", value, "barrier", witness=d_vec, bound=dual - 1.0)
 
 
 def c_r_many(states, method: str = "auto") -> list:
@@ -491,9 +492,8 @@ def c_r_many(states, method: str = "auto") -> list:
     if method not in ("auto", "cutting_plane"):
         raise ValueError("method must be 'auto' or 'cutting_plane'")
     states = list(states)
-    reports = [None] * len(states)
+    reports = [_c_r_closed_form(rho) if method == "auto" else None for rho in states]
     if method == "auto":
-        reports = [_c_r_closed_form(rho) for rho in states]
         left = [k for k, report in enumerate(reports) if report is None]
         for k, report in _per_dimension(_c_r_rank_one, states, left).items():
             reports[k] = report

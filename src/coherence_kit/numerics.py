@@ -35,12 +35,12 @@ class UnboundedError(ValueError):
 # virtual Xeon core). The barrier, on its problem's blocks, and eig_hermitian
 # and trace_norm, on their complex128 stacks, call the gufuncs behind them
 # instead, under the error state numpy.linalg sets, so the bits are the same
-# and a failed factorization raises LinAlgError as there. eig_hermitian's checks cost more
-# again (25 us a call at n = 3 or 4, against 3 to 5 us of LAPACK), so callers
-# with many states validate them as one stack per dimension
-# (``states._density_stack``: a harness monotonicity run of any size validates
-# its states in four calls), and the qubit MIO sampler's projection steps,
-# whose matrices are exactly Hermitian, call eigh_lo themselves
+# and a failed factorization raises LinAlgError as there. eig_hermitian's
+# checks cost more again (25 us a call at n = 3 or 4, against 3 to 5 us of
+# LAPACK), so callers with many states validate them as one stack per
+# dimension (``states._density_stack``: a harness monotonicity run of any size
+# validates its states in four calls), and the qubit MIO sampler's projection
+# steps, whose matrices are exactly Hermitian, call eigh_lo themselves
 # (``channels.sample_mio_qubit_channel``). C_R's rank-one kernel
 # (``monotones._c_r_rank_one``) calls solve1 and cholesky_lo with invalid
 # values ignored instead: a failed row comes back as NaN and is refused, so
@@ -187,10 +187,10 @@ def trace_norm(mat):
 # ---------------------------------------------------------------------------
 
 def solve_stack(a, b) -> np.ndarray:
-    """x with a[k] x[k] = b[k] for a stack of square systems a (K, n, n) and
-    right-hand sides b (K, n), float64 or complex128: np.linalg.solve's LAPACK
-    call without its per-call Python cost. Raises LinAlgError on a singular
-    system."""
+    """x with a x = b for a square system a (n, n) and right-hand side b
+    (n,), or row by row for stacks (K, n, n) and (K, n), float64 or
+    complex128: np.linalg.solve's LAPACK call without its per-call Python
+    cost. Raises LinAlgError on a singular system."""
     with np.errstate(**_LAPACK_ERRSTATE):
         return _umath_linalg.solve1(a, b)
 

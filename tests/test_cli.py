@@ -343,10 +343,11 @@ class TestMonotones:
         state = tmp_path / "e0.json"
         state.write_text(json.dumps({"dim": 3, "amps": [[1, 0], [0, 0], [0, 0]]}))
         measures = "c_q_alpha:0.5,c_q_alpha:1,c_alpha:0.5,c_delta_alpha:0.5"
-        code, out = run_cli(capsys, ["monotones", str(state), "--measures", measures])
+        argv = ["monotones", str(state), "--measures", measures]
+        code, out = run_cli(capsys, argv)
         assert code == 0 and [e["value"] for e in strict_loads(out)] == [0.0] * 4
         assert "-0" not in out
-        code, out = run_cli(capsys, ["monotones", str(state), "--measures", measures, "--format", "csv"])
+        code, out = run_cli(capsys, [*argv, "--format", "csv"])
         assert code == 0 and "-0" not in out
         assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["0"] * 4
 
