@@ -367,6 +367,54 @@ class TestLogDetBarrier:
             assert low <= top + 1e-12 and top <= y + 1e-12
             assert y - low <= 1e-9
 
+    def test_rows_closing_at_different_rounds_match_their_single_solves(self):
+        # five d = 4 problems started ever farther from the optimum, so their
+        # gaps close after different numbers of Newton systems; solved one
+        # after another, forwards and backwards, each gives the bits of its
+        # solve alone, so no solve carries state into the next
+        problems = [random_hermitian(4, 70 + k) for k in range(5)]
+        starts = [np.linalg.norm(a) + 100.0**k for k, a in enumerate(problems)]
+        rounds = []
+
+        def solve(k):
+            slack, newton, bound = lambda_max_hooks(problems[k])
+            systems = []
+
+            def counted(s_inv, t):
+                systems.append(t)
+                return newton(s_inv, t)
+
+            result = lambda_max(starts[k], slack, counted, bound)
+            rounds.append(len(systems))
+            return result
+
+        alone = [solve(k) for k in range(5)]
+        assert len(set(rounds)) == 5
+        backwards = [solve(k) for k in reversed(range(5))][::-1]
+        assert rounds[5:] == rounds[:5][::-1]
+        for k, a in enumerate(problems):
+            assert backwards[k] == alone[k]
+            y, low = alone[k]
+            top = np.linalg.eigvalsh(a)[-1]
+            assert low <= top + 1e-12 and top <= y + 1e-12
+            assert y - low <= 1e-9
+
+    def test_one_infeasible_row_raises_for_the_batch(self):
+        # three d = 3 problems solved one after another, the middle one from
+        # below lambda_max: that one raises, and its neighbours give the bits
+        # they give alone
+        problems = [random_hermitian(3, 80 + k) for k in range(3)]
+        starts = [np.linalg.norm(a) + 1.0 for a in problems]
+        starts[1] = np.linalg.eigvalsh(problems[1])[-1] - 0.5
+        alone = [lambda_max(starts[k], *lambda_max_hooks(problems[k])) for k in (0, 2)]
+        run = []
+        for k in range(3):
+            try:
+                run.append(lambda_max(starts[k], *lambda_max_hooks(problems[k])))
+            except ArithmeticError:
+                run.append(None)
+        assert run == [alone[0], None, alone[1]]
+
     def test_singular_newton_system_raises(self):
         a = random_hermitian(3, 5)
         slack, _, bound = lambda_max_hooks(a)
