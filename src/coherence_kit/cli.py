@@ -10,7 +10,8 @@ byte-identical to direct calls. Exit codes: 0 ok, 1 property violation,
 The argument parser is built once per process, on the first ``main`` call,
 and reused: parsing reads it and never changes it. A ``monotones`` call runs
 each measure it names once, and r_d reads the c_delta_r report of the same
-call.
+call. On an ``amps`` input the measures with a pure form are read off
+p = |psi|^2, and the density matrix is built only for one without.
 """
 
 from __future__ import annotations
@@ -215,14 +216,26 @@ _DEFAULT_MEASURES = (
 class _Panel:
     """The reports of one monotones call on one loaded state.
 
-    The density matrix is built once, so the measures share one cached
-    spectrum, and ``report`` runs each measure token once.
+    A pure state's measures that have a pure form are read off p = |psi|^2
+    (``mo._pure_reports``). The density matrix is built on first use, for a
+    measure without one, and once, so the measures share one cached
+    spectrum; ``report`` runs each measure token once.
     """
 
     def __init__(self, state):
         self.state = state
-        self.rho = _as_density(state)
+        self._pure = mo._pure_reports(state) if isinstance(state, PureStateVector) else {}
         self._reports = {}
+
+    @functools.cached_property
+    def rho(self) -> DensityMatrix:
+        return _as_density(self.state)
+
+    def measure(self, name: str, *params) -> mo.MonotoneReport:
+        """The report of ``mo.<name>(rho, *params)``, or of its pure form."""
+        if name in self._pure:
+            return self._pure[name](*params)
+        return getattr(mo, name)(self.rho, *params)
 
     def report(self, token: str) -> mo.MonotoneReport:
         if token not in self._reports:
@@ -240,14 +253,14 @@ def _c_q_alpha(panel, params) -> mo.MonotoneReport:
 # the name, alpha already parsed; parameters past the ones a measure reads are
 # ignored
 _MEASURES = {
-    "c_rel": lambda panel, p: mo.c_rel(panel.rho),
-    "c_l1": lambda panel, p: mo.c_l1(panel.rho),
-    "c_r": lambda panel, p: mo.c_r(panel.rho),
-    "c_delta_r": lambda panel, p: mo.c_delta_r(panel.rho),
+    "c_rel": lambda panel, p: panel.measure("c_rel"),
+    "c_l1": lambda panel, p: panel.measure("c_l1"),
+    "c_r": lambda panel, p: panel.measure("c_r"),
+    "c_delta_r": lambda panel, p: panel.measure("c_delta_r"),
     "r_d": lambda panel, p: mo.log_robustness_of(panel.report("c_delta_r")),
-    "trace_norm": lambda panel, p: mo.trace_norm_coherence(panel.rho),
-    "c_alpha": lambda panel, p: mo.c_alpha(panel.rho, p[0]),
-    "c_delta_alpha": lambda panel, p: mo.c_delta_alpha(panel.rho, p[0], *p[1:2]),
+    "trace_norm": lambda panel, p: panel.measure("trace_norm_coherence"),
+    "c_alpha": lambda panel, p: panel.measure("c_alpha", p[0]),
+    "c_delta_alpha": lambda panel, p: panel.measure("c_delta_alpha", p[0], *p[1:2]),
     "c_q_alpha": _c_q_alpha,
 }
 # measure name -> the closed range of its alpha; c_delta_alpha's optional

@@ -49,6 +49,12 @@ rho - dephased is one stacked SVD, and c_delta_r is one stacked
 eigendecomposition of the cores D^-1/2 rho D^-1/2 per support size of D.
 Logarithms of the results are math.log2's, taken on Python floats: np.log2
 differs from it in the last bit on some inputs.
+
+On a pure state psi every measure but c_delta_alpha is a function of the
+coherence vector p = |psi|^2, and ``_pure_reports`` reads each off p in O(d),
+method "closed_form", with no d x d matrix built or factorized. A
+``DensityMatrix`` input takes the spectral path even when it is pure, since
+a nearly pure mixed state can keep a different c_delta_r support.
 """
 
 from __future__ import annotations
@@ -69,7 +75,9 @@ from .states import _per_dimension, complex_to_json, probability_vector
 class MonotoneReport(_ExactEquality):
     name: str
     value: float
-    method: str  # closed_form | eigenvalue | rank_one_dual | barrier (the last two with a bound)
+    # closed_form | eigenvalue | rank_one_dual | barrier; the last two carry a
+    # bound, and so does C_R's pure form
+    method: str
     witness: object = None
     bound: float | None = None  # certified lower bound on value; None when exact
 
@@ -341,7 +349,8 @@ def trace_norm_coherence(rho: DensityMatrix) -> MonotoneReport:
 
 
 def _is_pure(rho: DensityMatrix) -> bool:
-    return float(np.trace(rho.mat @ rho.mat).real) >= 1.0 - 1e-12
+    # Tr rho^2 is the squared Frobenius norm of a Hermitian rho: O(d^2), no product
+    return float(np.vdot(rho.mat, rho.mat).real) >= 1.0 - 1e-12
 
 
 def _is_real_nonneg(rho: DensityMatrix) -> bool:
@@ -568,13 +577,85 @@ def c_delta_r(rho: DensityMatrix) -> MonotoneReport:
 
 
 def log_robustness_of(base: MonotoneReport) -> MonotoneReport:
-    """The r_d report of a c_delta_r report: log2(1 + its value), its witness."""
-    return MonotoneReport("r_d", math.log2(1.0 + base.value), "eigenvalue", witness=base.witness)
+    """The r_d report of a c_delta_r report: log2(1 + its value), its method
+    and its witness."""
+    return MonotoneReport("r_d", math.log2(1.0 + base.value), base.method, witness=base.witness)
 
 
 def log_robustness_dephasing(rho: DensityMatrix) -> MonotoneReport:
     """log2(1 + dephasing robustness); between 0 and log2 d."""
     return log_robustness_of(c_delta_r(rho))
+
+
+def _secular_root(p: np.ndarray) -> float:
+    """The top eigenvalue of psi psi^H - Diag p, p = |psi|^2: 0.0 when fewer
+    than two entries of p are positive, else its one positive eigenvalue.
+
+    That is the root of f(lambda) = sum_{p_i > 0} p_i / (lambda + p_i) - 1,
+    which falls and is convex for lambda > 0, so Newton from below rises to
+    it monotonically. Both starts are lower bounds: sum(p) - max p, at which
+    f >= 0, and sqrt(p_1 p_2) of the two largest entries, the top eigenvalue
+    of their 2 x 2 principal submatrix (Cauchy interlacing). The iteration
+    stops at the first iterate that does not rise.
+    """
+    q = p[p > 0.0]
+    if q.size < 2:
+        return 0.0
+    second, first = np.sqrt(np.partition(q, -2)[-2:])
+    lam = max(float(q.sum() - q.max()), float(first * second))
+    while True:
+        ratio = q / (lam + q)
+        rise = lam + (ratio.sum() - 1.0) / (ratio / (lam + q)).sum()
+        if not rise > lam:
+            return lam
+        lam = float(rise)
+
+
+def _pure_reports(psi: PureStateVector) -> dict:
+    """{name: report maker} for every measure with a pure-state form, each
+    read off p = |psi|^2 in O(d), with no d x d matrix: the maker takes the
+    measure's parameters after the state, as the measure of that name does.
+
+    c_rel is H(p), entries <= 1e-15 counting as 0 (``_entropies``); c_l1 and
+    c_r are (sum sqrt p)^2 - 1, and C_R's certificate is the diagonal
+    majorant d_i = sqrt(p_i) sum_j sqrt(p_j), which meets the value, so its
+    bound is the value; c_delta_r is s - 1 on the support of size s that
+    ``c_delta_r_values`` keeps (p_i > 1e-12, or |psi_i| max|psi| > 1e-10),
+    where the ratio vector 1 / conj(psi_i) is the witness; the trace norm is
+    twice ``_secular_root``, since psi psi^H - Diag p has trace 0 and one
+    positive eigenvalue; c_alpha is alpha / (alpha - 1) log2 sum p^(1/alpha),
+    -log2 max p at alpha = 0 and c_rel at alpha = 1 (``_c_alpha_rows``).
+    """
+    amps = psi.amps
+    p = (amps * amps.conj()).real  # the diagonal of psi.mat, bit for bit
+    roots = np.sqrt(p)
+    l1 = float(roots.sum() ** 2 - 1.0)
+    rel = _shannon(p)
+
+    def c_delta_r_report():
+        mod = np.abs(amps)
+        keep = (p > 1e-12) | (mod * mod.max() > 1e-10)
+        witness = np.zeros(amps.shape, dtype=complex)
+        witness[keep] = amps[keep] / p[keep]
+        witness /= np.linalg.norm(witness)
+        return MonotoneReport("c_delta_r", float(keep.sum() - 1), "closed_form", witness=witness)
+
+    def c_alpha_report(alpha):
+        value = float(_c_alpha_rows(_alpha_grid((alpha,)), p[None, :, None], [rel])[0, 0])
+        return MonotoneReport(f"c_alpha[{float(alpha):g}]", value, "closed_form")
+
+    return {
+        "c_rel": lambda: MonotoneReport("c_rel", rel, "closed_form"),
+        "c_l1": lambda: MonotoneReport("c_l1", l1, "closed_form"),
+        "c_r": lambda: MonotoneReport(
+            "c_r", l1, "closed_form", witness=roots * roots.sum(), bound=l1
+        ),
+        "c_delta_r": c_delta_r_report,
+        "trace_norm_coherence": lambda: MonotoneReport(
+            "trace_norm_coherence", 2.0 * _secular_root(p), "closed_form"
+        ),
+        "c_alpha": c_alpha_report,
+    }
 
 
 TRACE_DISTANCE_GAP = 1e-6

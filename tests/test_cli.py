@@ -256,9 +256,16 @@ class TestMonotones:
             init(self, mat)
 
         monkeypatch.setattr(DensityMatrix, "__init__", counted)
+        # the default panel has a pure form for every measure; c_delta_alpha
+        # has none and builds the density matrix once
         code, out = run_cli(capsys, ["monotones", str(path)])
         assert code == 0
         assert len(strict_loads(out)) == 8
+        assert len(built) == 0
+        measures = "c_delta_alpha:2,c_rel,c_delta_alpha:0.5:left"
+        code, out = run_cli(capsys, ["monotones", str(path), "--measures", measures])
+        assert code == 0
+        assert len(strict_loads(out)) == 3
         assert len(built) == 1
 
     def test_default_panel_runs_c_delta_r_once(self, files, capsys, monkeypatch):
@@ -277,9 +284,12 @@ class TestMonotones:
 
     @pytest.mark.parametrize("state", [random_density(3, 4), random_pure(16, 5)])
     def test_r_d_is_the_library_report(self, state):
-        rho = state.to_density() if isinstance(state, PureStateVector) else state
+        if isinstance(state, PureStateVector):
+            direct = mo.log_robustness_of(mo._pure_reports(state)["c_delta_r"]())
+            assert (direct.value, direct.method) == (4.0, "closed_form")
+        else:
+            direct = mo.log_robustness_dephasing(state)
         reported = cli._Panel(state).report("r_d")
-        direct = mo.log_robustness_dephasing(rho)
         assert (reported.name, reported.value, reported.method, reported.bound) == (
             direct.name,
             direct.value,
@@ -287,6 +297,25 @@ class TestMonotones:
             direct.bound,
         )
         assert np.array_equal(reported.witness, direct.witness)
+
+    # sha256 of the default panel's stdout over random_pure(d, s), d = 2, 3,
+    # 16, 64 and s = 0-4 in that order, as the pure forms print it
+    PURE_PANEL_SHA256 = {
+        "json": "f728ce6de3d26650ecca30eb26db152653d2591ea8f467e31e22e18d23b64dc2",
+        "csv": "2ec263add71acc2f432f96d4a419994a16637cb23a8aae1f9bf5f0869e90d079",
+    }
+
+    @pytest.mark.parametrize("fmt", list(PURE_PANEL_SHA256))
+    def test_pure_panel_bytes_are_pinned(self, capsys, tmp_path, fmt):
+        digest = hashlib.sha256()
+        for d in (2, 3, 16, 64):
+            for seed in range(5):
+                path = tmp_path / f"pure{d}-{seed}.json"
+                path.write_text(json.dumps(random_pure(d, seed).to_json_dict()))
+                code, out = run_cli(capsys, ["monotones", str(path), "--format", fmt])
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == self.PURE_PANEL_SHA256[fmt]
 
     def test_repeated_measure_runs_once(self, files, capsys, monkeypatch):
         calls = []

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from coherence_kit import channels as ch
 from coherence_kit import cli, harness, numerics, states
@@ -663,6 +664,89 @@ class TestLogRobustnessDephasing:
             rho = random_density(4, seed)
             val = mo.log_robustness_dephasing(rho).value
             assert -1e-9 <= val <= math.log2(4.0) + 1e-9
+
+    def test_r_d_keeps_the_method_of_its_base(self):
+        base = mo._pure_reports(random_pure(4, 2))["c_delta_r"]()
+        report = mo.log_robustness_of(base)
+        assert (report.value, report.method) == (2.0, "closed_form")
+        assert mo.log_robustness_dephasing(random_density(3, 1)).method == "eigenvalue"
+
+
+def pure_cases(d):
+    """Pure states of dimension d: random ones, some with zero amplitudes,
+    some with amplitudes of order 1e-5, and a basis state."""
+    cases = [random_pure(d, seed) for seed in range(3)]
+    for seed in range(3):
+        zeroed = random_pure(d, 100 + seed).amps.copy()
+        zeroed[seed::3] = 0.0
+        tiny = random_pure(d, 200 + seed).amps.copy()
+        tiny[seed % d :: 2] *= 1e-5
+        cases += [PureStateVector(a / np.linalg.norm(a)) for a in (zeroed, tiny) if a.any()]
+    return cases + [PureStateVector(np.eye(d)[d // 2])]
+
+
+class TestPureForms:
+    """``mo._pure_reports``: each measure with a pure form, read off
+    p = |psi|^2, against the spectral path on ``psi.to_density()``."""
+
+    MEASURES = [
+        ("c_rel", ()),
+        ("c_l1", ()),
+        ("c_r", ()),
+        ("c_delta_r", ()),
+        ("trace_norm_coherence", ()),
+        *[("c_alpha", (alpha,)) for alpha in (0.0, 0.5, 1.0, 1.7, 2.0)],
+    ]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32, 64])
+    def test_matches_the_spectral_path(self, d):
+        for psi in pure_cases(d):
+            rho, pure = psi.to_density(), mo._pure_reports(psi)
+            for name, params in self.MEASURES:
+                report, spectral = pure[name](*params), getattr(mo, name)(rho, *params)
+                assert report.name == spectral.name
+                assert report.method == "closed_form"
+                assert abs(report.value - spectral.value) <= 1e-12, (d, name, params)
+            report, spectral = pure["c_delta_r"](), mo.c_delta_r(rho)
+            top = np.argmax(np.abs(spectral.witness))
+            phase = spectral.witness[top] / report.witness[top]
+            assert abs(abs(phase) - 1.0) <= 1e-12
+            assert np.max(np.abs(report.witness * phase - spectral.witness)) <= 1e-12
+
+    def test_exact_where_the_spectral_path_rounds(self):
+        # the spectral path prints c_delta_r = 15.000000000000007 here
+        psi = random_pure(16, 3)
+        pure = mo._pure_reports(psi)
+        assert pure["c_delta_r"]().value == 15.0
+        assert pure["c_l1"]().value == pure["c_r"]().value
+        assert pure["c_r"]().value == mo.c_r(psi.to_density()).value
+
+    def test_support_follows_c_delta_r_values(self):
+        # 1e-7 amplitudes: p = 1e-14 <= 1e-12, but |psi_i| max|psi| > 1e-10
+        amps = np.array([1.0, 1e-7, 1e-7, 0.0])
+        psi = PureStateVector(amps / np.linalg.norm(amps))
+        report = mo._pure_reports(psi)["c_delta_r"]()
+        assert report.value == 2.0
+        assert report.value == pytest.approx(mo.c_delta_r(psi.to_density()).value, abs=1e-12)
+        assert report.witness[3] == 0.0
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_c_r_certificate_factors(self, d):
+        # witness d_i = sqrt(p_i) sum_j sqrt(p_j) makes Diag(d) - psi psi^H
+        # PSD and singular; raised by a relative 1e-13 it factors, zero rows
+        # reading 1 on the diagonal as in _c_r_rank_one
+        for seed in range(3):
+            amps = random_pure(d, seed).amps.copy()
+            amps[seed + 1 :: 4] = 0.0
+            psi = PureStateVector(amps / np.linalg.norm(amps))
+            report = mo._pure_reports(psi)["c_r"]()
+            witness = report.witness
+            assert report.bound == report.value
+            assert report.value == pytest.approx(witness.sum() - 1.0, rel=1e-14)
+            slack = -psi.mat
+            slack.flat[:: d + 1] += witness * (1.0 + 1e-13) + ~psi.mat.any(axis=1)
+            factor = _umath_linalg.cholesky_lo(slack)
+            assert np.isfinite(factor).all(), (d, seed)
 
 
 class TestDivergenceMonotone:
