@@ -15,7 +15,9 @@ none exists. It reads its test matrix off the Choi matrix into one array,
 finds the connected blocks of the coherence support by the boolean transitive
 closure that ``is_sio_special_rep`` also uses, and writes every operator of
 the representation into one stack by fancy indexing, with no loop over
-entries.
+entries. Its eigendecomposition and singular value decompositions, and the
+PSD projections of the qubit MIO sampler, are ``numerics.eigh_factors`` and
+``numerics.svd_factors``, each caller inside one ``raise_lapack_errors()``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .numerics import _EIGH_ERRSTATE, _SVD_ERRSTATE, EigenDecomposition, eig_hermitian, trace_norm
+from .numerics import EigenDecomposition, eig_hermitian, eigh_factors, raise_lapack_errors
+from .numerics import svd_factors, trace_norm
 from .states import DensityMatrix, _freeze, complex_from_json, complex_to_json, probability_vector
 
 CPTP_TOL = 1e-9
@@ -503,8 +505,8 @@ def _qubit_io_rep_from_choi(j: np.ndarray) -> np.ndarray:
     diagonal operators take up what is left.
 
     M is written into one preallocated array. It is factorized, and each
-    block's pair found, by the LAPACK gufuncs behind np.linalg.eigh and
-    np.linalg.svd, so the certificate and the loads have their bits. The
+    block's pair found, with np.linalg.eigh's and np.linalg.svd's bits
+    (``numerics.eigh_factors``, ``svd_factors``) in one error state. The
     blocks are the classes of the transitive closure of "rows share a column
     of the support". The support entries, ordered by block (its smallest
     row), then row, then column, each give one operator
@@ -521,26 +523,25 @@ def _qubit_io_rep_from_choi(j: np.ndarray) -> np.ndarray:
     m.flat[:: 2 * d + 1] = ab
     m[:d, d:] = modulus
     m[d:, :d] = modulus.T
-    with np.errstate(**_EIGH_ERRSTATE):
-        vals, vecs = _umath_linalg.eigh_lo(m)
-    if vals[0] < -IO_PSD_TOL:
-        raise NoIncoherentRepresentationError(
-            "this qubit MIO channel has no incoherent Kraus representation",
-            certificate=vecs[:, 0],
-        )
-    support = modulus > 1e-11
-    linked = _transitive_closure(support @ support.T)
-    rows, cols = support.nonzero()
-    heads = linked.argmax(axis=1)[rows]  # each entry's block, named by its first row
-    a, b = ab[:d], ab[d:]
-    p, q = np.zeros(d), np.zeros(d)
-    for first in set(heads.tolist()):
-        in_rows = linked[first].nonzero()[0]
-        in_cols = (linked[first] @ support).nonzero()[0]
-        k = modulus[in_rows[:, None], in_cols] / np.sqrt(a[in_rows][:, None] * b[in_cols])
-        with np.errstate(**_SVD_ERRSTATE):
-            u, _, vh = _umath_linalg.svd_f(k)
-        p[in_rows], q[in_cols] = np.abs(u[:, 0]), np.abs(vh[0])
+    with raise_lapack_errors():
+        vals, vecs = eigh_factors(m)
+        if vals[0] < -IO_PSD_TOL:
+            raise NoIncoherentRepresentationError(
+                "this qubit MIO channel has no incoherent Kraus representation",
+                certificate=vecs[:, 0],
+            )
+        support = modulus > 1e-11
+        linked = _transitive_closure(support @ support.T)
+        rows, cols = support.nonzero()
+        heads = linked.argmax(axis=1)[rows]  # each entry's block, named by its first row
+        a, b = ab[:d], ab[d:]
+        p, q = np.zeros(d), np.zeros(d)
+        for first in set(heads.tolist()):
+            in_rows = linked[first].nonzero()[0]
+            in_cols = (linked[first] @ support).nonzero()[0]
+            k = modulus[in_rows[:, None], in_cols] / np.sqrt(a[in_rows][:, None] * b[in_cols])
+            u, _, vh = svd_factors(k)
+            p[in_rows], q[in_cols] = np.abs(u[:, 0]), np.abs(vh[0])
     order = heads.argsort(kind="stable")
     rows, cols = rows[order], cols[order]
     entries = modulus[rows, cols]
@@ -613,7 +614,7 @@ def sample_mio_qubit_channel(seed: int) -> KrausChannel:
     so the projections converge from every start.
 
     The affine projection returns an exactly Hermitian matrix, so each PSD
-    projection factorizes it with the LAPACK gufunc directly, with
+    projection factorizes it with ``numerics.eigh_factors``, with
     ``eig_hermitian``'s bits and none of its checks, inside one error state
     for the whole loop; the gap is np.linalg.norm's Frobenius sum written
     out. The returned channel is checked in full by ``ChoiMatrix`` and
@@ -623,10 +624,10 @@ def sample_mio_qubit_channel(seed: int) -> KrausChannel:
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     j = g @ g.conj().T
     j *= 2.0 / np.trace(j).real
-    with np.errstate(**_EIGH_ERRSTATE):
+    with raise_lapack_errors():
         for _ in range(10000):
             j = _project_mio_affine_qubit(j)
-            vals, vecs = _umath_linalg.eigh_lo(j)
+            vals, vecs = eigh_factors(j)
             j_psd = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
             diff = (j - j_psd).ravel()  # np.linalg.norm's Frobenius sum, inline
             j = j_psd

@@ -8,7 +8,9 @@ Y = u u^H, |u_i| = 1, which is the shape of its optimum in each closed form:
 ``_c_r_rank_one`` runs Newton on the phases of u for a batch of states in
 lockstep and certifies a state with one Cholesky factorization of
 Diag(d) - rho at d_i = Re(conj(u_i) (rho u)_i), which sums to the dual value
-u^H rho u. The states it refuses, C_R with method="cutting_plane", and the
+u^H rho u; its Newton systems and certificates are ``numerics.solve_rows``
+and ``numerics.cholesky_mask``, which refuse a failing row and leave the
+others alone. The states it refuses, C_R with method="cutting_plane", and the
 trace distance to the incoherent states are solved by
 ``numerics.log_det_barrier``, one problem per call: each client passes its
 start and its slack, Newton step and bound hooks, which read the problem's
@@ -48,7 +50,11 @@ single product. c_rel and c_l1 are row reductions, the trace norm of
 rho - dephased is one stacked SVD, and c_delta_r is one stacked
 eigendecomposition of the cores D^-1/2 rho D^-1/2 per support size of D.
 Logarithms of the results are math.log2's, taken on Python floats: np.log2
-differs from it in the last bit on some inputs.
+differs from it in the last bit on some inputs. Every spectral kernel's
+measure is nonnegative and zero exactly on incoherent states, so a row of an
+exactly diagonal state is +0.0, though its spectrum would round a few 1e-16
+to either side, and a negative rounding elsewhere is raised to +0.0
+(``_coherence_rows``).
 
 On a pure state psi every measure but c_delta_alpha is a function of the
 coherence vector p = |psi|^2, and ``_pure_reports`` reads each off p in O(d),
@@ -63,10 +69,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .numerics import _ExactEquality, eig_hermitian, log_det_barrier, psd_power_values, solve_stack
-from .numerics import trace_norm
+from .numerics import _ExactEquality, cholesky_mask, eig_hermitian, eigh_factors, log_det_barrier
+from .numerics import psd_power_values, raise_lapack_errors, solve_rows, solve_stack, trace_norm
 from .states import DISTRIBUTION_SUM_TOL, DensityMatrix, PureStateVector, SchmidtVector
 from .states import _per_dimension, complex_to_json, probability_vector
 
@@ -126,8 +131,34 @@ def renyi(p, alpha: float) -> float:
     elif alpha == 0.0:
         value = float(np.log2(kept.size))
     else:
-        value = float(np.log2(np.sum(kept**alpha)) / (1.0 - alpha))
+        value = _renyi_sum(vec[vec > 0.0], alpha)
     return value + 0.0  # a zero entropy is +0.0, as in MonotoneReport
+
+
+def _renyi_sum(p: np.ndarray, gamma: float) -> float:
+    """log2(sum p^gamma) / (1 - gamma) over the positive entries p, gamma
+    not 0, 1 or inf.
+
+    Where log2 of the sum is within 1e-3 of 0 (a nearly pure p, or gamma
+    near 1) it is correct to only about 2^-52 / |log2 sum| relative, since
+    the sum's rounding, and that of sum p from 1, count as much as the
+    entries below the largest. There the value is read off r = p / max p
+    with the largest entry dropped, as
+    (log1p(sum r^gamma) - gamma log1p(sum r)) / ((1 - gamma) ln 2), which
+    is invariant under scaling p and keeps the digits of a nearly pure p:
+    on psi ~ (1, 1e-8 x 63) the sandwiched alpha = 2 value is 5.874465e-9,
+    where log2 of the sum is off by 3e-8 relative. Elsewhere log2 of the
+    sum is as accurate and keeps the bits ``reproduce --artifact fig1``
+    prints. Both
+    forms are nonnegative: r^gamma is at least r for gamma < 1, and at most
+    r for gamma > 1.
+    """
+    log_total = np.log2(np.sum(p**gamma))
+    if abs(log_total) > 1e-3:
+        return float(log_total / (1.0 - gamma))
+    r = np.delete(p, p.argmax()) / p.max()
+    lead = math.log1p(float(np.sum(r**gamma))) - gamma * math.log1p(float(np.sum(r)))
+    return lead / ((1.0 - gamma) * math.log(2.0))
 
 
 def _stacked(states, get) -> np.ndarray:
@@ -165,10 +196,22 @@ def _c_rel_rows(delta: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return entropies[: len(delta)] - entropies[len(delta) :]
 
 
+def _coherence_rows(values: np.ndarray, states) -> np.ndarray:
+    """values, one row per state of states of one dimension, of a measure
+    that is nonnegative and zero exactly on incoherent states: +0.0 on the
+    rows of exactly diagonal states, whose spectra round a few 1e-16 to
+    either side of it, and negative rounding raised to +0.0 on the others."""
+    out = np.maximum(values, 0.0) + 0.0
+    for k, rho in enumerate(states):
+        if rho.is_diagonal:
+            out[k] = 0.0
+    return out
+
+
 def c_rel_values(states) -> np.ndarray:
     """Relative entropy of coherence S(dephased) - S(rho) of each of states
     of one dimension, (K,)."""
-    return _c_rel_rows(_dephased(states), _eigenvalues(states))
+    return _coherence_rows(_c_rel_rows(_dephased(states), _eigenvalues(states)), states)
 
 
 def c_rel(rho: DensityMatrix) -> MonotoneReport:
@@ -223,7 +266,7 @@ def c_alpha_values(states, alphas) -> np.ndarray:
     rho^alpha come from one product (``_diag_powers``)."""
     grid = _alpha_grid(alphas)
     _, _, _, diags, rel = _renyi_inputs(states, grid)
-    return _c_alpha_rows(grid, diags, rel)
+    return _coherence_rows(_c_alpha_rows(grid, diags, rel), states)
 
 
 def c_alpha(rho: DensityMatrix, alpha: float) -> MonotoneReport:
@@ -304,12 +347,14 @@ def c_delta_alpha_values(states, alphas, side: str = "right") -> np.ndarray:
     grid = _alpha_grid(alphas)
     if side == "right":
         delta, vals, vecs, diags, rel = _renyi_inputs(states, grid)
-        return _c_delta_alpha_rows(grid, side, diags, delta, vals, vecs, rel)
-    if side != "left":
+        values = _c_delta_alpha_rows(grid, side, diags, delta, vals, vecs, rel)
+    elif side == "left":
+        delta, vals, vecs = _dephased(states), _eigenvalues(states), _eigenvectors(states)
+        powers = _diag_powers(vals, vecs, 1.0 - grid)
+        values = _c_delta_alpha_rows(grid, side, powers, delta, vals, vecs, None)
+    else:
         raise ValueError("side must be 'right' or 'left'")
-    delta, vals, vecs = _dephased(states), _eigenvalues(states), _eigenvectors(states)
-    powers = _diag_powers(vals, vecs, 1.0 - grid)
-    return _c_delta_alpha_rows(grid, side, powers, delta, vals, vecs, None)
+    return _coherence_rows(values, states)
 
 
 def renyi_grid_values(states, alphas) -> tuple:
@@ -319,8 +364,9 @@ def renyi_grid_values(states, alphas) -> tuple:
     c_alpha reads. The first is ``c_alpha_values``'s, bit for bit."""
     grid = _alpha_grid(alphas)
     delta, vals, vecs, diags, rel = _renyi_inputs(states, grid)
+    c_alphas = _c_alpha_rows(grid, diags, rel)
     c_deltas = _c_delta_alpha_rows(grid, "right", diags, delta, vals, vecs, rel)
-    return _c_alpha_rows(grid, diags, rel), c_deltas
+    return _coherence_rows(c_alphas, states), _coherence_rows(c_deltas, states)
 
 
 def c_delta_alpha(rho: DensityMatrix, alpha: float, side: str = "right") -> MonotoneReport:
@@ -426,9 +472,8 @@ def _c_r_rank_one(states) -> list:
         # A = Diag(Re r) - Re M is -Hessian / 2, so the Newton step is A^-1 Im r
         a = -m.real
         a.reshape(len(m), n * n)[:, :: n + 1] += r.real
-        with np.errstate(invalid="ignore", over="ignore"):  # a singular A: no step
-            step = _umath_linalg.solve1(a[:, 1:, 1:], r.imag[:, 1:])
-        step = np.where(np.isfinite(step), step, 0.0)
+        step = solve_rows(a[:, 1:, 1:], r.imag[:, 1:])
+        step = np.where(np.isfinite(step), step, 0.0)  # a singular A: no step
         active[:, 1:] *= np.exp(1j * step)
         going = np.abs(step).max(axis=1) > 1e-6
         if not going.all():
@@ -441,9 +486,7 @@ def _c_r_rank_one(states) -> list:
     d = (u.conj() * rho_u).real * (1.0 + 1e-13)
     slack = -mats
     slack.reshape(len(mats), n * n)[:, :: n + 1] += d + ~mats.any(axis=2)
-    with np.errstate(invalid="ignore"):  # a failed factorization gives NaN
-        factors = _umath_linalg.cholesky_lo(slack)
-    psd = np.isfinite(factors.reshape(len(mats), n * n)).all(axis=1).tolist()
+    psd = cholesky_mask(slack).tolist()
     totals, duals = d.sum(axis=1).tolist(), np.vecdot(u, rho_u).real.tolist()
     return [
         MonotoneReport("c_r", total - 1.0, "rank_one_dual", witness=d_vec, bound=dual - 1.0)
@@ -561,8 +604,8 @@ def c_delta_r_values(states) -> tuple:
         dec = eig_hermitian(sub * (scale[:, :, None] * scale[:, None, :]))
         top = dec.eigenvectors[:, :, -1] * scale
         witnesses[rows[:, None], idx] = top / _norms(top)[:, None]
-        values[rows] = np.maximum(dec.eigenvalues[:, -1] - 1.0, 0.0)
-    return values, witnesses
+        values[rows] = dec.eigenvalues[:, -1] - 1.0
+    return _coherence_rows(values, states), witnesses
 
 
 def c_delta_r(rho: DensityMatrix) -> MonotoneReport:
@@ -668,7 +711,8 @@ def _incoherent_bound(rho: DensityMatrix, h: np.ndarray):
     over every incoherent state sigma (Rana, Parashar & Lewenstein, PRA 93,
     012110); this W attains ||h||_1 = sum |eigenvalues|.
     """
-    vals, vecs = np.linalg.eigh(h)
+    with raise_lapack_errors():
+        vals, vecs = eigh_factors(h)
     w = (vecs * np.sign(vals)) @ vecs.conj().T
     return float(np.vdot(w, rho.mat).real) - float(np.max(w.diagonal().real)), vals
 
@@ -717,7 +761,8 @@ def _incoherent_trace_distance(rho: DensityMatrix):
         r = a3.diagonal().real
         grad_w = a1 - a2 - t * mat
         grad_w.flat[:: d + 1] += r
-        u = np.linalg.eigh(a1 - a2)[1]
+        with raise_lapack_errors():
+            u = eigh_factors(a1 - a2)[1]
         u_h = u.conj().T
         a, b = (np.sum(u.conj() * (a_k @ u), axis=0).real for a_k in (a1, a2))
         m = np.outer(a, a) + np.outer(b, b)
@@ -730,7 +775,7 @@ def _incoherent_trace_distance(rho: DensityMatrix):
         schur[:d, :d] = ((p / m.ravel()) @ p.conj().T).real + np.diag(1.0 / r**2)
         schur[d, d] = 0.0
         l_grad, grad_s = l_inv(grad_w), t - np.sum(r)
-        sol = np.linalg.solve(schur, np.append(-l_grad.diagonal().real, grad_s))
+        sol = solve_stack(schur, np.append(-l_grad.diagonal().real, grad_s))
         x = -(l_grad + l_inv(np.diag(sol[:d])))
         step_w = (x + x.conj().T) / 2.0
         step_w.flat[:: d + 1] = sol[:d] / r**2 + sol[d]

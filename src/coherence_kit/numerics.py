@@ -1,10 +1,17 @@
 """Dense complex linear algebra, a log-det barrier kernel that solves one
 problem at a time, a small simplex LP, and Birkhoff decomposition.
 
-Matrices are plain numpy arrays (complex128, row-major). ``eig_hermitian``
-and ``trace_norm`` take one matrix or a stack (K, n, n), factorized in one
-LAPACK call whose rows carry the bits of their one-matrix calls. Everything
-here is a pure function of its inputs; nothing mutates its arguments.
+Matrices are plain numpy arrays (complex128, row-major). This is the one
+module that calls LAPACK, and every factorization gives numpy.linalg's bits.
+``eig_hermitian`` checks its input and result, and it and ``trace_norm``
+take one matrix or a stack (K, n, n), factorized in one LAPACK call whose
+rows carry the bits of their one-matrix calls. ``eigh_factors`` and
+``svd_factors`` return the factors unchecked, inside
+``raise_lapack_errors()``, and ``solve_stack`` raises on a singular system.
+Batches whose rows succeed or fail on their own use ``cholesky_mask``,
+which says which matrices factor, and ``solve_rows``, which leaves a
+singular row non-finite. Everything here is a pure function of its inputs;
+nothing mutates its arguments.
 """
 
 from __future__ import annotations
@@ -27,24 +34,15 @@ class UnboundedError(ValueError):
     """The linear program objective is unbounded below."""
 
 
-# Every evaluation of the barrier factors and inverts each block, and C_R's
-# Newton hook solves one system more. numpy.linalg's functions check shapes,
-# promote types and enter an errstate context in Python on every call, which
-# on a 3 x 3 block costs several times what LAPACK does: 4.0 against 1.0 us for
-# cholesky and 7.9 against 1.5 us for inv (numpy 2.4, one BLAS thread, a
-# virtual Xeon core). The barrier, on its problem's blocks, and eig_hermitian
-# and trace_norm, on their complex128 stacks, call the gufuncs behind them
-# instead, under the error state numpy.linalg sets, so the bits are the same
-# and a failed factorization raises LinAlgError as there. eig_hermitian's
-# checks cost more again (25 us a call at n = 3 or 4, against 3 to 5 us of
-# LAPACK), so callers with many states validate them as one stack per
-# dimension (``states._density_stack``: a harness monotonicity run of any size
-# validates its states in four calls), and the qubit MIO sampler's projection
-# steps, whose matrices are exactly Hermitian, call eigh_lo themselves
-# (``channels.sample_mio_qubit_channel``). C_R's rank-one kernel
-# (``monotones._c_r_rank_one``) calls solve1 and cholesky_lo with invalid
-# values ignored instead: a failed row comes back as NaN and is refused, so
-# it neither warns nor stops the other rows of its batch.
+# numpy.linalg's functions check shapes, promote types and enter an errstate
+# context in Python on every call, which on a 3 x 3 block costs several times
+# what LAPACK does: 4.0 against 1.0 us for cholesky and 7.9 against 1.5 us for
+# inv (numpy 2.4, one BLAS thread, a virtual Xeon core). This module calls the
+# LAPACK gufuncs behind them instead, so each matrix gets numpy.linalg's bits,
+# under one of two failure policies: one problem raises LinAlgError where
+# LAPACK reports a failure, as numpy.linalg does (``_lapack_errstate``), and
+# one row of a batch comes back NaN instead, so it neither warns nor stops
+# the other rows (``_REFUSE_ERRSTATE``).
 def _lapack_errstate(message: str) -> dict:
     """numpy.linalg's error state around a LAPACK gufunc, raising
     LinAlgError(message) where LAPACK reports a failure."""
@@ -62,8 +60,8 @@ def _lapack_errstate(message: str) -> dict:
 
 
 _LAPACK_ERRSTATE = _lapack_errstate("singular or not positive definite")
-_EIGH_ERRSTATE = _lapack_errstate("Eigenvalues did not converge")
-_SVD_ERRSTATE = _lapack_errstate("SVD did not converge")
+_CONVERGENCE_ERRSTATE = _lapack_errstate("eigendecomposition or SVD did not converge")
+_REFUSE_ERRSTATE = {"invalid": "ignore", "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 
 def _as_square_matrix(mat) -> np.ndarray:
@@ -123,12 +121,14 @@ def eig_hermitian(mat) -> EigenDecomposition:
     Each matrix must be Hermitian within ``HERMITIAN_TOL`` (relative to its
     Frobenius norm); it is symmetrized before factorization. Eigenvalues come
     back ascending, eigenvectors as orthonormal columns, with the stack's
-    leading axis where there is one. LAPACK is called through the gufunc
-    behind np.linalg.eigh (see ``_lapack_errstate``), so each matrix gets
-    np.linalg.eigh's bits, alone or in a stack. Each matrix is checked on its
+    leading axis where there is one. Each matrix gets np.linalg.eigh's bits,
+    alone or in a stack (``eigh_factors``). Each matrix is checked on its
     own, and one that fails the Hermiticity check (ValueError) or whose
     reconstruction residual exceeds ``RECONSTRUCTION_TOL`` (ArithmeticError)
-    fails the whole stack.
+    fails the whole stack. The checks cost more than LAPACK does (25 us a
+    call at n = 3 or 4, against 3 to 5 us), so callers with many states
+    validate them as one stack per dimension (``states._density_stack``),
+    and matrices Hermitian by construction skip them (``eigh_factors``).
     """
     m = _as_square_matrix(mat)
     stack = m if m.ndim == 3 else m[None]
@@ -136,8 +136,8 @@ def eig_hermitian(mat) -> EigenDecomposition:
     scale = np.maximum(1.0, _frobenius(stack))
     if max((_frobenius(stack - adjoint) / scale).tolist()) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    with np.errstate(**_EIGH_ERRSTATE):
-        vals, vecs = _umath_linalg.eigh_lo((stack + adjoint) / 2.0)
+    with raise_lapack_errors():
+        vals, vecs = eigh_factors((stack + adjoint) / 2.0)
     residual = _frobenius(stack - (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(1, 2))
     if max((residual / scale).tolist()) > RECONSTRUCTION_TOL:
         raise ArithmeticError(f"eigendecomposition residual {residual.max():.3e} too large")
@@ -177,23 +177,63 @@ def trace_norm(mat):
     array: one stacked SVD through the gufunc behind np.linalg.svd, each row's
     sum the bits of its own call's."""
     m = _as_square_matrix(mat)
-    with np.errstate(**_SVD_ERRSTATE):
+    with raise_lapack_errors():
         total = _umath_linalg.svd(m).sum(axis=-1)
     return float(total) if m.ndim == 2 else total
+
+
+def raise_lapack_errors():
+    """The error state in which ``eigh_factors`` and ``svd_factors`` raise
+    LinAlgError where LAPACK does not converge, as numpy.linalg does. Both
+    run in their caller's error state, so a caller that factorizes matrices
+    one after another enters this once around them all."""
+    return np.errstate(**_CONVERGENCE_ERRSTATE)
+
+
+def eigh_factors(mat) -> tuple:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix (n, n) or of each
+    matrix of a stack (K, n, n), float64 or complex128, read off its lower
+    triangle: np.linalg.eigh's bits, with none of ``eig_hermitian``'s
+    checks. Call it inside ``raise_lapack_errors()``."""
+    return _umath_linalg.eigh_lo(mat)
+
+
+def svd_factors(mat) -> tuple:
+    """(u, s, vh) of a float64 or complex128 matrix (m, n), or of each matrix
+    of a stack, with square u and vh: np.linalg.svd's bits. Call it inside
+    ``raise_lapack_errors()``."""
+    return _umath_linalg.svd_f(mat)
+
+
+def cholesky_mask(stack) -> np.ndarray:
+    """(K,) bool, for each Hermitian matrix of a stack (K, n, n): whether
+    np.linalg.cholesky factors it, that is whether it is numerically positive
+    definite. A row that fails is False and leaves the other rows alone."""
+    with np.errstate(**_REFUSE_ERRSTATE):
+        factors = _umath_linalg.cholesky_lo(stack)
+    return np.isfinite(factors.reshape(len(factors), -1)).all(axis=1)
+
+
+def solve_stack(a, b) -> np.ndarray:
+    """x with a x = b for a square system a (n, n) and right-hand side b
+    (n,), or row by row for stacks (K, n, n) and (K, n), float64 or
+    complex128: np.linalg.solve's bits without its per-call Python cost.
+    Raises LinAlgError on a singular system."""
+    with np.errstate(**_LAPACK_ERRSTATE):
+        return _umath_linalg.solve1(a, b)
+
+
+def solve_rows(a, b) -> np.ndarray:
+    """``solve_stack`` on stacks (K, n, n) and (K, n) for a batch: a row
+    whose system is singular comes back non-finite instead of raising, and
+    leaves the other rows alone."""
+    with np.errstate(**_REFUSE_ERRSTATE):
+        return _umath_linalg.solve1(a, b)
 
 
 # ---------------------------------------------------------------------------
 # Log-det barrier: minimize cost.y subject to block-diagonal S(y) > 0.
 # ---------------------------------------------------------------------------
-
-def solve_stack(a, b) -> np.ndarray:
-    """x with a x = b for a square system a (n, n) and right-hand side b
-    (n,), or row by row for stacks (K, n, n) and (K, n), float64 or
-    complex128: np.linalg.solve's LAPACK call without its per-call Python
-    cost. Raises LinAlgError on a singular system."""
-    with np.errstate(**_LAPACK_ERRSTATE):
-        return _umath_linalg.solve1(a, b)
-
 
 # After a damped step that leaves the gap open, t may be raised to at least
 # BARRIER_MU * nu / gap, the t whose central point has 1 / BARRIER_MU of the

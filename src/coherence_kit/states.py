@@ -16,6 +16,7 @@ per dimension.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,12 @@ class DensityMatrix(_ExactEquality):
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @functools.cached_property
+    def is_diagonal(self) -> bool:
+        """Whether every off-diagonal entry is exactly 0: an incoherent state
+        with no rounding about it."""
+        return np.count_nonzero(self.mat) == np.count_nonzero(self.mat.diagonal())
 
     @classmethod
     def from_pure(cls, psi: "PureStateVector") -> "DensityMatrix":

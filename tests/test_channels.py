@@ -1020,7 +1020,7 @@ class TestQubitMioToIo:
     def test_one_eigh_and_one_svd_per_block(self, monkeypatch):
         channels = [ch.sample_mio_qubit_channel(seed) for seed in range(20)] + [self.reducible()]
         calls = collections.Counter()
-        lapack = ch._umath_linalg
+        lapack = numerics._umath_linalg
 
         class Counting:
             def __getattr__(self, name):
@@ -1033,7 +1033,7 @@ class TestQubitMioToIo:
         def no_block(*args, **kwargs):
             raise AssertionError("np.block called")
 
-        monkeypatch.setattr(ch, "_umath_linalg", Counting())
+        monkeypatch.setattr(numerics, "_umath_linalg", Counting())
         monkeypatch.setattr(np, "block", no_block)
         seen = set()
         for c in channels:

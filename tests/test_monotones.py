@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 from coherence_kit import channels as ch
 from coherence_kit import cli, harness, numerics, states
@@ -745,8 +744,7 @@ class TestPureForms:
             assert report.value == pytest.approx(witness.sum() - 1.0, rel=1e-14)
             slack = -psi.mat
             slack.flat[:: d + 1] += witness * (1.0 + 1e-13) + ~psi.mat.any(axis=1)
-            factor = _umath_linalg.cholesky_lo(slack)
-            assert np.isfinite(factor).all(), (d, seed)
+            assert numerics.cholesky_mask(slack[None]).tolist() == [True], (d, seed)
 
 
 class TestDivergenceMonotone:
@@ -884,6 +882,154 @@ class TestFaithfulness:
             rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
             rotated_vals = [measure(rotated) for measure in self.MEASURES]
             assert np.allclose(base, rotated_vals, atol=1e-9)
+
+
+def _tiny_amps(d, tiny, seed):
+    """Amplitudes with one entry near 1 and the rest tiny, with random
+    phases."""
+    rng = np.random.default_rng(seed)
+    amps = np.full(d, tiny) * np.exp(2j * np.pi * rng.random(d))
+    amps[seed % d] = 1.0
+    return amps / np.linalg.norm(amps)
+
+
+class TestCoherenceIsNonnegative:
+    """Condition (C1) of Baumgratz, Cramer & Plenio, PRL 113, 140401: every
+    measure and parameter the CLI offers is >= 0 with no slack, and +0.0 on
+    incoherent states, through the CLI's panel (pure forms for pure inputs,
+    the stacked kernels for density matrices)."""
+
+    ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+    TOKENS = (
+        ["c_rel", "c_l1", "c_r", "c_delta_r", "r_d", "trace_norm"]
+        + [f"c_alpha:{a}" for a in ALPHAS]
+        + [f"c_delta_alpha:{a}:{side}" for a in ALPHAS for side in ("right", "left")]
+    )
+    Q_TOKENS = tuple(f"c_q_alpha:{a}" for a in (0.5, 0.6, 0.75, 1.0, 2.0, 10.0, math.inf))
+
+    @staticmethod
+    def values(state) -> dict:
+        panel = cli._Panel(state)
+        tokens = TestCoherenceIsNonnegative.TOKENS
+        if isinstance(state, PureStateVector):
+            tokens = tokens + list(TestCoherenceIsNonnegative.Q_TOKENS)
+        return {token: panel.report(token).value for token in tokens}
+
+    @staticmethod
+    def coherent_states():
+        for d in (2, 3, 5, 8, 16):
+            for seed in range(3):
+                psi = random_pure(d, seed)
+                yield psi
+                yield psi.to_density()
+        for d in range(2, 9):
+            yield random_density(d, 70 + d)
+            yield rank_k_state(d, 1 + d // 3, d)
+        for d in (4, 16, 64):
+            for tiny in (1e-8, 1e-150):
+                psi = PureStateVector(_tiny_amps(d, tiny, d))
+                yield psi
+                yield psi.to_density()
+                yield DensityMatrix(0.5 * psi.mat + 0.5 * np.diag(psi.probs[::-1]))
+
+    @staticmethod
+    def incoherent_states():
+        rng = np.random.default_rng(71)
+        for d in range(2, 9):
+            for _ in range(3):
+                p = rng.dirichlet(np.ones(d))
+                p[rng.random(d) < 0.3] = 0.0
+                p[rng.integers(d)] += 1e-3
+                yield DensityMatrix(np.diag(p / p.sum()))
+            tiny = np.full(d, 1e-150)
+            tiny[0] = 1.0
+            yield DensityMatrix(np.diag(tiny))
+            basis = np.zeros(d)
+            basis[d - 1] = 1.0
+            yield PureStateVector(basis)
+            yield PureStateVector(basis).to_density()
+
+    def test_every_measure_is_nonnegative(self):
+        for state in self.coherent_states():
+            for token, value in self.values(state).items():
+                assert value >= 0.0, (token, state.dim, value)
+
+    def test_every_measure_is_positive_zero_on_incoherent_states(self):
+        for state in self.incoherent_states():
+            for token, value in self.values(state).items():
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0, (token, value)
+
+    def test_stacked_kernels_zero_diagonal_rows_alone_and_in_a_stack(self):
+        rhos = [random_density(4, 3), DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]))]
+        rhos += [random_density(4, 4), DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]))]
+        grid = (0.0, 0.5, 1.0, 2.0)
+        stacked = {
+            "c_rel": mo.c_rel_values(rhos),
+            "c_alpha": mo.c_alpha_values(rhos, grid),
+            "c_delta_alpha": mo.c_delta_alpha_values(rhos, grid),
+            "left": mo.c_delta_alpha_values(rhos, grid, "left"),
+            "grid": np.hstack(mo.renyi_grid_values(rhos, grid)),
+            "c_delta_r": mo.c_delta_r_values(rhos)[0],
+        }
+        for k in (1, 3):
+            for values in stacked.values():
+                assert np.all(values[k] == 0.0) and not np.signbit(values[k]).any()
+        for k, rho in enumerate(rhos):
+            alone = {
+                "c_rel": mo.c_rel_values((rho,)),
+                "c_alpha": mo.c_alpha_values((rho,), grid),
+                "c_delta_alpha": mo.c_delta_alpha_values((rho,), grid),
+                "left": mo.c_delta_alpha_values((rho,), grid, "left"),
+                "grid": np.hstack(mo.renyi_grid_values((rho,), grid)),
+                "c_delta_r": mo.c_delta_r_values((rho,))[0],
+            }
+            for name, values in stacked.items():
+                assert values[k].tobytes() == alone[name][0].tobytes(), name
+
+
+class TestRenyiSmallEntries:
+    """renyi sums p^gamma over every p > 0; where the sum is near 1 it reads
+    the value off the ratios to the largest entry."""
+
+    # psi ~ (1, 1e-8 x 63): p = (1, 1e-16 x 63) / (1 + 63e-16); the sandwiched
+    # values, gamma = alpha / (2 alpha - 1), from a 50-digit evaluation
+    PSI = PureStateVector(np.array([1.0] + [1e-8] * 63) / math.sqrt(1.0 + 63e-16))
+    EXACT = {2.0: 5.8744651577569876489e-9, math.inf: 1.8177951698256939011e-6}
+
+    @pytest.mark.parametrize("alpha", [2.0, math.inf])
+    def test_near_pure_values_are_exact(self, alpha):
+        value = mo.c_q_alpha_pure(self.PSI, alpha).value
+        assert value == pytest.approx(self.EXACT[alpha], rel=1e-12, abs=0.0)
+
+    def test_infinity_is_log_of_one_plus_pure_c_r(self):
+        # the pure C_R form (sum sqrt p)^2 - 1 cancels to about 1e-10
+        # relative on this state, so the match is that close
+        c_r = mo._pure_reports(self.PSI)["c_r"]().value
+        value = mo.c_q_alpha_pure(self.PSI, math.inf).value
+        assert value == pytest.approx(math.log2(1.0 + c_r), rel=1e-9, abs=0.0)
+
+    def test_matches_the_pure_c_alpha_form(self):
+        # c_q_alpha at inf and c_alpha at 2 are both 2 log2 sum sqrt p
+        pure = mo._pure_reports(self.PSI)
+        assert mo.c_q_alpha_pure(self.PSI, math.inf).value == pytest.approx(
+            pure["c_alpha"](2.0).value, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9, 0.999, 1.001, 1.5, 3.0])
+    def test_both_forms_agree_across_the_switch(self, gamma):
+        # the two forms of _renyi_sum, on distributions whose log2 sum falls
+        # on either side of 1e-3, against a direct evaluation
+        rng = np.random.default_rng(int(gamma * 1000))
+        for spread in (1e-1, 1e-3, 1e-5):
+            p = np.append(1.0, spread * rng.random(5))
+            p /= p.sum()
+            direct = math.log2(math.fsum(p**gamma)) / (1.0 - gamma)
+            value = mo.renyi(p, gamma)
+            assert value >= 0.0
+            assert value == pytest.approx(direct, rel=1e-9)
+
+    def test_zero_entries_still_count_as_absent(self):
+        assert mo.renyi([0.5, 0.5, 0.0], 2.0) == mo.renyi([0.5, 0.5], 2.0)
 
 
 def _full_matrix_c_rel(rho):

@@ -591,17 +591,104 @@ class TestSolveStack:
 
 
 class TestSvdGufunc:
-    """The gufunc the qubit IO rebuild calls for each block's Perron pair
-    gives np.linalg.svd's bits."""
+    """``svd_factors``, which the qubit IO rebuild calls for each block's
+    Perron pair, gives np.linalg.svd's bits."""
 
     @pytest.mark.parametrize("rows, cols", itertools.product(range(1, 7), repeat=2))
     def test_matches_np_linalg_svd_on_real_blocks(self, rows, cols):
         rng = np.random.default_rng(10 * rows + cols)
         k = np.abs(rng.standard_normal((rows, cols)))
-        with np.errstate(**numerics._SVD_ERRSTATE):
-            got = numerics._umath_linalg.svd_f(k)
+        with numerics.raise_lapack_errors():
+            got = numerics.svd_factors(k)
         for mine, theirs in zip(got, np.linalg.svd(k)):
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def same_bits(got, want) -> bool:
+    return all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+class TestLapackEntryPoints:
+    """numerics' four LAPACK entry points: each gives np.linalg's bits, a
+    row gives the same bits alone and in a stack, and a failing row of a
+    batch leaves the other rows alone, with no warning."""
+
+    @staticmethod
+    def stack(dtype, k=5, n=4, seed=0):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((k, n, n))
+        if dtype is complex:
+            g = g + 1j * rng.standard_normal((k, n, n))
+        return g
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_eigh_factors_rows_are_np_linalg_eigh(self, dtype):
+        g = self.stack(dtype)
+        mats = g + g.conj().swapaxes(1, 2)
+        with numerics.raise_lapack_errors():
+            stacked = numerics.eigh_factors(mats)
+            for k, m in enumerate(mats):
+                alone = numerics.eigh_factors(m)
+                assert same_bits(alone, np.linalg.eigh(m))
+                assert same_bits((stacked[0][k], stacked[1][k]), alone)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_svd_factors_rows_are_np_linalg_svd(self, dtype):
+        mats = self.stack(dtype, n=3)
+        with numerics.raise_lapack_errors():
+            stacked = numerics.svd_factors(mats)
+            for k, m in enumerate(mats):
+                alone = numerics.svd_factors(m)
+                assert same_bits(alone, np.linalg.svd(m))
+                assert same_bits(tuple(part[k] for part in stacked), alone)
+
+    def test_factors_raise_inside_the_error_state(self):
+        m = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(m)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            with numerics.raise_lapack_errors():
+                numerics.svd_factors(m)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_cholesky_mask_is_np_linalg_cholesky_row_by_row(self, dtype):
+        g = self.stack(dtype, k=6)
+        mats = g @ g.conj().swapaxes(1, 2) + 1e-3 * np.eye(4)
+        mats[[1, 4]] -= 10.0 * np.eye(4)  # not positive definite
+        mats[3] = 0.0  # singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = numerics.cholesky_mask(mats)
+            alone = [numerics.cholesky_mask(m[None])[0] for m in mats]
+        expected = []
+        for m in mats:
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                expected.append(False)
+            else:
+                expected.append(True)
+        assert mask.dtype == bool and mask.tolist() == alone == expected
+        assert expected == [True, False, True, False, False, True]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_solve_rows_is_np_linalg_solve_and_refuses_singular_rows(self, dtype):
+        a = self.stack(dtype, k=5)
+        a[2, :, 0] = 0.0  # a zero column: exactly singular
+        b = self.stack(dtype, k=5, seed=1)[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = numerics.solve_rows(a, b)
+            alone = [numerics.solve_rows(a[k : k + 1], b[k : k + 1])[0] for k in range(5)]
+        assert x.shape == (5, 4) and x.dtype == a.dtype
+        assert not np.isfinite(x[2]).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a[2], b[2])
+        for k in (0, 1, 3, 4):
+            assert x[k].tobytes() == alone[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
 
 
 def c_r_gap(rho):

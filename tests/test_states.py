@@ -217,6 +217,16 @@ class TestIsIncoherent:
         for seed in range(5):
             assert is_incoherent(dephase(random_density(4, seed)), 1e-9)
 
+    def test_is_diagonal_is_exact(self):
+        # no tolerance: a 1e-300 coherence is not diagonal
+        assert DensityMatrix(np.diag([0.3, 0.7, 0.0])).is_diagonal
+        assert dephase(random_density(4, 1)).is_diagonal
+        tiny = np.diag([0.5, 0.5]).astype(complex)
+        tiny[0, 1] = tiny[1, 0] = 1e-300
+        assert is_incoherent(DensityMatrix(tiny), 1e-9)
+        assert not DensityMatrix(tiny).is_diagonal
+        assert not random_density(3, 0).is_diagonal
+
 
 class TestQubitStandardForm:
     def test_already_standard(self):
