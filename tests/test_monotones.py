@@ -1028,9 +1028,6 @@ class TestRenyiSmallEntries:
             assert value >= 0.0
             assert value == pytest.approx(direct, rel=1e-9)
 
-    def test_zero_entries_still_count_as_absent(self):
-        assert mo.renyi([0.5, 0.5, 0.0], 2.0) == mo.renyi([0.5, 0.5], 2.0)
-
 
 def _full_matrix_c_rel(rho):
     diag = np.diag(rho.mat).real
